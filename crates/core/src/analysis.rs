@@ -104,9 +104,9 @@ pub enum DiagnosticCode {
     /// `L008` — nested `[α ⇒]` prefixes, the weak-until translation shape
     /// whose tableau closure grows exponentially with depth.
     DeepNesting,
-    /// `C001` — the `[ ⇒ α ] []β` prefix-invariance family: the explicit §5
-    /// condition DNF is intractably wide, so the decision must come from the
-    /// evaluated fixpoint.
+    /// `C001` — the `[ ⇒ α ] []β` prefix-invariance family and its dual
+    /// `~[ ⇒ α ] <>β`: the explicit §5 condition DNF is intractably wide, so
+    /// the decision must come from the evaluated fixpoint.
     ArtifactIntractable,
     /// `C002` — pre-flight admission rejected the job: the predicted cost
     /// exceeds the attached budget, so the check answered `Unknown` without
@@ -268,8 +268,9 @@ pub struct CostEstimate {
     /// Predicted width of the explicit §5 condition DNF; `u64::MAX` for the
     /// artifact-intractable family.
     pub condition_width: u64,
-    /// The `[ ⇒ α ] []β` prefix-invariance shape: the explicit condition
-    /// artifact is hopeless, the evaluated fixpoint is not.
+    /// The `[ ⇒ α ] []β` prefix-invariance shape (or its dual
+    /// `~[ ⇒ α ] <>β`): the explicit condition artifact is hopeless, the
+    /// evaluated fixpoint is not.
     pub artifact_intractable: bool,
     /// Nested `[α ⇒]` prefixes at depth ≥ 2 (the PR 1 exponential
     /// translation family).
@@ -370,9 +371,9 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
                 diagnostics.push(Diagnostic::new(
                     DiagnosticCode::ArtifactIntractable,
                     path,
-                    "prefix-invariance shape `[ => α ] []β`: the explicit condition DNF is \
-                     intractably wide at any implicant budget; the decision must come from \
-                     the evaluated fixpoint",
+                    "prefix-invariance shape `[ => α ] []β` or `~[ => α ] <>β`: the explicit \
+                     condition DNF is intractably wide at any implicant budget; the decision \
+                     must come from the evaluated fixpoint",
                 ));
             }
             let blowup = artifact_intractable || deep_nesting;
@@ -616,8 +617,17 @@ impl<A: ArenaRead> Pass<'_, A> {
             }
             FormulaNode::In(term, body) => {
                 let term_node = *self.arena.term_node(term);
+                // `[ ⇒ α ] □β`, or its dual `¬[ ⇒ α ] ◇β`: either way the
+                // tableau of the negated translation carries the □.
+                let invariance = match arena.formula_node(body) {
+                    FormulaNode::Always(_) => true,
+                    FormulaNode::Eventually(_) => path.len().checked_sub(2).is_some_and(|at| {
+                        matches!(arena.formula_node(path[at]), FormulaNode::Not(_))
+                    }),
+                    _ => false,
+                };
                 if matches!(term_node, TermNode::Forward(None, Some(_)))
-                    && matches!(self.arena.formula_node(body), FormulaNode::Always(_))
+                    && invariance
                     && self.intractable_path.is_none()
                 {
                     self.intractable_path = Some(path.clone());
@@ -963,6 +973,12 @@ mod tests {
         let dual_analysis = analyze_formula(&dual);
         assert!(!dual_analysis.estimate.artifact_intractable);
         assert!(dual_analysis.estimate.condition_width < 100);
+        // Its negation is the □ shape again once the tableau pushes the
+        // negation in: ~[ => Q ] <>P.
+        let negated = analyze_formula(&not(dual));
+        assert!(codes(&negated).contains(&DiagnosticCode::ArtifactIntractable));
+        assert!(negated.estimate.artifact_intractable && negated.estimate.blowup());
+        assert_eq!(negated.estimate.condition_width, u64::MAX);
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl Condition {
     pub fn disjuncts(&self) -> Vec<Vec<&[crate::syntax::Literal]>> {
         self.delete_init
             .implicants()
-            .map(|imp| imp.iter().map(|&e| self.graph.edge(e).literals.as_slice()).collect())
+            .map(|imp| imp.iter().map(|&e| self.graph.literals(e)).collect())
             .collect()
     }
 }
@@ -288,8 +288,8 @@ impl<'t> AlgorithmB<'t> {
         if let Some(cut) = budget.interrupted() {
             return (Err(cut), stats);
         }
-        let mut unsat = Vec::with_capacity(graph.edges().len());
-        for (count, edge) in graph.edges().iter().enumerate() {
+        let mut unsat = Vec::with_capacity(graph.edge_count());
+        for count in 0..graph.edge_count() {
             // Theory checks can be the slow part on big graphs: honour the
             // deadline/cancellation cutoffs mid-scan like every other engine.
             if count % crate::pool::INTERRUPT_POLL_PERIOD == 0 {
@@ -297,7 +297,7 @@ impl<'t> AlgorithmB<'t> {
                     return (Err(cut), stats);
                 }
             }
-            unsat.push(!self.theory.satisfiable(&edge.literals).is_sat());
+            unsat.push(!self.theory.satisfiable(graph.literals(count)).is_sat());
         }
         let (at_unsat, eval_stats) = evaluate_condition_at_budgeted_stats(graph, &unsat, budget);
         stats.merge(eval_stats);
@@ -312,7 +312,7 @@ impl<'t> AlgorithmB<'t> {
             // Mixed mode: the pointwise check is only sufficient.  delete(init)
             // evaluating false even at the all-true assignment means it is ⊥ —
             // not valid in any mode; anything else stays out of reach.
-            let all_true = vec![true; graph.edges().len()];
+            let all_true = vec![true; graph.edge_count()];
             let (at_top, eval_stats) =
                 evaluate_condition_at_budgeted_stats(graph, &all_true, budget);
             stats.merge(eval_stats);
@@ -356,7 +356,7 @@ impl<'t> AlgorithmB<'t> {
         // some implicant has every edge label T-unsatisfiable.
         let graph = condition.graph();
         let implicant_valid = |implicant: &BTreeSet<EdgeId>| {
-            implicant.iter().all(|&e| !self.theory.satisfiable(&graph.edge(e).literals).is_sat())
+            implicant.iter().all(|&e| !self.theory.satisfiable(graph.literals(e)).is_sat())
         };
         if condition.dnf().implicants().any(implicant_valid) {
             return Ok(Decision::Valid);
@@ -416,7 +416,7 @@ impl<'t> AlgorithmB<'t> {
             for imp in &implicants {
                 let pick = rest % imp.len();
                 rest /= imp.len();
-                literals.extend(graph.edge(imp[pick]).literals.iter().cloned());
+                literals.extend(graph.literals(imp[pick]).iter().cloned());
             }
             // A satisfiable selection is a T-model of the negation.
             self.theory.satisfiable(&literals).is_sat().then_some(Hit::Sat)
@@ -586,8 +586,8 @@ fn condition_of_graph_engine(
     let mut store = ConditionStore::new();
     // The equations' leaves: one □¬prop(e) atom per edge, interned once and
     // shared by every equation that mentions the edge.
-    let mut atoms: Vec<DnfId> = Vec::with_capacity(graph.edges().len());
-    for eid in 0..graph.edges().len() {
+    let mut atoms: Vec<DnfId> = Vec::with_capacity(graph.edge_count());
+    for eid in 0..graph.edge_count() {
         match store.atom(eid, &budget) {
             Some(id) => atoms.push(id),
             None => {
@@ -1620,7 +1620,7 @@ pub(crate) fn strongly_connected_components(graph: &TableauGraph) -> Vec<Vec<Nod
             self.stack.push(v);
             self.on_stack[v] = true;
             for &eid in self.graph.outgoing(v) {
-                let w = self.graph.edge(eid).to;
+                let w = self.graph.target(eid);
                 if self.index[w].is_none() {
                     self.visit(w);
                     self.lowlink[v] = self.lowlink[v].min(self.lowlink[w]);

@@ -51,6 +51,39 @@ fn pattern_formulas() -> Vec<(String, Ltl)> {
     formulas
 }
 
+/// The hard `[ => α ] []β` family and its `~[ => α ] <>β` dual as the LTL
+/// images `Decide` translates them to, with the node and edge counts of the
+/// `Graph(¬B)` each decision builds.  These are the largest tableaux of the
+/// benchmark's `decide_heavy` workload, so the counts are pinned: a change
+/// that moves them changes the measured work.
+fn hard_family() -> Vec<(String, Ltl, usize, usize)> {
+    use ilogic::core::ltl_translate::to_ltl;
+    let p_or_q = || prop("p").or(prop("q"));
+    [
+        ("[ => p ] [](p | q)", always(p_or_q()).within(fwd_to(event(prop("p")))), 79, 1812),
+        ("[ => r ] [](p | q)", always(p_or_q()).within(fwd_to(event(prop("r")))), 97, 3362),
+        ("~[ => p ] <>q", not(eventually(prop("q")).within(fwd_to(event(prop("p"))))), 13, 195),
+    ]
+    .into_iter()
+    .map(|(name, formula, nodes, edges)| {
+        (name.to_string(), to_ltl(&formula).expect("translatable"), nodes, edges)
+    })
+    .collect()
+}
+
+#[test]
+fn hard_family_graph_sizes_are_pinned() {
+    for (label, formula, nodes, edges) in hard_family() {
+        let graph = TableauGraph::try_build_budgeted(
+            &formula.not(),
+            &ResourceBudget::default(),
+            Parallelism::Off,
+        )
+        .expect("within the default caps");
+        assert_eq!((graph.node_count(), graph.edge_count()), (nodes, edges), "{label}");
+    }
+}
+
 /// `Session::decide` over the corpus and catalogue: every worker count
 /// returns the sequential verdict, counterexample traces included.
 #[test]
@@ -68,16 +101,19 @@ fn decide_backend_verdicts_are_worker_count_independent() {
 }
 
 /// The parallel tableau itself: node ids, edge ids, edge contents and the
-/// pruned satisfiability answer are bit-identical at every worker count.
+/// pruned satisfiability answer are bit-identical at every worker count
+/// (`Fixed(0)`, which resolves to one worker, included), on the pattern
+/// formulas and the hard family.
 #[test]
 fn parallel_tableau_graphs_are_bit_identical() {
-    for (label, formula) in pattern_formulas() {
+    let hard = hard_family().into_iter().map(|(label, formula, _, _)| (label, formula));
+    for (label, formula) in pattern_formulas().into_iter().chain(hard) {
         let sequential = TableauGraph::try_build_budgeted(
             &formula.clone().not(),
             &ResourceBudget::default(),
             Parallelism::Off,
         );
-        for workers in 1..=4 {
+        for workers in 0..=4 {
             let parallel = TableauGraph::try_build_budgeted(
                 &formula.clone().not(),
                 &ResourceBudget::default(),

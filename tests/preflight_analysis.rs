@@ -12,16 +12,24 @@
 //!   without ever producing a spurious counterexample;
 //! * the estimator flags the `[ =>Q ] []P` prefix-invariance family as
 //!   artifact-intractable *without* building a tableau or DNF (microseconds,
-//!   not minutes).
+//!   not minutes);
+//! * no formula of the generator's seed-9001 reference populations trips
+//!   the default implicant cap without a predicted blowup.
 
 use proptest::prelude::*;
 use proptest::sample::Index;
 
 use ilogic::core::analysis::{self, analyze_formula, DiagnosticCode};
+use ilogic::core::generate::{FormulaGenerator, GeneratorConfig};
+use ilogic::core::ltl_translate::to_ltl;
 use ilogic::core::parser::{parse_formula, CORPUS};
 use ilogic::core::session::auto_backend;
 use ilogic::core::valid;
-use ilogic::{CheckReport, CheckRequest, Parallelism, ResourceBudget, Session, Verdict};
+use ilogic::temporal::algorithm_b::condition_of_graph_budgeted_stats;
+use ilogic::temporal::tableau::TableauGraph;
+use ilogic::{
+    CheckReport, CheckRequest, Exhaustion, Parallelism, ResourceBudget, Session, Verdict,
+};
 use ilogic_core::syntax::Formula;
 
 /// Every formula the suite sweeps: the full parser corpus plus the catalogue.
@@ -266,4 +274,55 @@ fn intractable_shape_is_flagged_without_building_anything() {
         "C001 missing"
     );
     assert!(elapsed < std::time::Duration::from_millis(250), "analysis took {elapsed:?}");
+}
+
+/// The generator's reference populations at seed 9001: the first 200
+/// distinct hard-family draws and the first 2000 distinct default-stream
+/// draws.
+fn seed_9001_populations() -> Vec<Formula> {
+    let mut formulas = Vec::new();
+    for (hard_family_percent, count) in
+        [(100, 200), (GeneratorConfig::default().hard_family_percent, 2000)]
+    {
+        let config = GeneratorConfig { hard_family_percent, ..GeneratorConfig::default() };
+        let mut generator = FormulaGenerator::from_seed(9001, config);
+        let mut seen = std::collections::HashSet::new();
+        while seen.len() < count {
+            let formula = generator.next_formula();
+            if seen.insert(formula.clone()) {
+                formulas.push(formula);
+            }
+        }
+    }
+    formulas
+}
+
+/// Blow-up predictor calibration: every formula `Auto` sends to the explicit
+/// condition artifact (translatable, no predicted blowup, so a finite
+/// implicant cap) must fit the default implicant cap.  A trip means the
+/// estimator missed an artifact-intractable shape and the request pays for
+/// a doomed artifact attempt before the evaluated fixpoint decides it.
+#[test]
+fn artifact_trips_are_always_predicted_on_the_reference_populations() {
+    let budget = ResourceBudget::default();
+    let mut attempted = 0;
+    for formula in seed_9001_populations() {
+        let estimate = analyze_formula(&formula).estimate;
+        if !estimate.translatable || estimate.blowup() {
+            continue;
+        }
+        let negated = to_ltl(&formula).expect("translatable").not();
+        let Ok(graph) = TableauGraph::try_build_budgeted(&negated, &budget, Parallelism::Off)
+        else {
+            continue;
+        };
+        attempted += 1;
+        let (artifact, _) = condition_of_graph_budgeted_stats(graph, &budget, Parallelism::Off);
+        assert_ne!(
+            artifact.err(),
+            Some(Exhaustion::Implicants),
+            "the condition artifact of {formula} trips the default cap, but no blowup was predicted"
+        );
+    }
+    assert!(attempted > 700, "only {attempted} artifacts attempted");
 }
