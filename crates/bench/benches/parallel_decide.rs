@@ -11,8 +11,12 @@
 //!   `ResourceBudget::default()` and must answer `Unknown` fast in both
 //!   modes;
 //! * the `Session` front door — `CheckRequest::decide()` end to end
-//!   (LTL reduction, level-parallel tableau, sharded prune, sharded
-//!   refutation sweep) on a theorem and a refutable formula.
+//!   (LTL reduction, tableau, condition fixpoint, sharded refutation
+//!   sweep) on a theorem and a refutable formula.
+//!
+//! The tableau is built in one sequential pass at every worker count (a
+//! level-parallel build ran at 0.77–0.87x sequential at two workers and was
+//! removed), so the parallel mode fans out only the fixpoint and the sweep.
 //!
 //! Decisions and verdicts are asserted bit-identical across modes before
 //! anything is timed, so the comparison is pure engine overhead/speedup.

@@ -25,6 +25,8 @@
 //! verdicts to the sequential sweep: the same `Option<Trace>`, the very same
 //! counterexample.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use crate::arena::{ArenaRead, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
 use crate::pool::{
     Earliest, Exhaustion, Parallelism, ResourceBudget, WorkerPool, INTERRUPT_POLL_PERIOD,
@@ -186,10 +188,11 @@ impl BoundedChecker {
     /// The verdict is **bit-identical** to the sequential sweep: among all
     /// counterexamples found, the one with the lowest global enumeration index
     /// — exactly the computation [`BoundedChecker::counterexample_interned`]
-    /// would return — wins.  Statistics differ only in that
-    /// [`ParallelSweep::traces_checked`] counts every computation any worker
-    /// examined, which can exceed the sequential count while the cancellation
-    /// signal propagates.
+    /// would return — wins.  The statistics are the sequential sweep's too:
+    /// workers may examine computations above the winning index before the
+    /// cancellation signal reaches them, but only the computations at or
+    /// below it are counted, and a memoized check's counters depend on its
+    /// computation alone.
     pub fn sweep_parallel<A>(
         &self,
         arena: &A,
@@ -248,6 +251,15 @@ impl BoundedChecker {
         }
         let earliest = Earliest::new();
         let cap = budget.max_enumeration();
+        // Several workers can run past the winning index, by amounts that
+        // depend on timing; each then logs its counters after every check so
+        // the join can count only the checks at or below the winner.  Every
+        // find lies at or above the lowest index some worker has yet to
+        // pass (`passed[v]` is worker `v`'s next unexamined index while its
+        // checks hold), so the log entries below that floor collapse into
+        // the last of them and a log only spans the workers' spread.
+        let speculative = workers > 1;
+        let passed: Vec<AtomicUsize> = (0..workers).map(AtomicUsize::new).collect();
         let results = pool.run(|w| {
             let mut memo = MemoEvaluator::new(arena);
             if let Some(domain) = domain {
@@ -258,6 +270,8 @@ impl BoundedChecker {
             // A timing cut, with the first global index this worker did NOT
             // examine because of it.
             let mut interrupt: Option<(Exhaustion, usize)> = None;
+            // `(global index, checks so far, memo counters)` after each check.
+            let mut log: Vec<(usize, usize, MemoStats)> = Vec::new();
             self.shard(w, workers).for_each_trace(|global, trace| {
                 if global >= earliest.bound() || global >= cap {
                     return false;
@@ -267,9 +281,18 @@ impl BoundedChecker {
                         interrupt = Some((cut, global));
                         return false;
                     }
+                    let floor =
+                        passed.iter().fold(usize::MAX, |f, p| f.min(p.load(Ordering::Relaxed)));
+                    let settled = log.partition_point(|&(i, ..)| i < floor);
+                    log.drain(..settled.saturating_sub(1));
                 }
                 checked += 1;
-                if memo.check(trace, formula) {
+                let holds = memo.check(trace, formula);
+                if speculative {
+                    log.push((global, checked, memo.stats()));
+                }
+                if holds {
+                    passed[w].store(global + workers, Ordering::Relaxed);
                     true
                 } else {
                     earliest.record(global);
@@ -277,7 +300,7 @@ impl BoundedChecker {
                     false
                 }
             });
-            (found, checked, memo.stats(), interrupt)
+            (found, (checked, memo.stats()), interrupt, log)
         });
         let mut sweep = ParallelSweep {
             counterexample: None,
@@ -291,17 +314,31 @@ impl BoundedChecker {
         // Lowest index any interrupted worker left unexamined: finds at or
         // above it cannot be proven minimal.
         let mut unexamined_floor = usize::MAX;
-        for (found, checked, stats, interrupt) in results {
-            sweep.traces_checked += checked;
-            sweep.memo.merge(stats);
+        let mut counters = Vec::with_capacity(results.len());
+        for (found, totals, interrupt, log) in results {
             if let Some((cut, stopped_at)) = interrupt {
                 interrupted = interrupted.or(Some(cut));
                 unexamined_floor = unexamined_floor.min(stopped_at);
             }
             finds.push(found);
+            counters.push((totals, log));
         }
         sweep.counterexample =
             crate::pool::min_find(finds).filter(|(index, _)| *index < unexamined_floor);
+        let winner = sweep.counterexample.as_ref().map_or(usize::MAX, |(index, _)| *index);
+        for (totals, log) in counters {
+            let (checked, stats) = if speculative {
+                // The worker's checks are in ascending index order.
+                log.iter()
+                    .rev()
+                    .find(|&&(global, ..)| global <= winner)
+                    .map_or((0, MemoStats::default()), |&(_, checked, stats)| (checked, stats))
+            } else {
+                totals
+            };
+            sweep.traces_checked += checked;
+            sweep.memo.merge(stats);
+        }
         if sweep.counterexample.is_none() {
             // The deterministic cut (enumeration cap, a pure function of the
             // checker and the budget) takes precedence over the
@@ -334,9 +371,11 @@ pub struct ParallelSweep {
     /// The counterexample with the lowest global enumeration index, if any —
     /// the same computation the sequential sweep returns first.
     pub counterexample: Option<(usize, Trace)>,
-    /// Total computations evaluated across all workers.
+    /// Computations evaluated across all workers; with a counterexample,
+    /// only those at or below its index.
     pub traces_checked: usize,
-    /// Per-worker memoization counters, merged at join.
+    /// Per-worker memoization counters of the checks counted in
+    /// `traces_checked`, merged at join.
     pub memo: MemoStats,
     /// Number of workers that swept.
     pub workers: usize,
@@ -517,24 +556,50 @@ mod tests {
     #[test]
     fn parallel_counterexamples_are_bit_identical_to_sequential() {
         use crate::pool::Parallelism;
-        let checker = BoundedChecker::new(["P", "Q"], 3);
-        let formulas = [
-            prop("P"),
-            eventually(prop("P")),
-            prop("P").or(prop("P").not()),
-            always(eventually(prop("P"))).implies(eventually(always(prop("P")))),
-            occurs(event(prop("Q"))).not().implies(Formula::False.within(event(prop("Q")))),
+        let small = BoundedChecker::new(["P", "Q"], 3);
+        // Refuted only by three distinct states in order, the earliest
+        // after thousands of computations: past several interrupt-poll
+        // periods of every worker.
+        let exactly = |on: &[&str]| {
+            ["P", "Q", "R", "S"].iter().fold(Formula::True, |f, &p| {
+                f.and(if on.contains(&p) { prop(p) } else { not(prop(p)) })
+            })
+        };
+        let late = not(eventually(
+            exactly(&["S"]).and(eventually(exactly(&["R"]).and(eventually(exactly(&["R", "S"]))))),
+        ));
+        let cases = [
+            (small.clone(), prop("P")),
+            (small.clone(), eventually(prop("P"))),
+            (small.clone(), prop("P").or(prop("P").not())),
+            (small.clone(), always(eventually(prop("P"))).implies(eventually(always(prop("P"))))),
+            (
+                small,
+                occurs(event(prop("Q"))).not().implies(Formula::False.within(event(prop("Q")))),
+            ),
+            (BoundedChecker::new(["P", "Q", "R", "S"], 3), late),
         ];
-        for formula in &formulas {
+        for (checker, formula) in &cases {
             let mut arena = FormulaArena::new();
             let id = arena.intern(formula);
             let sequential = checker.counterexample_interned(&arena, id);
+            let snapshot = arena.snapshot();
+            let swept = checker.sweep_parallel(&snapshot, id, None, Parallelism::Off);
             for workers in 1..=4 {
                 let parallel =
                     checker.counterexample_parallel(&arena, id, Parallelism::Fixed(workers));
                 assert_eq!(
                     parallel, sequential,
                     "parallel({workers}) and sequential verdicts differ on {formula}"
+                );
+                // The counters count the same checks as the sequential sweep,
+                // however far the workers ran past the winner.
+                let sharded =
+                    checker.sweep_parallel(&snapshot, id, None, Parallelism::Fixed(workers));
+                assert_eq!(
+                    (sharded.traces_checked, sharded.memo),
+                    (swept.traces_checked, swept.memo),
+                    "parallel({workers}) and sequential counters differ on {formula}"
                 );
             }
         }

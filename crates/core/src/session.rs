@@ -2277,12 +2277,13 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
 /// weaker than the pre-store tableau-pruning check, only the statistics
 /// richer.
 ///
-/// Under parallelism, every phase fans across the worker pool: the tableau
-/// is built level-parallel, the condition fixpoint batches each worklist
-/// round's frozen phase, and the refutation search is the same sharded
-/// lowest-index-wins sweep the `Bounded` backend uses.  Verdicts — `Holds`, the concrete
-/// counterexample, and `Unknown`-under-budget alike — are bit-identical at
-/// every worker count (deadline/cancellation cuts aside).
+/// Under parallelism, the tableau is still built in one sequential pass (a
+/// level-parallel build measured slower at two workers), while the
+/// condition fixpoint batches each worklist round's frozen phase across the
+/// worker pool and the refutation search is the same sharded
+/// lowest-index-wins sweep the `Bounded` backend uses.  Verdicts — `Holds`,
+/// the concrete counterexample, and `Unknown`-under-budget alike — are
+/// bit-identical at every worker count (deadline/cancellation cuts aside).
 fn decide<A: ArenaRead + Sync>(
     arena: &A,
     job: &PreparedJob,

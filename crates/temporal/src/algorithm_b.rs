@@ -288,8 +288,10 @@ impl<'t> AlgorithmB<'t> {
         if let Some(cut) = budget.interrupted() {
             return (Err(cut), stats);
         }
-        let mut unsat = Vec::with_capacity(graph.edge_count());
-        for count in 0..graph.edge_count() {
+        // One theory check per distinct literal conjunction, shared by the
+        // edges it labels.
+        let mut unsat_sets = Vec::with_capacity(graph.literal_sets().len());
+        for (count, literals) in graph.literal_sets().iter().enumerate() {
             // Theory checks can be the slow part on big graphs: honour the
             // deadline/cancellation cutoffs mid-scan like every other engine.
             if count % crate::pool::INTERRUPT_POLL_PERIOD == 0 {
@@ -297,8 +299,10 @@ impl<'t> AlgorithmB<'t> {
                     return (Err(cut), stats);
                 }
             }
-            unsat.push(!self.theory.satisfiable(graph.literals(count)).is_sat());
+            unsat_sets.push(!self.theory.satisfiable(literals).is_sat());
         }
+        let unsat: Vec<bool> =
+            (0..graph.edge_count()).map(|eid| unsat_sets[graph.literal_set(eid)]).collect();
         let (at_unsat, eval_stats) = evaluate_condition_at_budgeted_stats(graph, &unsat, budget);
         stats.merge(eval_stats);
         match at_unsat {

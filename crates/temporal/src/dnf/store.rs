@@ -148,11 +148,12 @@ impl std::ops::AddAssign for StoreStats {
     }
 }
 
-/// A multiply-xor hasher (FxHash-style) for the store's id-keyed memo maps —
-/// the same trade the core arena makes: these keys are tiny `Copy` values hit
-/// on every product, where SipHash's DoS resistance buys nothing.
+/// A multiply-xor hasher (FxHash-style) for the store's id-keyed memo maps
+/// and the tableau's hash-consed closure terms — the same trade the core
+/// arena makes: these keys are tiny `Copy` values hit on every product,
+/// where SipHash's DoS resistance buys nothing.
 #[derive(Clone, Copy, Default)]
-struct StoreHasher {
+pub(crate) struct StoreHasher {
     hash: u64,
 }
 
@@ -193,7 +194,7 @@ impl Hasher for StoreHasher {
     }
 }
 
-type StoreMap<K, V> = HashMap<K, V, BuildHasherDefault<StoreHasher>>;
+pub(crate) type StoreMap<K, V> = HashMap<K, V, BuildHasherDefault<StoreHasher>>;
 
 /// The interned implicant/DNF arena; see the [module documentation](self).
 #[derive(Debug, Default)]

@@ -2,12 +2,13 @@
 //!
 //! The bounded validity search is a conjunction over independently enumerable
 //! computations, explore-mode checking is independent per run, spec checking
-//! is independent per clause, tableau frontier expansion is independent per
-//! node, and the Appendix B §5.3 condition fixpoint evaluates a sweep of
-//! equations from one frozen snapshot — all embarrassingly parallel.  This
-//! module provides the (deliberately small) machinery those parallel paths
-//! share.  It lives in `ilogic-temporal`, the lowest crate of the workspace,
-//! so that every layer — [`crate::tableau`] and [`crate::algorithm_b`] here,
+//! is independent per clause, tableau pruning is independent per literal
+//! conjunction and per eventuality, and the Appendix B §5.3 condition
+//! fixpoint evaluates a sweep of equations from one frozen snapshot — all
+//! embarrassingly parallel.  This module provides the (deliberately small)
+//! machinery those parallel paths share.  It lives in `ilogic-temporal`, the
+//! lowest crate of the workspace, so that every layer — [`crate::tableau`]
+//! and [`crate::algorithm_b`] here,
 //! `ilogic_core::session` / `ilogic_core::bounded` (which re-export this
 //! module as `ilogic_core::pool`, the path most callers use),
 //! `ilogic_lowlevel::decide`, and `ilogic_systems::explore` — fans out over

@@ -17,29 +17,33 @@
 //!
 //! # Interned expansion
 //!
-//! Construction never expands boxed formula sets.  It first computes the
-//! formula's expansion closure (every formula the rules can reach), sorts it
-//! in `Ltl`'s order and numbers it, so a node label, a next-state set or an
-//! eventuality set is a fixed-width bitset of closure ids and a pending
-//! formula is a `u32`.  Because ascending id order is `BTreeSet<Ltl>` order,
-//! the traversal, the node ids and the edge ids are exactly those of an
-//! expansion over the formulas themselves (a `#[cfg(test)]` reference
-//! builder pins this).  Each distinct literal conjunction is materialised
-//! once per graph; the `Ltl` labels and [`Edge`]s are materialised once, on
-//! first use of the accessors that return them, which the decision
-//! procedures never call.
+//! Construction never expands boxed formula sets.  It hash-conses the
+//! formula into a DAG of connectives over operand ids and computes, on those
+//! ids, its expansion closure (every formula the rules can reach).  The
+//! closure is sorted once by a structural comparator that ranks ids exactly
+//! as `Ltl`'s derived order ranks the formulas, and numbered, so a node
+//! label, a next-state set or an eventuality set is a fixed-width bitset of
+//! closure ids and a pending formula is a `u32`.  Because ascending id order
+//! is `BTreeSet<Ltl>` order, the traversal, the node ids and the edge ids are
+//! exactly those of an expansion over the formulas themselves (a
+//! `#[cfg(test)]` reference builder pins this).  `Ltl` values are
+//! materialised only where the API hands them out: the eventualities at
+//! construction, and the labels and [`Edge`]s once, on first use of the
+//! accessors that return them, which the decision procedures never call.
 //!
-//! # Parallelism
+//! # One sequential pass
 //!
-//! Both phases fan out over the [`crate::pool`] worker pool —
-//! [`TableauGraph::try_build_budgeted`] expands each breadth-first frontier's
-//! node labels concurrently (expansion is a pure function of the label set
-//! over the shared, read-only closure table) and merges the results in
-//! sequential frontier order on the calling thread, and [`prune_with`]
-//! stripes the per-edge theory checks and the per-eventuality reachability
-//! analyses.  The merge discipline makes the graph *bit-identical* at every
-//! worker count: same node ids, same edge ids, same exhaustion answers under
-//! the structural caps of a [`crate::pool::ResourceBudget`].
+//! [`TableauGraph::try_build_budgeted`] is one breadth-first pass on the
+//! calling thread: it takes the nodes in id order, expands each label
+//! depth-first, and records every saturated alternative as an edge at once,
+//! interning its target label and its annotation (literals, promised and
+//! fulfilled eventualities).  The build does not fan out: expanding each
+//! BFS level across two workers and merging in sequential order ran at
+//! 0.77–0.87x the sequential build on the `decide_heavy` tableaux.
+//! [`prune_with`] stripes its theory checks (one per distinct literal
+//! conjunction) and per-eventuality reachability analyses across the
+//! [`crate::pool`] worker pool, and deletes the same edges in the same
+//! rounds at every worker count.
 //!
 //! # Cost
 //!
@@ -49,14 +53,19 @@
 //! --trace 1` replays one round of the benchmark's hard-family workload (44
 //! tableaux, 1815 nodes in all) layer by layer.  On a shared 2-vCPU Intel
 //! Xeon VM it read `tableau.build_us` 1419 µs and `tableau.busy_ms` 1472 ms
-//! (build and prune together) when expansion cloned boxed formula sets,
-//! and reads 144 µs and 24 ms over interned ids, for the same 1815 nodes.
+//! (build and prune together) when expansion cloned boxed formula sets.
+//! Over interned ids with a level-parallel build it read a median of 145 µs
+//! and 25.2 ms, and with the fused sequential pass over a hash-consed
+//! closure 34 µs and 10.0 ms (seven alternating runs of each on the same
+//! host), for the same 1815 nodes.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
+use crate::dnf::store::StoreMap;
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
-use crate::syntax::{Literal, Ltl};
+use crate::syntax::{Atom, Literal, Ltl};
 use crate::theory::{Theory, TheoryResult};
 
 /// Identifier of a node in a [`TableauGraph`].
@@ -94,14 +103,20 @@ pub struct TableauGraph {
     closure: Arc<Closure>,
     /// Node labels as closure bitsets, `closure.words` each.
     labels: Vec<u64>,
-    /// Source and target of each edge.
+    /// Source and target of each edge.  A node's edges are contiguous and
+    /// the nodes come in id order.
     ends: Vec<(NodeId, NodeId)>,
-    /// Each edge's saturated expansion state, `SLOTS × closure.words` each.
-    states: Vec<u64>,
-    /// The distinct literal conjunctions, and each edge's index into them.
+    /// The distinct edge annotations, `ANNOTATION × closure.words` each;
+    /// [`EventualityIndex::annotation`] names each edge's.
+    annotations: Vec<u64>,
+    /// The distinct literal conjunctions, and each annotation's index
+    /// into them.
     literal_sets: Vec<Vec<Literal>>,
-    edge_literals: Vec<u32>,
-    outgoing: Vec<Vec<EdgeId>>,
+    annotation_literals: Vec<u32>,
+    /// The edges leaving node `n` are `edge_ids[starts[n]..starts[n + 1]]`,
+    /// where `edge_ids[e] == e`.
+    starts: Vec<usize>,
+    edge_ids: Vec<EdgeId>,
     initial: NodeId,
     ev_index: EventualityIndex,
     plan: SweepPlan,
@@ -111,74 +126,79 @@ pub struct TableauGraph {
 
 /// Per-graph eventuality index, derived once at the end of construction:
 /// the distinct eventualities of the graph in ascending order, plus
-/// CSR-packed per-edge lists of the indices each edge mentions
-/// (`eventualities`) and fulfills (`fulfilled`).  Algorithm B's fixpoint
-/// engines and the Boolean projection consult it instead of re-deriving the
-/// union and re-probing the per-edge `BTreeSet`s — deep structural `Ltl`
-/// comparisons that used to dominate whole evaluator calls — on every run
-/// over the same graph.
+/// CSR-packed lists of the indices each edge mentions (`eventualities`) and
+/// fulfills (`fulfilled`).  Edges with the same annotation share one row.
+/// Algorithm B's fixpoint engines and the Boolean projection consult it
+/// instead of re-deriving the union and re-probing the per-edge
+/// `BTreeSet`s — deep structural `Ltl` comparisons that used to dominate
+/// whole evaluator calls — on every run over the same graph.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EventualityIndex {
     /// The distinct eventualities, ascending in `Ltl`'s order.
     pub(crate) all: Vec<Ltl>,
-    /// Concatenated ascending per-edge lists of mentioned indices.
+    /// Each edge's annotation: its row below, and its index into the
+    /// graph's annotations.
+    annotation: Vec<u32>,
+    /// Concatenated ascending per-annotation lists of mentioned indices.
     mentions: Vec<u32>,
-    /// `mentions` range of edge `eid`: `starts[eid]..starts[eid + 1]`.
+    /// `mentions` range of annotation `a`: `starts[a]..starts[a + 1]`.
     mentions_starts: Vec<u32>,
-    /// Concatenated ascending per-edge lists of fulfilled indices.
+    /// Concatenated ascending per-annotation lists of fulfilled indices.
     fulfilled: Vec<u32>,
-    /// `fulfilled` range of edge `eid`.
+    /// `fulfilled` range of annotation `a`.
     fulfilled_starts: Vec<u32>,
 }
 
 impl EventualityIndex {
-    /// The index of the edges whose saturated expansion states (`SLOTS ×
-    /// words` each, in edge order) are `states`.
-    fn build(closure: &Closure, states: &[u64]) -> EventualityIndex {
-        let edges = states.chunks_exact(SLOTS * closure.words);
+    /// The index of edges whose annotations are `annotation`, over the
+    /// distinct annotations `annotations`.
+    fn build(closure: &Closure, annotations: &Interner, annotation: Vec<u32>) -> EventualityIndex {
         let mut union = vec![0u64; closure.words];
-        for state in edges.clone() {
-            for (word, promised) in union.iter_mut().zip(closure.slot(state, PROMISED)) {
+        for a in 0..annotations.len() {
+            for (word, promised) in union.iter_mut().zip(closure.slot(annotations.key(a), PROMISED))
+            {
                 *word |= promised;
             }
         }
         // Closure ids ascend in `Ltl`'s order, so `all` comes out ascending
         // and so does every CSR row.
-        let mut position = vec![u32::MAX; closure.formulas.len()];
+        let mut position = vec![u32::MAX; closure.len()];
         let all = ids(&union)
             .enumerate()
             .map(|(ei, id)| {
                 position[id as usize] = ei as u32;
-                closure.formulas[id as usize].clone()
+                closure.formula(id)
             })
             .collect();
         let mut mentions = Vec::new();
         let mut mentions_starts = vec![0];
         let mut fulfilled = Vec::new();
         let mut fulfilled_starts = vec![0];
-        for state in edges {
-            mentions.extend(ids(closure.slot(state, PROMISED)).map(|id| position[id as usize]));
+        for a in 0..annotations.len() {
+            let key = annotations.key(a);
+            mentions.extend(ids(closure.slot(key, PROMISED)).map(|id| position[id as usize]));
             mentions_starts.push(mentions.len() as u32);
             fulfilled.extend(
-                ids(closure.slot(state, FULFILLED))
+                ids(closure.slot(key, FULFILLED))
                     .map(|id| position[id as usize])
                     .filter(|&ei| ei != u32::MAX),
             );
             fulfilled_starts.push(fulfilled.len() as u32);
         }
-        EventualityIndex { all, mentions, mentions_starts, fulfilled, fulfilled_starts }
+        EventualityIndex { all, annotation, mentions, mentions_starts, fulfilled, fulfilled_starts }
     }
 
     /// Ascending indices (into [`EventualityIndex::all`]) of the
     /// eventualities edge `eid` mentions.
     pub(crate) fn mentions(&self, eid: EdgeId) -> &[u32] {
-        &self.mentions[self.mentions_starts[eid] as usize..self.mentions_starts[eid + 1] as usize]
+        let a = self.annotation[eid] as usize;
+        &self.mentions[self.mentions_starts[a] as usize..self.mentions_starts[a + 1] as usize]
     }
 
     /// Ascending indices of the eventualities edge `eid` fulfills.
     pub(crate) fn fulfilled(&self, eid: EdgeId) -> &[u32] {
-        &self.fulfilled
-            [self.fulfilled_starts[eid] as usize..self.fulfilled_starts[eid + 1] as usize]
+        let a = self.annotation[eid] as usize;
+        &self.fulfilled[self.fulfilled_starts[a] as usize..self.fulfilled_starts[a + 1] as usize]
     }
 }
 
@@ -199,11 +219,9 @@ pub(crate) struct SweepPlan {
     /// Strongly connected components, reverse-topological (every edge leaves
     /// a component listed no earlier than its target's).
     pub(crate) sccs: Vec<Vec<NodeId>>,
-    /// `rev_preds` range of node `m`: `rev_starts[m]..rev_starts[m + 1]`.
-    rev_starts: Vec<u32>,
-    /// Concatenated ascending predecessor lists: the nodes whose equations
-    /// read the values at `m`.
-    rev_preds: Vec<u32>,
+    /// Row `m`: the nodes whose equations read the values at `m`,
+    /// ascending.
+    preds: Csr,
     /// Target node of each edge.
     pub(crate) targets: Vec<u32>,
     /// `unfulfilled[eid * ne + ei]`: edge `eid` does not fulfill eventuality
@@ -215,25 +233,9 @@ impl SweepPlan {
     fn build(graph: &TableauGraph) -> SweepPlan {
         let n = graph.node_count();
         let sccs = crate::algorithm_b::strongly_connected_components(graph);
-        let mut rev_starts = vec![0u32; n + 1];
-        for node in 0..n {
-            for &eid in graph.outgoing(node) {
-                rev_starts[graph.target(eid) + 1] += 1;
-            }
-        }
-        for m in 0..n {
-            rev_starts[m + 1] += rev_starts[m];
-        }
-        let mut rev_preds = vec![0u32; rev_starts[n] as usize];
-        let mut cursor = rev_starts.clone();
-        // The outer loop ascends in `node`, so every row comes out ascending.
-        for node in 0..n {
-            for &eid in graph.outgoing(node) {
-                let to = graph.target(eid);
-                rev_preds[cursor[to] as usize] = node as u32;
-                cursor[to] += 1;
-            }
-        }
+        // Edges come grouped by ascending source, so every row comes out
+        // ascending.
+        let preds = Csr::group(n, graph.ends.iter().map(|&(from, to)| (to, from as u32)));
         let ne = graph.ev_index.all.len();
         let targets = graph.ends.iter().map(|&(_, to)| to as u32).collect();
         let mut unfulfilled = vec![true; graph.edge_count() * ne];
@@ -242,30 +244,179 @@ impl SweepPlan {
                 unfulfilled[eid * ne + ei as usize] = false;
             }
         }
-        SweepPlan { sccs, rev_starts, rev_preds, targets, unfulfilled }
+        SweepPlan { sccs, preds, targets, unfulfilled }
     }
 
     /// Nodes whose equations read the values at `m`, ascending.
     pub(crate) fn preds_of(&self, m: NodeId) -> &[u32] {
-        &self.rev_preds[self.rev_starts[m] as usize..self.rev_starts[m + 1] as usize]
+        self.preds.row(m)
+    }
+}
+
+/// The top connective of a hash-consed formula, over the term ids of its
+/// operands (an atom names its index among the formula's sorted atoms).
+/// The variants are declared in `Ltl`'s order, so the derived order ranks
+/// two different connectives as `Ltl`'s derived `Ord` does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Kind {
+    True,
+    False,
+    Atom(u32),
+    Not(u32),
+    And(u32, u32),
+    Or(u32, u32),
+    Next(u32),
+    Always(u32),
+    Eventually(u32),
+    Until(u32, u32),
+}
+
+/// The formulas of one build, hash-consed bottom-up into a DAG of
+/// [`Kind`]s: structurally equal formulas share one term id.
+#[derive(Debug, Default)]
+struct Terms {
+    /// The distinct atoms of the root formula, ascending.
+    atoms: Vec<Atom>,
+    /// Each term's connective, by term id.
+    kinds: Vec<Kind>,
+    index: StoreMap<Kind, u32>,
+}
+
+impl Terms {
+    /// The id of the term `kind`, interned on first sight.
+    fn make(&mut self, kind: Kind) -> u32 {
+        *self.index.entry(kind).or_insert_with(|| {
+            self.kinds.push(kind);
+            self.kinds.len() as u32 - 1
+        })
+    }
+
+    /// Interns `formula` and its subformulas.
+    fn intern(&mut self, formula: &Ltl) -> u32 {
+        let kind = match formula {
+            Ltl::True => Kind::True,
+            Ltl::False => Kind::False,
+            Ltl::Atom(atom) => Kind::Atom(
+                self.atoms.binary_search(atom).expect("atoms are collected from the root") as u32,
+            ),
+            Ltl::Not(a) => Kind::Not(self.intern(a)),
+            Ltl::And(a, b) => Kind::And(self.intern(a), self.intern(b)),
+            Ltl::Or(a, b) => Kind::Or(self.intern(a), self.intern(b)),
+            Ltl::Next(a) => Kind::Next(self.intern(a)),
+            Ltl::Always(a) => Kind::Always(self.intern(a)),
+            Ltl::Eventually(a) => Kind::Eventually(self.intern(a)),
+            Ltl::Until(p, q) => Kind::Until(self.intern(p), self.intern(q)),
+        };
+        self.make(kind)
+    }
+
+    /// [`Ltl::not`] on term ids, its simplifications included.
+    fn not(&mut self, id: u32) -> u32 {
+        match self.kinds[id as usize] {
+            Kind::True => self.make(Kind::False),
+            Kind::False => self.make(Kind::True),
+            Kind::Not(inner) => inner,
+            _ => self.make(Kind::Not(id)),
+        }
+    }
+
+    /// The expansion rule of term `id`, over the term ids of the formulas
+    /// it rewrites to, interning them.  The constructors are exactly the
+    /// ones the expansion rules apply to formulas (`Ltl::not`'s
+    /// simplifications included), so the closure holds every formula an
+    /// expansion can push.
+    fn rule(&mut self, id: u32) -> Rule {
+        match self.kinds[id as usize] {
+            Kind::True => Rule::True,
+            Kind::False => Rule::False,
+            Kind::Atom(_) => Rule::Literal(id, true),
+            Kind::Not(inner) => match self.kinds[inner as usize] {
+                Kind::True => Rule::False,
+                Kind::False => Rule::True,
+                Kind::Atom(_) => Rule::Literal(inner, false),
+                Kind::Not(a) => Rule::Rewrite(a),
+                Kind::And(a, b) => {
+                    let or = Kind::Or(self.not(a), self.not(b));
+                    Rule::Rewrite(self.make(or))
+                }
+                Kind::Or(a, b) => Rule::Both(self.not(a), self.not(b)),
+                Kind::Next(a) => Rule::Next(self.not(a)),
+                Kind::Always(a) => {
+                    let eventually = Kind::Eventually(self.not(a));
+                    Rule::Rewrite(self.make(eventually))
+                }
+                Kind::Eventually(a) => {
+                    let always = Kind::Always(self.not(a));
+                    Rule::Rewrite(self.make(always))
+                }
+                Kind::Until(p, q) => Rule::NotUntil(self.not(p), self.not(q)),
+            },
+            Kind::And(a, b) => Rule::Both(a, b),
+            Kind::Or(a, b) => Rule::Either(a, b),
+            Kind::Next(a) => Rule::Next(a),
+            Kind::Always(a) => Rule::Always(a),
+            Kind::Eventually(a) => Rule::Eventually(a),
+            Kind::Until(p, q) => Rule::Until(p, q),
+        }
+    }
+
+    /// Compares terms `a` and `b` as `Ltl`'s derived `Ord` compares the
+    /// formulas they stand for.
+    fn cmp(&self, a: u32, b: u32) -> Ordering {
+        if a == b {
+            return Ordering::Equal;
+        }
+        match (self.kinds[a as usize], self.kinds[b as usize]) {
+            (Kind::Atom(x), Kind::Atom(y)) => x.cmp(&y),
+            (Kind::Not(x), Kind::Not(y))
+            | (Kind::Next(x), Kind::Next(y))
+            | (Kind::Always(x), Kind::Always(y))
+            | (Kind::Eventually(x), Kind::Eventually(y)) => self.cmp(x, y),
+            (Kind::And(x1, x2), Kind::And(y1, y2))
+            | (Kind::Or(x1, x2), Kind::Or(y1, y2))
+            | (Kind::Until(x1, x2), Kind::Until(y1, y2)) => {
+                self.cmp(x1, y1).then_with(|| self.cmp(x2, y2))
+            }
+            // Distinct terms of one connective without operands cannot
+            // exist, so these are different connectives.
+            (x, y) => x.cmp(&y),
+        }
+    }
+
+    /// The formula term `id` stands for.
+    fn ltl(&self, id: u32) -> Ltl {
+        let operand = |a: u32| Box::new(self.ltl(a));
+        match self.kinds[id as usize] {
+            Kind::True => Ltl::True,
+            Kind::False => Ltl::False,
+            Kind::Atom(atom) => Ltl::Atom(self.atoms[atom as usize].clone()),
+            Kind::Not(a) => Ltl::Not(operand(a)),
+            Kind::And(a, b) => Ltl::And(operand(a), operand(b)),
+            Kind::Or(a, b) => Ltl::Or(operand(a), operand(b)),
+            Kind::Next(a) => Ltl::Next(operand(a)),
+            Kind::Always(a) => Ltl::Always(operand(a)),
+            Kind::Eventually(a) => Ltl::Eventually(operand(a)),
+            Kind::Until(p, q) => Ltl::Until(operand(p), operand(q)),
+        }
     }
 }
 
 /// The expansion closure of a formula, interned: every formula the
 /// Appendix B expansion rules can reach from the root (plus the plain atom
-/// of each negated atom, which names its literal), built with the same
-/// `Ltl` constructors the rules use, sorted once in `Ltl`'s order and
-/// numbered densely.  Ascending id order is therefore exactly `BTreeSet<Ltl>`
-/// iteration order, so an expansion over ids visits formulas, interns node
-/// labels and assigns node and edge ids in the same order as one over the
-/// formulas themselves.  Sets of formulas become fixed-width bitsets of
-/// `words` `u64`s.  The table is read-only once built, so the worker pool
-/// shares it.
+/// of each negated atom, which names its literal), sorted once in `Ltl`'s
+/// order and numbered densely.  Ascending id order is therefore exactly
+/// `BTreeSet<Ltl>` iteration order, so an expansion over ids visits
+/// formulas, interns node labels and assigns node and edge ids in the same
+/// order as one over the formulas themselves.  Sets of formulas become
+/// fixed-width bitsets of `words` `u64`s.
 #[derive(Debug)]
 struct Closure {
-    /// The closure formulas, ascending; a formula's id is its index.
-    formulas: Vec<Ltl>,
-    /// What expanding each formula does, by id.
+    /// The hash-consed terms the closure formulas are drawn from.
+    terms: Terms,
+    /// The term id of each closure formula, ascending in `Ltl`'s order; a
+    /// formula's closure id is its index.
+    members: Vec<u32>,
+    /// What expanding each formula does, by closure id.
     rules: Vec<Rule>,
     /// `u64` words per bitset of closure ids.
     words: usize,
@@ -275,7 +426,7 @@ struct Closure {
 
 /// The expansion rule of one closure formula, over the ids of the formulas
 /// it rewrites to.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Rule {
     /// `⊤`, `¬⊥`: nothing to do.
     True,
@@ -304,53 +455,35 @@ enum Rule {
 }
 
 impl Rule {
-    /// The rule of `formula`, naming each formula it rewrites to through
-    /// `id`.  The constructors are exactly the ones the expansion rules
-    /// apply (`Ltl::not`'s simplifications included), so the closure holds
-    /// every formula an expansion can push, and ids compare as the
-    /// formulas do.
-    fn of(formula: &Ltl, mut id: impl FnMut(Ltl) -> u32) -> Rule {
-        match formula {
-            Ltl::True => Rule::True,
-            Ltl::False => Rule::False,
-            Ltl::Atom(_) => Rule::Literal(id(formula.clone()), true),
-            Ltl::Not(inner) => match &**inner {
-                Ltl::True => Rule::False,
-                Ltl::False => Rule::True,
-                Ltl::Atom(_) => Rule::Literal(id((**inner).clone()), false),
-                Ltl::Not(a) => Rule::Rewrite(id((**a).clone())),
-                Ltl::And(a, b) => Rule::Rewrite(id(Ltl::Or(
-                    Box::new((**a).clone().not()),
-                    Box::new((**b).clone().not()),
-                ))),
-                Ltl::Or(a, b) => Rule::Both(id((**a).clone().not()), id((**b).clone().not())),
-                Ltl::Next(a) => Rule::Next(id((**a).clone().not())),
-                Ltl::Always(a) => Rule::Rewrite(id(Ltl::Eventually(Box::new((**a).clone().not())))),
-                Ltl::Eventually(a) => Rule::Rewrite(id(Ltl::Always(Box::new((**a).clone().not())))),
-                Ltl::Until(p, q) => {
-                    Rule::NotUntil(id((**p).clone().not()), id((**q).clone().not()))
-                }
-            },
-            Ltl::And(a, b) => Rule::Both(id((**a).clone()), id((**b).clone())),
-            Ltl::Or(a, b) => Rule::Either(id((**a).clone()), id((**b).clone())),
-            Ltl::Next(a) => Rule::Next(id((**a).clone())),
-            Ltl::Always(a) => Rule::Always(id((**a).clone())),
-            Ltl::Eventually(a) => Rule::Eventually(id((**a).clone())),
-            Ltl::Until(p, q) => Rule::Until(id((**p).clone()), id((**q).clone())),
+    /// The rule with every formula id it names passed through `f`.
+    fn map(self, mut f: impl FnMut(u32) -> u32) -> Rule {
+        match self {
+            Rule::True | Rule::False => self,
+            Rule::Literal(a, positive) => Rule::Literal(f(a), positive),
+            Rule::Rewrite(a) => Rule::Rewrite(f(a)),
+            Rule::Both(a, b) => Rule::Both(f(a), f(b)),
+            Rule::Either(a, b) => Rule::Either(f(a), f(b)),
+            Rule::Next(a) => Rule::Next(f(a)),
+            Rule::Always(a) => Rule::Always(f(a)),
+            Rule::Eventually(a) => Rule::Eventually(f(a)),
+            Rule::Until(p, q) => Rule::Until(f(p), f(q)),
+            Rule::NotUntil(p, q) => Rule::NotUntil(f(p), f(q)),
         }
     }
 }
 
 /// Bitset slots of an expansion state, each `Closure::words` wide, packed
-/// in one buffer: the formulas already expanded on this branch, the next
-/// state's label, the eventualities promised, the eventualities fulfilled,
-/// and the positive and negative literals (by plain-atom id).
-const SEEN: usize = 0;
-const NEXT: usize = 1;
+/// in one buffer: the positive and negative literals (by plain-atom id),
+/// the eventualities promised and fulfilled, the formulas already expanded
+/// on this branch, and the next state's label.  The first `ANNOTATION`
+/// slots are the edge's annotation.
+const POSITIVE: usize = 0;
+const NEGATIVE: usize = 1;
 const PROMISED: usize = 2;
 const FULFILLED: usize = 3;
-const POSITIVE: usize = 4;
-const NEGATIVE: usize = 5;
+const ANNOTATION: usize = 4;
+const SEEN: usize = 4;
+const NEXT: usize = 5;
 const SLOTS: usize = 6;
 
 /// Inserts `id` into slot `slot` of `bits`; `false` if it was already there.
@@ -383,78 +516,78 @@ fn ids(set: &[u64]) -> impl Iterator<Item = u32> + '_ {
 impl Closure {
     /// Interns the expansion closure of `root`.
     fn of(root: &Ltl) -> Closure {
-        let mut found: HashSet<Ltl> = HashSet::new();
-        let mut stack = vec![root.clone()];
-        while let Some(formula) = stack.pop() {
-            if found.contains(&formula) {
+        let mut atoms = root.atoms();
+        atoms.sort_unstable();
+        let mut terms = Terms { atoms, ..Terms::default() };
+        let root = terms.intern(root);
+        // Every term the rules reach from the root, with its rule over term
+        // ids.
+        let mut rules: Vec<Option<Rule>> = Vec::new();
+        let mut members = Vec::new();
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            if rules.get(id as usize).is_some_and(Option::is_some) {
                 continue;
             }
-            Rule::of(&formula, |next| {
-                if !found.contains(&next) {
-                    stack.push(next);
-                }
-                0
+            let rule = terms.rule(id).map(|next| {
+                stack.push(next);
+                next
             });
-            found.insert(formula);
+            rules.resize(terms.kinds.len(), None);
+            rules[id as usize] = Some(rule);
+            members.push(id);
         }
-        let mut formulas: Vec<Ltl> = found.into_iter().collect();
-        formulas.sort_unstable();
-        let id_of = |f: &Ltl| formulas.binary_search(f).expect("closed under the rules") as u32;
-        let rules = formulas.iter().map(|f| Rule::of(f, |next| id_of(&next))).collect();
-        Closure { rules, words: formulas.len().div_ceil(64), root: id_of(root), formulas }
+        members.sort_unstable_by(|&a, &b| terms.cmp(a, b));
+        let mut rank = vec![u32::MAX; terms.kinds.len()];
+        for (closure_id, &id) in members.iter().enumerate() {
+            rank[id as usize] = closure_id as u32;
+        }
+        let rules = members
+            .iter()
+            .map(|&id| {
+                rules[id as usize].expect("every member's rule").map(|next| rank[next as usize])
+            })
+            .collect();
+        Closure {
+            words: members.len().div_ceil(64),
+            root: rank[root as usize],
+            rules,
+            members,
+            terms,
+        }
     }
 
-    /// The formulas of a bitset, materialised.
-    fn set(&self, bits: &[u64]) -> BTreeSet<Ltl> {
-        ids(bits).map(|id| self.formulas[id as usize].clone()).collect()
+    /// The number of closure formulas.
+    fn len(&self) -> usize {
+        self.members.len()
     }
 
-    /// Slot `slot` of an expansion state.
+    /// The closure formula `id`, materialised.
+    fn formula(&self, id: u32) -> Ltl {
+        self.terms.ltl(self.members[id as usize])
+    }
+
+    /// Slot `slot` of an expansion state or an annotation.
     fn slot<'b>(&self, state: &'b [u64], slot: usize) -> &'b [u64] {
         &state[slot * self.words..(slot + 1) * self.words]
     }
 
-    /// The literals of a saturated expansion, in `Atom` order.
-    fn literals(&self, state: &[u64]) -> Vec<Literal> {
-        let positive = self.slot(state, POSITIVE);
-        let negative = self.slot(state, NEGATIVE);
+    /// The literals of an annotation, in `Atom` order.
+    fn literals(&self, annotation: &[u64]) -> Vec<Literal> {
+        let positive = self.slot(annotation, POSITIVE);
+        let negative = self.slot(annotation, NEGATIVE);
         let either: Vec<u64> = positive.iter().zip(negative).map(|(p, n)| p | n).collect();
         ids(&either)
             .map(|id| {
-                let Ltl::Atom(atom) = &self.formulas[id as usize] else {
+                let Kind::Atom(atom) = self.terms.kinds[self.members[id as usize] as usize] else {
                     unreachable!("literal ids name plain atoms")
                 };
-                Literal { atom: atom.clone(), positive: contains(state, self.words, POSITIVE, id) }
+                Literal {
+                    atom: self.terms.atoms[atom as usize].clone(),
+                    positive: contains(annotation, self.words, POSITIVE, id),
+                }
             })
             .collect()
-    }
-
-    /// Expands a node label into all of its saturated alternatives, each a
-    /// `SLOTS × words` state appended to the returned buffer, or `None`
-    /// when more than `cap` alternatives would be produced.
-    ///
-    /// The search is depth-first, left branch first, as a recursive descent
-    /// over formulas would be: at a branch the working state takes the left
-    /// alternative and a copy of it takes the right one onto a stack of
-    /// deferred branches, resumed latest first once the working branch
-    /// saturates or turns out inconsistent.
-    fn expand_label(&self, label: &[u64], cap: usize) -> Option<Vec<u64>> {
-        let words = self.words;
-        let mut results = Vec::new();
-        let mut pending: Vec<u32> = ids(label).collect();
-        let mut state = vec![0u64; SLOTS * words];
-        let mut deferred = Deferred::default();
-        loop {
-            if self.saturate(&mut pending, &mut state, &mut deferred) {
-                if results.len() / state.len() >= cap {
-                    return None;
-                }
-                results.extend_from_slice(&state);
-            }
-            if !deferred.resume(&mut pending, &mut state) {
-                return Some(results);
-            }
-        }
     }
 
     /// Applies the expansion rules to the working branch until nothing is
@@ -520,6 +653,57 @@ impl Closure {
     }
 }
 
+/// The expansion of one node label into its saturated alternatives,
+/// produced one at a time, in buffers reused across labels.
+///
+/// The search is depth-first, left branch first, as a recursive descent
+/// over formulas would be: at a branch the working state takes the left
+/// alternative and a copy of it takes the right one onto a stack of
+/// deferred branches, resumed latest first once the working branch
+/// saturates or turns out inconsistent.
+struct Expansion {
+    pending: Vec<u32>,
+    /// The working branch, `SLOTS × words`.
+    state: Vec<u64>,
+    deferred: Deferred,
+    /// The working branch has not been saturated yet.
+    fresh: bool,
+}
+
+impl Expansion {
+    fn new(words: usize) -> Expansion {
+        Expansion {
+            pending: Vec::new(),
+            state: vec![0; SLOTS * words],
+            deferred: Deferred::default(),
+            fresh: false,
+        }
+    }
+
+    /// Starts over on `label`.
+    fn start(&mut self, label: &[u64]) {
+        self.pending.clear();
+        self.pending.extend(ids(label));
+        self.state.fill(0);
+        self.deferred.clear();
+        self.fresh = true;
+    }
+
+    /// The next saturated alternative, or `None` once every branch is done.
+    fn next(&mut self, closure: &Closure) -> Option<&[u64]> {
+        loop {
+            if !std::mem::take(&mut self.fresh)
+                && !self.deferred.resume(&mut self.pending, &mut self.state)
+            {
+                return None;
+            }
+            if closure.saturate(&mut self.pending, &mut self.state, &mut self.deferred) {
+                return Some(&self.state);
+            }
+        }
+    }
+}
+
 /// The deferred right branches of one label's expansion, latest last, in
 /// flat buffers reused across branches.
 #[derive(Default)]
@@ -566,6 +750,78 @@ impl Deferred {
         self.states.truncate(at);
         true
     }
+
+    fn clear(&mut self) {
+        self.pending.clear();
+        self.lens.clear();
+        self.states.clear();
+    }
+}
+
+/// Fixed-width bitsets interned to dense ids, in first-seen order: the
+/// keys in one flat buffer, found through an open-addressing table of
+/// `id + 1` (0 marks a free slot) kept at most half full.  The keys are
+/// bitsets the build derives, so a fast unkeyed hash serves.
+struct Interner {
+    width: usize,
+    /// The keys, `width` words each, by id.
+    keys: Vec<u64>,
+    /// The number of keys (kept apart to spare a division per lookup).
+    len: usize,
+    table: Vec<u32>,
+}
+
+impl Interner {
+    fn new(width: usize) -> Interner {
+        Interner { width, keys: Vec::new(), len: 0, table: vec![0; 64] }
+    }
+
+    /// The id of `key`, interned on first sight.
+    fn intern(&mut self, key: &[u64]) -> u32 {
+        let mask = self.table.len() - 1;
+        let mut slot = hash(key) & mask;
+        loop {
+            match self.table[slot] {
+                0 => break,
+                entry if self.key(entry as usize - 1) == key => return entry - 1,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        let id = self.len as u32;
+        self.keys.extend_from_slice(key);
+        self.len += 1;
+        self.table[slot] = id + 1;
+        if 2 * self.len > self.table.len() {
+            let mut table = vec![0; 2 * self.table.len()];
+            let mask = table.len() - 1;
+            for id in 0..self.len {
+                let mut slot = hash(self.key(id)) & mask;
+                while table[slot] != 0 {
+                    slot = (slot + 1) & mask;
+                }
+                table[slot] = id as u32 + 1;
+            }
+            self.table = table;
+        }
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn key(&self, id: usize) -> &[u64] {
+        &self.keys[id * self.width..(id + 1) * self.width]
+    }
+}
+
+/// A multiply-xor hash of a bitset, its high half folded into the low one
+/// so that every bit of the key reaches a table index.
+fn hash(key: &[u64]) -> usize {
+    let h = key
+        .iter()
+        .fold(0u64, |h, &word| (h.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95));
+    (h ^ (h >> 32)) as usize
 }
 
 impl TableauGraph {
@@ -575,125 +831,103 @@ impl TableauGraph {
             .expect("unbounded tableau construction cannot exceed its limits")
     }
 
-    /// Constructs `Graph(formula)` under a [`ResourceBudget`], with the
-    /// frontier expanded across a worker pool; the `Err` names the first
-    /// resource that ran out ([`Exhaustion::Nodes`] / [`Exhaustion::Edges`]
-    /// for the structural caps, [`Exhaustion::Deadline`] /
-    /// [`Exhaustion::Cancelled`] for the cooperative cutoffs, polled once per
-    /// BFS level).
+    /// Constructs `Graph(formula)` under a [`ResourceBudget`]; the `Err`
+    /// names the first resource that ran out ([`Exhaustion::Nodes`] /
+    /// [`Exhaustion::Edges`] for the structural caps,
+    /// [`Exhaustion::Deadline`] / [`Exhaustion::Cancelled`] for the
+    /// cooperative cutoffs, polled once per BFS level).
     ///
-    /// Construction is a breadth-first saturation over the formula's
-    /// interned closure (formula ids, with sets as bitsets): each BFS
-    /// level's node labels are expanded (a pure function of the label set)
-    /// concurrently, and the per-node expansion lists are then merged on the
-    /// calling thread *in sequential frontier order* — interning target
-    /// labels, assigning node and edge identifiers, and applying the
-    /// structural cap checks in exactly the order the single-threaded loop
-    /// would.  The resulting graph is therefore bit-identical (same node
-    /// ids, same edge ids, same edge order) at every worker count, and
-    /// structural-cap `Err` answers agree too: expansion caps are taken from
-    /// the level-start edge budget, which can only postpone a blowup into
-    /// the merge's own limit checks, never change the answer.  Only the
-    /// deadline/cancellation cutoffs are timing-dependent.
+    /// Construction is one breadth-first pass over the formula's interned
+    /// closure (formula ids, with sets as bitsets) on the calling thread:
+    /// nodes are expanded in id order, and each saturated alternative of a
+    /// node's label becomes an edge as soon as it is found, its target
+    /// label interned and the structural caps checked before the edge is
+    /// recorded.  `parallelism` is accepted for the callers' uniformity
+    /// and does not fan the build out (see the module documentation), so
+    /// the graph and every structural-cap answer are the same at every
+    /// worker count.  Only the deadline/cancellation cutoffs are
+    /// timing-dependent.
     pub fn try_build_budgeted(
         formula: &Ltl,
         budget: &ResourceBudget,
-        parallelism: Parallelism,
+        _parallelism: Parallelism,
     ) -> Result<TableauGraph, Exhaustion> {
-        let pool = WorkerPool::new(parallelism);
         let closure = Closure::of(formula);
         let words = closure.words;
-        let stride = SLOTS * words;
-        // Node labels as bitsets, interned on the bitset.
-        let mut labels: Vec<Box<[u64]>> = Vec::new();
-        let mut index: HashMap<Box<[u64]>, NodeId> = HashMap::new();
-        let mut intern = |labels: &mut Vec<Box<[u64]>>, label: &[u64]| -> NodeId {
-            if let Some(&id) = index.get(label) {
-                return id;
-            }
-            index.insert(label.into(), labels.len());
-            labels.push(label.into());
-            labels.len() - 1
-        };
-        // Edges as `(from, to)`, with their saturated expansion states.
+        let mut labels = Interner::new(words);
+        let mut annotations = Interner::new(ANNOTATION * words);
         let mut ends: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut states: Vec<u64> = Vec::new();
-        let mut outgoing: Vec<Vec<EdgeId>> = Vec::new();
-
+        let mut annotation: Vec<u32> = Vec::new();
+        let mut starts = vec![0];
         let mut root = vec![0u64; words];
         insert(&mut root, words, 0, closure.root);
-        let initial = intern(&mut labels, &root);
+        let initial = labels.intern(&root) as NodeId;
 
-        let mut frontier: Vec<NodeId> = vec![initial];
-        let mut processed: Vec<bool> = Vec::new();
-        while !frontier.is_empty() {
-            if let Some(interrupt) = budget.interrupted() {
-                return Err(interrupt);
-            }
-            // Replay the sequential queue discipline: dequeue in order,
-            // skipping nodes already processed (a node can be discovered
-            // twice before its turn comes).
-            processed.resize(labels.len(), false);
-            let level: Vec<NodeId> = frontier
-                .drain(..)
-                .filter(|&node| !std::mem::replace(&mut processed[node], true))
-                .collect();
-            if level.is_empty() {
-                break;
-            }
-            // Every node of the level is expanded against the level-start
-            // budget; the merge below re-applies the exact per-edge checks.
-            let level_cap = budget.max_edges().saturating_sub(ends.len());
-            let expansions = expand_level(&closure, &labels, &level, level_cap, &pool);
-            for (&node, exps) in level.iter().zip(expansions) {
-                // A worker that blew the level budget implies the sequential
-                // loop would have exhausted `max_edges` at this node or an
-                // earlier one — either way the edge cap is the answer.
-                let Some(exps) = exps else {
-                    return Err(Exhaustion::Edges);
-                };
-                for state in exps.chunks_exact(stride) {
-                    let target = intern(&mut labels, closure.slot(state, NEXT));
-                    if labels.len() > budget.max_nodes() {
-                        return Err(Exhaustion::Nodes);
-                    }
-                    if ends.len() >= budget.max_edges() {
-                        return Err(Exhaustion::Edges);
-                    }
-                    if processed.get(target) != Some(&true) {
-                        frontier.push(target);
-                    }
-                    outgoing.resize(labels.len(), Vec::new());
-                    outgoing[node].push(ends.len());
-                    ends.push((node, target));
-                    states.extend_from_slice(state);
+        let mut expansion = Expansion::new(words);
+        // A BFS level is the run of nodes interned while the previous level
+        // was expanded; `level_edges` is the edge count at its start.
+        let (mut level_end, mut level_edges) = (0, 0);
+        let mut node = 0;
+        while node < labels.len() {
+            if node == level_end {
+                if let Some(interrupt) = budget.interrupted() {
+                    return Err(interrupt);
                 }
+                (level_end, level_edges) = (labels.len(), ends.len());
             }
+            expansion.start(labels.key(node));
+            let mut cut = None;
+            while let Some(state) = expansion.next(&closure) {
+                let target = labels.intern(closure.slot(state, NEXT)) as NodeId;
+                if labels.len() > budget.max_nodes() {
+                    cut = Some(Exhaustion::Nodes);
+                    break;
+                }
+                if ends.len() >= budget.max_edges() {
+                    cut = Some(Exhaustion::Edges);
+                    break;
+                }
+                ends.push((node, target));
+                annotation.push(annotations.intern(&state[..ANNOTATION * words]));
+            }
+            if let Some(cut) = cut {
+                // The answer of a build that expands a whole level before
+                // merging it (the reference builder): a node with more
+                // alternatives than the edge budget left at its level's
+                // start trips `Edges` before any of its edges is merged.
+                let level_budget = budget.max_edges() - level_edges;
+                expansion.start(labels.key(node));
+                let mut alternatives = std::iter::from_fn(|| expansion.next(&closure).map(drop));
+                let over = cut == Exhaustion::Nodes && alternatives.nth(level_budget).is_some();
+                return Err(if over { Exhaustion::Edges } else { cut });
+            }
+            starts.push(ends.len());
+            node += 1;
         }
-        outgoing.resize(labels.len(), Vec::new());
-        // Each distinct literal conjunction is materialised once: the
-        // positive and negative slots are adjacent, so together they key it.
+        // Each distinct literal conjunction is materialised once; the
+        // positive and negative slots lead an annotation and together key it.
+        let mut conjunctions = Interner::new((NEGATIVE + 1) * words);
         let mut literal_sets = Vec::new();
-        let mut literal_index: HashMap<&[u64], u32> = HashMap::new();
-        let edge_literals = states
-            .chunks_exact(stride)
-            .map(|state| {
-                let polarities = &state[POSITIVE * words..(NEGATIVE + 1) * words];
-                *literal_index.entry(polarities).or_insert_with(|| {
-                    literal_sets.push(closure.literals(state));
-                    literal_sets.len() as u32 - 1
-                })
+        let annotation_literals = (0..annotations.len())
+            .map(|a| {
+                let key = annotations.key(a);
+                let id = conjunctions.intern(&key[..(NEGATIVE + 1) * words]);
+                if id as usize == literal_sets.len() {
+                    literal_sets.push(closure.literals(key));
+                }
+                id
             })
             .collect();
         let mut graph = TableauGraph {
-            ev_index: EventualityIndex::build(&closure, &states),
+            ev_index: EventualityIndex::build(&closure, &annotations, annotation),
             closure: Arc::new(closure),
-            labels: labels.concat(),
+            labels: labels.keys,
+            edge_ids: (0..ends.len()).collect(),
             ends,
-            states,
+            annotations: annotations.keys,
             literal_sets,
-            edge_literals,
-            outgoing,
+            annotation_literals,
+            starts,
             initial,
             plan: SweepPlan::default(),
             materialised: OnceLock::new(),
@@ -706,17 +940,26 @@ impl TableauGraph {
     fn materialised(&self) -> &(Vec<BTreeSet<Ltl>>, Vec<Edge>) {
         self.materialised.get_or_init(|| {
             let closure = &*self.closure;
-            let labels = self.labels.chunks_exact(closure.words).map(|l| closure.set(l)).collect();
-            let edges = (0..self.edge_count())
-                .map(|eid| {
-                    let (from, to) = self.ends[eid];
-                    let state = self.state(eid);
+            let formulas: Vec<Ltl> =
+                (0..closure.len() as u32).map(|id| closure.formula(id)).collect();
+            let set = |bits: &[u64]| -> BTreeSet<Ltl> {
+                ids(bits).map(|id| formulas[id as usize].clone()).collect()
+            };
+            let labels = self.labels.chunks_exact(closure.words).map(set).collect();
+            let edges = self
+                .ends
+                .iter()
+                .enumerate()
+                .map(|(eid, &(from, to))| {
+                    let a = self.ev_index.annotation[eid] as usize;
+                    let stride = ANNOTATION * closure.words;
+                    let annotation = &self.annotations[a * stride..(a + 1) * stride];
                     Edge {
                         from,
                         to,
                         literals: self.literals(eid).to_vec(),
-                        eventualities: closure.set(closure.slot(state, PROMISED)),
-                        fulfilled: closure.set(closure.slot(state, FULFILLED)),
+                        eventualities: set(closure.slot(annotation, PROMISED)),
+                        fulfilled: set(closure.slot(annotation, FULFILLED)),
                     }
                 })
                 .collect();
@@ -724,16 +967,21 @@ impl TableauGraph {
         })
     }
 
-    /// The saturated expansion state of edge `eid`.
-    fn state(&self, eid: EdgeId) -> &[u64] {
-        let stride = SLOTS * self.closure.words;
-        &self.states[eid * stride..(eid + 1) * stride]
-    }
-
     /// The conjunction of literals labelling edge `eid` (its
     /// [`Edge::literals`], without materialising the edge).
     pub(crate) fn literals(&self, eid: EdgeId) -> &[Literal] {
-        &self.literal_sets[self.edge_literals[eid] as usize]
+        &self.literal_sets[self.literal_set(eid)]
+    }
+
+    /// The distinct literal conjunctions labelling the edges.
+    pub(crate) fn literal_sets(&self) -> &[Vec<Literal>] {
+        &self.literal_sets
+    }
+
+    /// The index into [`TableauGraph::literal_sets`] of edge `eid`'s
+    /// conjunction.
+    pub(crate) fn literal_set(&self, eid: EdgeId) -> usize {
+        self.annotation_literals[self.ev_index.annotation[eid] as usize] as usize
     }
 
     /// The target node of edge `eid` (its [`Edge::to`]).
@@ -748,7 +996,7 @@ impl TableauGraph {
 
     /// The number of nodes.
     pub fn node_count(&self) -> usize {
-        self.outgoing.len()
+        self.starts.len() - 1
     }
 
     /// The number of edges.
@@ -771,9 +1019,9 @@ impl TableauGraph {
         &self.materialised().1[id]
     }
 
-    /// Ids of the edges leaving `node`.
+    /// Ids of the edges leaving `node`, ascending.
     pub fn outgoing(&self, node: NodeId) -> &[EdgeId] {
-        &self.outgoing[node]
+        &self.edge_ids[self.starts[node]..self.starts[node + 1]]
     }
 
     /// The distinct eventualities occurring on any edge, ascending in
@@ -872,23 +1120,6 @@ pub fn closure_profile(formula: &Ltl) -> ClosureProfile {
     ClosureProfile { components: out.len(), atoms: formula.atoms().len(), size: formula.size() }
 }
 
-/// Expands every node of one BFS level, striping the nodes across the worker
-/// pool, and returns the expansion buffers in level order.
-///
-/// Expansion is a pure function of the label set over the shared, read-only
-/// closure table, so the stripes can run concurrently; the deterministic
-/// part — interning targets and assigning identifiers — stays with the
-/// caller's sequential merge.
-fn expand_level(
-    closure: &Closure,
-    labels: &[Box<[u64]>],
-    level: &[NodeId],
-    cap: usize,
-    pool: &WorkerPool,
-) -> Vec<Option<Vec<u64>>> {
-    pool.map(level.len(), |i| closure.expand_label(&labels[level[i]], cap))
-}
-
 /// The result of the `Iter` deletion loop.
 #[derive(Clone, Debug)]
 pub struct Pruned {
@@ -927,13 +1158,14 @@ pub fn prune(graph: &TableauGraph, theory: &dyn Theory) -> Pruned {
     prune_with(graph, theory, Parallelism::Off)
 }
 
-/// [`prune`] with the per-edge theory checks and the per-eventuality
-/// reachability analyses fanned across a worker pool.
+/// [`prune`] with the theory checks and the per-eventuality reachability
+/// analyses fanned across a worker pool.
 ///
 /// Both phases are pure functions of the current alive sets — the theory
-/// filter is independent per edge and the fulfilling-reachability map is
-/// independent per eventuality — so the deletion loop deletes exactly the
-/// same edges in the same rounds at every worker count.
+/// filter is independent per literal conjunction and the
+/// fulfilling-reachability map is independent per eventuality — so the
+/// deletion loop deletes exactly the same edges in the same rounds at every
+/// worker count.
 pub fn prune_with(graph: &TableauGraph, theory: &dyn Theory, parallelism: Parallelism) -> Pruned {
     prune_budgeted(graph, theory, parallelism, &ResourceBudget::unbounded())
         .expect("an unbudgeted prune cannot be interrupted")
@@ -952,9 +1184,20 @@ pub fn prune_budgeted(
     let pool = WorkerPool::new(parallelism);
     let index = graph.eventuality_index();
     let mut node_alive = vec![true; graph.node_count()];
-    let mut edge_alive: Vec<bool> = pool.map(graph.edge_count(), |i| {
-        theory.satisfiable(graph.literals(i)) == TheoryResult::Satisfiable
-    });
+    let sets = graph.literal_sets();
+    let satisfiable =
+        pool.map(sets.len(), |l| theory.satisfiable(&sets[l]) == TheoryResult::Satisfiable);
+    let mut edge_alive: Vec<bool> =
+        (0..graph.edge_count()).map(|eid| satisfiable[graph.literal_set(eid)]).collect();
+    // Each node's incoming edges and each eventuality's fulfilling edges,
+    // live or not; the reachability passes skip the dead ones.
+    let edges = graph.ends.iter().enumerate();
+    let incoming = Csr::group(graph.node_count(), edges.map(|(eid, &(_, to))| (to, eid as u32)));
+    let fulfilling = Csr::group(
+        index.all.len(),
+        (0..graph.edge_count())
+            .flat_map(|eid| index.fulfilled(eid).iter().map(move |&ei| (ei as usize, eid as u32))),
+    );
     let mut iterations = 0;
     loop {
         if let Some(interrupt) = budget.interrupted() {
@@ -965,11 +1208,10 @@ pub fn prune_budgeted(
 
         // Delete edges whose eventualities can no longer be satisfied.  The
         // backward-reachability map of each eventuality is independent of the
-        // others, so the eventualities stripe across the pool; the shared
-        // incoming-edge index is built once per round.
-        let incoming = incoming_index(graph, &edge_alive);
+        // others, so the eventualities stripe across the pool.
         let reach: Vec<Vec<bool>> = pool.map(index.all.len(), |ei| {
-            reachable_to_fulfilling(graph, &node_alive, &edge_alive, &incoming, ei as u32)
+            let seeds = fulfilling.row(ei);
+            reachable_to_fulfilling(graph, &node_alive, &edge_alive, &incoming, seeds)
         });
         for (id, &(_, to)) in graph.ends.iter().enumerate() {
             if edge_alive[id] && index.mentions(id).iter().any(|&ei| !reach[ei as usize][to]) {
@@ -999,48 +1241,64 @@ pub fn prune_budgeted(
     Ok(Pruned { node_alive, edge_alive, iterations })
 }
 
-/// The incoming live-edge index shared by every eventuality's reachability
-/// pass of one deletion round.
-fn incoming_index(graph: &TableauGraph, edge_alive: &[bool]) -> Vec<Vec<EdgeId>> {
-    let mut incoming: Vec<Vec<EdgeId>> = vec![Vec::new(); graph.node_count()];
-    for (id, &(_, to)) in graph.ends.iter().enumerate() {
-        if edge_alive[id] {
-            incoming[to].push(id);
-        }
-    }
-    incoming
+/// Rows of `u32` items in one flat buffer (compressed sparse rows).
+#[derive(Clone, Debug, Default)]
+struct Csr {
+    /// Row `r` is `items[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
+    items: Vec<u32>,
 }
 
-/// Computes, for every node, whether a live edge fulfilling eventuality `ei`
-/// (an index into [`EventualityIndex::all`]) is reachable from it through
-/// live edges (including taking the fulfilling edge itself).
+impl Csr {
+    /// Groups `(row, item)` pairs by row, each row's items in input order.
+    fn group(rows: usize, pairs: impl Iterator<Item = (usize, u32)> + Clone) -> Csr {
+        let mut starts = vec![0u32; rows + 1];
+        for (row, _) in pairs.clone() {
+            starts[row + 1] += 1;
+        }
+        for row in 0..rows {
+            starts[row + 1] += starts[row];
+        }
+        let mut items = vec![0; starts[rows] as usize];
+        let mut cursor = starts.clone();
+        for (row, item) in pairs {
+            items[cursor[row] as usize] = item;
+            cursor[row] += 1;
+        }
+        Csr { starts, items }
+    }
+
+    fn row(&self, row: usize) -> &[u32] {
+        &self.items[self.starts[row] as usize..self.starts[row + 1] as usize]
+    }
+}
+
+/// Computes, for every node, whether a live edge among `fulfilling` (the
+/// edges fulfilling one eventuality) is reachable from it through live
+/// edges (including taking the fulfilling edge itself).
 fn reachable_to_fulfilling(
     graph: &TableauGraph,
     node_alive: &[bool],
     edge_alive: &[bool],
-    incoming: &[Vec<EdgeId>],
-    ei: u32,
+    incoming: &Csr,
+    fulfilling: &[u32],
 ) -> Vec<bool> {
     let mut reach = vec![false; graph.node_count()];
     let mut queue: VecDeque<NodeId> = VecDeque::new();
-    for (id, &(from, _)) in graph.ends.iter().enumerate() {
-        if edge_alive[id]
-            && node_alive[from]
-            && graph.ev_index.fulfilled(id).contains(&ei)
-            && !reach[from]
-        {
+    let mut visit = |eid: u32, queue: &mut VecDeque<NodeId>| {
+        let from = graph.ends[eid as usize].0;
+        if edge_alive[eid as usize] && node_alive[from] && !reach[from] {
             reach[from] = true;
             queue.push_back(from);
         }
+    };
+    for &eid in fulfilling {
+        visit(eid, &mut queue);
     }
     // Backward closure over live edges.
     while let Some(node) = queue.pop_front() {
-        for &eid in &incoming[node] {
-            let from = graph.ends[eid].0;
-            if node_alive[from] && !reach[from] {
-                reach[from] = true;
-                queue.push_back(from);
-            }
+        for &eid in incoming.row(node) {
+            visit(eid, &mut queue);
         }
     }
     reach
@@ -1086,15 +1344,93 @@ pub fn valid_pure_budgeted(
 /// The formula-level builder the interned one replaced, kept verbatim as
 /// the test oracle of its bit-identity: expansion over boxed `Ltl` sets,
 /// node interning on `BTreeSet<Ltl>` labels, the eventuality index by
-/// binary search.  Sequential only (the level-parallel merge is checked
-/// against the sequential build separately).
+/// binary search, each BFS level expanded in full against the edge budget
+/// left at its start before it is merged.  Beside it, the closure
+/// computation the hash-consed one replaced: `Ltl` values found by hashing,
+/// sorted by `Ltl`'s `Ord` and numbered by binary search.
 #[cfg(test)]
 mod reference {
-    use std::collections::{BTreeMap, BTreeSet, HashMap};
+    use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-    use super::{Edge, NodeId};
+    use super::{Edge, NodeId, Rule};
     use crate::pool::{Exhaustion, ResourceBudget};
     use crate::syntax::{Atom, Literal, Ltl};
+
+    /// The expansion closure of a formula as the formulas themselves,
+    /// ascending, with each formula's rule over closure ids.
+    pub(super) struct Closure {
+        pub(super) formulas: Vec<Ltl>,
+        pub(super) rules: Vec<Rule>,
+        pub(super) words: usize,
+        pub(super) root: u32,
+    }
+
+    impl Rule {
+        /// The rule of `formula`, naming each formula it rewrites to through
+        /// `id`.  The constructors are exactly the ones the expansion rules
+        /// apply (`Ltl::not`'s simplifications included), so the closure holds
+        /// every formula an expansion can push, and ids compare as the
+        /// formulas do.
+        fn of(formula: &Ltl, mut id: impl FnMut(Ltl) -> u32) -> Rule {
+            match formula {
+                Ltl::True => Rule::True,
+                Ltl::False => Rule::False,
+                Ltl::Atom(_) => Rule::Literal(id(formula.clone()), true),
+                Ltl::Not(inner) => match &**inner {
+                    Ltl::True => Rule::False,
+                    Ltl::False => Rule::True,
+                    Ltl::Atom(_) => Rule::Literal(id((**inner).clone()), false),
+                    Ltl::Not(a) => Rule::Rewrite(id((**a).clone())),
+                    Ltl::And(a, b) => Rule::Rewrite(id(Ltl::Or(
+                        Box::new((**a).clone().not()),
+                        Box::new((**b).clone().not()),
+                    ))),
+                    Ltl::Or(a, b) => Rule::Both(id((**a).clone().not()), id((**b).clone().not())),
+                    Ltl::Next(a) => Rule::Next(id((**a).clone().not())),
+                    Ltl::Always(a) => {
+                        Rule::Rewrite(id(Ltl::Eventually(Box::new((**a).clone().not()))))
+                    }
+                    Ltl::Eventually(a) => {
+                        Rule::Rewrite(id(Ltl::Always(Box::new((**a).clone().not()))))
+                    }
+                    Ltl::Until(p, q) => {
+                        Rule::NotUntil(id((**p).clone().not()), id((**q).clone().not()))
+                    }
+                },
+                Ltl::And(a, b) => Rule::Both(id((**a).clone()), id((**b).clone())),
+                Ltl::Or(a, b) => Rule::Either(id((**a).clone()), id((**b).clone())),
+                Ltl::Next(a) => Rule::Next(id((**a).clone())),
+                Ltl::Always(a) => Rule::Always(id((**a).clone())),
+                Ltl::Eventually(a) => Rule::Eventually(id((**a).clone())),
+                Ltl::Until(p, q) => Rule::Until(id((**p).clone()), id((**q).clone())),
+            }
+        }
+    }
+
+    impl Closure {
+        /// Interns the expansion closure of `root`.
+        pub(super) fn of(root: &Ltl) -> Closure {
+            let mut found: HashSet<Ltl> = HashSet::new();
+            let mut stack = vec![root.clone()];
+            while let Some(formula) = stack.pop() {
+                if found.contains(&formula) {
+                    continue;
+                }
+                Rule::of(&formula, |next| {
+                    if !found.contains(&next) {
+                        stack.push(next);
+                    }
+                    0
+                });
+                found.insert(formula);
+            }
+            let mut formulas: Vec<Ltl> = found.into_iter().collect();
+            formulas.sort_unstable();
+            let id_of = |f: &Ltl| formulas.binary_search(f).expect("closed under the rules") as u32;
+            let rules = formulas.iter().map(|f| Rule::of(f, |next| id_of(&next))).collect();
+            Closure { rules, words: formulas.len().div_ceil(64), root: id_of(root), formulas }
+        }
+    }
 
     /// One saturated expansion of a node label set.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -1456,8 +1792,60 @@ mod tests {
         .boxed()
     }
 
+    /// Budgets capping nodes and edges together, each at 0, 1, half, one
+    /// short and exactly enough.
+    fn joint_budgets(formula: &Ltl) -> Vec<ResourceBudget> {
+        let graph = TableauGraph::build(formula);
+        let caps = |n: usize| [0, 1, n / 2, n.saturating_sub(1), n];
+        let mut budgets = Vec::new();
+        for nodes in caps(graph.node_count()) {
+            for edges in caps(graph.edge_count()) {
+                budgets
+                    .push(ResourceBudget::unbounded().with_max_nodes(nodes).with_max_edges(edges));
+            }
+        }
+        budgets
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The hash-consed closure holds the reference closure's formulas in
+        /// the same order, with the same rules, and its id comparator agrees
+        /// with `Ltl::cmp` on every pair of interned terms.
+        #[test]
+        fn hash_consed_closure_matches_the_reference(formula in arb_formula()) {
+            let closure = Closure::of(&formula);
+            let expected = reference::Closure::of(&formula);
+            let formulas: Vec<Ltl> =
+                (0..closure.len() as u32).map(|id| closure.formula(id)).collect();
+            prop_assert_eq!(&formulas, &expected.formulas);
+            prop_assert_eq!(&closure.rules, &expected.rules);
+            prop_assert_eq!((closure.root, closure.words), (expected.root, expected.words));
+            let terms = &closure.terms;
+            let ltls: Vec<Ltl> = (0..terms.kinds.len() as u32).map(|id| terms.ltl(id)).collect();
+            for a in 0..ltls.len() {
+                for b in 0..ltls.len() {
+                    prop_assert_eq!(
+                        terms.cmp(a as u32, b as u32),
+                        ltls[a].cmp(&ltls[b]),
+                        "{} vs {}",
+                        &ltls[a],
+                        &ltls[b]
+                    );
+                }
+            }
+        }
+
+        /// Node and edge caps together name the cap the reference builder
+        /// names, including where a node's expansion outruns its level's
+        /// edge budget before its edges would trip the node cap.
+        #[test]
+        fn interned_builder_matches_the_reference_under_joint_caps(formula in arb_formula()) {
+            for budget in joint_budgets(&formula) {
+                assert_matches_reference(&formula, &budget, Parallelism::Off);
+            }
+        }
 
         /// The interned builder is bit-identical to the reference builder
         /// on random formulas, under tight structural caps too, and at two

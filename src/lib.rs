@@ -139,7 +139,7 @@
 //! | [`Backend::Trace`] (`.on_trace(…)`) | conformance of one simulated/recorded run | exact for that computation | linear-ish in trace × formula (memoized) | single-threaded (one trace) | deadline/cancel only |
 //! | [`Backend::Explore`] (`.over_runs(…)` / `ilogic::systems::explore::explore_backend`) | conformance of **every** interleaving of a small model | exact for the enumerated runs; counterexample run on failure | #runs × trace-check | runs batched across the pool; lazy sources stream batch by batch | `max_enumeration` over runs; deadline/cancel |
 //! | [`Backend::Bounded`] (`.bounded(props, n)`) | validity evidence / refutation of a schema | counterexamples are genuine; `ValidUpTo(n)` is evidence, not proof | exponential in `n` and `props` — keep both small | sharded sweep: `n` workers cover interleaved slices with early-exit cancellation | `max_enumeration` over computations; deadline/cancel |
-//! | [`Backend::Decide`] (`.decide()`) | theoremhood in the LTL-translatable fragment | exact (tableau decision); `Unknown { exhausted }` outside the fragment or under budget | tableau is exponential worst-case, fast on the report's idioms | level-parallel tableau build, sharded prune analyses, sharded refutation sweep | `max_nodes`/`max_edges` (tableau), `max_enumeration` (refutation); deadline/cancel |
+//! | [`Backend::Decide`] (`.decide()`) | theoremhood in the LTL-translatable fragment | exact (tableau decision); `Unknown { exhausted }` outside the fragment or under budget | tableau is exponential worst-case, fast on the report's idioms | sequential tableau build; frozen-store fixpoint batching, sharded refutation sweep | `max_nodes`/`max_edges` (tableau), `max_enumeration` (refutation); deadline/cancel |
 //! | [`Backend::Auto`] (`.auto()`) | "pick the right engine for me" | the pre-flight cost estimator routes to `Decide` or `Bounded`; the report names the routed backend and carries an `R001` routing diagnostic | the routed engine's cost plus microseconds of analysis | the routed engine's shape | the routed engine's caps; routing adjusts `max_implicants` for predicted condition blowups |
 //!
 //! Rule of thumb: simulator and explorer traces → `Trace`/`Explore`; "is this
