@@ -64,13 +64,20 @@ pub enum Severity {
     Error,
 }
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl Severity {
+    /// The wire string (`"info"`, `"warning"`, `"error"`).
+    pub fn as_str(self) -> &'static str {
+        match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
             Severity::Error => "error",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

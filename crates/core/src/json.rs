@@ -4,14 +4,16 @@
 //! must cross process boundaries — a worker answering over a socket, a batch
 //! runner archiving results, CI diffing recorded verdicts — and this
 //! workspace builds offline, so a hand-rolled JSON layer replaces `serde`.
-//! The surface is deliberately small: the [`Json`] tree, [`Json::parse`] /
-//! [`fmt::Display`] for reading and writing, and typed accessors for
-//! destructuring.  Numbers are kept as `i64`/`f64` (every quantity the
-//! reports carry — counters, indices, nanoseconds — fits `i64`; means and
-//! rates use `f64`), strings support the standard escapes, and object keys
-//! keep their insertion order so output is stable and diff-friendly.
+//! The surface is deliberately small: the [`Json`] tree and [`Json::parse`]
+//! for reading, one streaming [`JsonWriter`] for writing (reports encode
+//! through it without building a tree; [`Json`]'s [`fmt::Display`] uses it
+//! too), and typed accessors for destructuring.  Numbers are kept as
+//! `i64`/`f64` (every quantity the reports carry — counters, indices,
+//! nanoseconds — fits `i64`; means and rates use `f64`), strings support the
+//! standard escapes including UTF-16 surrogate pairs, and object keys keep
+//! their insertion order so output is stable and diff-friendly.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -201,66 +203,184 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    // Keep a decimal point (or exponent) so the value parses
-                    // back as a float, not an integer.
-                    let plain = format!("{x}");
-                    if plain.contains('.') || plain.contains('e') || plain.contains('E') {
-                        f.write_str(&plain)
-                    } else {
-                        write!(f, "{plain}.0")
-                    }
-                } else {
-                    // JSON has no NaN/Infinity; null is the conventional stand-in.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Object(fields) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, key)?;
-                    f.write_str(":")?;
-                    write!(f, "{value}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut writer = JsonWriter::with_capacity(64);
+        writer.value(self);
+        f.write_str(writer.as_str())
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// The one JSON serializer: appends compact JSON text to a pre-sized
+/// `String`.
+///
+/// Every response body the workspace emits — reports, error bodies, the
+/// service's job and metrics documents — is streamed through this writer
+/// field by field, and [`Json`]'s [`fmt::Display`] delegates to
+/// [`JsonWriter::value`], so a tree and a streamed document of the same
+/// shape print the same bytes.  Callers supply structure as literal text
+/// ([`JsonWriter::raw`]: braces, commas and `"key":` prefixes, whose field
+/// order is the wire contract) and values through the typed methods:
+///
+/// - integers are written without `fmt` machinery;
+/// - floats keep a decimal point or exponent, so they parse back as floats
+///   (non-finite values become `null`, JSON having no NaN/Infinity);
+/// - strings escape only what JSON requires: `"`, `\`, and the control
+///   characters below U+0020 (`\n`, `\r`, `\t` short, the rest as
+///   lower-case `\u00xx`).  DEL, U+2028 and all non-ASCII text are copied
+///   verbatim, unescaped byte runs with one `push_str` each.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+}
+
+impl JsonWriter {
+    /// A writer whose buffer starts with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> JsonWriter {
+        JsonWriter { out: String::with_capacity(capacity) }
+    }
+
+    /// The text written so far.
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    /// The finished document.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// Appends pre-rendered JSON text verbatim: punctuation and literal
+    /// `"key":` prefixes, or a document another writer finished.
+    pub fn raw(&mut self, json: &str) -> &mut JsonWriter {
+        self.out.push_str(json);
+        self
+    }
+
+    /// Appends `null`.
+    pub fn null(&mut self) -> &mut JsonWriter {
+        self.raw("null")
+    }
+
+    /// Appends `true` or `false`.
+    pub fn bool(&mut self, value: bool) -> &mut JsonWriter {
+        self.raw(if value { "true" } else { "false" })
+    }
+
+    /// Appends an integer.
+    pub fn int(&mut self, value: i64) -> &mut JsonWriter {
+        if value < 0 {
+            self.out.push('-');
+        }
+        self.digits(value.unsigned_abs())
+    }
+
+    /// Appends a `u64` as a quoted decimal string — how the wire carries
+    /// magnitudes that may exceed the `i64` range of JSON integers here.
+    pub fn u64_str(&mut self, value: u64) -> &mut JsonWriter {
+        self.out.push('"');
+        self.digits(value);
+        self.raw("\"")
+    }
+
+    fn digits(&mut self, mut value: u64) -> &mut JsonWriter {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        self.out.extend(buf[at..].iter().map(|&digit| char::from(digit)));
+        self
+    }
+
+    /// Appends a float: Rust's shortest round-trip form, plus `.0` when that
+    /// form has neither a decimal point nor an exponent; `null` when
+    /// non-finite.
+    pub fn float(&mut self, value: f64) -> &mut JsonWriter {
+        if !value.is_finite() {
+            return self.null();
+        }
+        let start = self.out.len();
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.out, "{value}");
+        if !self.out[start..].contains(['.', 'e', 'E']) {
+            self.out.push_str(".0");
+        }
+        self
+    }
+
+    /// Appends a string literal, escaped as the type docs describe.
+    pub fn str(&mut self, text: &str) -> &mut JsonWriter {
+        self.out.push('"');
+        let mut run = 0;
+        for (at, &byte) in text.as_bytes().iter().enumerate() {
+            if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+                continue;
+            }
+            // `at` indexes an ASCII byte, so both slices end on char
+            // boundaries.
+            self.out.push_str(&text[run..at]);
+            run = at + 1;
+            match byte {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                control => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    self.out.push_str("\\u00");
+                    self.out.push(char::from(HEX[usize::from(control >> 4)]));
+                    self.out.push(char::from(HEX[usize::from(control & 0xf)]));
+                }
+            }
+        }
+        self.out.push_str(&text[run..]);
+        self.raw("\"")
+    }
+
+    /// Appends `[item, …]`, writing each element with `write`.
+    pub fn array<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut write: impl FnMut(&mut JsonWriter, T),
+    ) -> &mut JsonWriter {
+        self.out.push('[');
+        for (index, item) in items.into_iter().enumerate() {
+            if index > 0 {
+                self.out.push(',');
+            }
+            write(self, item);
+        }
+        self.raw("]")
+    }
+
+    /// Appends a [`Json`] tree.
+    pub fn value(&mut self, value: &Json) -> &mut JsonWriter {
+        match value {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Int(i) => self.int(*i),
+            Json::Float(x) => self.float(*x),
+            Json::Str(s) => self.str(s),
+            Json::Array(items) => self.array(items, |w, item| {
+                w.value(item);
+            }),
+            Json::Object(fields) => {
+                self.out.push('{');
+                for (index, (key, value)) in fields.iter().enumerate() {
+                    if index > 0 {
+                        self.out.push(',');
+                    }
+                    self.str(key).raw(":").value(value);
+                }
+                self.raw("}")
+            }
         }
     }
-    f.write_str("\"")
 }
 
 /// Maximum container nesting [`Json::parse`] accepts; far above any real
@@ -417,17 +537,32 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| JsonError::at(self.pos, "bad \\u escape"))?;
-                            // Surrogate pairs are not needed by this
-                            // workspace's payloads; reject them honestly.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| JsonError::at(self.pos, "unpaired surrogate"))?;
+                            let at = self.pos;
+                            let unit = self
+                                .hex4(at + 1)
+                                .ok_or_else(|| JsonError::at(at, "bad \\u escape"))?;
+                            let scalar = match unit {
+                                // A high surrogate and the low surrogate
+                                // escaped right after it spell one
+                                // non-BMP character (RFC 8259 §7).
+                                0xD800..=0xDBFF => {
+                                    let low = Some(at + 5)
+                                        .filter(|&next| {
+                                            self.bytes
+                                                .get(next..)
+                                                .is_some_and(|rest| rest.starts_with(b"\\u"))
+                                        })
+                                        .and_then(|next| self.hex4(next + 2))
+                                        .filter(|low| (0xDC00..=0xDFFF).contains(low))
+                                        .ok_or_else(|| JsonError::at(at, "unpaired surrogate"))?;
+                                    self.pos += 6;
+                                    0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                                }
+                                _ => unit,
+                            };
+                            // A lone low surrogate is no character at all.
+                            let c = char::from_u32(scalar)
+                                .ok_or_else(|| JsonError::at(at, "unpaired surrogate"))?;
                             out.push(c);
                             self.pos += 4;
                         }
@@ -443,6 +578,13 @@ impl Parser<'_> {
                 _ => return Err(JsonError::at(self.pos, "unterminated string")),
             }
         }
+    }
+
+    /// The code unit spelled by the four hex digits at `at`, if they are
+    /// four hex digits.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let hex = self.bytes.get(at..at + 4).filter(|h| h.iter().all(u8::is_ascii_hexdigit))?;
+        u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
     }
 
     /// Parses a number per the JSON grammar — strictly: leading zeros
@@ -535,6 +677,53 @@ mod tests {
         assert_eq!(Json::parse(&printed), Ok(Json::Str(tricky.to_string())));
         // Standard escapes parse too.
         assert_eq!(Json::parse(r#""λ\/""#), Ok(Json::Str("λ/".to_string())));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        // What Python's `json.dumps("😀")` sends: U+1F600 as a UTF-16 pair.
+        assert_eq!(Json::parse(r#""\ud83d\ude00""#), Ok(Json::Str("😀".to_string())));
+        assert_eq!(Json::parse(r#""a\uD800\uDC00z""#), Ok(Json::Str("a\u{10000}z".to_string())));
+        assert_eq!(Json::parse(r#""\udbff\udfff""#), Ok(Json::Str("\u{10ffff}".to_string())));
+    }
+
+    #[test]
+    fn lone_and_reversed_surrogates_are_rejected() {
+        let unpaired = |source: &str, offset: usize| {
+            let error = Json::parse(source).expect_err(source);
+            assert_eq!(error.message(), "unpaired surrogate", "{source}");
+            assert_eq!(error.offset(), Some(offset), "{source}");
+        };
+        // A lone high surrogate: at the end, before text, before a
+        // non-surrogate escape, before another high surrogate.
+        unpaired(r#""\ud83d""#, 2);
+        unpaired(r#""\ud83dx""#, 2);
+        unpaired(r#""ab\ud83d\u0041""#, 4);
+        unpaired(r#""\ud83d\ud83d""#, 2);
+        unpaired(r#""\ud83d\""#, 2);
+        // A lone low surrogate, and a pair in the wrong order.
+        unpaired(r#""\ude00""#, 2);
+        unpaired(r#""\ude00\ud83d""#, 2);
+        // A truncated second escape is still a bad pair, never a panic.
+        unpaired(r#""\ud83d\ude0""#, 2);
+    }
+
+    #[test]
+    fn the_writer_streams_what_the_tree_prints() {
+        let mut writer = JsonWriter::default();
+        writer.raw("{\"n\":").int(i64::MIN).raw(",\"m\":").int(i64::MAX);
+        writer.raw(",\"u\":").u64_str(u64::MAX).raw(",\"f\":").float(2.0);
+        writer.raw(",\"g\":").float(f64::NAN).raw(",\"s\":").str("q\"\\\u{1}λ");
+        writer.raw(",\"a\":").array([0, -1, 10], |w, i| {
+            w.int(i);
+        });
+        writer.raw("}");
+        let text = writer.into_string();
+        assert_eq!(
+            text,
+            r#"{"n":-9223372036854775808,"m":9223372036854775807,"u":"18446744073709551615","f":2.0,"g":null,"s":"q\"\\\u0001λ","a":[0,-1,10]}"#
+        );
+        assert_eq!(Json::parse(&text).map(|tree| tree.to_string()), Ok(text));
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub use ilogic_temporal::dnf::store::StoreStats as ConditionStats;
 use crate::analysis::{self, Analysis, CostEstimate, Diagnostic, DiagnosticCode};
 use crate::arena::{ArenaRead, ArenaVersion, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
 use crate::bounded::BoundedChecker;
-use crate::json::{Json, JsonError};
+use crate::json::{Json, JsonError, JsonWriter};
 use crate::ltl_translate::to_ltl;
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 use crate::scheduler::{self, JobHandle, JobId};
@@ -622,29 +622,37 @@ impl fmt::Display for CheckReport {
 // Serialization: a stable, dependency-free JSON rendering of reports, so
 // results can cross a process boundary (service responses, archived batch
 // runs, CI diffs).  `from_json(to_json(r))` reconstructs every field
-// losslessly, counterexample traces included.
+// losslessly, counterexample traces included.  Encoding streams each field
+// straight into one `JsonWriter` (the `write_*` functions below hold the
+// only copy of the field order); decoding parses a `Json` tree.
 // ---------------------------------------------------------------------------
+
+/// Initial buffer of one encoded report: a verdict-cache hit encodes to
+/// ~1.1 KB, so most reports never reallocate.
+const REPORT_CAPACITY: usize = 1536;
 
 impl CheckReport {
     /// Renders the report as a single-line JSON document; inverse of
     /// [`CheckReport::from_json`].
     pub fn to_json(&self) -> String {
-        Json::object()
-            .field("backend", Json::Str(self.backend.to_string()))
-            .field("verdict", verdict_to_json(&self.verdict))
-            .field(
-                "failing_index",
-                match self.failing_index {
-                    Some(index) => Json::Int(index as i64),
-                    None => Json::Null,
-                },
-            )
-            .field("stats", stats_to_json(&self.stats))
-            .field(
-                "diagnostics",
-                Json::Array(self.diagnostics.iter().map(diagnostic_to_json).collect()),
-            )
-            .to_string()
+        let mut out = JsonWriter::with_capacity(REPORT_CAPACITY);
+        self.write_json(&mut out);
+        out.into_string()
+    }
+
+    /// Streams the document [`CheckReport::to_json`] returns into `out` —
+    /// for bodies that embed reports, such as the service's job listings.
+    pub fn write_json(&self, out: &mut JsonWriter) {
+        out.raw(r#"{"backend":"#).str(self.backend).raw(r#","verdict":"#);
+        write_verdict(out, &self.verdict);
+        out.raw(r#","failing_index":"#);
+        match self.failing_index {
+            Some(index) => out.int(index as i64),
+            None => out.null(),
+        };
+        out.raw(r#","stats":"#);
+        write_stats(out, &self.stats);
+        out.raw(r#","diagnostics":"#).array(&self.diagnostics, write_diagnostic).raw("}");
     }
 
     /// Parses a report rendered by [`CheckReport::to_json`].
@@ -745,26 +753,24 @@ impl ErrorReport {
         )
     }
 
-    /// Renders the error as a JSON object (not yet a string — services embed
-    /// it in larger bodies); inverse of [`ErrorReport::from_json_value`].
+    /// The error as a JSON tree: [`ErrorReport::to_json`] parsed back;
+    /// inverse of [`ErrorReport::from_json_value`].
     pub fn to_json_value(&self) -> Json {
-        let mut value = Json::object()
-            .field("error", Json::Str(self.code.clone()))
-            .field("message", Json::Str(self.message.clone()))
-            .field(
-                "diagnostics",
-                Json::Array(self.diagnostics.iter().map(diagnostic_to_json).collect()),
-            );
-        if let Some(ms) = self.retry_after_ms {
-            value = value.field("retry_after_ms", Json::Int(ms.min(i64::MAX as u64) as i64));
-        }
-        value
+        Json::parse(&self.to_json()).expect("the report writers emit valid JSON")
     }
 
     /// Renders the error as a single-line JSON document; inverse of
     /// [`ErrorReport::from_json`].
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
+        let mut out = JsonWriter::with_capacity(256);
+        out.raw(r#"{"error":"#).str(&self.code);
+        out.raw(r#","message":"#).str(&self.message);
+        out.raw(r#","diagnostics":"#).array(&self.diagnostics, write_diagnostic);
+        if let Some(ms) = self.retry_after_ms {
+            out.raw(r#","retry_after_ms":"#).int(saturating_i64(ms));
+        }
+        out.raw("}");
+        out.into_string()
     }
 
     /// Parses an error rendered by [`ErrorReport::to_json_value`].
@@ -828,25 +834,43 @@ fn usize_of(value: &Json, name: &str) -> Result<usize, JsonError> {
     Ok(uint_field(value, name)? as usize)
 }
 
-fn verdict_to_json(verdict: &Verdict) -> Json {
+/// A `u64` counter as a JSON integer, saturating at `i64::MAX`.
+fn saturating_i64(count: u64) -> i64 {
+    count.min(i64::MAX as u64) as i64
+}
+
+/// The tree of a streamed document: how the public `*_to_json` functions
+/// derive their `Json` from the same writers the reports use.
+fn tree(write: impl FnOnce(&mut JsonWriter)) -> Json {
+    let mut out = JsonWriter::default();
+    write(&mut out);
+    Json::parse(out.as_str()).expect("the report writers emit valid JSON")
+}
+
+fn write_verdict(out: &mut JsonWriter, verdict: &Verdict) {
     match verdict {
-        Verdict::Holds => Json::object().field("kind", Json::Str("holds".into())),
-        Verdict::Counterexample(trace) => Json::object()
-            .field("kind", Json::Str("counterexample".into()))
-            .field("trace", trace_to_json(trace)),
-        Verdict::ValidUpTo(bound) => Json::object()
-            .field("kind", Json::Str("valid_up_to".into()))
-            .field("bound", Json::Int(*bound as i64)),
-        Verdict::Unknown { exhausted } => {
-            Json::object().field("kind", Json::Str("unknown".into())).field(
-                "exhausted",
-                match exhausted {
-                    Some(cut) => Json::Str(exhaustion_name(*cut).into()),
-                    None => Json::Null,
-                },
-            )
+        Verdict::Holds => out.raw(r#"{"kind":"holds"}"#),
+        Verdict::Counterexample(trace) => {
+            out.raw(r#"{"kind":"counterexample","trace":"#);
+            write_trace(out, trace);
+            out.raw("}")
         }
-    }
+        Verdict::ValidUpTo(bound) => {
+            out.raw(r#"{"kind":"valid_up_to","bound":"#).int(*bound as i64).raw("}")
+        }
+        Verdict::Unknown { exhausted } => {
+            out.raw(r#"{"kind":"unknown","exhausted":"#);
+            write_exhaustion(out, *exhausted);
+            out.raw("}")
+        }
+    };
+}
+
+fn write_exhaustion(out: &mut JsonWriter, exhausted: Option<Exhaustion>) {
+    match exhausted {
+        Some(cut) => out.str(exhaustion_name(cut)),
+        None => out.null(),
+    };
 }
 
 fn verdict_from_json(value: &Json) -> Result<Verdict, JsonError> {
@@ -891,32 +915,28 @@ fn exhaustion_from_name(name: &str) -> Result<Exhaustion, JsonError> {
     })
 }
 
-fn stats_to_json(stats: &CheckStats) -> Json {
-    Json::object()
-        .field("duration_ns", Json::Int(stats.duration.as_nanos().min(i64::MAX as u128) as i64))
-        .field("traces_checked", Json::Int(stats.traces_checked as i64))
-        .field("memo", memo_to_json(stats.memo))
-        .field("session_memo", memo_to_json(stats.session_memo))
-        .field("condition", condition_to_json(stats.condition))
-        .field("session_condition", condition_to_json(stats.session_condition))
-        .field(
-            "exhausted",
-            match stats.exhausted {
-                Some(cut) => Json::Str(exhaustion_name(cut).into()),
-                None => Json::Null,
-            },
-        )
-        .field("arena_nodes", Json::Int(stats.arena_nodes as i64))
-        .field("workers", Json::Int(stats.workers as i64))
-        .field(
-            "estimate",
-            match stats.estimate {
-                Some(estimate) => estimate_to_json(estimate),
-                None => Json::Null,
-            },
-        )
-        .field("cache", cache_to_json(stats.cache))
-        .field("session_cache", cache_to_json(stats.session_cache))
+fn write_stats(out: &mut JsonWriter, stats: &CheckStats) {
+    out.raw(r#"{"duration_ns":"#).int(stats.duration.as_nanos().min(i64::MAX as u128) as i64);
+    out.raw(r#","traces_checked":"#).int(stats.traces_checked as i64);
+    out.raw(r#","memo":"#);
+    write_hits(out, stats.memo.hits, stats.memo.misses);
+    out.raw(r#","session_memo":"#);
+    write_hits(out, stats.session_memo.hits, stats.session_memo.misses);
+    out.raw(r#","condition":"#);
+    write_condition(out, stats.condition);
+    out.raw(r#","session_condition":"#);
+    write_condition(out, stats.session_condition);
+    out.raw(r#","exhausted":"#);
+    write_exhaustion(out, stats.exhausted);
+    out.raw(r#","arena_nodes":"#).int(stats.arena_nodes as i64);
+    out.raw(r#","workers":"#).int(stats.workers as i64);
+    out.raw(r#","estimate":"#);
+    write_estimate(out, stats.estimate);
+    out.raw(r#","cache":"#);
+    write_hits(out, stats.cache.hits, stats.cache.misses);
+    out.raw(r#","session_cache":"#);
+    write_hits(out, stats.session_cache.hits, stats.session_cache.misses);
+    out.raw("}");
 }
 
 fn stats_from_json(value: &Json) -> Result<CheckStats, JsonError> {
@@ -973,14 +993,16 @@ fn stats_from_json(value: &Json) -> Result<CheckStats, JsonError> {
 /// [`diagnostic_from_json`].  Public so wire layers (the HTTP service)
 /// can emit diagnostics in error payloads without reimplementing the shape.
 pub fn diagnostic_to_json(diagnostic: &Diagnostic) -> Json {
-    Json::object()
-        .field("code", Json::Str(diagnostic.code.as_str().to_string()))
-        .field("severity", Json::Str(diagnostic.severity.to_string()))
-        .field(
-            "path",
-            Json::Array(diagnostic.path.iter().map(|id| Json::Int(id.index() as i64)).collect()),
-        )
-        .field("message", Json::Str(diagnostic.message.clone()))
+    tree(|out| write_diagnostic(out, diagnostic))
+}
+
+fn write_diagnostic(out: &mut JsonWriter, diagnostic: &Diagnostic) {
+    out.raw(r#"{"code":"#).str(diagnostic.code.as_str());
+    out.raw(r#","severity":"#).str(diagnostic.severity.as_str());
+    out.raw(r#","path":"#).array(&diagnostic.path, |out, id| {
+        out.int(id.index() as i64);
+    });
+    out.raw(r#","message":"#).str(&diagnostic.message).raw("}");
 }
 
 /// Parses a [`Diagnostic`] rendered by [`diagnostic_to_json`].
@@ -1019,18 +1041,21 @@ fn u64_str_field(value: &Json, name: &str) -> Result<u64, JsonError> {
     }
 }
 
-fn estimate_to_json(estimate: CostEstimate) -> Json {
-    Json::object()
-        .field("translatable", Json::Bool(estimate.translatable))
-        .field("closure_components", Json::Int(estimate.closure_components as i64))
-        .field("closure_atoms", Json::Int(estimate.closure_atoms as i64))
-        .field("size", Json::Int(estimate.size as i64))
-        .field("propositions", Json::Int(estimate.propositions as i64))
-        .field("nodes", Json::Str(estimate.nodes.to_string()))
-        .field("edges", Json::Str(estimate.edges.to_string()))
-        .field("condition_width", Json::Str(estimate.condition_width.to_string()))
-        .field("artifact_intractable", Json::Bool(estimate.artifact_intractable))
-        .field("deep_nesting", Json::Bool(estimate.deep_nesting))
+fn write_estimate(out: &mut JsonWriter, estimate: Option<CostEstimate>) {
+    let Some(estimate) = estimate else {
+        out.null();
+        return;
+    };
+    out.raw(r#"{"translatable":"#).bool(estimate.translatable);
+    out.raw(r#","closure_components":"#).int(estimate.closure_components as i64);
+    out.raw(r#","closure_atoms":"#).int(estimate.closure_atoms as i64);
+    out.raw(r#","size":"#).int(estimate.size as i64);
+    out.raw(r#","propositions":"#).int(estimate.propositions as i64);
+    out.raw(r#","nodes":"#).u64_str(estimate.nodes);
+    out.raw(r#","edges":"#).u64_str(estimate.edges);
+    out.raw(r#","condition_width":"#).u64_str(estimate.condition_width);
+    out.raw(r#","artifact_intractable":"#).bool(estimate.artifact_intractable);
+    out.raw(r#","deep_nesting":"#).bool(estimate.deep_nesting).raw("}");
 }
 
 fn bool_field(value: &Json, name: &str) -> Result<bool, JsonError> {
@@ -1055,22 +1080,15 @@ fn estimate_from_json(value: &Json) -> Result<CostEstimate, JsonError> {
     })
 }
 
-fn condition_to_json(condition: ConditionStats) -> Json {
-    Json::object()
-        .field("interned_implicants", Json::Int(condition.interned_implicants as i64))
-        .field("interned_dnfs", Json::Int(condition.interned_dnfs as i64))
-        .field("memo_hits", Json::Int(condition.memo_hits.min(i64::MAX as u64) as i64))
-        .field("memo_misses", Json::Int(condition.memo_misses.min(i64::MAX as u64) as i64))
-        .field("peak_dnf_width", Json::Int(condition.peak_dnf_width as i64))
-        .field("rounds", Json::Int(condition.rounds.min(i64::MAX as u64) as i64))
-        .field(
-            "equations_evaluated",
-            Json::Int(condition.equations_evaluated.min(i64::MAX as u64) as i64),
-        )
-        .field(
-            "equations_skipped",
-            Json::Int(condition.equations_skipped.min(i64::MAX as u64) as i64),
-        )
+fn write_condition(out: &mut JsonWriter, condition: ConditionStats) {
+    out.raw(r#"{"interned_implicants":"#).int(condition.interned_implicants as i64);
+    out.raw(r#","interned_dnfs":"#).int(condition.interned_dnfs as i64);
+    out.raw(r#","memo_hits":"#).int(saturating_i64(condition.memo_hits));
+    out.raw(r#","memo_misses":"#).int(saturating_i64(condition.memo_misses));
+    out.raw(r#","peak_dnf_width":"#).int(condition.peak_dnf_width as i64);
+    out.raw(r#","rounds":"#).int(saturating_i64(condition.rounds));
+    out.raw(r#","equations_evaluated":"#).int(saturating_i64(condition.equations_evaluated));
+    out.raw(r#","equations_skipped":"#).int(saturating_i64(condition.equations_skipped)).raw("}");
 }
 
 fn condition_from_json(value: &Json) -> Result<ConditionStats, JsonError> {
@@ -1098,10 +1116,10 @@ fn condition_from_json(value: &Json) -> Result<ConditionStats, JsonError> {
     })
 }
 
-fn cache_to_json(cache: CacheStats) -> Json {
-    Json::object()
-        .field("hits", Json::Int(cache.hits.min(i64::MAX as u64) as i64))
-        .field("misses", Json::Int(cache.misses.min(i64::MAX as u64) as i64))
+/// The `{"hits", "misses"}` object of the memo and verdict-cache counters.
+fn write_hits(out: &mut JsonWriter, hits: u64, misses: u64) {
+    out.raw(r#"{"hits":"#).int(saturating_i64(hits));
+    out.raw(r#","misses":"#).int(saturating_i64(misses)).raw("}");
 }
 
 fn cache_from_json(value: &Json) -> Result<CacheStats, JsonError> {
@@ -1109,12 +1127,6 @@ fn cache_from_json(value: &Json) -> Result<CacheStats, JsonError> {
         hits: uint_field(value.require("hits")?, "hits")?,
         misses: uint_field(value.require("misses")?, "misses")?,
     })
-}
-
-fn memo_to_json(memo: MemoStats) -> Json {
-    Json::object()
-        .field("hits", Json::Int(memo.hits as i64))
-        .field("misses", Json::Int(memo.misses as i64))
 }
 
 fn memo_from_json(value: &Json) -> Result<MemoStats, JsonError> {
@@ -1130,18 +1142,16 @@ fn memo_from_json(value: &Json) -> Result<MemoStats, JsonError> {
 /// trace, an `Explore` backend's runs) in request bodies using the exact
 /// shape reports already use.
 pub fn trace_to_json(trace: &Trace) -> Json {
-    let states: Vec<Json> = trace.states().iter().map(state_to_json).collect();
-    Json::object()
-        .field(
-            "extension",
-            match trace.extension() {
-                crate::trace::Extension::Stutter => Json::Str("stutter".into()),
-                crate::trace::Extension::Loop(start) => {
-                    Json::object().field("loop", Json::Int(start as i64))
-                }
-            },
-        )
-        .field("states", Json::Array(states))
+    tree(|out| write_trace(out, trace))
+}
+
+fn write_trace(out: &mut JsonWriter, trace: &Trace) {
+    out.raw(r#"{"extension":"#);
+    match trace.extension() {
+        crate::trace::Extension::Stutter => out.raw(r#""stutter""#),
+        crate::trace::Extension::Loop(start) => out.raw(r#"{"loop":"#).int(start as i64).raw("}"),
+    };
+    out.raw(r#","states":"#).array(trace.states(), write_state).raw("}");
 }
 
 /// Parses a [`Trace`] rendered by [`trace_to_json`].
@@ -1169,24 +1179,17 @@ pub fn trace_from_json(value: &Json) -> Result<Trace, JsonError> {
     }
 }
 
-fn state_to_json(state: &crate::state::State) -> Json {
-    let props: Vec<Json> = state
-        .props()
-        .map(|prop| {
-            Json::object()
-                .field("name", Json::Str(prop.name.clone()))
-                .field("args", Json::Array(prop.args.iter().map(value_to_json).collect()))
-        })
-        .collect();
-    let vars: Vec<Json> = state
-        .vars()
-        .map(|(name, value)| {
-            Json::object()
-                .field("name", Json::Str(name.to_string()))
-                .field("value", value_to_json(value))
-        })
-        .collect();
-    Json::object().field("props", Json::Array(props)).field("vars", Json::Array(vars))
+fn write_state(out: &mut JsonWriter, state: &crate::state::State) {
+    out.raw(r#"{"props":"#).array(state.props(), |out, prop| {
+        out.raw(r#"{"name":"#).str(&prop.name);
+        out.raw(r#","args":"#).array(&prop.args, write_value).raw("}");
+    });
+    out.raw(r#","vars":"#).array(state.vars(), |out, (name, value)| {
+        out.raw(r#"{"name":"#).str(name).raw(r#","value":"#);
+        write_value(out, value);
+        out.raw("}");
+    });
+    out.raw("}");
 }
 
 fn state_from_json(value: &Json) -> Result<crate::state::State, JsonError> {
@@ -1224,11 +1227,16 @@ fn state_from_json(value: &Json) -> Result<crate::state::State, JsonError> {
 /// Renders one [`Value`] as the JSON object used inside serialized traces
 /// and domains; inverse of [`value_from_json`].
 pub fn value_to_json(value: &Value) -> Json {
+    tree(|out| write_value(out, value))
+}
+
+fn write_value(out: &mut JsonWriter, value: &Value) {
     match value {
-        Value::Int(i) => Json::object().field("int", Json::Int(*i)),
-        Value::Bool(b) => Json::object().field("bool", Json::Bool(*b)),
-        Value::Sym(s) => Json::object().field("sym", Json::Str(s.clone())),
+        Value::Int(i) => out.raw(r#"{"int":"#).int(*i),
+        Value::Bool(b) => out.raw(r#"{"bool":"#).bool(*b),
+        Value::Sym(s) => out.raw(r#"{"sym":"#).str(s),
     }
+    .raw("}");
 }
 
 /// Parses a [`Value`] rendered by [`value_to_json`].

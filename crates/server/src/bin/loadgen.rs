@@ -17,14 +17,21 @@
 //!
 //! - the accounting identity `accepted = completed + shed + in_flight`;
 //! - zero non-shed 5xx responses (500s, broken connections);
+//! - every 4xx body is an [`ErrorReport`] whose code is `parse` or `lint`
+//!   (the generator's formulas are well-formed JSON, so any other refusal
+//!   is a service bug).  `parse` refusals are expected while the formula
+//!   printer emits text the grammar rejects; their share is reported so
+//!   that gap stays visible;
 //! - the shed rate stays under `--max-shed-rate`;
 //! - with `--min-cache-hit-rate r`: the server-side verdict-cache hit rate
 //!   `cache_hits / (cache_hits + cache_misses)` reaches at least `r`.
 //!
-//! Results (jobs/sec, p50/p99 latency, shed rate, cache hit rate, metric
-//! counters) go to stdout and to `--out` as JSON.  Exit status is non-zero
+//! Results (jobs/sec, p50/p99 latency, shed rate, cache hit rate, 4xx
+//! counts per error code, metric counters) go to stdout and to `--out` as
+//! JSON.  Exit status is non-zero
 //! when any contract clause fails, so CI can gate on it directly.
 
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use ilogic_core::generate::{FormulaGenerator, GeneratorConfig};
 use ilogic_core::json::Json;
+use ilogic_core::session::ErrorReport;
 use ilogic_server::client::ClientConn;
 
 struct Args {
@@ -46,14 +54,61 @@ struct Args {
     min_cache_hit_rate: Option<f64>,
 }
 
+/// The 4xx error codes a stream of generated formulas may draw: `parse`
+/// (printed text the grammar rejects) and `lint` (a contradictory formula).
+const EXPECTED_4XX: [&str; 2] = ["parse", "lint"];
+
 #[derive(Default)]
 struct ThreadOutcome {
     ok: u64,
     shed: u64,
-    other_4xx: u64,
+    /// Every 4xx answer.
+    refused_4xx: u64,
+    /// 4xx answers per `ErrorReport` code.
+    refusals: BTreeMap<String, u64>,
+    /// 4xx answers whose body is not an `ErrorReport` or whose code is not
+    /// in [`EXPECTED_4XX`], with the first such answer kept for the log.
+    unexpected_4xx: u64,
+    unexpected_sample: Option<String>,
     non_shed_5xx: u64,
     transport_errors: u64,
     latencies_us: Vec<u64>,
+}
+
+impl ThreadOutcome {
+    /// Counts one 4xx answer under its error code, and as unexpected unless
+    /// it is a structured `parse`/`lint` refusal.
+    fn refused(&mut self, status: u16, body: &str) {
+        self.refused_4xx += 1;
+        let code = ErrorReport::from_json(body).ok().map(|error| error.code);
+        if let Some(code) = &code {
+            *self.refusals.entry(code.clone()).or_default() += 1;
+        }
+        if !code.is_some_and(|code| EXPECTED_4XX.contains(&code.as_str())) {
+            self.unexpected_4xx += 1;
+            self.unexpected_sample.get_or_insert_with(|| format!("{status} {body}"));
+        }
+    }
+
+    fn answered(&self) -> u64 {
+        self.ok + self.shed + self.refused_4xx + self.non_shed_5xx
+    }
+
+    fn merge(&mut self, other: ThreadOutcome) {
+        self.ok += other.ok;
+        self.shed += other.shed;
+        self.refused_4xx += other.refused_4xx;
+        for (code, count) in other.refusals {
+            *self.refusals.entry(code).or_default() += count;
+        }
+        self.unexpected_4xx += other.unexpected_4xx;
+        if self.unexpected_sample.is_none() {
+            self.unexpected_sample = other.unexpected_sample;
+        }
+        self.non_shed_5xx += other.non_shed_5xx;
+        self.transport_errors += other.transport_errors;
+        self.latencies_us.extend(other.latencies_us);
+    }
 }
 
 fn main() {
@@ -84,12 +139,7 @@ fn main() {
 
     let mut total = ThreadOutcome::default();
     for outcome in outcomes {
-        total.ok += outcome.ok;
-        total.shed += outcome.shed;
-        total.other_4xx += outcome.other_4xx;
-        total.non_shed_5xx += outcome.non_shed_5xx;
-        total.transport_errors += outcome.transport_errors;
-        total.latencies_us.extend(outcome.latencies_us);
+        total.merge(outcome);
     }
     total.latencies_us.sort_unstable();
 
@@ -105,6 +155,13 @@ fn main() {
         }
     }
 
+    let parse = total.refusals.get("parse").copied().unwrap_or(0);
+    eprintln!(
+        "loadgen: {parse} of {} answers ({:.1}%) refused as `parse`: generated formulas whose \
+         printed text the grammar rejects",
+        total.answered(),
+        100.0 * parse_share(&total)
+    );
     let violations = contract_violations(&args, &total, metrics.as_ref());
     for violation in &violations {
         eprintln!("loadgen: CONTRACT VIOLATION: {violation}");
@@ -172,7 +229,7 @@ fn drive_connection(
                         outcome.latencies_us.push(micros);
                     }
                     503 => outcome.shed += 1,
-                    400..=499 => outcome.other_4xx += 1,
+                    400..=499 => outcome.refused(response.status, &response.body),
                     _ => outcome.non_shed_5xx += 1,
                 }
             }
@@ -218,6 +275,12 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
     sorted_us[rank.min(sorted_us.len() - 1)]
 }
 
+/// The share of answered requests refused as `parse`.
+fn parse_share(total: &ThreadOutcome) -> f64 {
+    let parse = total.refusals.get("parse").copied().unwrap_or(0);
+    parse as f64 / total.answered().max(1) as f64
+}
+
 fn shed_rate(total: &ThreadOutcome) -> f64 {
     let answered = total.ok + total.shed;
     if answered == 0 {
@@ -253,7 +316,19 @@ fn build_report(
         .field("seed", Json::Int(args.seed as i64))
         .field("completed", Json::Int(total.ok as i64))
         .field("shed", Json::Int(total.shed as i64))
-        .field("other_4xx", Json::Int(total.other_4xx as i64))
+        .field("refused_4xx", Json::Int(total.refused_4xx as i64))
+        .field(
+            "refusals",
+            Json::Object(
+                total
+                    .refusals
+                    .iter()
+                    .map(|(code, &count)| (code.clone(), Json::Int(count as i64)))
+                    .collect(),
+            ),
+        )
+        .field("unexpected_4xx", Json::Int(total.unexpected_4xx as i64))
+        .field("parse_share", Json::Float((parse_share(total) * 10_000.0).round() / 10_000.0))
         .field("non_shed_5xx", Json::Int(total.non_shed_5xx as i64))
         .field("transport_errors", Json::Int(total.transport_errors as i64))
         .field("jobs_per_sec", Json::Float((jobs_per_sec * 100.0).round() / 100.0))
@@ -270,6 +345,13 @@ fn build_report(
 /// The service-level contract checked after the window.
 fn contract_violations(args: &Args, total: &ThreadOutcome, metrics: Option<&Json>) -> Vec<String> {
     let mut violations = Vec::new();
+    if total.unexpected_4xx > 0 {
+        violations.push(format!(
+            "{} 4xx answers were not `parse`/`lint` ErrorReports (want 0); first: {}",
+            total.unexpected_4xx,
+            total.unexpected_sample.as_deref().unwrap_or_default()
+        ));
+    }
     if total.non_shed_5xx > 0 {
         violations.push(format!("{} non-shed 5xx responses (want 0)", total.non_shed_5xx));
     }
@@ -376,4 +458,26 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
         return Err("--connections must be at least 1".to_string());
     }
     Ok(parsed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_structured_parse_and_lint_refusals_are_expected() {
+        let mut outcome = ThreadOutcome::default();
+        outcome.refused(400, &ErrorReport::new("parse", "no").to_json());
+        outcome.refused(400, &ErrorReport::new("lint", "no").to_json());
+        outcome.refused(400, &ErrorReport::new("parse", "again").to_json());
+        assert_eq!(outcome.unexpected_4xx, 0);
+
+        outcome.refused(404, &ErrorReport::new("not-found", "no route").to_json());
+        outcome.refused(400, "not an error report");
+        assert_eq!(outcome.unexpected_4xx, 2);
+        assert!(outcome.unexpected_sample.as_deref().is_some_and(|s| s.starts_with("404 ")));
+        let counts: Vec<_> = outcome.refusals.iter().map(|(c, &n)| (c.as_str(), n)).collect();
+        assert_eq!(counts, [("lint", 1), ("not-found", 1), ("parse", 2)]);
+        assert!((parse_share(&outcome) - 0.4).abs() < 1e-9, "2 of 5 answers");
+    }
 }

@@ -12,7 +12,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ilogic_core::json::Json;
+use ilogic_core::json::{Json, JsonWriter};
 
 /// Upper bounds (µs) of the latency-histogram buckets; the implicit last
 /// bucket is unbounded.
@@ -113,34 +113,41 @@ impl Metrics {
         self.lock().errors_5xx += 1;
     }
 
-    /// A consistent snapshot as the `/metrics` JSON document.
-    pub fn snapshot(&self) -> Json {
+    /// A consistent snapshot as the `/metrics` JSON document, streamed
+    /// under the lock.
+    pub fn to_json(&self) -> String {
         let inner = self.lock();
-        let mut buckets = Vec::with_capacity(LATENCY_BUCKETS_US.len() + 1);
-        for (index, &count) in inner.latency_counts.iter().enumerate() {
-            let le = match LATENCY_BUCKETS_US.get(index) {
-                Some(&bound) => Json::Int(bound as i64),
-                None => Json::Str("inf".into()),
-            };
-            buckets.push(Json::object().field("le_us", le).field("count", Json::Int(count as i64)));
-        }
-        Json::object()
-            .field("accepted", Json::Int(inner.accepted as i64))
-            .field("completed", Json::Int(inner.completed as i64))
-            .field("shed", Json::Int(inner.shed as i64))
-            .field("rejected", Json::Int(inner.rejected as i64))
-            .field("errors_5xx", Json::Int(inner.errors_5xx as i64))
-            .field("in_flight", Json::Int(inner.in_flight as i64))
-            .field("capacity", Json::Int(self.capacity as i64))
-            .field("cache_hits", Json::Int(inner.cache_hits as i64))
-            .field("cache_misses", Json::Int(inner.cache_misses as i64))
-            .field(
-                "latency",
-                Json::object()
-                    .field("count", Json::Int(inner.latency_samples as i64))
-                    .field("sum_us", Json::Int(inner.latency_sum_us.min(i64::MAX as u64) as i64))
-                    .field("buckets", Json::Array(buckets)),
-            )
+        let mut out = JsonWriter::with_capacity(640);
+        out.raw(r#"{"accepted":"#).int(inner.accepted as i64);
+        out.raw(r#","completed":"#).int(inner.completed as i64);
+        out.raw(r#","shed":"#).int(inner.shed as i64);
+        out.raw(r#","rejected":"#).int(inner.rejected as i64);
+        out.raw(r#","errors_5xx":"#).int(inner.errors_5xx as i64);
+        out.raw(r#","in_flight":"#).int(inner.in_flight as i64);
+        out.raw(r#","capacity":"#).int(self.capacity as i64);
+        out.raw(r#","cache_hits":"#).int(inner.cache_hits as i64);
+        out.raw(r#","cache_misses":"#).int(inner.cache_misses as i64);
+        out.raw(r#","latency":{"count":"#).int(inner.latency_samples as i64);
+        out.raw(r#","sum_us":"#).int(inner.latency_sum_us.min(i64::MAX as u64) as i64);
+        out.raw(r#","buckets":"#).array(
+            inner.latency_counts.iter().enumerate(),
+            |out, (index, &count)| {
+                out.raw(r#"{"le_us":"#);
+                match LATENCY_BUCKETS_US.get(index) {
+                    Some(&bound) => out.int(bound as i64),
+                    None => out.str("inf"),
+                };
+                out.raw(r#","count":"#).int(count as i64).raw("}");
+            },
+        );
+        out.raw("}}");
+        out.into_string()
+    }
+
+    /// The [`Metrics::to_json`] document as a tree, for callers that read
+    /// individual counters.
+    pub fn snapshot(&self) -> Json {
+        Json::parse(&self.to_json()).expect("the metrics writer emits valid JSON")
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MetricsInner> {
@@ -208,5 +215,26 @@ mod tests {
             snapshot.get("latency").and_then(|l| l.get("count")).and_then(Json::as_int),
             Some(1)
         );
+    }
+
+    #[test]
+    fn the_scrape_body_is_pinned() {
+        let metrics = Metrics::new(3);
+        metrics.admit(2);
+        metrics.complete(1, Duration::from_micros(300));
+        metrics.complete(1, Duration::from_secs(9));
+        metrics.reject();
+        metrics.record_cache(5, 7);
+        // Captured from the tree-building encoder the writer replaced.
+        let golden = concat!(
+            r#"{"accepted":2,"completed":2,"shed":0,"rejected":1,"errors_5xx":0,"in_flight":0,"#,
+            r#""capacity":3,"cache_hits":5,"cache_misses":7,"latency":{"count":2,"sum_us":9000300,"#,
+            r#""buckets":[{"le_us":100,"count":0},{"le_us":250,"count":0},{"le_us":500,"count":1},"#,
+            r#"{"le_us":1000,"count":0},{"le_us":2500,"count":0},{"le_us":5000,"count":0},"#,
+            r#"{"le_us":10000,"count":0},{"le_us":25000,"count":0},{"le_us":50000,"count":0},"#,
+            r#"{"le_us":100000,"count":0},{"le_us":500000,"count":0},{"le_us":2000000,"count":0},"#,
+            r#"{"le_us":"inf","count":1}]}}"#,
+        );
+        assert_eq!(metrics.to_json(), golden);
     }
 }

@@ -37,14 +37,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use ilogic_core::json::Json;
+use ilogic_core::json::{Json, JsonWriter};
 use ilogic_core::session::{CheckReport, ErrorReport, Session};
 
 use crate::config::ServerConfig;
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
 use crate::shed::AdmissionGate;
-use crate::store::JobStore;
+use crate::store::{JobSetView, JobStore};
 use crate::wire;
 
 /// Everything a handler needs, shared across connection threads.
@@ -68,7 +68,7 @@ pub struct ServerContext {
 pub fn handle(request: &Request, ctx: &ServerContext) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Response::new(200, r#"{"status":"ok"}"#),
-        ("GET", "/metrics") => Response::new(200, ctx.metrics.snapshot().to_string()),
+        ("GET", "/metrics") => Response::new(200, ctx.metrics.to_json()),
         ("POST", "/check") => check(request, ctx),
         ("POST", "/batch") => batch(request, ctx),
         ("GET", path) if path.starts_with("/jobs/") => jobs(path, ctx),
@@ -155,11 +155,9 @@ fn batch(request: &Request, ctx: &ServerContext) -> Response {
         return shed_response(&error);
     }
     let id = ctx.store.enqueue(requests);
-    let body = Json::object()
-        .field("id", Json::Int(id as i64))
-        .field("jobs", Json::Int(jobs as i64))
-        .to_string();
-    Response::new(202, body)
+    let mut body = JsonWriter::with_capacity(32);
+    body.raw(r#"{"id":"#).int(id as i64).raw(r#","jobs":"#).int(jobs as i64).raw("}");
+    Response::new(202, body.into_string())
 }
 
 fn jobs(path: &str, ctx: &ServerContext) -> Response {
@@ -177,30 +175,14 @@ fn jobs(path: &str, ctx: &ServerContext) -> Response {
             ErrorReport::new("not-found", format!("no job set {id} (never submitted or evicted)")),
         );
     };
-    // Reports are appended as their canonical pre-rendered JSON so the
-    // fetched documents are byte-for-byte what `CheckReport::to_json`
-    // produces.
-    let mut body = format!(
-        "{{\"id\":{},\"status\":\"{}\",\"jobs\":{}",
-        view.id,
-        view.status.as_str(),
-        view.jobs
-    );
-    if view.cancelled {
-        body.push_str(",\"cancelled\":true");
-    }
+    // Reports stream through `CheckReport::write_json`, so the fetched
+    // documents are byte-for-byte what `CheckReport::to_json` produces.
+    let mut body = job_set_header(&view);
     if let Some(reports) = &view.reports {
-        body.push_str(",\"reports\":[");
-        for (index, report) in reports.iter().enumerate() {
-            if index > 0 {
-                body.push(',');
-            }
-            body.push_str(&report.to_json());
-        }
-        body.push(']');
+        body.raw(r#","reports":"#).array(reports, |out, report| report.write_json(out));
     }
-    body.push('}');
-    Response::new(200, body)
+    body.raw("}");
+    Response::new(200, body.into_string())
 }
 
 /// `DELETE /jobs/:id`: trips the set's cancel token.  Remaining jobs settle
@@ -222,13 +204,22 @@ fn cancel_jobs(path: &str, ctx: &ServerContext) -> Response {
             ErrorReport::new("not-found", format!("no job set {id} (never submitted or evicted)")),
         );
     };
-    let body = Json::object()
-        .field("id", Json::Int(view.id as i64))
-        .field("status", Json::Str(view.status.as_str().into()))
-        .field("jobs", Json::Int(view.jobs as i64))
-        .field("cancelled", Json::Bool(true))
-        .to_string();
-    Response::new(200, body)
+    let mut body = job_set_header(&view);
+    body.raw("}");
+    Response::new(200, body.into_string())
+}
+
+/// The unclosed `{"id", "status", "jobs"[, "cancelled"]` prefix shared by
+/// the `/jobs/:id` poll and cancel bodies.
+fn job_set_header(view: &JobSetView) -> JsonWriter {
+    let mut body = JsonWriter::with_capacity(64);
+    body.raw(r#"{"id":"#).int(view.id as i64);
+    body.raw(r#","status":"#).str(view.status.as_str());
+    body.raw(r#","jobs":"#).int(view.jobs as i64);
+    if view.cancelled {
+        body.raw(r#","cancelled":true"#);
+    }
+    body
 }
 
 /// Parses the `"reports"` array out of a `GET /jobs/:id` response body —
@@ -301,6 +292,13 @@ mod tests {
         let bad_formula = handle(&post("/check", r#"{"formula": "(P"}"#), &ctx);
         assert_eq!(bad_formula.status, 400);
         assert_eq!(ErrorReport::from_json(&bad_formula.body).unwrap().code, "parse");
+
+        // Non-BMP text escaped as a UTF-16 surrogate pair (Python's
+        // `json.dumps` default) reaches the formula parser intact.
+        let escaped = handle(&post("/check", r#"{"formula": "(\ud83d\ude00"}"#), &ctx);
+        assert_eq!(escaped.status, 400);
+        let error = ErrorReport::from_json(&escaped.body).unwrap();
+        assert_eq!(error.code, "parse", "{error}");
     }
 
     #[test]
@@ -390,6 +388,7 @@ mod tests {
         );
         assert_eq!(accepted.status, 202, "{}", accepted.body);
         let id = Json::parse(&accepted.body).unwrap().get("id").and_then(Json::as_int).unwrap();
+        assert_eq!(accepted.body, format!(r#"{{"id":{id},"jobs":2}}"#));
 
         let delete = |path: &str| Request {
             method: "DELETE".into(),
@@ -404,9 +403,10 @@ mod tests {
         // Cancelling the queued set answers its view with the flag set...
         let cancelled = handle(&delete(&format!("/jobs/{id}")), &ctx);
         assert_eq!(cancelled.status, 200, "{}", cancelled.body);
-        let root = Json::parse(&cancelled.body).expect("cancel body is JSON");
-        assert_eq!(root.get("cancelled"), Some(&Json::Bool(true)), "{root}");
-        assert_eq!(root.get("status").and_then(Json::as_str), Some("queued"));
+        assert_eq!(
+            cancelled.body,
+            format!(r#"{{"id":{id},"status":"queued","jobs":2,"cancelled":true}}"#)
+        );
 
         // ...and once a worker drains it, every job settled as cancelled —
         // the set completed and its reports stay fetchable.
@@ -416,6 +416,14 @@ mod tests {
         assert!(poll.body.contains("\"cancelled\":true"), "{}", poll.body);
         let reports = reports_from_jobs_body(&poll.body).expect("reports parse");
         assert_eq!(reports.len(), 2);
+        // The embedded reports are byte-for-byte their own encodings.
+        let (first, second) = (reports[0].to_json(), reports[1].to_json());
+        assert_eq!(
+            poll.body,
+            format!(
+                r#"{{"id":{id},"status":"done","jobs":2,"cancelled":true,"reports":[{first},{second}]}}"#
+            )
+        );
         for report in &reports {
             use ilogic_core::pool::Exhaustion;
             use ilogic_core::session::Verdict;
