@@ -118,8 +118,7 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
         let graph = build_graph(&formula);
         let (delta, delta_stats) =
             condition_of_graph_budgeted_stats(graph.clone(), &unbounded, Parallelism::Off);
-        let (full, full_stats) =
-            condition_of_graph_full_sweep_stats(graph.clone(), &unbounded, Parallelism::Off);
+        let (full, full_stats) = condition_of_graph_full_sweep_stats(graph.clone(), &unbounded);
         let delta = delta.unwrap_or_else(|cut| panic!("{name}: worklist fixpoint tripped {cut}"));
         let full = full.unwrap_or_else(|cut| panic!("{name}: full sweep tripped {cut}"));
         let atoms_false = vec![false; graph.edge_count()];
@@ -131,7 +130,7 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
             eval_delta, eval_full,
             "{name}: the Boolean-projected worklist and sweep disagree"
         );
-        let baseline = condition_of_graph_baseline(graph, &unbounded, Parallelism::Off)
+        let baseline = condition_of_graph_baseline(graph, &unbounded)
             .unwrap_or_else(|cut| panic!("{name}: baseline fixpoint tripped {cut}"));
         assert_eq!(delta.dnf(), full.dnf(), "{name}: worklist and full sweep disagree");
         assert_eq!(delta.dnf(), baseline.dnf(), "{name}: worklist and baseline disagree");
@@ -183,14 +182,14 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
         group.bench_function(format!("full_sweep/{name}"), |b| {
             b.iter_batched(
                 || graph.clone(),
-                |g| condition_of_graph_full_sweep_stats(g, &unbounded, Parallelism::Off),
+                |g| condition_of_graph_full_sweep_stats(g, &unbounded),
                 BatchSize::LargeInput,
             );
         });
         group.bench_function(format!("baseline/{name}"), |b| {
             b.iter_batched(
                 || graph.clone(),
-                |g| condition_of_graph_baseline(g, &unbounded, Parallelism::Off),
+                |g| condition_of_graph_baseline(g, &unbounded),
                 BatchSize::LargeInput,
             );
         });
@@ -230,7 +229,7 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
     let (delta_trip, delta_trip_stats) =
         condition_of_graph_budgeted_stats(blowup_graph.clone(), &budget, Parallelism::Off);
     let (full_trip, full_trip_stats) =
-        condition_of_graph_full_sweep_stats(blowup_graph.clone(), &budget, Parallelism::Off);
+        condition_of_graph_full_sweep_stats(blowup_graph.clone(), &budget);
     assert_eq!(
         delta_trip.err(),
         full_trip.err(),
@@ -258,7 +257,7 @@ fn bench_condition_fixpoint(c: &mut Criterion) -> Vec<WorkRow> {
     group.bench_function("condition_trip/full_sweep", |b| {
         b.iter_batched(
             || blowup_graph.clone(),
-            |g| condition_of_graph_full_sweep_stats(g, &budget, Parallelism::Off).0.is_err(),
+            |g| condition_of_graph_full_sweep_stats(g, &budget).0.is_err(),
             BatchSize::LargeInput,
         );
     });

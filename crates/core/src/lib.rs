@@ -86,10 +86,10 @@ pub mod value;
 
 /// The workspace worker pool, re-exported from [`ilogic_temporal::pool`].
 ///
-/// The pool moved down to `ilogic-temporal` so the tableau and condition-
-/// fixpoint engines (which this crate depends on, not the other way round)
-/// can fan out over the same machinery; `ilogic_core::pool` remains the
-/// canonical path for checker-level callers.
+/// The pool lives in `ilogic-temporal` so Algorithm B's selection search
+/// (in a crate this one depends on, not the other way round) can fan out
+/// over the same machinery; `ilogic_core::pool` remains the canonical path
+/// for checker-level callers.
 pub use ilogic_temporal::pool;
 
 /// Convenient re-exports of the most commonly used items.

@@ -122,7 +122,7 @@ pub enum Backend {
     /// by an explorer such as `ilogic_systems::explore::collect_runs`).
     Explore {
         /// Where the runs come from: a pre-collected `Vec<Trace>` or a lazy
-        /// producer consumed (and, under parallelism, batched) at check time.
+        /// producer consumed run by run at check time.
         runs: RunSource,
     },
     /// Exhaustive bounded-model validity search over every computation (with
@@ -173,7 +173,7 @@ impl Backend {
 /// ([`RunSource::lazy`]) that is only consumed while the check runs, so
 /// explorers can stream runs into the session without materializing them all:
 /// a model with millions of interleavings costs memory proportional to one
-/// batch, not to the run count.
+/// run, not to the run count.
 #[derive(Clone)]
 pub struct RunSource {
     inner: RunsInner,
@@ -278,9 +278,10 @@ impl CheckRequest {
         self
     }
 
-    /// Fans the check across a worker pool (effective for the `Bounded`,
-    /// `Explore` and `Decide` backends; `Trace` checks one computation and
-    /// runs single-threaded).  When not set, the session default and then the
+    /// Fans the check's enumeration across a worker pool: the `Bounded`
+    /// sweep, and the refutation sweep of `Decide`.  Every other phase —
+    /// and the `Trace` and `Explore` backends — runs on the calling thread.
+    /// When not set, the session default and then the
     /// `ILOGIC_TEST_PARALLEL` environment override apply; the fallback is
     /// [`Parallelism::Off`].
     ///
@@ -472,9 +473,9 @@ impl CacheStats {
 pub struct CheckStats {
     /// Wall-clock time spent inside the backend.
     pub duration: Duration,
-    /// Number of computations examined (across all workers; with parallelism
-    /// on, slightly more than the sequential count may be examined while the
-    /// early-exit signal propagates).
+    /// Number of computations examined, summed over workers.  A sharded
+    /// sweep counts only the computations at or below its counterexample's
+    /// index, so the count is the sequential sweep's at every worker count.
     pub traces_checked: usize,
     /// Memoization counters of the arena evaluator for *this* check (for
     /// `Decide`, those of the refutation sweep); per-worker counters are
@@ -501,8 +502,9 @@ pub struct CheckStats {
     pub exhausted: Option<Exhaustion>,
     /// Total distinct nodes in the session arena after the check.
     pub arena_nodes: usize,
-    /// Number of pool workers the backend fanned out across (1 when the check
-    /// ran single-threaded).
+    /// Number of pool workers the backend fanned out across: the sweep's
+    /// worker count when a `Bounded` or `Decide` refutation sweep ran, 1 for
+    /// every check that ran on the calling thread.
     pub workers: usize,
     /// The pre-flight [`CostEstimate`] the session computed for the formula
     /// — what `Backend::Auto` routed on and what pre-flight admission
@@ -1396,12 +1398,14 @@ const VERDICT_CACHE_CAP: usize = 1 << 16;
 /// `Bounded` verdicts are additionally memoized across requests by the
 /// session verdict cache (module-level *verdict cache* section).
 ///
-/// Checks fan out across a worker pool when parallelism is enabled — per
-/// request ([`CheckRequest::with_parallelism`]), per session
+/// Enumerating sweeps (`Bounded`, and the refutation sweep of `Decide`) fan
+/// out across a worker pool when parallelism is enabled — per request
+/// ([`CheckRequest::with_parallelism`]), per session
 /// ([`Session::set_parallelism`]), or for a whole process via the
-/// `ILOGIC_TEST_PARALLEL` environment variable.  Worker evaluation is
-/// shared-nothing over an [`crate::arena::ArenaSnapshot`]; verdicts are
-/// bit-identical to the single-threaded path.
+/// `ILOGIC_TEST_PARALLEL` environment variable — and so do batches
+/// ([`Session::run_pending`]).  Worker evaluation is shared-nothing over an
+/// [`crate::arena::ArenaSnapshot`]; verdicts are bit-identical to the
+/// single-threaded path.
 ///
 /// Dispatch takes `&self` (module-level *concurrency* section): internal
 /// state lives behind two short-held locks — `state` for the arena,
@@ -1973,20 +1977,6 @@ impl Session {
         handles.iter().map(|handle| self.wait(handle)).collect()
     }
 
-    /// Deprecated `&mut` shim for [`Session::submit`], kept for one release:
-    /// `submit` now takes `&self`, so call it directly.
-    #[deprecated(since = "0.1.0", note = "Session::submit now takes &self; call it directly")]
-    pub fn submit_mut(&mut self, request: CheckRequest) -> JobHandle {
-        self.submit(request)
-    }
-
-    /// Deprecated `&mut` shim for [`Session::check_many`], kept for one
-    /// release: `check_many` now takes `&self`, so call it directly.
-    #[deprecated(since = "0.1.0", note = "Session::check_many now takes &self; call it directly")]
-    pub fn check_many_mut(&mut self, requests: Vec<CheckRequest>) -> Vec<CheckReport> {
-        self.check_many(requests)
-    }
-
     /// Checks every clause of a specification against a trace through the
     /// session arena, producing the familiar [`SpecReport`].
     ///
@@ -1999,10 +1989,9 @@ impl Session {
 
     /// [`Session::check_spec`] with an explicit quantifier domain.
     ///
-    /// With session parallelism enabled, clauses are striped across the
-    /// worker pool — each worker shares one memo table across *its* clauses,
-    /// so subformulas shared between clauses on the same worker are still
-    /// evaluated once.  Clause verdicts are independent of the worker count.
+    /// The clauses are checked on the calling thread with one memo table,
+    /// so a subformula shared between clauses is evaluated once.  Striping
+    /// clauses across two workers ran at 0.38x on the ring-election spec.
     pub fn check_spec_with_domain(
         &self,
         spec: &Spec,
@@ -2025,30 +2014,9 @@ impl Session {
                 .collect();
             (prepared, state.arena.snapshot())
         };
-        let pool = WorkerPool::new(self.resolve_parallelism(None));
-        let verdicts = if pool.workers() == 1 || prepared.len() < 2 {
-            let mut memo = MemoEvaluator::new(&snapshot).with_domain(domain);
-            let verdicts = memo.check_all(trace, prepared.iter().map(|(_, _, id)| *id));
-            lock(&self.state).cumulative.merge(memo.stats());
-            verdicts
-        } else {
-            let workers = pool.workers();
-            let striped = pool.run(|w| {
-                let mut memo = MemoEvaluator::new(&snapshot).with_domain(domain.clone());
-                let stripe: Vec<FormulaId> =
-                    prepared.iter().skip(w).step_by(workers).map(|(_, _, id)| *id).collect();
-                (memo.check_all(trace, stripe), memo.stats())
-            });
-            let mut verdicts = vec![false; prepared.len()];
-            let mut state = lock(&self.state);
-            for (w, (stripe_verdicts, stats)) in striped.into_iter().enumerate() {
-                state.cumulative.merge(stats);
-                for (k, holds) in stripe_verdicts.into_iter().enumerate() {
-                    verdicts[w + k * workers] = holds;
-                }
-            }
-            verdicts
-        };
+        let mut memo = MemoEvaluator::new(&snapshot).with_domain(domain);
+        let verdicts = memo.check_all(trace, prepared.iter().map(|(_, _, id)| *id));
+        lock(&self.state).cumulative.merge(memo.stats());
         let results = prepared
             .into_iter()
             .zip(verdicts)
@@ -2223,10 +2191,9 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
             }
         }
         Backend::Explore { runs } => {
-            let pool = WorkerPool::new(job.parallelism);
             let (verdict, checked, memo, index) =
-                drive_runs(arena, runs, job.id, job.domain.as_deref(), &pool, &job.budget);
-            (verdict, checked, memo, pool.workers(), index)
+                drive_runs(arena, runs, job.id, job.domain.as_deref(), &job.budget);
+            (verdict, checked, memo, 1, index)
         }
         Backend::Bounded { props, max_len, lassos } => {
             let mut checker = BoundedChecker::new(props.clone(), *max_len);
@@ -2285,22 +2252,22 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
 /// weaker than the pre-store tableau-pruning check, only the statistics
 /// richer.
 ///
-/// Under parallelism, the tableau is still built in one sequential pass (a
-/// level-parallel build measured slower at two workers), while the
-/// condition fixpoint batches each worklist round's frozen phase across the
-/// worker pool and the refutation search is the same sharded
-/// lowest-index-wins sweep the `Bounded` backend uses.  Verdicts — `Holds`,
-/// the concrete counterexample, and `Unknown`-under-budget alike — are
-/// bit-identical at every worker count (deadline/cancellation cuts aside).
+/// Under parallelism only the refutation sweep fans out — the same sharded
+/// lowest-index-wins sweep the `Bounded` backend uses, and the only phase
+/// whose report carries more than one worker.  The tableau build, the prune
+/// and the condition fixpoint run on the calling thread: their striped
+/// variants measured slower at two workers (see the fan-out table in
+/// `ARCHITECTURE.md`).  Verdicts — `Holds`, the concrete counterexample,
+/// and `Unknown`-under-budget alike — are bit-identical at every worker
+/// count (deadline/cancellation cuts aside).
 fn decide<A: ArenaRead + Sync>(
     arena: &A,
     job: &PreparedJob,
 ) -> (Verdict, usize, MemoStats, usize, Option<usize>, ConditionStats) {
-    let workers = job.parallelism.workers();
     let none = MemoStats::default();
     let mut condition_stats = ConditionStats::default();
     let Ok(ltl) = to_ltl(&job.formula) else {
-        return (Verdict::unknown(), 0, none, workers, None, condition_stats);
+        return (Verdict::unknown(), 0, none, 1, None, condition_stats);
     };
     let theory = PropositionalTheory::new();
     let algorithm =
@@ -2349,7 +2316,7 @@ fn decide<A: ArenaRead + Sync>(
             }
         };
     let refuted = match decided {
-        Ok(Decision::Valid) => return (Verdict::Holds, 0, none, workers, None, condition_stats),
+        Ok(Decision::Valid) => return (Verdict::Holds, 0, none, 1, None, condition_stats),
         // Not valid (or a mixed-mode Unknown, out of reach for the all-state
         // classification used here): a concrete countermodel is worth the
         // sweep below.
@@ -2387,8 +2354,8 @@ fn decide<A: ArenaRead + Sync>(
         // cap if one of them is to blame; pure saturation is a plain
         // `Unknown` no budget change can fix.
         return match refuted.or(budget_cut_depth) {
-            Some(cut) => (Verdict::exhausted(cut), 0, none, workers, None, condition_stats),
-            None => (Verdict::unknown(), 0, none, workers, None, condition_stats),
+            Some(cut) => (Verdict::exhausted(cut), 0, none, 1, None, condition_stats),
+            None => (Verdict::unknown(), 0, none, 1, None, condition_stats),
         };
     };
     let sweep = checker.sweep_budgeted(arena, job.id, None, job.parallelism, &job.budget);
@@ -2409,146 +2376,57 @@ fn decide<A: ArenaRead + Sync>(
     (verdict, sweep.traces_checked, sweep.memo, sweep.workers, index, condition_stats)
 }
 
-/// Runs pulled from a lazy [`RunSource`] per fan-out round.  Collected
-/// sources are dispatched as one search (workers poll the budget's timing
-/// cutoffs in-flight); lazy sources are consumed batch by batch so memory
-/// stays bounded and early exit doesn't drain the producer.
-const RUN_BATCH_PER_WORKER: usize = 32;
-
-/// What stops a worker of an `Explore` sweep at a given run index: a genuine
-/// failing run, or a timing-cutoff poll firing.  Both travel through the
-/// lowest-index-wins search join, so a failure found *above* a cut index is
-/// conservatively discarded (an earlier failure might sit in the cut
-/// worker's unexamined gap) — the same minimality discipline as
-/// [`BoundedChecker::sweep_budgeted`].
-enum RunFind {
-    Fail(Trace),
-    Cut(Exhaustion),
-}
-
-/// The `Explore` engine: checks every run of `runs` against `formula`,
-/// fanning each batch across the pool.  The verdict is independent of the
-/// worker count: among failing runs examined, the lowest run index wins —
-/// exactly the first failure the sequential loop reports.  Runs with index at
-/// or beyond the budget's enumeration cap are not examined (a deterministic
-/// truncation reported as `Unknown { exhausted: Enumeration }` when no
-/// earlier run fails); the deadline/cancellation cutoffs are polled between
-/// batches.
-fn drive_runs<'a, A: ArenaRead + Sync>(
-    arena: &'a A,
+/// The `Explore` engine: checks the runs of `runs` against `formula` in
+/// order, on the calling thread, and reports the first failing run.  Runs
+/// at or beyond the budget's enumeration cap are not examined (a
+/// deterministic truncation reported as `Unknown { exhausted: Enumeration }`
+/// when no earlier run fails); the deadline/cancellation cutoffs are polled
+/// every few hundred runs.  A lazy source is pulled one run at a time, so
+/// memory stays bounded and an early exit never drains the producer.
+/// It does not fan out: striping runs across two workers ran at 0.84–0.96x.
+fn drive_runs<A: ArenaRead>(
+    arena: &A,
     runs: &RunSource,
     formula: FormulaId,
     domain: Option<&[Value]>,
-    pool: &WorkerPool,
     budget: &ResourceBudget,
 ) -> (Verdict, usize, MemoStats, Option<usize>) {
-    let workers = pool.workers();
+    let mut memo = MemoEvaluator::new(arena);
+    if let Some(domain) = domain {
+        memo = memo.with_domain(domain.to_vec());
+    }
     let cap = budget.max_enumeration();
-    // One evaluator (plus its examined-run counter) per worker for the
-    // *whole* check: batches of a lazy source reuse the memo-table
-    // allocations, interned environments and needs-domain cache instead of
-    // rebuilding them per batch.
-    type Worker<'w, W> = (MemoEvaluator<'w, W>, usize);
-    let mut states: Vec<Worker<'a, A>> = (0..workers)
-        .map(|_| {
-            let memo = MemoEvaluator::new(arena);
-            let memo = match domain {
-                Some(domain) => memo.with_domain(domain.to_vec()),
-                None => memo,
-            };
-            (memo, 0usize)
-        })
-        .collect();
-    let mut failure: Option<(usize, Trace)> = None;
-    let mut exhausted: Option<Exhaustion> = None;
-
-    // One sharded search per batch.  Runs at index `cap` and beyond are
-    // outside the enumeration budget (a pure function of the index, so the
-    // truncation is identical at every worker count); each worker re-polls
-    // the timing cutoffs every few hundred runs in-flight, surfacing a cut
-    // as a `RunFind::Cut` at the index it stopped — the minimality filter in
-    // the match below does the rest.
-    let sweep_batch = |batch: &[Trace], offset: usize, states: Vec<Worker<'a, A>>| {
-        let within = batch.len().min(cap.saturating_sub(offset));
-        pool.search(within, offset, states, |(memo, checked), global| {
-            if checked.is_multiple_of(crate::pool::INTERRUPT_POLL_PERIOD) {
-                if let Some(cut) = budget.interrupted() {
-                    return Some(RunFind::Cut(cut));
-                }
-            }
-            let run = &batch[global - offset];
-            *checked += 1;
-            if memo.check(run, formula) {
-                None
-            } else {
-                Some(RunFind::Fail(run.clone()))
-            }
-        })
-    };
-    // Applies one batch's outcome; `true` ends the sweep.  Like the bounded
-    // sweep, the deterministic enumeration-cap truncation takes precedence
-    // over a concurrent timing cut so repeated runs agree whenever they can.
-    let mut settle = |found: Option<(usize, RunFind)>, past_cap: bool| match found {
-        Some((index, RunFind::Fail(trace))) => {
-            failure = Some((index, trace));
-            true
-        }
-        Some((_, RunFind::Cut(cut))) => {
-            exhausted = Some(if past_cap { Exhaustion::Enumeration } else { cut });
-            true
-        }
-        None if past_cap => {
+    let mut checked = 0usize;
+    // `Ok` is a failing run, `Err` the cut that stopped the sweep.
+    let mut check = |index: usize, run: &Trace| -> Option<Result<(usize, Trace), Exhaustion>> {
+        if index >= cap {
             // Runs exist at or beyond the cap: truncated, not complete.
-            exhausted = Some(Exhaustion::Enumeration);
-            true
+            return Some(Err(Exhaustion::Enumeration));
         }
-        None => false,
-    };
-
-    match &runs.inner {
-        RunsInner::Collected(all) => {
-            let (found, back) = sweep_batch(all, 0, states);
-            states = back;
-            settle(found, all.len() > cap);
-        }
-        RunsInner::Lazy(make) => {
-            let mut producer = make();
-            let mut offset = 0usize;
-            let batch_size = workers * RUN_BATCH_PER_WORKER;
-            loop {
-                // Beyond the cap, pull a single probe run: enough to tell
-                // truncation from completion without materializing a batch
-                // that would never be examined.
-                let want = batch_size.min(cap.saturating_sub(offset).saturating_add(1));
-                let batch: Vec<Trace> = producer.by_ref().take(want).collect();
-                if batch.is_empty() {
-                    break; // Producer drained below the cap: check complete.
-                }
-                let (found, back) = sweep_batch(&batch, offset, states);
-                states = back;
-                if settle(found, offset + batch.len() > cap) {
-                    break;
-                }
-                offset += batch.len();
+        if checked.is_multiple_of(crate::pool::INTERRUPT_POLL_PERIOD) {
+            if let Some(cut) = budget.interrupted() {
+                return Some(Err(cut));
             }
         }
-    }
-
-    let mut checked_total = 0usize;
-    let mut memo_total = MemoStats::default();
-    for (memo, checked) in &states {
-        checked_total += checked;
-        memo_total.merge(memo.stats());
-    }
-    let (verdict, index) = match failure {
-        Some((index, trace)) => (Verdict::Counterexample(trace), Some(index)),
-        None => match exhausted {
-            Some(cut) => (Verdict::exhausted(cut), None),
-            None if checked_total == 0 => (Verdict::unknown(), None),
-            None => (Verdict::Holds, None),
-        },
+        checked += 1;
+        (!memo.check(run, formula)).then(|| Ok((index, run.clone())))
     };
-    (verdict, checked_total, memo_total, index)
+    let stop = match &runs.inner {
+        RunsInner::Collected(all) => all.iter().enumerate().find_map(|(i, run)| check(i, run)),
+        RunsInner::Lazy(make) => make().enumerate().find_map(|(i, run)| check(i, &run)),
+    };
+    // A collected source longer than the cap ends truncated whatever the
+    // timing: the deterministic cut takes precedence over a concurrent
+    // timing one so repeated runs agree whenever they can.
+    let past_cap = runs.len_hint().is_some_and(|len| len > cap);
+    let (verdict, index) = match stop {
+        Some(Ok((index, trace))) => (Verdict::Counterexample(trace), Some(index)),
+        Some(Err(_)) if past_cap => (Verdict::exhausted(Exhaustion::Enumeration), None),
+        Some(Err(cut)) => (Verdict::exhausted(cut), None),
+        None if checked == 0 => (Verdict::unknown(), None),
+        None => (Verdict::Holds, None),
+    };
+    (verdict, checked, memo.stats(), index)
 }
 
 /// Trace length used to concretize tableau non-validity into a counterexample.
@@ -2792,29 +2670,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_explore_requests_pick_the_first_failing_run() {
-        use crate::pool::Parallelism;
+    fn explore_requests_pick_the_first_failing_run() {
         let runs: Vec<Trace> = (0..40)
             .map(|i| if i % 7 == 3 { trace_of(&[&[], &[]]) } else { trace_of(&[&[], &["A"]]) })
             .collect();
         let occurs_a = occurs(event(prop("A")));
-        let sequential =
-            Session::new().check(CheckRequest::new(occurs_a.clone()).over_runs(runs.clone()));
+        let report = Session::new().check(CheckRequest::new(occurs_a).over_runs(runs.clone()));
         // Run index 3 is the first failure in enumeration order.
-        assert_eq!(sequential.verdict.counterexample(), Some(&runs[3]));
-        for workers in 1..=4 {
-            let parallel = Session::new().check(
-                CheckRequest::new(occurs_a.clone())
-                    .over_runs(runs.clone())
-                    .with_parallelism(Parallelism::Fixed(workers)),
-            );
-            assert_eq!(parallel.verdict, sequential.verdict, "workers={workers}");
-        }
+        assert_eq!(report.verdict.counterexample(), Some(&runs[3]));
+        assert_eq!(report.stats.traces_checked, 4, "checking stops at the first failure");
+    }
+
+    #[test]
+    fn checks_that_never_fan_out_report_one_worker() {
+        use crate::pool::Parallelism;
+        let fixed4 = |request: CheckRequest| {
+            Session::new().check(request.with_parallelism(Parallelism::Fixed(4)))
+        };
+        // A theorem settles in the fixpoint: no refutation sweep runs.
+        let theorem = fixed4(CheckRequest::new(prop("P").or(prop("P").not())).decide());
+        assert_eq!(theorem.verdict, Verdict::Holds);
+        assert_eq!(theorem.stats.workers, 1);
+        // Explore checks its runs on the calling thread.
+        let runs = vec![trace_of(&[&[], &["A"]]), trace_of(&[&[], &[], &["A"]])];
+        let explore = fixed4(CheckRequest::new(occurs(event(prop("A")))).over_runs(runs));
+        assert!(explore.verdict.passed());
+        assert_eq!(explore.stats.workers, 1);
+        // A non-theorem's refutation sweep does fan out.
+        let refuted = fixed4(CheckRequest::new(prop("P")).decide());
+        assert!(refuted.verdict.counterexample().is_some());
+        assert_eq!(refuted.stats.workers, 4);
     }
 
     #[test]
     fn lazy_run_sources_stream_batches() {
-        use crate::pool::Parallelism;
         let mk_run = |with_a: bool| {
             if with_a {
                 trace_of(&[&[], &["A"]])
@@ -2822,24 +2711,19 @@ mod tests {
                 trace_of(&[&[], &[]])
             }
         };
-        // 200 runs, failure at index 130: the lazy source is consumed in
-        // batches and checking stops after the failing batch.
+        // 200 runs, failure at index 130: the lazy source is pulled run by
+        // run and checking stops at the failure.
         let source = RunSource::lazy(move || (0..200).map(move |i| mk_run(i != 130)));
         assert_eq!(source.len_hint(), None);
         let occurs_a = occurs(event(prop("A")));
-        for workers in [1, 3] {
-            let report = Session::new().check(
-                CheckRequest::new(occurs_a.clone())
-                    .over_run_source(source.clone())
-                    .with_parallelism(Parallelism::Fixed(workers)),
-            );
-            assert_eq!(report.verdict.counterexample(), Some(&mk_run(false)), "workers={workers}");
-            assert!(
-                report.stats.traces_checked < 200,
-                "early exit must not drain the lazy source (checked {})",
-                report.stats.traces_checked
-            );
-        }
+        let report =
+            Session::new().check(CheckRequest::new(occurs_a).over_run_source(source.clone()));
+        assert_eq!(report.verdict.counterexample(), Some(&mk_run(false)));
+        assert!(
+            report.stats.traces_checked < 200,
+            "early exit must not drain the lazy source (checked {})",
+            report.stats.traces_checked
+        );
         // An empty lazy source is Unknown, like an empty collected one.
         let empty = RunSource::lazy(std::iter::empty::<Trace>);
         let report = Session::new().check(CheckRequest::new(prop("A")).over_run_source(empty));
@@ -2862,27 +2746,6 @@ mod tests {
         assert_eq!(after_second.hits, first.stats.memo.hits + second.stats.memo.hits);
         assert_eq!(after_second.misses, first.stats.memo.misses + second.stats.memo.misses);
         assert_eq!(second.stats.session_memo, after_second);
-    }
-
-    #[test]
-    fn parallel_spec_checks_match_sequential_clause_verdicts() {
-        use crate::pool::Parallelism;
-        let spec = Spec::new("toy")
-            .init("Init", prop("R").not())
-            .axiom("A1", always(prop("R").implies(eventually(prop("A")))))
-            .axiom("A2", always(prop("A").implies(eventually(prop("R")))));
-        let bad = trace_of(&[&["R"], &["R"], &["A"]]);
-        let sequential = Session::new().check_spec(&spec, &bad);
-        for workers in 1..=4 {
-            let session = Session::new().with_parallelism(Parallelism::Fixed(workers));
-            let parallel = session.check_spec(&spec, &bad);
-            assert_eq!(parallel.passed(), sequential.passed(), "workers={workers}");
-            assert_eq!(parallel.failures(), sequential.failures(), "workers={workers}");
-            assert!(
-                session.cumulative_memo().misses > 0,
-                "spec checking must feed the cumulative counters"
-            );
-        }
     }
 
     #[test]
@@ -3171,19 +3034,6 @@ mod tests {
         let parsed = CheckReport::from_json(&json).expect("round trip");
         assert_eq!(parsed, hit);
         assert_eq!(parsed.to_json(), json, "stable rendering");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_mut_shims_forward_to_the_shared_api() {
-        let mut session = Session::new();
-        let handle = session.submit_mut(CheckRequest::new(prop("P")).bounded(["P"], 2));
-        let reports = session
-            .check_many_mut(vec![
-                CheckRequest::new(prop("P").or(prop("P").not())).bounded(["P"], 2)
-            ]);
-        assert!(reports[0].verdict.passed());
-        assert!(matches!(session.wait(&handle).verdict, Verdict::Counterexample(_)));
     }
 
     #[test]

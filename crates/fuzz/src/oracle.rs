@@ -297,10 +297,9 @@ pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
     // The same duplicate-heavy sequence through a cache-on and a cache-off
     // session: every report must be bit-identical once durations and the
     // cache counters themselves (definitionally different) are masked.
-    // Explicitly sequential (overriding `ILOGIC_TEST_PARALLEL`): a parallel
-    // early-exit sweep's `traces_checked` may overshoot nondeterministically
-    // between two independent runs, and this invariant is about the cache —
-    // the parallelism-invariance sweep below owns worker-count coverage.
+    // Explicitly sequential (overriding `ILOGIC_TEST_PARALLEL`): this
+    // invariant is about the cache alone — the parallelism-invariance sweep
+    // below owns worker-count coverage.
     let sequence = || {
         let decide = CheckRequest::new(instance.formula.clone())
             .decide()
@@ -347,9 +346,12 @@ pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
     }
 
     // --- Parallelism invariance: Fixed(0/2/4) bit-identity ----------------
-    // Subsampled: the sweep re-runs the two heaviest backends three times
-    // each, so spending it on every fourth seed keeps the corpus cheap while
-    // still covering hundreds of instances per CI run.
+    // Only the decide refutation sweep actually fans out; `Explore` runs on
+    // the calling thread at any setting, and stays here so the request-level
+    // contract is checked for both.  Subsampled: the sweep re-runs the two
+    // heaviest backends three times each, so spending it on every fourth
+    // seed keeps the corpus cheap while still covering hundreds of
+    // instances per CI run.
     if !instance.seed.is_multiple_of(4) {
         return Ok(());
     }

@@ -23,39 +23,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ilogic_core::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
+use ilogic_core::pool::{Exhaustion, ResourceBudget};
 
 use crate::graph::{EvId, GraphEdge, GraphNode, LowGraph};
 use crate::interp::PartialInterp;
-
-/// Evaluates `keep` for every item across the pool ([`WorkerPool::map`]) and
-/// returns the answers in item order.
-///
-/// The predicate must be a pure function of the item (every caller here
-/// passes one), so the mask — and everything the deletion loop derives from
-/// it — is identical at every worker count.
-fn parallel_mask<T, F>(items: &[T], pool: &WorkerPool, keep: F) -> Vec<bool>
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    pool.map(items.len(), |i| keep(&items[i]))
-}
-
-/// Retains the items selected by `keep` (evaluated across the pool), in order.
-fn parallel_retain<T, F>(items: &mut Vec<T>, pool: &WorkerPool, keep: F)
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    let mask = parallel_mask(items, pool, keep);
-    let mut index = 0;
-    items.retain(|_| {
-        let kept = mask[index];
-        index += 1;
-        kept
-    });
-}
 
 /// Statistics of a pruning run, in the spirit of the report's measurement
 /// table (graph size before and after the iteration method).
@@ -83,50 +54,20 @@ pub struct Pruned {
 }
 
 /// Applies the iteration method of §4.4 to the graph.
-///
-/// Honours the `ILOGIC_TEST_PARALLEL` environment override (the pruned graph
-/// is identical at every worker count); use [`prune_with`] to pick the
-/// parallelism explicitly.
 pub fn prune(graph: &LowGraph) -> Pruned {
-    prune_with(graph, Parallelism::from_env().unwrap_or(Parallelism::Off))
-}
-
-/// [`prune`] with the expensive per-edge deletion predicates fanned across a
-/// worker pool.
-///
-/// Two passes stripe across workers: the upfront contradictory-label filter
-/// (one `is_contradictory` check per edge, once before the loop) and each
-/// round's undischargeable-eventuality filter (an independent pure predicate
-/// per edge against the round's dischargeability map).  The remaining passes
-/// — reachability and the dead-target filter — are cheap set probes behind a
-/// sequentially computed closure and stay inline.  Every predicate is a pure
-/// function of the edge and pre-pass maps, so the deletion sequence (and
-/// [`PruneStats::rounds`]) is identical at every worker count.
-pub fn prune_with(graph: &LowGraph, parallelism: Parallelism) -> Pruned {
-    prune_budgeted(graph, parallelism, &ResourceBudget::unbounded())
+    prune_budgeted(graph, &ResourceBudget::unbounded())
         .expect("an unbudgeted prune cannot be interrupted")
 }
 
-/// [`prune_with`] under a [`ResourceBudget`]: the deletion loop has no
+/// [`prune`] under a [`ResourceBudget`]: the deletion loop has no
 /// structural cap (it only shrinks the graph), but the budget's
 /// deadline/cancellation cutoffs are polled once per deletion round.
-pub fn prune_budgeted(
-    graph: &LowGraph,
-    parallelism: Parallelism,
-    budget: &ResourceBudget,
-) -> Result<Pruned, Exhaustion> {
-    let pool = WorkerPool::new(parallelism);
+pub fn prune_budgeted(graph: &LowGraph, budget: &ResourceBudget) -> Result<Pruned, Exhaustion> {
     let nodes_before = graph.node_count();
     let edges_before = graph.edge_count();
 
-    let keep = parallel_mask(graph.edges(), &pool, |e| !e.prop.is_contradictory());
-    let mut edges: Vec<GraphEdge> = graph
-        .edges()
-        .iter()
-        .zip(&keep)
-        .filter(|(_, kept)| **kept)
-        .map(|(e, _)| e.clone())
-        .collect();
+    let mut edges: Vec<GraphEdge> =
+        graph.edges().iter().filter(|e| !e.prop.is_contradictory()).cloned().collect();
     let mut rounds = 0;
     loop {
         if let Some(interrupt) = budget.interrupted() {
@@ -147,7 +88,7 @@ pub fn prune_budgeted(
         // Delete edges carrying an eventuality that is discharged neither by
         // the edge itself nor by any path from the edge's target.
         let dischargeable = dischargeable_map(&edges);
-        parallel_retain(&mut edges, &pool, |e| {
+        edges.retain(|e| {
             e.ev.iter().all(|ev| {
                 e.se.contains(ev) || dischargeable.get(&e.to).is_some_and(|set| set.contains(ev))
             })
@@ -267,52 +208,32 @@ struct ProductState {
 /// infinite acceptance requires a reachable strongly connected component in
 /// the product graph in which every eventuality that is pending somewhere in
 /// the component is discharged by some edge of the component.
-///
-/// Honours the `ILOGIC_TEST_PARALLEL` environment override (the answer and
-/// the witness constraint are identical at every worker count); use
-/// [`satisfiable_graph_with`] to pick the parallelism explicitly.
 pub fn satisfiable_graph(graph: &LowGraph) -> GraphSat {
-    satisfiable_graph_with(graph, Parallelism::from_env().unwrap_or(Parallelism::Off))
-}
-
-/// [`satisfiable_graph`] with the pipeline's independent phases fanned across
-/// a worker pool: pruning stripes its per-edge predicates, the product-space
-/// exploration expands each breadth-first level's successor sets
-/// concurrently, and the fair-cycle search builds its product adjacency in
-/// stripes.
-///
-/// Successor generation is a pure function of the product state, and the
-/// per-level merge — visited checks, parent recording, queue order, and the
-/// first-END-state witness selection — replays the sequential BFS order on
-/// the calling thread, so the verdict *and* the reconstructed witness are
-/// bit-identical at every worker count (the same discipline as the
-/// level-synchronous explorer in `ilogic-systems`).
-pub fn satisfiable_graph_with(graph: &LowGraph, parallelism: Parallelism) -> GraphSat {
-    satisfiable_graph_budgeted(graph, parallelism, &ResourceBudget::unbounded())
+    satisfiable_graph_budgeted(graph, &ResourceBudget::unbounded())
         .expect("an unbudgeted satisfiability check cannot be interrupted")
 }
 
-/// [`satisfiable_graph_with`] under a [`ResourceBudget`]: the product-space
+/// [`satisfiable_graph`] under a [`ResourceBudget`]: the product-space
 /// exploration counts its states against `budget.max_nodes()` (the product
 /// space is exponential in the eventuality count, the pipeline's one
 /// genuinely explosive phase) and polls the deadline/cancellation cutoffs at
 /// every BFS level and pruning round.  The structural cap trips as a
-/// function of the graph alone, so `Err(Nodes)` answers are identical at
-/// every worker count.
+/// function of the graph alone.
+///
+/// The pipeline runs on the calling thread: striping the prune predicates,
+/// each BFS level and the fair-cycle adjacency across two workers ran at
+/// 0.69x on the `response_ladder(2)` graph.
 pub fn satisfiable_graph_budgeted(
     graph: &LowGraph,
-    parallelism: Parallelism,
     budget: &ResourceBudget,
 ) -> Result<GraphSat, Exhaustion> {
-    let pool = WorkerPool::new(parallelism);
-    let pruned = prune_budgeted(graph, parallelism, budget)?.graph;
+    let pruned = prune_budgeted(graph, budget)?.graph;
     if pruned.edge_count() == 0 {
         return Ok(GraphSat::Unsatisfiable);
     }
 
     // Breadth-first exploration of the product space, remembering parents so a
-    // witness constraint can be reconstructed.  Successors of one level are
-    // generated across the pool; the merge replays the sequential order.
+    // witness constraint can be reconstructed.
     let start = ProductState { node: pruned.init().clone(), pending: BTreeSet::new() };
     let mut parent: BTreeMap<ProductState, (ProductState, GraphEdge)> = BTreeMap::new();
     let mut visited: BTreeSet<ProductState> = BTreeSet::new();
@@ -326,7 +247,7 @@ pub fn satisfiable_graph_budgeted(
             return Err(interrupt);
         }
         let level = std::mem::take(&mut frontier);
-        let successors = level_successors(&pruned, &level, &pool);
+        let successors = level_successors(&pruned, &level);
         for (state, succs) in level.iter().zip(successors) {
             if state.node.is_end() {
                 if state.pending.is_empty() && finite_witness.is_none() {
@@ -357,19 +278,18 @@ pub fn satisfiable_graph_budgeted(
     if let Some(interrupt) = budget.interrupted() {
         return Err(interrupt);
     }
-    if let Some(entry) = fair_scc_entry(&pruned, &visited, &pool) {
+    if let Some(entry) = fair_scc_entry(&pruned, &visited) {
         return Ok(GraphSat::InfiniteModel(reconstruct(&parent, &entry)));
     }
     Ok(GraphSat::Unsatisfiable)
 }
 
-/// Expands every product state of one BFS level, striping the states across
-/// the pool; results come back in level order.  `END` states expand to
-/// nothing (the caller handles their witness bookkeeping).
+/// Expands every product state of one BFS level; results come back in level
+/// order.  `END` states expand to nothing (the caller handles their witness
+/// bookkeeping).
 fn level_successors(
     graph: &LowGraph,
     level: &[ProductState],
-    pool: &WorkerPool,
 ) -> Vec<Vec<(ProductState, GraphEdge)>> {
     let expand = |state: &ProductState| -> Vec<(ProductState, GraphEdge)> {
         if state.node.is_end() {
@@ -387,7 +307,7 @@ fn level_successors(
             })
             .collect()
     };
-    pool.map(level.len(), |i| expand(&level[i]))
+    level.iter().map(expand).collect()
 }
 
 /// Reconstructs the constraint of the path from the initial product state to
@@ -408,14 +328,8 @@ fn reconstruct(
 
 /// Finds a product state inside a reachable fair strongly connected component,
 /// if one exists.
-fn fair_scc_entry(
-    graph: &LowGraph,
-    visited: &BTreeSet<ProductState>,
-    pool: &WorkerPool,
-) -> Option<ProductState> {
-    // Build the product adjacency restricted to visited states.  Each state's
-    // adjacency row is independent of the others (a pure function of the
-    // state and the edge list), so the rows stripe across the pool.
+fn fair_scc_entry(graph: &LowGraph, visited: &BTreeSet<ProductState>) -> Option<ProductState> {
+    // Build the product adjacency restricted to visited states.
     let states: Vec<ProductState> = visited.iter().filter(|s| !s.node.is_end()).cloned().collect();
     let index: BTreeMap<&ProductState, usize> =
         states.iter().enumerate().map(|(i, s)| (s, i)).collect();
@@ -438,7 +352,7 @@ fn fair_scc_entry(
         }
         row
     };
-    let succ: Vec<Vec<(usize, usize)>> = pool.map(states.len(), |i| row(&states[i]));
+    let succ: Vec<Vec<(usize, usize)>> = states.iter().map(row).collect();
 
     // Tarjan-style SCC computation (iterative Kosaraju for simplicity).
     let sccs = strongly_connected_components(&succ);
@@ -653,29 +567,20 @@ mod tests {
         let g = build_graph(&x().infloop()).unwrap();
         // Unbudgeted and unbounded-budget answers agree.
         assert_eq!(
-            satisfiable_graph_budgeted(&g, Parallelism::Off, &ResourceBudget::unbounded()),
+            satisfiable_graph_budgeted(&g, &ResourceBudget::unbounded()),
             Ok(satisfiable_graph(&g))
         );
         // A one-state product budget trips the node cap deterministically
         // (x ; ¬x explores at least three product states: init, mid, END).
         let chain = build_graph(&x().seq(LowExpr::neg("x"))).unwrap();
         let starved = ResourceBudget::unbounded().with_max_nodes(1);
-        assert_eq!(
-            satisfiable_graph_budgeted(&chain, Parallelism::Off, &starved),
-            Err(Exhaustion::Nodes)
-        );
+        assert_eq!(satisfiable_graph_budgeted(&chain, &starved), Err(Exhaustion::Nodes));
         // A pre-cancelled token interrupts the pipeline in its first phase.
         let token = CancelToken::new();
         token.cancel();
         let cancelled = ResourceBudget::unbounded().with_cancel(token);
-        assert_eq!(
-            satisfiable_graph_budgeted(&g, Parallelism::Off, &cancelled),
-            Err(Exhaustion::Cancelled)
-        );
-        assert_eq!(
-            prune_budgeted(&g, Parallelism::Off, &cancelled).err(),
-            Some(Exhaustion::Cancelled)
-        );
+        assert_eq!(satisfiable_graph_budgeted(&g, &cancelled), Err(Exhaustion::Cancelled));
+        assert_eq!(prune_budgeted(&g, &cancelled).err(), Some(Exhaustion::Cancelled));
     }
 
     #[test]

@@ -31,10 +31,7 @@ pub mod translate;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
-    pub use crate::decide::{
-        accepted_interps, prune, prune_with, satisfiable_graph, satisfiable_graph_with, GraphSat,
-        PruneStats,
-    };
+    pub use crate::decide::{accepted_interps, prune, satisfiable_graph, GraphSat, PruneStats};
     pub use crate::exec::{complete, synthesize, Schedule};
     pub use crate::graph::{build_graph, GraphBuilder, GraphLimits, LowGraph};
     pub use crate::interp::{Conj, PartialInterp};

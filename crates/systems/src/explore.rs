@@ -15,20 +15,13 @@
 //! broken variant), so that the mutual-exclusion property can be verified
 //! exhaustively rather than only on sampled schedules.
 //!
-//! # Parallel exploration
-//!
-//! [`explore_with`] expands the breadth-first frontier across the
-//! [`ilogic_core::pool`] worker pool: successor generation — the expensive,
-//! model-specific part — runs on every worker, while the visited-set merge
-//! replays the successors in exactly the sequential order, so the resulting
-//! [`ExplorationReport`] (states, transitions, truncation, *and* the
-//! counterexample run) is identical whatever the worker count.  [`explore`]
-//! itself honours the `ILOGIC_TEST_PARALLEL` environment override, so the
-//! case-study suites can be swept onto the pool wholesale.
+//! Exploration runs on the calling thread.  Striping each breadth-first
+//! frontier across two workers ran at 0.49x on `MutexModel::correct(3, 2)`
+//! and 0.80x on `MutexModel::correct(4, 2)`: successor generation is
+//! microseconds per state, and the visited-set merge is sequential anyway.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ilogic_core::pool::{Parallelism, WorkerPool};
 use ilogic_core::prelude::*;
 use ilogic_core::session::RunSource;
 
@@ -111,42 +104,11 @@ impl ExplorationReport {
 /// Explores every state reachable from the initial state (breadth first),
 /// checking `safe` in each and reconstructing a counterexample run for the
 /// first violation found.
-///
-/// Honours the `ILOGIC_TEST_PARALLEL` environment override; use
-/// [`explore_with`] to choose the parallelism explicitly.
-pub fn explore<M>(
+pub fn explore<M: Model>(
     model: &M,
     limits: ExploreLimits,
-    safe: impl Fn(&M::State) -> bool + Sync,
-) -> ExplorationReport
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    explore_with(model, limits, Parallelism::from_env().unwrap_or(Parallelism::Off), safe)
-}
-
-/// Frontier states expanded per worker per fan-out round: bounds the
-/// successor computations wasted when a violation stops the exploration
-/// mid-level.
-const EXPLORE_CHUNK_PER_WORKER: usize = 64;
-
-/// [`explore`] with an explicit [`Parallelism`]: the breadth-first frontier is
-/// striped across the worker pool for successor generation (in chunks of
-/// `EXPLORE_CHUNK_PER_WORKER` states per worker), then merged in frontier
-/// order, which keeps every field of the report — including the
-/// counterexample interleaving — identical to the single-threaded exploration.
-pub fn explore_with<M>(
-    model: &M,
-    limits: ExploreLimits,
-    parallelism: Parallelism,
-    safe: impl Fn(&M::State) -> bool + Sync,
-) -> ExplorationReport
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    let pool = WorkerPool::new(parallelism);
+    safe: impl Fn(&M::State) -> bool,
+) -> ExplorationReport {
     let initial = model.initial();
     let mut parent: BTreeMap<M::State, (M::State, String)> = BTreeMap::new();
     let mut visited: BTreeSet<M::State> = BTreeSet::new();
@@ -161,7 +123,7 @@ where
     }
 
     // Level-synchronous BFS: `frontier` holds every state at the current
-    // depth, in the order the sequential exploration would pop them.
+    // depth, in the order they were discovered.
     let mut frontier = vec![initial];
     let mut level_depth = 0usize;
     'levels: while !frontier.is_empty() && violation.is_none() {
@@ -169,60 +131,24 @@ where
             truncated = true;
             break;
         }
-        // Expand the level chunk by chunk: within a chunk, worker w computes
-        // the successors of chunk states w, w + n, ... — the model-specific
-        // cost — and the slices are stitched back together in frontier order.
-        // Chunking bounds the work wasted when a violation (which stops the
-        // whole exploration) lands early in a wide level; with one worker the
-        // chunk is expanded lazily inside the merge loop, so the default
-        // sequential path keeps the pre-pool expand-one-check-one behaviour.
-        let workers = pool.workers();
-        let chunk_len = EXPLORE_CHUNK_PER_WORKER * workers;
         let mut next_frontier = Vec::new();
-        for chunk in frontier.chunks(chunk_len) {
-            let mut expanded: Vec<Vec<(String, M::State)>> = if workers == 1 {
-                Vec::new()
-            } else {
-                let slices = pool.run(|w| {
-                    chunk
-                        .iter()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|state| model.successors(state))
-                        .collect::<Vec<_>>()
-                });
-                let mut slices: Vec<_> = slices.into_iter().map(Vec::into_iter).collect();
-                (0..chunk.len())
-                    .map(|i| slices[i % workers].next().expect("worker slices cover the chunk"))
-                    .collect()
-            };
-            // Merge sequentially, replaying exactly the single-threaded loop:
-            // transition counting, the state cap, safety checks and the
-            // violation break happen in the same order with the same early
-            // exits.
-            for (i, state) in chunk.iter().enumerate() {
-                let succ = if workers == 1 {
-                    model.successors(state)
-                } else {
-                    std::mem::take(&mut expanded[i])
-                };
-                for (label, next) in succ {
-                    transitions += 1;
-                    if visited.contains(&next) {
-                        continue;
-                    }
-                    if visited.len() >= limits.max_states {
-                        truncated = true;
-                        break;
-                    }
-                    visited.insert(next.clone());
-                    parent.insert(next.clone(), (state.clone(), label));
-                    if !safe(&next) {
-                        violation = Some(reconstruct(model, &parent, &next));
-                        break 'levels;
-                    }
-                    next_frontier.push(next);
+        for state in &frontier {
+            for (label, next) in model.successors(state) {
+                transitions += 1;
+                if visited.contains(&next) {
+                    continue;
                 }
+                if visited.len() >= limits.max_states {
+                    truncated = true;
+                    break;
+                }
+                visited.insert(next.clone());
+                parent.insert(next.clone(), (state.clone(), label));
+                if !safe(&next) {
+                    violation = Some(reconstruct(model, &parent, &next));
+                    break 'levels;
+                }
+                next_frontier.push(next);
             }
         }
         frontier = next_frontier;
@@ -252,9 +178,9 @@ fn reconstruct<M: Model>(
 }
 
 /// Packages the complete runs of `model` as a *lazy* [`Backend::Explore`]
-/// value: runs are streamed out of a depth-first [`RunIter`] while the check
-/// executes (and batched across the worker pool under parallelism), so the
-/// checker's memory footprint is one batch of runs, not the whole run set.
+/// value: runs are streamed out of a depth-first [`RunIter`] one at a time
+/// while the check executes, so the checker's memory footprint is one run,
+/// not the whole run set.
 ///
 /// ```
 /// use ilogic_core::prelude::*;
@@ -324,8 +250,8 @@ pub fn collect_runs<M: Model>(model: &M, limits: ExploreLimits, max_runs: usize)
 /// The iterator owns its model (use a `&M` model — [`Model`] is implemented
 /// for references — to borrow instead), holds only the current path plus one
 /// pending-successor frame per depth, and is `Send` whenever the model and its
-/// states are, which is what lets [`explore_backend`] hand it to the parallel
-/// explore engine as a lazy run source.
+/// states are, which is what lets [`explore_backend`] hand it to a session
+/// as a lazy run source.
 #[derive(Debug)]
 pub struct RunIter<M: Model> {
     model: M,
@@ -616,52 +542,6 @@ mod tests {
         let broken = explore_backend(&MutexModel::broken(2, 1), ExploreLimits::default(), 64);
         let report = session.check(CheckRequest::new(theorem).with_backend(broken));
         assert!(report.verdict.counterexample().is_some());
-    }
-
-    #[test]
-    fn parallel_exploration_reports_are_identical_to_sequential() {
-        for model in
-            [MutexModel::correct(2, 2), MutexModel::correct(3, 1), MutexModel::broken(2, 1)]
-        {
-            let sequential = explore_with(
-                &model,
-                ExploreLimits::default(),
-                Parallelism::Off,
-                MutexModel::mutual_exclusion,
-            );
-            for workers in 2..=4 {
-                let parallel = explore_with(
-                    &model,
-                    ExploreLimits::default(),
-                    Parallelism::Fixed(workers),
-                    MutexModel::mutual_exclusion,
-                );
-                assert_eq!(parallel.states, sequential.states, "workers={workers}");
-                assert_eq!(parallel.transitions, sequential.transitions, "workers={workers}");
-                assert_eq!(parallel.truncated, sequential.truncated, "workers={workers}");
-                match (&parallel.violation, &sequential.violation) {
-                    (None, None) => {}
-                    (Some(p), Some(s)) => {
-                        assert_eq!(p.actions, s.actions, "workers={workers}");
-                        assert_eq!(p.trace, s.trace, "workers={workers}");
-                    }
-                    other => panic!("violation mismatch at workers={workers}: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_exploration_replicates_truncation() {
-        let model = MutexModel::correct(3, 2);
-        let limits = ExploreLimits { max_states: 25, max_depth: 8 };
-        let sequential =
-            explore_with(&model, limits, Parallelism::Off, MutexModel::mutual_exclusion);
-        let parallel =
-            explore_with(&model, limits, Parallelism::Fixed(3), MutexModel::mutual_exclusion);
-        assert!(parallel.truncated);
-        assert_eq!(parallel.states, sequential.states);
-        assert_eq!(parallel.transitions, sequential.transitions);
     }
 
     #[test]

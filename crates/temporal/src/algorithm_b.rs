@@ -33,7 +33,7 @@
 //! * **Decisions** ([`AlgorithmB::decide`] / [`AlgorithmB::decide_budgeted`])
 //!   never materialize a condition in the state-variable, mixed, and
 //!   propositional modes: they run the same fixpoint over plain Booleans
-//!   ([`evaluate_condition_at`]) — evaluation at an atom assignment is a
+//!   ([`evaluate_condition_at_budgeted_stats`]) — evaluation at an atom assignment is a
 //!   lattice homomorphism onto the Booleans, so the projected fixpoint
 //!   returns exactly the condition's truth value in O(graph) time.  This is
 //!   what finally refutes the prefix-invariance family in milliseconds.
@@ -49,22 +49,22 @@
 //!   whose inputs changed since their last evaluation — an equation whose
 //!   inputs did not change would have replayed entirely from the memo tables,
 //!   so skipping it leaves ids, budget charges, and trip reasons bit-identical
-//!   to a full sweep.  Each round's ready set is first attempted against a
-//!   frozen store view batched across the [`crate::pool`] workers, then the
-//!   remainder is computed sequentially in task order — answers,
-//!   `Err`-under-budget included, are identical at every worker count.  The
-//!   PR 5 full-sweep discipline survives as
+//!   to a full sweep.  Each round evaluates its ready set in task order on
+//!   the calling thread.  The full-sweep (Jacobi) discipline survives as
 //!   [`condition_of_graph_full_sweep_stats`] (the differential anchor for the
 //!   worklist engine), and the PR 3 `BTreeSet` fixpoint as
 //!   [`condition_of_graph_baseline`], the oracle for tests and the
 //!   `condition_fixpoint` bench.
 //!
-//! [`AlgorithmB::with_parallelism`] routes the whole procedure (tableau,
-//! fixpoint sweeps, end-of-run selection check) through the pool.
+//! The procedure runs on the calling thread except for one phase: the
+//! extralogical selection search, which [`AlgorithmB::with_parallelism`]
+//! shards across the [`crate::pool`] workers (1.9x at two workers on the
+//! 153 600 selections of the §5.1 example; batching fixpoint rounds across
+//! workers lost, at 0.2–0.6x).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dnf::store::{ConditionStore, DnfId, FrozenStore, StoreStats};
+use crate::dnf::store::{ConditionStore, DnfId, StoreStats};
 use crate::dnf::{Dnf, DnfBudget};
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 use crate::syntax::{Ltl, VarSpec};
@@ -149,10 +149,10 @@ impl<'t> AlgorithmB<'t> {
         AlgorithmB { theory, vars, parallelism: Parallelism::Off, selection_limit: 200_000 }
     }
 
-    /// Fans every phase of the procedure — tableau construction, the condition
-    /// fixpoint sweeps, and the end-of-run selection check — across a worker
-    /// pool.  Answers (including `Unknown`-under-budget) are identical at
-    /// every worker count.
+    /// Shards the extralogical selection search (the end-of-run check of
+    /// the purely extralogical mode) across a worker pool; every other phase
+    /// runs on the calling thread.  Answers (including
+    /// `Unknown`-under-budget) are identical at every worker count.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> AlgorithmB<'t> {
         self.parallelism = parallelism;
         self
@@ -177,24 +177,8 @@ impl<'t> AlgorithmB<'t> {
         budget: &ResourceBudget,
     ) -> Result<Condition, Exhaustion> {
         let graph =
-            TableauGraph::try_build_budgeted(&formula.clone().not(), budget, self.parallelism)?;
-        condition_of_graph_budgeted(graph, budget, self.parallelism)
-    }
-
-    /// [`AlgorithmB::condition_budgeted`] that also reports the
-    /// [`ConditionStore`] counters of the attempt — on *both* outcomes.  A
-    /// trip still did real interning work (on the measured blowup family,
-    /// thousands of distinct implicants before the cap fires), and the
-    /// session reports surface exactly those counters.
-    pub fn condition_budgeted_with_stats(
-        &self,
-        formula: &Ltl,
-        budget: &ResourceBudget,
-    ) -> (Result<Condition, Exhaustion>, StoreStats) {
-        match TableauGraph::try_build_budgeted(&formula.clone().not(), budget, self.parallelism) {
-            Ok(graph) => condition_of_graph_budgeted_stats(graph, budget, self.parallelism),
-            Err(cut) => (Err(cut), StoreStats::default()),
-        }
+            TableauGraph::try_build_budgeted(&formula.clone().not(), budget, Parallelism::Off)?;
+        condition_of_graph_budgeted(graph, budget)
     }
 
     /// Decides whether `formula` is valid in `TL(T)`.
@@ -222,8 +206,8 @@ impl<'t> AlgorithmB<'t> {
     /// `∨`, and hence with every step of the §5.3 iteration, whose extreme
     /// fixpoints are preserved — these truth values can be computed by
     /// running the *same* double fixpoint over plain Booleans
-    /// ([`evaluate_condition_at`]): O(graph) work, no DNF ever materialized,
-    /// no implicant budget consumed.
+    /// ([`evaluate_condition_at_budgeted_stats`]): O(graph) work, no DNF
+    /// ever materialized, no implicant budget consumed.
     ///
     /// This is what tames the nested weak-until family for good: the
     /// `[ => Q ] []P` condition's minimal DNF is astronomically wide (the
@@ -240,25 +224,15 @@ impl<'t> AlgorithmB<'t> {
         budget: &ResourceBudget,
     ) -> Result<Decision, Exhaustion> {
         let graph =
-            TableauGraph::try_build_budgeted(&formula.clone().not(), budget, self.parallelism)?;
-        self.decide_from_graph_budgeted(formula, &graph, budget)
+            TableauGraph::try_build_budgeted(&formula.clone().not(), budget, Parallelism::Off)?;
+        self.decide_from_graph_budgeted_stats(formula, &graph, budget).0
     }
 
     /// [`AlgorithmB::decide_budgeted`] over an already-built `Graph(¬formula)`
     /// — for callers (the `Session` Decide backend) that also compute the
     /// explicit condition artifact from the same graph and must not pay the
-    /// tableau construction twice.
-    pub fn decide_from_graph_budgeted(
-        &self,
-        formula: &Ltl,
-        graph: &TableauGraph,
-        budget: &ResourceBudget,
-    ) -> Result<Decision, Exhaustion> {
-        self.decide_from_graph_budgeted_stats(formula, graph, budget).0
-    }
-
-    /// [`AlgorithmB::decide_from_graph_budgeted`] that also reports the
-    /// fixpoint counters of the attempt — on *both* outcomes.  In the
+    /// tableau construction twice — that also reports the fixpoint counters
+    /// of the attempt, on *both* outcomes.  In the
     /// evaluated (Boolean) modes the interning counters stay zero but the
     /// `rounds`/`equations_evaluated`/`equations_skipped` trio measures the
     /// worklist engine's work; in the purely extralogical mode the counters
@@ -275,8 +249,7 @@ impl<'t> AlgorithmB<'t> {
         if has_extra && !has_state {
             // Purely extralogical: the selection check needs the actual
             // implicants, so the explicit (budgeted) condition is computed.
-            let (result, stats) =
-                condition_of_graph_budgeted_stats(graph.clone(), budget, self.parallelism);
+            let (result, stats) = condition_of_graph_engine(graph.clone(), budget, true);
             return match result {
                 Ok(condition) => {
                     (self.decide_from_condition_budgeted(formula, &condition, budget), stats)
@@ -331,19 +304,13 @@ impl<'t> AlgorithmB<'t> {
         (Ok(Decision::NotValid), stats)
     }
 
-    /// Decides validity given a previously computed condition (allows callers to
-    /// time the construction and iteration phases separately).
-    pub fn decide_from_condition(&self, formula: &Ltl, condition: &Condition) -> Decision {
-        let budget = ResourceBudget::unbounded().with_max_enumeration(self.selection_limit);
-        self.decide_from_condition_budgeted(formula, condition, &budget)
-            .unwrap_or(Decision::Unknown)
-    }
-
-    /// [`AlgorithmB::decide_from_condition`] under a [`ResourceBudget`]: the
-    /// extralogical-variable selection check enumerates at most
-    /// `budget.max_enumeration()` selections (`Err(Enumeration)` beyond
-    /// that), and the budget's deadline/cancellation cutoffs are polled
-    /// before the sweep starts.
+    /// Decides validity given a previously computed condition (allows callers
+    /// to time the construction and iteration phases separately), under a
+    /// [`ResourceBudget`]: the extralogical-variable selection check
+    /// enumerates at most `budget.max_enumeration()` selections
+    /// (`Err(Enumeration)` beyond that), and the budget's
+    /// deadline/cancellation cutoffs are polled before the sweep starts and
+    /// every few hundred selections per worker.
     pub fn decide_from_condition_budgeted(
         &self,
         formula: &Ltl,
@@ -406,9 +373,7 @@ impl<'t> AlgorithmB<'t> {
             Sat,
             Cut(Exhaustion),
         }
-        let pool = WorkerPool::new(self.parallelism);
-        let states = vec![0usize; pool.workers()];
-        let (hit, _) = pool.search(total, 0, states, |visited: &mut usize, index| {
+        let hit = WorkerPool::new(self.parallelism).search(total, |visited: &mut usize, index| {
             *visited += 1;
             if visited.is_multiple_of(crate::pool::INTERRUPT_POLL_PERIOD) {
                 if let Some(cut) = budget.interrupted() {
@@ -437,117 +402,62 @@ impl<'t> AlgorithmB<'t> {
 /// fixpoint iteration of Appendix B §5.3, accelerated per strongly connected
 /// component as described in §6.
 pub fn condition_of_graph(graph: TableauGraph) -> Condition {
-    condition_of_graph_budgeted(graph, &ResourceBudget::unbounded(), Parallelism::Off)
+    condition_of_graph_budgeted(graph, &ResourceBudget::unbounded())
         .expect("an unbounded budget cannot be exceeded")
 }
 
-/// [`condition_of_graph`] under an implicant budget: `None` as soon as any
-/// intermediate DNF (or the conservative size estimate of one equation's
-/// conjunction) exceeds `max_implicants`.  Shim over
-/// [`condition_of_graph_budgeted`].
-pub fn condition_of_graph_bounded(graph: TableauGraph, max_implicants: usize) -> Option<Condition> {
-    condition_of_graph_with(graph, max_implicants, Parallelism::Off)
-}
-
-/// [`condition_of_graph_bounded`] with the fixpoint rounds sharded across a
-/// worker pool.
-///
-/// The iteration is organized as *worklist rounds*: each round evaluates the
-/// equations of the current component whose inputs changed since their last
-/// evaluation — the ready set — against a frozen snapshot of the
-/// `delete`/`fail` maps, and the results are committed together before the
-/// next round.  Because each evaluated equation depends only on the snapshot
-/// — not on other equations of the same round — the ready set batches freely
-/// across workers, and each round's outcome is a pure function of the
-/// snapshot.  Both fixpoints still converge to the same place as a
-/// dependency-ordered (Gauss–Seidel) iteration would: `fail` descends
-/// monotonically from `⊤` to its greatest fixpoint and `delete` ascends from
-/// `⊥` to its least, and on a finite lattice chaotic iteration reaches the
-/// unique extreme fixpoint in either discipline.
-///
-/// The `max_implicants` budget is enforced globally through one shared
-/// [`DnfBudget`] cell: the first equation (on any worker) whose product
-/// estimate exceeds the budget trips the cell, every other
-/// in-flight product aborts at its next step, and the whole computation
-/// answers `None`.  Whether an equation trips is a function of the round
-/// snapshot alone, so budgeted `None`/`Some` answers — and hence
-/// `Unknown`-vs-decided verdicts upstream — are identical at every worker
-/// count.
-pub fn condition_of_graph_with(
-    graph: TableauGraph,
-    max_implicants: usize,
-    parallelism: Parallelism,
-) -> Option<Condition> {
-    condition_of_graph_budgeted(
-        graph,
-        &ResourceBudget::unbounded().with_max_implicants(max_implicants),
-        parallelism,
-    )
-    .ok()
-}
-
-/// [`condition_of_graph_with`] under a full [`ResourceBudget`]: enforces the
+/// [`condition_of_graph`] under a [`ResourceBudget`]: enforces the
 /// distinct-implicant cap *and* the budget's deadline/cancellation cutoffs
 /// (polled at every round and inside large products through the shared
 /// [`DnfBudget`] cell), and names the exhausted resource on `Err`.
 ///
 /// # The semi-naive interned fixpoint
 ///
-/// Since the condition-store rewrite this function runs on a
-/// [`ConditionStore`]: `delete`/`fail` values are `Copy` [`DnfId`]s, the
-/// equations' `∨`/`∧` are memoized store operations, and the convergence test
-/// per equation is an id comparison — which also makes *change detection*
-/// O(1), the hook the PR 7 worklist engine hangs on.  A reverse-dependency
-/// graph (`preds[m]` = the nodes whose equations read the values at `m`) is
-/// derived once per tableau — it lives in the graph's cached sweep plan,
-/// computed at the end of [`TableauGraph::try_build_budgeted`] alongside the
-/// SCC order and the per-edge fulfillment tables; each inner fixpoint seeds
-/// its worklist with every equation of the component and thereafter
-/// re-evaluates only equations some input of which changed last round.
-/// Each round runs in two phases:
+/// The fixpoint runs on a [`ConditionStore`]: `delete`/`fail` values are
+/// `Copy` [`DnfId`]s, the equations' `∨`/`∧` are memoized store operations,
+/// and the convergence test per equation is an id comparison — which also
+/// makes *change detection* O(1), the hook the worklist engine hangs
+/// on.  A reverse-dependency graph (`preds[m]` = the nodes whose equations
+/// read the values at `m`) is derived once per tableau — it lives in the
+/// graph's cached sweep plan, computed at the end of
+/// [`TableauGraph::try_build_budgeted`] alongside the SCC order and the
+/// per-edge fulfillment tables; each inner fixpoint seeds its worklist with
+/// every equation of the component and thereafter re-evaluates only
+/// equations some input of which changed last round.  A round evaluates its
+/// ready set in ascending task order against the mutable store, interning
+/// new implicants (each distinct one charged once to the budget cell) and
+/// growing the memo tables.
 ///
-/// 1. **Frozen phase** (batched across the pool via a sparse
-///    [`WorkerPool::map_indexed`]): every ready equation is first attempted
-///    against a read-only [`FrozenStore`] view, where each operation either
-///    resolves by an identity shortcut or a memo hit, or defers.
-/// 2. **Sequential phase**: the deferred equations are computed in task
-///    order against the mutable store, interning new implicants (each
-///    distinct one charged once to the shared budget cell) and growing the
-///    memo tables.
-///
-/// A frozen evaluation succeeds exactly when the mutable evaluation would
-/// have mutated nothing and yields the same id, so the store contents — ids,
-/// memo tables, and the budget charge — evolve identically at every worker
-/// count: answers, including `Err`-under-budget, are bit-identical from
-/// `Off` to any `Fixed(n)`.  Skipping is just as conservative: an equation
-/// whose inputs did not change would have replayed entirely from the memo
-/// tables without mutating the store or charging the budget, so the worklist
-/// run's ids, charges, and trip reasons are bit-identical to the full-sweep
-/// discipline too (only `memo_hits` counts the replays a full sweep would
-/// have performed).  At a single worker the frozen phase is elided — it is
-/// accounting-transparent (a settleable equation replays identically from
-/// memo; a deferred one records nothing), so the ready set is evaluated
-/// directly against the mutable store in task order, same ids and charges,
-/// minus the double memo walk.  [`condition_of_graph_full_sweep_stats`]
-/// keeps the full-sweep discipline callable as the differential anchor.
+/// Both fixpoints converge to the same place as a dependency-ordered
+/// (Gauss–Seidel) iteration would: `fail` descends monotonically from `⊤`
+/// to its greatest fixpoint and `delete` ascends from `⊥` to its least, and
+/// on a finite lattice chaotic iteration reaches the unique extreme fixpoint
+/// in either discipline.  Skipping is conservative: an equation whose inputs
+/// did not change would have replayed entirely from the memo tables without
+/// mutating the store or charging the budget, so the worklist run's ids,
+/// charges, and trip reasons are bit-identical to the full-sweep discipline
+/// (only `memo_hits` counts the replays a full sweep would have performed).
+/// [`condition_of_graph_full_sweep_stats`] keeps the full-sweep discipline
+/// callable as the differential anchor.
 pub fn condition_of_graph_budgeted(
     graph: TableauGraph,
     resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
 ) -> Result<Condition, Exhaustion> {
-    condition_of_graph_budgeted_stats(graph, resource_budget, parallelism).0
+    condition_of_graph_engine(graph, resource_budget, true).0
 }
 
 /// [`condition_of_graph_budgeted`] that also hands back the
 /// [`ConditionStore`] counters on *both* outcomes — a budget trip still did
 /// real interning/memoization work, and the session reports surface it.  On
 /// `Ok` the same counters are also available via [`Condition::store_stats`].
+/// The fixpoint runs on the calling thread; `_parallelism` is ignored and
+/// stays only so existing callers keep compiling.
 pub fn condition_of_graph_budgeted_stats(
     graph: TableauGraph,
     resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
 ) -> (Result<Condition, Exhaustion>, StoreStats) {
-    condition_of_graph_engine(graph, resource_budget, parallelism, true)
+    condition_of_graph_engine(graph, resource_budget, true)
 }
 
 /// The PR 5 full-sweep (Jacobi) discipline of the interned fixpoint, kept
@@ -564,9 +474,8 @@ pub fn condition_of_graph_budgeted_stats(
 pub fn condition_of_graph_full_sweep_stats(
     graph: TableauGraph,
     resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
 ) -> (Result<Condition, Exhaustion>, StoreStats) {
-    condition_of_graph_engine(graph, resource_budget, parallelism, false)
+    condition_of_graph_engine(graph, resource_budget, false)
 }
 
 /// The shared engine behind [`condition_of_graph_budgeted_stats`] (`delta ==
@@ -575,12 +484,10 @@ pub fn condition_of_graph_full_sweep_stats(
 /// interned store, the atom leaves, and the §5.3 two-phase outer round; they
 /// differ in which equations a round evaluates — dependents of changed
 /// values vs. everything again — and in the constant-factor machinery that
-/// choice allows (fulfillment tables, hoisted worklist buffers, the
-/// single-worker direct-evaluation sweep).
+/// choice allows (fulfillment tables, hoisted worklist buffers).
 fn condition_of_graph_engine(
     graph: TableauGraph,
     resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
     delta: bool,
 ) -> (Result<Condition, Exhaustion>, StoreStats) {
     let n = graph.node_count();
@@ -620,7 +527,6 @@ fn condition_of_graph_engine(
             eventualities: graph.eventualities(),
             atoms,
             tables,
-            pool: WorkerPool::new(parallelism),
             n,
         };
         if delta {
@@ -670,25 +576,14 @@ fn condition_of_graph_engine(
 /// condition would be.  [`AlgorithmB::decide_budgeted`] uses it to decide
 /// the state-variable and propositional modes without materializing a single
 /// implicant.
-pub fn evaluate_condition_at(graph: &TableauGraph, atom_true: &[bool]) -> bool {
-    evaluate_condition_at_budgeted(graph, atom_true, &ResourceBudget::unbounded())
-        .expect("an unbounded budget cannot be exceeded")
-}
-
-/// [`evaluate_condition_at`] honouring a [`ResourceBudget`]'s wall-clock
-/// deadline and cancellation token, polled once per fixpoint round (the
-/// structural caps cannot apply — the Boolean projection allocates nothing
-/// to cap).  `Err` names the timing cutoff that fired.
-pub fn evaluate_condition_at_budgeted(
-    graph: &TableauGraph,
-    atom_true: &[bool],
-    budget: &ResourceBudget,
-) -> Result<bool, Exhaustion> {
-    evaluate_condition_at_budgeted_stats(graph, atom_true, budget).0
-}
-
-/// [`evaluate_condition_at_budgeted`] that also reports the worklist
-/// counters of the run — `rounds`, `equations_evaluated`,
+///
+/// The budget's wall-clock deadline and cancellation token are polled once
+/// per fixpoint round (the structural caps cannot apply — the Boolean
+/// projection allocates nothing to cap); `Err` names the timing cutoff that
+/// fired.
+///
+/// Alongside the Boolean it reports the worklist counters of the run —
+/// `rounds`, `equations_evaluated`,
 /// `equations_skipped`; the interning counters stay zero, nothing is ever
 /// interned here.  The Boolean projection uses the same semi-naive
 /// discipline as the DNF-valued engine (seed everything at phase start,
@@ -975,7 +870,6 @@ struct ConditionFixpoint<'g> {
     /// keeps PR 5's per-evaluation set lookups (see
     /// [`condition_of_graph_full_sweep_stats`]).
     tables: Option<FulfillTables<'g>>,
-    pool: WorkerPool,
     n: usize,
 }
 
@@ -1144,6 +1038,7 @@ impl ConditionFixpoint<'_> {
     ) -> Result<(), Exhaustion> {
         let n = self.n;
         let ne = self.eventualities.len();
+        let mut scratch: Vec<DnfId> = Vec::new();
         for component in sccs {
             let fail_tasks: Vec<(NodeId, EqKind)> = component
                 .iter()
@@ -1151,6 +1046,9 @@ impl ConditionFixpoint<'_> {
                 .collect();
             let delete_tasks: Vec<(NodeId, EqKind)> =
                 component.iter().map(|&node| (node, EqKind::Delete)).collect();
+            // Every round of a full sweep is ready in full.
+            let all: Vec<usize> = (0..fail_tasks.len().max(delete_tasks.len())).collect();
+            let (all_fail, all_delete) = (&all[..fail_tasks.len()], &all[..delete_tasks.len()]);
             loop {
                 *outer_rounds += 1;
                 // Reset fail to the top element within the component.
@@ -1161,7 +1059,15 @@ impl ConditionFixpoint<'_> {
                 }
                 // Iterate fail to its greatest fixpoint within the component.
                 loop {
-                    let updates = self.sweep_all(store, budget, delete, fail, &fail_tasks)?;
+                    let updates = self.sweep(
+                        store,
+                        budget,
+                        delete,
+                        fail,
+                        &fail_tasks,
+                        all_fail,
+                        &mut scratch,
+                    )?;
                     let mut changed = false;
                     for (&(node, kind), new) in fail_tasks.iter().zip(updates) {
                         let EqKind::Fail(ei) = kind else { unreachable!("fail task") };
@@ -1177,7 +1083,15 @@ impl ConditionFixpoint<'_> {
                 // Iterate delete to its least fixpoint within the component.
                 let mut delete_changed_any = false;
                 loop {
-                    let updates = self.sweep_all(store, budget, delete, fail, &delete_tasks)?;
+                    let updates = self.sweep(
+                        store,
+                        budget,
+                        delete,
+                        fail,
+                        &delete_tasks,
+                        all_delete,
+                        &mut scratch,
+                    )?;
                     let mut changed = false;
                     for (&(node, _), new) in delete_tasks.iter().zip(updates) {
                         if new != delete[node] {
@@ -1198,11 +1112,9 @@ impl ConditionFixpoint<'_> {
         Ok(())
     }
 
-    /// One two-phase round over the `ready` subset of `tasks` (see
-    /// [`condition_of_graph_budgeted`]): frozen phase batched across the
-    /// pool via the sparse [`WorkerPool::map_indexed`], deferred equations
-    /// computed sequentially in task order; results aligned with `ready`, or
-    /// the exhaustion that tripped the shared budget.  Records the round's
+    /// One round over the `ready` subset of `tasks`, evaluated in task order
+    /// against the mutable store; results aligned with `ready`, or the
+    /// exhaustion that tripped the shared budget.  Records the round's
     /// evaluated/skipped tallies on the store before evaluating (so a
     /// tripped round is still counted in the trip report).
     #[allow(clippy::too_many_arguments)]
@@ -1220,129 +1132,34 @@ impl ConditionFixpoint<'_> {
             return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
         }
         store.record_sweep(ready.len() as u64, (tasks.len() - ready.len()) as u64);
-        // A single worker gains nothing from the frozen pre-pass, and the
-        // pass is accounting-transparent: a frozen-settleable equation is
-        // fully memoized, so its mutable evaluation performs the identical
-        // lookups (same memo hits, no interning, no charges), while a
-        // deferred equation's frozen attempt records nothing and is re-done
-        // mutably anyway.  Evaluating the ready set directly in task order
-        // therefore produces bit-identical ids, charges, trips, and counters
-        // — pinned across worker counts by the differential tests — while
-        // skipping the double memo walk the anchor always pays.
-        if self.pool.workers() == 1 {
-            let mut results = Vec::with_capacity(ready.len());
-            for &t in ready {
-                let mut ops = Mutable { store, budget };
-                match self.eval_scratch(&mut ops, delete, fail, tasks[t], scratch) {
-                    Some(id) => results.push(id),
-                    None => return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants)),
-                }
-            }
-            return Ok(results);
-        }
-        // Frozen phase: settle whatever is already fully memoized.
-        let frozen = store.frozen();
-        let settled: Vec<(Option<DnfId>, u64)> = self.pool.map_indexed(ready, |t| {
-            let mut ops = Frozen { view: frozen, hits: 0 };
-            let result = self.eval(&mut ops, delete, fail, tasks[t]);
-            (result, ops.hits)
-        });
-        // A frozen view cannot bump the store's counters, so credit the memo
-        // hits of the *settled* equations here (a deferred equation's lookups
-        // are re-done — and re-counted — by its mutable run below).  The
-        // settled set and each equation's hit count are pure functions of the
-        // frozen store, so the tally is worker-count independent.
-        let frozen_hits: u64 =
-            settled.iter().filter(|(slot, _)| slot.is_some()).map(|&(_, hits)| hits).sum();
-        store.record_frozen_hits(frozen_hits);
-        // Sequential phase: compute the rest in task order.
         let mut results = Vec::with_capacity(ready.len());
-        for (i, (slot, _)) in settled.into_iter().enumerate() {
-            match slot {
+        for &t in ready {
+            match self.eval(store, budget, delete, fail, tasks[t], scratch) {
                 Some(id) => results.push(id),
-                None => {
-                    let mut ops = Mutable { store, budget };
-                    match self.eval_scratch(&mut ops, delete, fail, tasks[ready[i]], scratch) {
-                        Some(id) => results.push(id),
-                        None => return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants)),
-                    }
-                }
+                None => return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants)),
             }
         }
         Ok(results)
     }
 
-    /// [`ConditionFixpoint::sweep`] over *every* task — the PR 5 Jacobi
-    /// round, kept verbatim for the full-sweep anchor: frozen phase batched
-    /// across the pool at any worker count (including one, as PR 5 always
-    /// did), deferred equations sequential in task order.
-    fn sweep_all(
+    /// One equation of the §5.3 system, evaluated on the store, its per-edge
+    /// terms written into the caller's `terms` buffer (one allocation reused
+    /// across the whole run):
+    ///
+    /// * delete(N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ ∨_{A ∈ ev(e)} fail(A, fin(e)) )
+    /// * fail(A, N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ \[A not satisfied by e ∧ fail(A, fin(e))\] )
+    ///
+    /// `None` means the shared budget tripped.
+    fn eval(
         &self,
         store: &mut ConditionStore,
         budget: &DnfBudget,
         delete: &[DnfId],
         fail: &[DnfId],
-        tasks: &[(NodeId, EqKind)],
-    ) -> Result<Vec<DnfId>, Exhaustion> {
-        if budget.poll_interrupts() {
-            return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
-        }
-        store.record_sweep(tasks.len() as u64, 0);
-        let frozen = store.frozen();
-        let settled: Vec<(Option<DnfId>, u64)> = self.pool.map(tasks.len(), |t| {
-            let mut ops = Frozen { view: frozen, hits: 0 };
-            let result = self.eval(&mut ops, delete, fail, tasks[t]);
-            (result, ops.hits)
-        });
-        let frozen_hits: u64 =
-            settled.iter().filter(|(slot, _)| slot.is_some()).map(|&(_, hits)| hits).sum();
-        store.record_frozen_hits(frozen_hits);
-        let mut results = Vec::with_capacity(tasks.len());
-        for (i, (slot, _)) in settled.into_iter().enumerate() {
-            match slot {
-                Some(id) => results.push(id),
-                None => {
-                    let mut ops = Mutable { store, budget };
-                    match self.eval(&mut ops, delete, fail, tasks[i]) {
-                        Some(id) => results.push(id),
-                        None => return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants)),
-                    }
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    /// One equation of the §5.3 system, evaluated through `ops`:
-    ///
-    /// * delete(N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ ∨_{A ∈ ev(e)} fail(A, fin(e)) )
-    /// * fail(A, N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ \[A not satisfied by e ∧ fail(A, fin(e))\] )
-    ///
-    /// `None` means whatever the ops implementation's failure mode is: "not
-    /// memoized, defer to the sequential phase" for [`Frozen`], "budget
-    /// tripped" for [`Mutable`].
-    fn eval<O: DnfOps>(
-        &self,
-        ops: &mut O,
-        delete: &[DnfId],
-        fail: &[DnfId],
-        task: (NodeId, EqKind),
-    ) -> Option<DnfId> {
-        let mut terms = Vec::with_capacity(self.graph.outgoing(task.0).len());
-        self.eval_scratch(ops, delete, fail, task, &mut terms)
-    }
-
-    /// [`ConditionFixpoint::eval`] writing its per-edge terms into a caller
-    /// scratch buffer, so sequential sweeps reuse one allocation across the
-    /// whole run.  The result is a pure function of the inputs either way.
-    fn eval_scratch<O: DnfOps>(
-        &self,
-        ops: &mut O,
-        delete: &[DnfId],
-        fail: &[DnfId],
         (node, kind): (NodeId, EqKind),
         terms: &mut Vec<DnfId>,
     ) -> Option<DnfId> {
+        let mut or = |a: DnfId, b: DnfId| (!budget.tripped()).then(|| store.or(a, b));
         let outgoing = self.graph.outgoing(node);
         terms.clear();
         match &self.tables {
@@ -1351,16 +1168,16 @@ impl ConditionFixpoint<'_> {
                 let ne = self.eventualities.len();
                 for &eid in outgoing {
                     let to = tables.plan.targets[eid] as usize;
-                    let mut term = ops.or(self.atoms[eid], delete[to])?;
+                    let mut term = or(self.atoms[eid], delete[to])?;
                     match kind {
                         EqKind::Delete => {
                             for &ei in tables.mentions(eid) {
-                                term = ops.or(term, fail[ei as usize * self.n + to])?;
+                                term = or(term, fail[ei as usize * self.n + to])?;
                             }
                         }
                         EqKind::Fail(ei) => {
                             if tables.plan.unfulfilled[eid * ne + ei] {
-                                term = ops.or(term, fail[ei * self.n + to])?;
+                                term = or(term, fail[ei * self.n + to])?;
                             }
                         }
                     }
@@ -1371,18 +1188,18 @@ impl ConditionFixpoint<'_> {
             None => {
                 for &eid in outgoing {
                     let edge = self.graph.edge(eid);
-                    let mut term = ops.or(self.atoms[eid], delete[edge.to])?;
+                    let mut term = or(self.atoms[eid], delete[edge.to])?;
                     match kind {
                         EqKind::Delete => {
                             for (ei, ev) in self.eventualities.iter().enumerate() {
                                 if edge.eventualities.contains(ev) {
-                                    term = ops.or(term, fail[ei * self.n + edge.to])?;
+                                    term = or(term, fail[ei * self.n + edge.to])?;
                                 }
                             }
                         }
                         EqKind::Fail(ei) => {
                             if !edge.fulfilled.contains(&self.eventualities[ei]) {
-                                term = ops.or(term, fail[ei * self.n + edge.to])?;
+                                term = or(term, fail[ei * self.n + edge.to])?;
                             }
                         }
                     }
@@ -1390,55 +1207,7 @@ impl ConditionFixpoint<'_> {
                 }
             }
         }
-        ops.all(terms)
-    }
-}
-
-/// The store operations an equation evaluation needs, abstracted over the
-/// frozen (read-only, deferring) and mutable (interning, budgeted) phases so
-/// the equation itself is written exactly once.
-trait DnfOps {
-    /// Disjunction; `None` in the implementation's failure mode.
-    fn or(&mut self, a: DnfId, b: DnfId) -> Option<DnfId>;
-    /// Conjunction of all `terms`; `None` in the implementation's failure mode.
-    fn all(&mut self, terms: &[DnfId]) -> Option<DnfId>;
-}
-
-/// Frozen-phase ops: identity shortcuts and memo hits only; `None` defers the
-/// equation to the sequential phase.  Memo hits are tallied locally (the
-/// view is read-only) and committed by the sweep for settled equations.
-struct Frozen<'s> {
-    view: FrozenStore<'s>,
-    hits: u64,
-}
-
-impl DnfOps for Frozen<'_> {
-    fn or(&mut self, a: DnfId, b: DnfId) -> Option<DnfId> {
-        self.view.or_counting(a, b, &mut self.hits)
-    }
-
-    fn all(&mut self, terms: &[DnfId]) -> Option<DnfId> {
-        self.view.all_counting(terms, &mut self.hits)
-    }
-}
-
-/// Sequential-phase ops: full store operations; `None` means the shared
-/// budget tripped.
-struct Mutable<'s, 'b> {
-    store: &'s mut ConditionStore,
-    budget: &'b DnfBudget,
-}
-
-impl DnfOps for Mutable<'_, '_> {
-    fn or(&mut self, a: DnfId, b: DnfId) -> Option<DnfId> {
-        if self.budget.tripped() {
-            return None;
-        }
-        Some(self.store.or(a, b))
-    }
-
-    fn all(&mut self, terms: &[DnfId]) -> Option<DnfId> {
-        self.store.all(terms, self.budget)
+        store.all(terms, budget)
     }
 }
 
@@ -1459,9 +1228,7 @@ impl DnfOps for Mutable<'_, '_> {
 pub fn condition_of_graph_baseline(
     graph: TableauGraph,
     resource_budget: &ResourceBudget,
-    parallelism: Parallelism,
 ) -> Result<Condition, Exhaustion> {
-    let pool = WorkerPool::new(parallelism);
     let budget = DnfBudget::from_budget(resource_budget);
     let n = graph.node_count();
     let eventualities = graph.eventualities();
@@ -1492,7 +1259,7 @@ pub fn condition_of_graph_baseline(
             loop {
                 stats.rounds += 1;
                 stats.equations_evaluated += fail_tasks.len() as u64;
-                let Some(updates) = sweep_equations(fail_tasks.len(), &pool, |i| {
+                let Some(updates) = sweep_equations(fail_tasks.len(), |i| {
                     let (node, ei) = fail_tasks[i];
                     fail_equation(&graph, node, ei, &eventualities[ei], &delete, &fail, &budget)
                 }) else {
@@ -1513,7 +1280,7 @@ pub fn condition_of_graph_baseline(
             loop {
                 stats.rounds += 1;
                 stats.equations_evaluated += component.len() as u64;
-                let Some(updates) = sweep_equations(component.len(), &pool, |i| {
+                let Some(updates) = sweep_equations(component.len(), |i| {
                     delete_equation(&graph, component[i], eventualities, &delete, &fail, &budget)
                 }) else {
                     return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
@@ -1541,15 +1308,10 @@ pub fn condition_of_graph_baseline(
 }
 
 /// One baseline Jacobi sweep: evaluates `eval(0..count)` — each equation
-/// reading only the caller's frozen snapshot — batched across the pool via
-/// [`WorkerPool::map`], and returns the results in task order, or `None`
-/// when any equation blew the budget.
-fn sweep_equations<T, F>(count: usize, pool: &WorkerPool, eval: F) -> Option<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Option<T> + Sync,
-{
-    pool.map(count, eval).into_iter().collect()
+/// reading only the caller's frozen snapshot — and returns the results in
+/// task order, or `None` when any equation blew the budget.
+fn sweep_equations<T>(count: usize, eval: impl Fn(usize) -> Option<T>) -> Option<Vec<T>> {
+    (0..count).map(eval).collect()
 }
 
 /// delete(N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ ∨_{A ∈ ev(e)} fail(A, fin(e)) )
@@ -1728,6 +1490,40 @@ mod tests {
         let linear = LinearTheory::new();
         let alg = AlgorithmB::new(&linear, VarSpec::with_extralogical(["x"]));
         assert_eq!(alg.decide(&formula), Decision::Valid);
+    }
+
+    #[test]
+    fn selection_search_answers_alike_at_every_worker_count() {
+        // Purely extralogical formulas whose conditions reach the selection
+        // search: 1296 selections each (small enough for a debug build).
+        let x = |op, k| Ltl::cmp(Term::var("x"), op, Term::int(k));
+        let valid = x(CmpOp::Lt, 1).next().always().or(x(CmpOp::Gt, 0).next());
+        let not_valid = x(CmpOp::Gt, 0).next().always().or(x(CmpOp::Gt, 2).next());
+        let linear = LinearTheory::new();
+        let vars = || VarSpec::with_extralogical(["x"]);
+        let unbounded = ResourceBudget::unbounded();
+        let token = crate::pool::CancelToken::new();
+        token.cancel();
+        let cases = [
+            (&valid, unbounded.clone(), Ok(Decision::Valid)),
+            (&not_valid, unbounded.clone(), Ok(Decision::NotValid)),
+            // One selection short of the 1296 the valid case must refute.
+            (&valid, unbounded.clone().with_max_enumeration(1295), Err(Exhaustion::Enumeration)),
+            (&valid, unbounded.with_cancel(token), Err(Exhaustion::Cancelled)),
+        ];
+        for (formula, budget, expected) in cases {
+            let condition = AlgorithmB::new(&linear, vars())
+                .condition_budgeted(formula, &ResourceBudget::default())
+                .expect("the condition fits the default budget");
+            let parallelisms =
+                [Parallelism::Off].into_iter().chain((1..=4).map(Parallelism::Fixed));
+            for parallelism in parallelisms {
+                let answer = AlgorithmB::new(&linear, vars())
+                    .with_parallelism(parallelism)
+                    .decide_from_condition_budgeted(formula, &condition, &budget);
+                assert_eq!(answer, expected, "{formula} at {parallelism:?}");
+            }
+        }
     }
 
     #[test]

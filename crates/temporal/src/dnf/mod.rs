@@ -19,15 +19,10 @@
 //!   [`store::DnfId`]s (equality = id equality), `∧`/`∨` products are
 //!   memoized per `(DnfId, DnfId)` pair, and absorption is an incremental
 //!   bitset-probe insert that never materializes the pre-absorption product.
-//!   See the [`store`] module documentation for the design and the
-//!   frozen-sweep concurrency discipline.
+//!   See the [`store`] module documentation for the design.
 //!
-//! Canonicity also carries the concurrency story: because `∧`/`∨` results do
-//! not depend on evaluation or association order, the Appendix B §5.3
-//! fixpoint can batch whole sweeps of condition products across the
-//! [`crate::pool`] workers and still produce the sequential answer — and the
-//! semi-naive worklist engine of [`crate::algorithm_b`] leans on the same
-//! canonicity in the other direction: an equation whose input ids did not
+//! Canonicity is also what the semi-naive worklist engine of
+//! [`crate::algorithm_b`] leans on: an equation whose input ids did not
 //! change replays to the id it already has, so skipping it (and the whole
 //! verification round of a converged component) is invisible to the store.  The
 //! historical flip side was cost — on the nested weak-until translations of
@@ -37,8 +32,7 @@
 //! routes through the store, and the shared [`DnfBudget`] cell now charges
 //! **distinct interned implicants** ([`DnfBudget::charge`]): re-deriving a
 //! known implicant is free, the first computation to push the distinct count
-//! past the cap trips the cell, and the whole (possibly parallel) computation
-//! cuts over to an honest "unknown" instead of stalling.
+//! past the cap trips the cell, and the whole computation cuts over to an honest "unknown" instead of stalling.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -73,17 +67,15 @@ pub fn antichain_width_bound(atoms: usize) -> u64 {
     result
 }
 
-/// A shared, atomic implicant budget for a (possibly parallel) batch of DNF
-/// computations.
+/// A shared, atomic implicant budget for a batch of DNF computations.
 ///
 /// One cell is created per [`crate::algorithm_b`] condition computation and
-/// shared by every equation evaluated on every worker: the first computation
-/// to exceed the budget [`DnfBudget::trip`]s the cell, and every other
-/// in-flight [`Dnf::all_bounded`] aborts at its next fold step.  Because a
-/// trip means the whole computation's answer is already `None`, the early
-/// aborts never change an answer — they only stop workers from burning CPU on
-/// a batch whose result is doomed — so budgeted answers are identical at
-/// every worker count.
+/// shared by every equation it evaluates: the first computation to exceed
+/// the budget [`DnfBudget::trip`]s the cell, and every later
+/// [`Dnf::all_bounded`] aborts at its next fold step.  Because a trip means
+/// the whole computation's answer is already `None`, the early aborts never
+/// change an answer — they only stop the fixpoint from burning CPU on a
+/// result that is doomed.
 ///
 /// A cell built from a [`ResourceBudget`] ([`DnfBudget::from_budget`]) also
 /// carries the budget's wall-clock deadline and cancellation token:
@@ -161,7 +153,7 @@ impl DnfBudget {
     /// cap bounds the size of the condition space explored, not the number of
     /// operations.  The total charged is a commutative sum over sharers,
     /// which keeps the trip/no-trip outcome independent of evaluation order
-    /// (and hence of the worker count) for any fixed set of computations.
+    /// for any fixed set of computations.
     pub fn charge(&self, new_implicants: usize) -> bool {
         if self.tripped() {
             return false;
@@ -344,9 +336,7 @@ impl Dnf {
     /// cutting a genuinely exploding computation off deterministically.
     /// The per-call distinct count is a function of the term multiset alone
     /// (interning dedups whatever the arrival order), so the `Some`/`None`
-    /// answer does not depend on evaluation or association order; this is
-    /// what lets a parallel fixpoint sweep batch these products across
-    /// workers and still answer exactly like the sequential sweep.
+    /// answer does not depend on evaluation or association order.
     pub fn all_bounded(terms: Vec<Dnf>, budget: &DnfBudget) -> Option<Dnf> {
         if budget.poll_interrupts() {
             // Another sharer already blew the budget (or the deadline or

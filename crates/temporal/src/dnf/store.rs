@@ -43,20 +43,14 @@
 //!
 //! # Concurrency
 //!
-//! The store itself is a plain single-writer structure.  Parallel fixpoint
-//! rounds keep determinism by the snapshot discipline of
-//! `ilogic_core::arena::ArenaSnapshot`: a round first attempts every equation
-//! of its ready set — under the PR 7 worklist engine only the equations whose
-//! inputs changed since their last evaluation, under a full (Jacobi) sweep
-//! all of them — against a [`FrozenStore`] view (read-only — memo lookups may
-//! *hit* but never insert), batched freely across workers, and then computes
-//! the remaining equations sequentially in task order against the mutable
-//! store.  Because a frozen evaluation succeeds exactly when the mutable
-//! evaluation would have touched nothing, and an equation with unchanged
-//! inputs would have replayed entirely from the memo tables anyway, the store
-//! contents — ids, memo tables, and the distinct-implicant budget charge —
-//! after a round are identical at every worker count, including one, and
-//! identical whether or not the unchanged equations were skipped.
+//! The store is a plain single-writer structure, and the fixpoint that owns
+//! it runs on the calling thread: each round evaluates its ready set — under
+//! the worklist engine only the equations whose inputs changed since
+//! their last evaluation, under a full (Jacobi) sweep all of them — in task
+//! order.  An equation with unchanged inputs would have replayed entirely
+//! from the memo tables, so the store contents — ids, memo tables, and the
+//! distinct-implicant budget charge — are identical whether or not the
+//! unchanged equations were skipped.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -234,21 +228,11 @@ impl ConditionStore {
         self.stats
     }
 
-    /// Credits memo hits observed through read-only [`FrozenStore`] views
-    /// (which cannot update the counters themselves).  The fixpoint sweep
-    /// calls this once per sweep with the tally of its frozen-settled
-    /// equations — a pure function of the frozen store, so the counters stay
-    /// identical at every worker count.
-    pub fn record_frozen_hits(&mut self, hits: u64) {
-        self.stats.memo_hits += hits;
-    }
-
     /// Records one fixpoint round of the worklist engine: how many equations
     /// the round actually evaluated (its ready set) and how many it skipped
     /// because none of their inputs changed since their last evaluation.  A
     /// full (Jacobi) sweep records `skipped == 0`.  Both tallies are pure
-    /// functions of the iteration history, so — like every other counter —
-    /// they are identical at every worker count.
+    /// functions of the iteration history.
     pub fn record_sweep(&mut self, evaluated: u64, skipped: u64) {
         self.stats.rounds += 1;
         self.stats.equations_evaluated += evaluated;
@@ -284,12 +268,6 @@ impl ConditionStore {
     /// A borrowed view of the DNF `id`; see [`DnfRef`].
     pub fn dnf(&self, id: DnfId) -> DnfRef<'_> {
         DnfRef { store: self, id }
-    }
-
-    /// A read-only view for frozen-phase (parallel) evaluation; see
-    /// [`FrozenStore`].
-    pub fn frozen(&self) -> FrozenStore<'_> {
-        FrozenStore { store: self }
     }
 
     /// Interns the sorted atom list `atoms`, charging the budget if it is
@@ -700,91 +678,6 @@ impl<'s> DnfRef<'s> {
     }
 }
 
-/// A read-only store view whose operations answer only when no mutation would
-/// be needed.
-///
-/// This is the parallel-phase half of the sweep discipline described in the
-/// [module documentation](self): workers race over frozen evaluations (every
-/// op either an identity shortcut or a memo hit), and anything that *would*
-/// have interned or memoized defers — `None` — to the sequential phase.  A
-/// successful frozen result is exactly the mutable result, and a frozen pass
-/// leaves no trace, so store contents stay independent of the worker count.
-#[derive(Clone, Copy, Debug)]
-pub struct FrozenStore<'s> {
-    store: &'s ConditionStore,
-}
-
-impl FrozenStore<'_> {
-    /// [`ConditionStore::or`] without mutation; `None` when the result is not
-    /// already memoized.
-    pub fn or(&self, a: DnfId, b: DnfId) -> Option<DnfId> {
-        self.or_counting(a, b, &mut 0)
-    }
-
-    /// [`FrozenStore::or`] that also counts memo hits into `hits` (identity
-    /// shortcuts are not counted, mirroring the mutable path).  A frozen view
-    /// cannot update the store's counters itself; the fixpoint sweep tallies
-    /// these per settled equation and commits them deterministically.
-    pub fn or_counting(&self, a: DnfId, b: DnfId, hits: &mut u64) -> Option<DnfId> {
-        if a == b || b == ConditionStore::BOTTOM {
-            return Some(a);
-        }
-        if a == ConditionStore::BOTTOM {
-            return Some(b);
-        }
-        if a == ConditionStore::TOP || b == ConditionStore::TOP {
-            return Some(ConditionStore::TOP);
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        let hit = self.store.or_memo.get(&key).copied()?;
-        *hits += 1;
-        Some(hit)
-    }
-
-    /// [`ConditionStore::and`] without mutation; `None` when the result is
-    /// not already memoized.
-    pub fn and(&self, a: DnfId, b: DnfId) -> Option<DnfId> {
-        self.and_counting(a, b, &mut 0)
-    }
-
-    /// [`FrozenStore::and`] that also counts memo hits into `hits`; see
-    /// [`FrozenStore::or_counting`].
-    pub fn and_counting(&self, a: DnfId, b: DnfId, hits: &mut u64) -> Option<DnfId> {
-        if a == ConditionStore::BOTTOM || b == ConditionStore::BOTTOM {
-            return Some(ConditionStore::BOTTOM);
-        }
-        if a == ConditionStore::TOP || a == b {
-            return Some(b);
-        }
-        if b == ConditionStore::TOP {
-            return Some(a);
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        let hit = self.store.and_memo.get(&key).copied()?;
-        *hits += 1;
-        Some(hit)
-    }
-
-    /// [`ConditionStore::all`] without mutation; `None` as soon as any fold
-    /// step is not already memoized.
-    pub fn all(&self, terms: &[DnfId]) -> Option<DnfId> {
-        self.all_counting(terms, &mut 0)
-    }
-
-    /// [`FrozenStore::all`] that also counts memo hits into `hits`; see
-    /// [`FrozenStore::or_counting`].
-    pub fn all_counting(&self, terms: &[DnfId], hits: &mut u64) -> Option<DnfId> {
-        if terms.contains(&ConditionStore::BOTTOM) {
-            return Some(ConditionStore::BOTTOM);
-        }
-        let mut acc = ConditionStore::TOP;
-        for &term in terms {
-            acc = self.and_counting(acc, term, hits)?;
-        }
-        Some(acc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,25 +753,6 @@ mod tests {
         assert_eq!(first, second, "∧ is commutative through the normalized memo key");
         assert_eq!(store.stats().memo_misses, misses, "second product must not recompute");
         assert!(store.stats().memo_hits >= 1);
-    }
-
-    #[test]
-    fn frozen_views_answer_only_from_memo() {
-        let mut store = ConditionStore::new();
-        let budget = unbounded();
-        let a = store.atom(1, &budget).unwrap();
-        let b = store.atom(2, &budget).unwrap();
-        assert_eq!(store.frozen().and(a, b), None, "unmemoized product must defer");
-        let ab = store.and(a, b, &budget).unwrap();
-        assert_eq!(store.frozen().and(a, b), Some(ab));
-        assert_eq!(store.frozen().and(b, a), Some(ab), "frozen lookups normalize the key too");
-        // Identities answer without memo.
-        assert_eq!(store.frozen().and(ConditionStore::TOP, a), Some(a));
-        assert_eq!(store.frozen().or(ConditionStore::BOTTOM, b), Some(b));
-        assert_eq!(
-            store.frozen().all(&[a, ConditionStore::BOTTOM, b]),
-            Some(ConditionStore::BOTTOM)
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   and synthetic formula families for scaling studies;
 //! * [`pool`] — the workspace-wide scoped worker pool and [`pool::Parallelism`]
 //!   knob (re-exported as `ilogic_core::pool`); hosted here, at the bottom of
-//!   the crate graph, so the tableau and fixpoint engines can fan out over the
+//!   the crate graph, so Algorithm B's selection search can fan out over the
 //!   same machinery as the higher layers.
 //!
 //! # Example
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::pool::{Parallelism, WorkerPool};
     pub use crate::semantics::{TlState, TlTrace};
     pub use crate::syntax::{Atom, CmpOp, Literal, Ltl, Term, VarSpec};
-    pub use crate::tableau::{prune, prune_with, satisfiable_pure, valid_pure, TableauGraph};
+    pub use crate::tableau::{prune, satisfiable_pure, valid_pure, TableauGraph};
     pub use crate::theory::{
         CombinedTheory, EqualityTheory, LinearTheory, PropositionalTheory, Theory, TheoryResult,
     };

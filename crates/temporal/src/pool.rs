@@ -1,27 +1,34 @@
 //! A scoped worker pool for the sharded checking engines.
 //!
-//! The bounded validity search is a conjunction over independently enumerable
-//! computations, explore-mode checking is independent per run, spec checking
-//! is independent per clause, tableau pruning is independent per literal
-//! conjunction and per eventuality, and the Appendix B §5.3 condition
-//! fixpoint evaluates a sweep of equations from one frozen snapshot — all
-//! embarrassingly parallel.  This module provides the (deliberately small)
-//! machinery those parallel paths share.  It lives in `ilogic-temporal`, the
-//! lowest crate of the workspace, so that every layer — [`crate::tableau`]
-//! and [`crate::algorithm_b`] here,
-//! `ilogic_core::session` / `ilogic_core::bounded` (which re-export this
-//! module as `ilogic_core::pool`, the path most callers use),
-//! `ilogic_lowlevel::decide`, and `ilogic_systems::explore` — fans out over
-//! the same machinery:
+//! Within one request the paper's procedure is sequential: build
+//! `Graph(¬B)` (Appendix B), run the §5.3 double fixpoint, then the bounded
+//! refutation.  The pool fans out only where a measurement at two workers
+//! shows it pays (the fan-out table in `ARCHITECTURE.md`, kept honest by
+//! `tests/fanout_audit.rs`):
+//!
+//! * the bounded sweep (`ilogic_core::bounded`), a conjunction over
+//!   independently enumerable computations, sharded by global index;
+//! * the extralogical selection search of [`crate::algorithm_b`], a
+//!   mixed-radix enumeration searched lowest-index-first;
+//! * the session's job scheduler (`ilogic_core::scheduler`), which runs
+//!   whole requests side by side.
+//!
+//! Tableau pruning, the condition fixpoint, spec checking, explore-mode
+//! checking and the low-level pipeline all run on the calling thread: their
+//! striped variants lost at two workers (0.1x–1.0x), because each stripe is
+//! microseconds of work against tens of microseconds of spawn and join.
+//!
+//! The module lives in `ilogic-temporal`, the lowest crate of the workspace,
+//! and `ilogic_core` re-exports it as `ilogic_core::pool`.  It provides:
 //!
 //! * [`Parallelism`] — the user-facing knob ([`Parallelism::Auto`] /
 //!   [`Parallelism::Fixed`] / [`Parallelism::Off`]), with an environment
 //!   override (`ILOGIC_TEST_PARALLEL`) so whole test suites can be swept onto
 //!   the pool without touching call sites;
 //! * [`WorkerPool`] — a scoped fork/join pool over [`std::thread`].  Workers
-//!   borrow from the caller's stack (arena snapshots, traces, models), run one
-//!   closure per worker index, and are joined before `run` returns, so there
-//!   is no lifetime laundering and no idle thread kept around;
+//!   borrow from the caller's stack (arena snapshots, traces, conditions),
+//!   run one closure per worker index, and are joined before `run` returns,
+//!   so there is no lifetime laundering and no idle thread kept around;
 //! * [`Earliest`] — a lock-free "lowest index wins" cancellation cell.  A
 //!   plain `AtomicBool` stop flag would make counterexample selection racy
 //!   (whichever shard set it first would win); publishing the lowest global
@@ -37,8 +44,8 @@
 //!   pipeline, session scheduler) enforces the same budget type.
 //!
 //! The pool uses `std::thread::scope` — no external dependencies — and spawns
-//! workers per call.  The checks this repository runs are coarse (milliseconds
-//! to minutes per shard), so thread spawn cost is noise; a persistent pool
+//! workers per call.  The sharded searches are coarse (milliseconds to
+//! seconds per shard), so thread spawn cost is noise; a persistent pool
 //! with channels would buy nothing but complexity.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -148,164 +155,12 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.run_over(vec![(); self.workers], |w, _| job(w))
-            .into_iter()
-            .map(|(result, ())| result)
-            .collect()
-    }
-
-    /// Ordered parallel map: evaluates `f(0..count)` with the indices striped
-    /// across the workers (worker `w` takes `w`, `w + n`, …) and returns the
-    /// results in index order — the canonical "stripe and merge" idiom shared
-    /// by the tableau level expander, the condition-fixpoint sweeps, and the
-    /// low-level pipeline's deletion masks.
-    ///
-    /// `f` must be a pure function of the index (every caller here passes
-    /// one), which makes the output — element for element — identical to the
-    /// sequential `(0..count).map(f)` at any worker count.
-    ///
-    /// Small batches run inline: below [`MAP_INLINE_PER_WORKER`] items per
-    /// worker the per-call `std::thread` spawn/join (~tens of µs) would
-    /// dominate fine-grained work, and iterated callers (fixpoint sweeps run
-    /// hundreds of times) would pay it every call.  Inline and striped
-    /// evaluation produce the same vector, so the cutover is invisible to
-    /// callers.
-    pub fn map<T, F>(&self, count: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.workers == 1 || count < self.workers * MAP_INLINE_PER_WORKER {
-            return (0..count).map(f).collect();
-        }
-        let striped =
-            self.run(|w| (w..count).step_by(self.workers).map(|i| (i, f(i))).collect::<Vec<_>>());
-        let mut results: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        for (i, result) in striped.into_iter().flatten() {
-            results[i] = Some(result);
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("stripes cover every index exactly once"))
-            .collect()
-    }
-
-    /// [`WorkerPool::map`] over a *sparse* index set: evaluates `f(i)` for
-    /// each `i` in `indices` (striped across the workers by list position)
-    /// and returns the results in list order — the fan-out primitive of the
-    /// semi-naive condition fixpoint, whose per-round ready set is a small,
-    /// changing subset of the equation universe.
-    ///
-    /// Like [`WorkerPool::map`], `f` must be a pure function of the index, so
-    /// the output is — element for element — identical to the sequential
-    /// `indices.iter().map(|&i| f(i))` at any worker count, and small ready
-    /// sets run inline under the same [`MAP_INLINE_PER_WORKER`] threshold.
-    pub fn map_indexed<T, F>(&self, indices: &[usize], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.workers == 1 || indices.len() < self.workers * MAP_INLINE_PER_WORKER {
-            return indices.iter().map(|&i| f(i)).collect();
-        }
-        let striped = self.run(|w| {
-            (w..indices.len())
-                .step_by(self.workers)
-                .map(|pos| (pos, f(indices[pos])))
-                .collect::<Vec<_>>()
-        });
-        let mut results: Vec<Option<T>> = (0..indices.len()).map(|_| None).collect();
-        for (pos, result) in striped.into_iter().flatten() {
-            results[pos] = Some(result);
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("stripes cover every position exactly once"))
-            .collect()
-    }
-
-    /// Deterministic lowest-index-wins search over the indices
-    /// `offset .. offset + items`: worker `w` visits `offset + w`,
-    /// `offset + w + n`, … in increasing order, mutating its entry of
-    /// `states`; the first `Some` stops that worker, an [`Earliest`] cell
-    /// lets every worker stop once its next index can no longer beat the
-    /// published best, and the find with the lowest index wins
-    /// ([`min_find`]) — exactly the find a sequential scan of the same range
-    /// would return first.
-    ///
-    /// `states` must hold one entry per worker; it is moved in and handed
-    /// back (in worker order) so callers searching in rounds — e.g. batches
-    /// pulled from a lazy producer — keep per-worker caches and allocations
-    /// alive across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len() != self.workers()`.
-    pub fn search<St, T, Visit>(
-        &self,
-        items: usize,
-        offset: usize,
-        states: Vec<St>,
-        visit: Visit,
-    ) -> (Option<(usize, T)>, Vec<St>)
-    where
-        St: Send,
-        T: Send,
-        Visit: Fn(&mut St, usize) -> Option<T> + Sync,
-    {
-        assert_eq!(states.len(), self.workers, "one worker state per worker");
-        let earliest = Earliest::new();
-        let results = self.run_over(states, |w, state| {
-            let mut found = None;
-            let mut index = offset + w;
-            while index < offset + items {
-                if index >= earliest.bound() {
-                    break;
-                }
-                if let Some(witness) = visit(state, index) {
-                    earliest.record(index);
-                    found = Some((index, witness));
-                    break;
-                }
-                index += self.workers;
-            }
-            found
-        });
-        let mut finds = Vec::with_capacity(results.len());
-        let mut states = Vec::with_capacity(results.len());
-        for (found, state) in results {
-            finds.push(found);
-            states.push(state);
-        }
-        (min_find(finds), states)
-    }
-
-    /// [`WorkerPool::run`] with owned per-worker state: worker `w` receives
-    /// `&mut states[w]`, and each state is handed back alongside the job's
-    /// result in worker order.
-    fn run_over<St, T, F>(&self, mut states: Vec<St>, job: F) -> Vec<(T, St)>
-    where
-        St: Send,
-        T: Send,
-        F: Fn(usize, &mut St) -> T + Sync,
-    {
         if self.workers == 1 {
-            let mut state = states.pop().expect("one worker state per worker");
-            let result = job(0, &mut state);
-            return vec![(result, state)];
+            return vec![job(0)];
         }
         std::thread::scope(|scope| {
             let job = &job;
-            let handles: Vec<_> = states
-                .into_iter()
-                .enumerate()
-                .map(|(w, mut state)| {
-                    scope.spawn(move || {
-                        let result = job(w, &mut state);
-                        (result, state)
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (0..self.workers).map(|w| scope.spawn(move || job(w))).collect();
             handles
                 .into_iter()
                 .map(|handle| {
@@ -314,15 +169,35 @@ impl WorkerPool {
                 .collect()
         })
     }
-}
 
-/// Minimum items *per worker* below which [`WorkerPool::map`] runs inline
-/// instead of spawning scoped threads.  The work this repository maps is
-/// coarse (tableau node expansions, DNF fixpoint equations, per-edge theory
-/// checks on big graphs), so a small multiple of the worker count is enough
-/// to keep spawn/join cost in the noise while still fanning out every batch
-/// that can plausibly profit.
-pub const MAP_INLINE_PER_WORKER: usize = 4;
+    /// Deterministic lowest-index-wins search over the indices `0..items`:
+    /// worker `w` visits `w`, `w + n`, … in increasing order with a fresh
+    /// `St::default()` state (a poll counter, say); the first `Some` stops
+    /// that worker, an [`Earliest`] cell lets every worker stop once its next
+    /// index can no longer beat the published best, and the find with the
+    /// lowest index wins ([`min_find`]) — exactly the find a sequential scan
+    /// of the same range would return first.
+    pub fn search<St, T, Visit>(&self, items: usize, visit: Visit) -> Option<(usize, T)>
+    where
+        St: Default,
+        T: Send,
+        Visit: Fn(&mut St, usize) -> Option<T> + Sync,
+    {
+        let earliest = Earliest::new();
+        min_find(self.run(|w| {
+            let mut state = St::default();
+            let mut index = w;
+            while index < items.min(earliest.bound()) {
+                if let Some(witness) = visit(&mut state, index) {
+                    earliest.record(index);
+                    return Some((index, witness));
+                }
+                index += self.workers;
+            }
+            None
+        }))
+    }
+}
 
 /// The deterministic join of a sharded search: among the per-worker finds,
 /// the one with the lowest index — the find a sequential sweep would have
@@ -653,36 +528,6 @@ mod tests {
         let pool = WorkerPool::new(Parallelism::Fixed(3));
         let sums = pool.run(|w| data.iter().skip(w).step_by(3).sum::<usize>());
         assert_eq!(sums.iter().sum::<usize>(), data.iter().sum::<usize>());
-    }
-
-    #[test]
-    fn map_preserves_index_order_on_both_paths() {
-        let pool = WorkerPool::new(Parallelism::Fixed(3));
-        // Below the inline threshold (runs sequentially)…
-        let small: Vec<usize> = pool.map(5, |i| i * 10);
-        assert_eq!(small, vec![0, 10, 20, 30, 40]);
-        // …and above it (striped across workers): same contract.
-        let threshold = 3 * MAP_INLINE_PER_WORKER;
-        let big: Vec<usize> = pool.map(threshold + 7, |i| i * i);
-        assert_eq!(big, (0..threshold + 7).map(|i| i * i).collect::<Vec<_>>());
-        // Zero items is a no-op on any pool.
-        assert_eq!(pool.map(0, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn map_indexed_preserves_list_order_on_both_paths() {
-        let pool = WorkerPool::new(Parallelism::Fixed(3));
-        // A sparse, unsorted index set below the inline threshold…
-        let small = [7usize, 2, 9];
-        assert_eq!(pool.map_indexed(&small, |i| i * 10), vec![70, 20, 90]);
-        // …and one above it (striped): same contract, list order kept.
-        let big: Vec<usize> = (0..3 * MAP_INLINE_PER_WORKER + 5).map(|i| i * 3 + 1).collect();
-        assert_eq!(
-            pool.map_indexed(&big, |i| i + 1),
-            big.iter().map(|&i| i + 1).collect::<Vec<_>>()
-        );
-        // The empty ready set is a no-op on any pool.
-        assert_eq!(pool.map_indexed(&[], |i| i), Vec::<usize>::new());
     }
 
     #[test]

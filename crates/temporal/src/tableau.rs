@@ -40,10 +40,9 @@
 //! fulfilled eventualities).  The build does not fan out: expanding each
 //! BFS level across two workers and merging in sequential order ran at
 //! 0.77–0.87x the sequential build on the `decide_heavy` tableaux.
-//! [`prune_with`] stripes its theory checks (one per distinct literal
-//! conjunction) and per-eventuality reachability analyses across the
-//! [`crate::pool`] worker pool, and deletes the same edges in the same
-//! rounds at every worker count.
+//! [`prune`] runs on the calling thread too: striping its theory checks and
+//! per-eventuality reachability passes across two workers ran at 0.10x on
+//! `response_ladder(3)` and 0.96–0.99x on the larger tableaux.
 //!
 //! # Cost
 //!
@@ -64,7 +63,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use crate::dnf::store::StoreMap;
-use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
+use crate::pool::{Exhaustion, Parallelism, ResourceBudget};
 use crate::syntax::{Atom, Literal, Ltl};
 use crate::theory::{Theory, TheoryResult};
 
@@ -842,10 +841,9 @@ impl TableauGraph {
     /// nodes are expanded in id order, and each saturated alternative of a
     /// node's label becomes an edge as soon as it is found, its target
     /// label interned and the structural caps checked before the edge is
-    /// recorded.  `parallelism` is accepted for the callers' uniformity
-    /// and does not fan the build out (see the module documentation), so
-    /// the graph and every structural-cap answer are the same at every
-    /// worker count.  Only the deadline/cancellation cutoffs are
+    /// recorded.  `_parallelism` is ignored (the build never fans out;
+    /// see the module documentation) and stays only so existing callers
+    /// keep compiling.  Only the deadline/cancellation cutoffs are
     /// timing-dependent.
     pub fn try_build_budgeted(
         formula: &Ltl,
@@ -1155,38 +1153,27 @@ impl Pruned {
 /// labels are unsatisfiable in `theory` (Algorithm A's extra deletion), edges
 /// whose eventualities cannot be satisfied, and nodes with no outgoing edges.
 pub fn prune(graph: &TableauGraph, theory: &dyn Theory) -> Pruned {
-    prune_with(graph, theory, Parallelism::Off)
-}
-
-/// [`prune`] with the theory checks and the per-eventuality reachability
-/// analyses fanned across a worker pool.
-///
-/// Both phases are pure functions of the current alive sets — the theory
-/// filter is independent per literal conjunction and the
-/// fulfilling-reachability map is independent per eventuality — so the
-/// deletion loop deletes exactly the same edges in the same rounds at every
-/// worker count.
-pub fn prune_with(graph: &TableauGraph, theory: &dyn Theory, parallelism: Parallelism) -> Pruned {
-    prune_budgeted(graph, theory, parallelism, &ResourceBudget::unbounded())
+    prune_budgeted(graph, theory, Parallelism::Off, &ResourceBudget::unbounded())
         .expect("an unbudgeted prune cannot be interrupted")
 }
 
-/// [`prune_with`] under a [`ResourceBudget`]: the deletion loop is polynomial
+/// [`prune`] under a [`ResourceBudget`]: the deletion loop is polynomial
 /// (no structural cap applies), but the budget's deadline/cancellation
 /// cutoffs are polled once per deletion round so a service can abandon a
-/// prune on a very large graph.
+/// prune on a very large graph.  The loop runs on the calling thread;
+/// `_parallelism` is ignored and stays only so existing callers keep
+/// compiling.
 pub fn prune_budgeted(
     graph: &TableauGraph,
     theory: &dyn Theory,
-    parallelism: Parallelism,
+    _parallelism: Parallelism,
     budget: &ResourceBudget,
 ) -> Result<Pruned, Exhaustion> {
-    let pool = WorkerPool::new(parallelism);
     let index = graph.eventuality_index();
     let mut node_alive = vec![true; graph.node_count()];
     let sets = graph.literal_sets();
-    let satisfiable =
-        pool.map(sets.len(), |l| theory.satisfiable(&sets[l]) == TheoryResult::Satisfiable);
+    let satisfiable: Vec<bool> =
+        sets.iter().map(|set| theory.satisfiable(set) == TheoryResult::Satisfiable).collect();
     let mut edge_alive: Vec<bool> =
         (0..graph.edge_count()).map(|eid| satisfiable[graph.literal_set(eid)]).collect();
     // Each node's incoming edges and each eventuality's fulfilling edges,
@@ -1206,13 +1193,13 @@ pub fn prune_budgeted(
         iterations += 1;
         let mut changed = false;
 
-        // Delete edges whose eventualities can no longer be satisfied.  The
-        // backward-reachability map of each eventuality is independent of the
-        // others, so the eventualities stripe across the pool.
-        let reach: Vec<Vec<bool>> = pool.map(index.all.len(), |ei| {
-            let seeds = fulfilling.row(ei);
-            reachable_to_fulfilling(graph, &node_alive, &edge_alive, &incoming, seeds)
-        });
+        // Delete edges whose eventualities can no longer be satisfied.
+        let reach: Vec<Vec<bool>> = (0..index.all.len())
+            .map(|ei| {
+                let seeds = fulfilling.row(ei);
+                reachable_to_fulfilling(graph, &node_alive, &edge_alive, &incoming, seeds)
+            })
+            .collect();
         for (id, &(_, to)) in graph.ends.iter().enumerate() {
             if edge_alive[id] && index.mentions(id).iter().any(|&ei| !reach[ei as usize][to]) {
                 edge_alive[id] = false;
@@ -1311,17 +1298,15 @@ pub fn satisfiable_pure(formula: &Ltl) -> bool {
     pruned.node_alive(graph.initial())
 }
 
-/// [`satisfiable_pure`] under a [`ResourceBudget`], with construction and
-/// pruning fanned across a worker pool; the answer (including
-/// structural-cap `Err`s) is identical at every worker count.
+/// [`satisfiable_pure`] under a [`ResourceBudget`]: `Err` names the
+/// resource that ran out during construction or pruning.
 pub fn satisfiable_pure_budgeted(
     formula: &Ltl,
     budget: &ResourceBudget,
-    parallelism: Parallelism,
 ) -> Result<bool, Exhaustion> {
-    let graph = TableauGraph::try_build_budgeted(formula, budget, parallelism)?;
-    let pruned =
-        prune_budgeted(&graph, &crate::theory::PropositionalTheory::new(), parallelism, budget)?;
+    let graph = TableauGraph::try_build_budgeted(formula, budget, Parallelism::Off)?;
+    let theory = crate::theory::PropositionalTheory::new();
+    let pruned = prune_budgeted(&graph, &theory, Parallelism::Off, budget)?;
     Ok(pruned.node_alive(graph.initial()))
 }
 
@@ -1330,15 +1315,9 @@ pub fn valid_pure(formula: &Ltl) -> bool {
     !satisfiable_pure(&formula.clone().not())
 }
 
-/// [`valid_pure`] under a [`ResourceBudget`], fanned across a worker pool;
-/// the answer (including structural-cap `Err`s) is identical at every worker
-/// count.
-pub fn valid_pure_budgeted(
-    formula: &Ltl,
-    budget: &ResourceBudget,
-    parallelism: Parallelism,
-) -> Result<bool, Exhaustion> {
-    satisfiable_pure_budgeted(&formula.clone().not(), budget, parallelism).map(|sat| !sat)
+/// [`valid_pure`] under a [`ResourceBudget`].
+pub fn valid_pure_budgeted(formula: &Ltl, budget: &ResourceBudget) -> Result<bool, Exhaustion> {
+    satisfiable_pure_budgeted(&formula.clone().not(), budget).map(|sat| !sat)
 }
 
 /// The formula-level builder the interned one replaced, kept verbatim as
@@ -1970,15 +1949,9 @@ mod tests {
         let token = crate::pool::CancelToken::new();
         token.cancel();
         let cancelled = ResourceBudget::unbounded().with_cancel(token);
-        assert_eq!(
-            valid_pure_budgeted(&formula, &cancelled, Parallelism::Off).err(),
-            Some(Exhaustion::Cancelled)
-        );
+        assert_eq!(valid_pure_budgeted(&formula, &cancelled).err(), Some(Exhaustion::Cancelled));
         // The budgeted validity entry settles a theorem under the default caps.
-        assert_eq!(
-            valid_pure_budgeted(&p().or(p().not()), &ResourceBudget::default(), Parallelism::Off),
-            Ok(true)
-        );
+        assert_eq!(valid_pure_budgeted(&p().or(p().not()), &ResourceBudget::default()), Ok(true));
     }
 
     #[test]

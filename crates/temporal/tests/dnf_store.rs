@@ -144,7 +144,7 @@ proptest! {
 
 /// The store-backed condition fixpoint and the PR 3 `BTreeSet` baseline
 /// compute the same condition (same implicants, same top/bottom answers) on
-/// the tractable pattern formulas, at every worker count.
+/// the tractable pattern formulas.
 #[test]
 fn store_fixpoint_matches_baseline_on_pattern_formulas() {
     let mut formulas: Vec<(String, Ltl)> =
@@ -154,49 +154,34 @@ fn store_fixpoint_matches_baseline_on_pattern_formulas() {
     }
     formulas.push(("ladder2".to_string(), patterns::response_ladder(2)));
     for (label, formula) in formulas {
-        let graph = |label: &str| {
-            TableauGraph::try_build_budgeted(
-                &formula.clone().not(),
-                &ResourceBudget::default(),
-                Parallelism::Off,
-            )
-            .unwrap_or_else(|cut| panic!("{label}: tableau build tripped {cut}"))
-        };
-        let baseline = condition_of_graph_baseline(
-            graph(&label),
+        let graph = TableauGraph::try_build_budgeted(
+            &formula.clone().not(),
             &ResourceBudget::default(),
             Parallelism::Off,
-        );
-        for workers in [0usize, 2, 4] {
-            let parallelism =
-                if workers == 0 { Parallelism::Off } else { Parallelism::Fixed(workers) };
-            let store =
-                condition_of_graph_budgeted(graph(&label), &ResourceBudget::default(), parallelism);
-            match (&baseline, &store) {
-                (Ok(base), Ok(interned)) => {
-                    assert_eq!(
-                        base.dnf(),
-                        interned.dnf(),
-                        "{label}: conditions diverge at {workers} workers"
-                    );
-                    assert!(
-                        interned.store_stats().interned_implicants > 0,
-                        "{label}: the interned path must report its counters"
-                    );
-                }
-                (Err(base_cut), Err(store_cut)) => {
-                    // Both tripped: the *reasons* agree even though the two
-                    // budgets measure different quantities.
-                    assert_eq!(base_cut, store_cut, "{label} at {workers} workers");
-                }
-                // The interned path completing where the estimate cut gave up
-                // is the point of the rewrite.
-                (Err(_), Ok(_)) => {}
-                (Ok(_), Err(cut)) => panic!(
-                    "{label}: the interned fixpoint tripped ({cut}) at {workers} workers on a \
-                     condition the BTreeSet baseline completes"
-                ),
+        )
+        .unwrap_or_else(|cut| panic!("{label}: tableau build tripped {cut}"));
+        let baseline = condition_of_graph_baseline(graph.clone(), &ResourceBudget::default());
+        let store = condition_of_graph_budgeted(graph, &ResourceBudget::default());
+        match (&baseline, &store) {
+            (Ok(base), Ok(interned)) => {
+                assert_eq!(base.dnf(), interned.dnf(), "{label}: conditions diverge");
+                assert!(
+                    interned.store_stats().interned_implicants > 0,
+                    "{label}: the interned path must report its counters"
+                );
             }
+            (Err(base_cut), Err(store_cut)) => {
+                // Both tripped: the *reasons* agree even though the two
+                // budgets measure different quantities.
+                assert_eq!(base_cut, store_cut, "{label}");
+            }
+            // The interned path completing where the estimate cut gave up
+            // is the point of the rewrite.
+            (Err(_), Ok(_)) => {}
+            (Ok(_), Err(cut)) => panic!(
+                "{label}: the interned fixpoint tripped ({cut}) on a condition the BTreeSet \
+                 baseline completes"
+            ),
         }
     }
 }

@@ -8,13 +8,12 @@
 //! * against the PR 5 full-sweep (Jacobi) discipline
 //!   ([`condition_of_graph_full_sweep_stats`]): bit-identical conditions,
 //!   interned-implicant charges, and budget trip reasons, on random
-//!   tableaux and on the pattern catalogue, at every worker count;
+//!   tableaux and on the pattern catalogue;
 //! * against the PR 3 `BTreeSet` oracle ([`condition_of_graph_baseline`]):
 //!   same conditions wherever neither path trips;
-//! * within the worklist engine itself: identical `StoreStats` (memo
-//!   counters included) from `Off` to `Fixed(4)`, and strictly positive
-//!   skip counters on ladder3 — the regression guard that the engine is not
-//!   silently falling back to full sweeps.
+//! * within the worklist engine itself: strictly positive skip counters on
+//!   ladder3 — the regression guard that the engine is not silently falling
+//!   back to full sweeps.
 
 use ilogic_temporal::algorithm_b::{
     condition_of_graph_baseline, condition_of_graph_budgeted_stats,
@@ -26,17 +25,6 @@ use ilogic_temporal::pool::{Parallelism, ResourceBudget};
 use ilogic_temporal::syntax::Ltl;
 use ilogic_temporal::tableau::TableauGraph;
 use proptest::prelude::*;
-
-/// The worker counts every differential claim is checked at (0 = `Off`).
-const WORKER_COUNTS: [usize; 3] = [0, 2, 4];
-
-fn parallelism(workers: usize) -> Parallelism {
-    if workers == 0 {
-        Parallelism::Off
-    } else {
-        Parallelism::Fixed(workers)
-    }
-}
 
 /// Random pure-temporal formulas over a two-proposition alphabet — deep
 /// enough to produce multi-node SCCs and several eventualities, the regime
@@ -71,66 +59,46 @@ fn dnf_at(condition: &Condition, atom_true: &[bool]) -> bool {
 }
 
 /// The full differential check for one graph and one budget: worklist vs
-/// full-sweep at every worker count (conditions, charges, trip reasons,
-/// stats worker-count-invariance), plus the skip-accounting invariants.
+/// full-sweep (conditions, charges, trip reasons), plus the skip-accounting
+/// invariants.
 fn check_worklist_against_full_sweep(label: &str, graph: &TableauGraph, budget: &ResourceBudget) {
-    let (full, full_stats) =
-        condition_of_graph_full_sweep_stats(graph.clone(), budget, Parallelism::Off);
-    let mut first_stats = None;
-    for workers in WORKER_COUNTS {
-        let (delta, delta_stats) =
-            condition_of_graph_budgeted_stats(graph.clone(), budget, parallelism(workers));
-        // The worklist run's entire counter block — memo hits included — is a
-        // pure function of the iteration history, never of the worker count.
-        match &first_stats {
-            None => first_stats = Some(delta_stats),
-            Some(expected) => assert_eq!(
-                *expected, delta_stats,
-                "{label}: worklist stats differ at {workers} workers"
-            ),
+    let (full, full_stats) = condition_of_graph_full_sweep_stats(graph.clone(), budget);
+    let (delta, delta_stats) =
+        condition_of_graph_budgeted_stats(graph.clone(), budget, Parallelism::Off);
+    // Charges are bit-identical to the full sweep on both outcomes: a
+    // skipped equation never interns.
+    assert_eq!(
+        full_stats.interned_implicants, delta_stats.interned_implicants,
+        "{label}: implicant charges diverge"
+    );
+    assert_eq!(
+        full_stats.interned_dnfs, delta_stats.interned_dnfs,
+        "{label}: interned DNF counts diverge"
+    );
+    assert_eq!(
+        full_stats.peak_dnf_width, delta_stats.peak_dnf_width,
+        "{label}: peak widths diverge"
+    );
+    match (&full, &delta) {
+        (Ok(full_cond), Ok(delta_cond)) => {
+            assert_eq!(full_cond.dnf(), delta_cond.dnf(), "{label}: conditions diverge");
         }
-        // Charges are bit-identical to the full sweep on both outcomes: a
-        // skipped equation never interns.
-        assert_eq!(
-            full_stats.interned_implicants, delta_stats.interned_implicants,
-            "{label}: implicant charges diverge at {workers} workers"
-        );
-        assert_eq!(
-            full_stats.interned_dnfs, delta_stats.interned_dnfs,
-            "{label}: interned DNF counts diverge at {workers} workers"
-        );
-        assert_eq!(
-            full_stats.peak_dnf_width, delta_stats.peak_dnf_width,
-            "{label}: peak widths diverge at {workers} workers"
-        );
-        match (&full, &delta) {
-            (Ok(full_cond), Ok(delta_cond)) => {
-                assert_eq!(
-                    full_cond.dnf(),
-                    delta_cond.dnf(),
-                    "{label}: conditions diverge at {workers} workers"
-                );
-            }
-            (Err(full_cut), Err(delta_cut)) => {
-                assert_eq!(
-                    full_cut, delta_cut,
-                    "{label}: trip reasons diverge at {workers} workers"
-                );
-            }
-            (full_outcome, delta_outcome) => panic!(
-                "{label}: full sweep {} but worklist {} at {workers} workers",
-                if full_outcome.is_ok() { "completed" } else { "tripped" },
-                if delta_outcome.is_ok() { "completed" } else { "tripped" },
-            ),
+        (Err(full_cut), Err(delta_cut)) => {
+            assert_eq!(full_cut, delta_cut, "{label}: trip reasons diverge");
         }
-        // Skip accounting: the worklist never evaluates more than the full
-        // sweep, and what it skips is exactly what it chose not to evaluate.
-        assert!(
-            delta_stats.equations_evaluated <= full_stats.equations_evaluated,
-            "{label}: worklist evaluated more equations than the full sweep"
-        );
-        assert_eq!(full_stats.equations_skipped, 0, "{label}: a full sweep must not report skips");
+        (full_outcome, delta_outcome) => panic!(
+            "{label}: full sweep {} but worklist {}",
+            if full_outcome.is_ok() { "completed" } else { "tripped" },
+            if delta_outcome.is_ok() { "completed" } else { "tripped" },
+        ),
     }
+    // Skip accounting: the worklist never evaluates more than the full
+    // sweep, and what it skips is exactly what it chose not to evaluate.
+    assert!(
+        delta_stats.equations_evaluated <= full_stats.equations_evaluated,
+        "{label}: worklist evaluated more equations than the full sweep"
+    );
+    assert_eq!(full_stats.equations_skipped, 0, "{label}: a full sweep must not report skips");
 }
 
 proptest! {
@@ -142,7 +110,7 @@ proptest! {
         let budget = ResourceBudget::default();
         let Some(graph) = graph_of(&formula, &budget) else { return Ok(()) };
         check_worklist_against_full_sweep("random", &graph, &budget);
-        let baseline = condition_of_graph_baseline(graph.clone(), &budget, Parallelism::Off);
+        let baseline = condition_of_graph_baseline(graph.clone(), &budget);
         let (delta, _) = condition_of_graph_budgeted_stats(graph, &budget, Parallelism::Off);
         match (&baseline, &delta) {
             (Ok(base), Ok(worklist)) => {
@@ -211,7 +179,7 @@ proptest! {
 }
 
 /// The pattern catalogue — R3–R5, the eventuality chains, the response
-/// ladders — through the full differential harness at `Fixed(0/2/4)`.
+/// ladders — through the full differential harness.
 #[test]
 fn worklist_matches_full_sweep_on_pattern_formulas() {
     let mut formulas: Vec<(String, Ltl)> =
@@ -241,8 +209,7 @@ fn converged_components_are_skipped_on_ladder3() {
     let graph = graph_of(&formula, &budget).expect("ladder3 builds under the default budget");
     let (delta, delta_stats) =
         condition_of_graph_budgeted_stats(graph.clone(), &budget, Parallelism::Off);
-    let (full, full_stats) =
-        condition_of_graph_full_sweep_stats(graph.clone(), &budget, Parallelism::Off);
+    let (full, full_stats) = condition_of_graph_full_sweep_stats(graph.clone(), &budget);
     assert_eq!(
         delta.expect("ladder3 fits the default budget").dnf(),
         full.expect("ladder3 fits the default budget").dnf(),

@@ -13,9 +13,9 @@ use ilogic::systems::specs;
 use ilogic::{CheckRequest, Parallelism, Session};
 
 fn main() {
-    // Both the Session checks and the exhaustive explorer pick up the
-    // ILOGIC_TEST_PARALLEL override (1/auto, a worker count, or 0); verdicts
-    // are identical whatever the worker count.
+    // The session's bounded sweep picks up the ILOGIC_TEST_PARALLEL override
+    // (1/auto, a worker count, or 0); the explorer runs on the calling
+    // thread.  Verdicts are identical whatever the worker count.
     let parallelism = Parallelism::from_env().unwrap_or(Parallelism::Off);
     println!("parallelism: {parallelism:?} ({} workers)\n", parallelism.workers());
     let session = Session::new();

@@ -124,8 +124,8 @@
 //!   components can split the surface into the `Copy` handles
 //!   `Session::interner()` ([`ilogic_core::session::InternHandle`]) and
 //!   `Session::checker()` ([`ilogic_core::session::CheckHandle`]);
-//! * the deprecated `submit_mut`/`check_many_mut` shims forward to the
-//!   `&self` methods and will be removed next release;
+//! * the deprecated `submit_mut`/`check_many_mut` shims are gone: call
+//!   [`Session::submit`] and [`Session::check_many`] directly;
 //! * duplicate requests now replay cached outcomes —
 //!   [`CheckStats`]`.cache` labels hits per request,
 //!   `Session::cumulative_cache` totals them, and
@@ -137,9 +137,9 @@
 //! | Backend | Ask it for | Guarantee | Cost | Parallelism | Budget caps that apply |
 //! |---------|------------|-----------|------|-------------|------------------------|
 //! | [`Backend::Trace`] (`.on_trace(…)`) | conformance of one simulated/recorded run | exact for that computation | linear-ish in trace × formula (memoized) | single-threaded (one trace) | deadline/cancel only |
-//! | [`Backend::Explore`] (`.over_runs(…)` / `ilogic::systems::explore::explore_backend`) | conformance of **every** interleaving of a small model | exact for the enumerated runs; counterexample run on failure | #runs × trace-check | runs batched across the pool; lazy sources stream batch by batch | `max_enumeration` over runs; deadline/cancel |
+//! | [`Backend::Explore`] (`.over_runs(…)` / `ilogic::systems::explore::explore_backend`) | conformance of **every** interleaving of a small model | exact for the enumerated runs; counterexample run on failure | #runs × trace-check | single-threaded; lazy sources stream run by run | `max_enumeration` over runs; deadline/cancel |
 //! | [`Backend::Bounded`] (`.bounded(props, n)`) | validity evidence / refutation of a schema | counterexamples are genuine; `ValidUpTo(n)` is evidence, not proof | exponential in `n` and `props` — keep both small | sharded sweep: `n` workers cover interleaved slices with early-exit cancellation | `max_enumeration` over computations; deadline/cancel |
-//! | [`Backend::Decide`] (`.decide()`) | theoremhood in the LTL-translatable fragment | exact (tableau decision); `Unknown { exhausted }` outside the fragment or under budget | tableau is exponential worst-case, fast on the report's idioms | sequential tableau build; frozen-store fixpoint batching, sharded refutation sweep | `max_nodes`/`max_edges` (tableau), `max_enumeration` (refutation); deadline/cancel |
+//! | [`Backend::Decide`] (`.decide()`) | theoremhood in the LTL-translatable fragment | exact (tableau decision); `Unknown { exhausted }` outside the fragment or under budget | tableau is exponential worst-case, fast on the report's idioms | sequential tableau, prune and fixpoint; sharded refutation sweep | `max_nodes`/`max_edges` (tableau), `max_enumeration` (refutation); deadline/cancel |
 //! | [`Backend::Auto`] (`.auto()`) | "pick the right engine for me" | the pre-flight cost estimator routes to `Decide` or `Bounded`; the report names the routed backend and carries an `R001` routing diagnostic | the routed engine's cost plus microseconds of analysis | the routed engine's shape | the routed engine's caps; routing adjusts `max_implicants` for predicted condition blowups |
 //!
 //! Rule of thumb: simulator and explorer traces → `Trace`/`Explore`; "is this
@@ -156,24 +156,25 @@
 //!
 //! # Parallelism
 //!
-//! Fan a check across a worker pool with
+//! Fan a check's enumeration across a worker pool with
 //! [`CheckRequest::with_parallelism`]([`Parallelism::Auto`] /
 //! [`Parallelism::Fixed`]`(n)` / [`Parallelism::Off`]), set a session-wide
-//! default with [`Session::set_parallelism`] (which also fans
-//! [`Session::check_spec`] clause checking), or force a whole process onto
-//! the pool with the `ILOGIC_TEST_PARALLEL` environment variable (`1`/`auto`,
-//! a worker count, or `0` to force off).  `ilogic::systems::explore::explore`
-//! honours the same override for breadth-first model exploration, as do the
-//! low-level pipeline's `ilogic::lowlevel::decide::prune` /
-//! `satisfiable_graph`.  At the temporal layer,
-//! `ilogic::temporal::algorithm_b::AlgorithmB::with_parallelism` fans the
-//! Appendix B condition fixpoint (and its end-of-run theory check) across
-//! the same pool.
+//! default with [`Session::set_parallelism`] (which also sizes the batch
+//! scheduler), or force a whole process onto the pool with the
+//! `ILOGIC_TEST_PARALLEL` environment variable (`1`/`auto`, a worker count,
+//! or `0` to force off).  Three sites fan out, each because it measured
+//! ≥ 1.3x at two workers: the bounded sweep (the `Bounded` backend and the
+//! `Decide` refutation sweep), the batch scheduler, and — at the temporal
+//! layer — the extralogical selection search of
+//! `ilogic::temporal::algorithm_b::AlgorithmB::with_parallelism`.  Everything
+//! else (tableau, prune, condition fixpoint, spec clauses, `Explore` runs,
+//! `ilogic::systems::explore::explore`, the low-level pipeline) runs on the
+//! calling thread; `ARCHITECTURE.md` holds the measurements.
 //!
-//! Verdicts never depend on the worker count: the parallel engines pick
+//! Verdicts never depend on the worker count: the sharded searches pick
 //! counterexamples deterministically (lowest enumeration index wins), so
 //! parallel runs are bit-identical to sequential ones — same `Verdict`, same
-//! counterexample trace, same exploration report.  Worker evaluation is
+//! counterexample trace.  Worker evaluation is
 //! shared-nothing over a frozen [`core::arena::ArenaSnapshot`]; per-worker
 //! memo statistics are merged into the report, and the session accumulates
 //! them across requests ([`Session::cumulative_memo`]).

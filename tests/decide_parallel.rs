@@ -17,7 +17,7 @@ use ilogic::core::valid;
 use ilogic::temporal::algorithm_b::{AlgorithmB, Decision};
 use ilogic::temporal::patterns;
 use ilogic::temporal::prelude::{valid_pure, Ltl, PropositionalTheory, VarSpec};
-use ilogic::temporal::tableau::{prune, prune_with, TableauGraph};
+use ilogic::temporal::tableau::{prune, TableauGraph};
 use ilogic::{CheckRequest, Session};
 
 /// Every interval-logic formula the suite sweeps through `Session::decide`:
@@ -128,8 +128,7 @@ fn parallel_tableau_graphs_are_bit_identical() {
                         assert_eq!(seq.label(node), par.label(node), "{label} node {node}");
                     }
                     let pruned_seq = prune(seq, &PropositionalTheory::new());
-                    let pruned_par =
-                        prune_with(par, &PropositionalTheory::new(), Parallelism::Fixed(workers));
+                    let pruned_par = prune(par, &PropositionalTheory::new());
                     for node in 0..seq.node_count() {
                         assert_eq!(
                             pruned_seq.node_alive(node),
