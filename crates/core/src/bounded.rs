@@ -104,7 +104,7 @@ impl BoundedChecker {
     pub fn shard(&self, index: usize, count: usize) -> TraceShard<'_> {
         assert!(count > 0, "shard count must be positive");
         assert!(index < count, "shard index {index} out of range for {count} shards");
-        TraceShard { checker: self, index, count }
+        TraceShard { checker: self, index, count, start: 0 }
     }
 
     fn state_of(&self, bits: usize) -> State {
@@ -179,11 +179,16 @@ impl BoundedChecker {
         self.counterexample(&formula.clone().not())
     }
 
-    /// Sharded parallel counterexample search: `parallelism` workers sweep
-    /// disjoint interleaved slices of the enumeration, each with a private
+    /// Sharded parallel counterexample search: the first few hundred
+    /// computations (the head) are checked on the calling thread, and only
+    /// if none of them fails, and at least some 8 000 remain, do
+    /// `parallelism` workers sweep disjoint interleaved slices of the rest
+    /// (a smaller sweep runs whole on the calling thread), each with a private
     /// [`MemoEvaluator`] over `arena` (typically an
     /// [`crate::arena::ArenaSnapshot`]), with early-exit cancellation once a
-    /// counterexample is found.
+    /// counterexample is found.  A typical refutation fails within the head,
+    /// and smaller full sweeps lost at two workers, so neither pays for
+    /// spawning workers.
     ///
     /// The verdict is **bit-identical** to the sequential sweep: among all
     /// counterexamples found, the one with the lowest global enumeration index
@@ -235,6 +240,23 @@ impl BoundedChecker {
         A: ArenaRead + Sync,
     {
         let pool = WorkerPool::new(parallelism);
+        self.sweep_fanning(arena, formula, domain, pool, FanOut::MEASURED, budget)
+    }
+
+    /// [`BoundedChecker::sweep_budgeted`] with the point at which it fans
+    /// out given explicitly (tests drive small sweeps onto the pool).
+    fn sweep_fanning<A>(
+        &self,
+        arena: &A,
+        formula: FormulaId,
+        domain: Option<&[crate::value::Value]>,
+        pool: WorkerPool,
+        fan_out: FanOut,
+        budget: &ResourceBudget,
+    ) -> ParallelSweep
+    where
+        A: ArenaRead + Sync,
+    {
         let workers = pool.workers();
         if self.props.len() >= usize::BITS as usize {
             // The alphabet itself cannot be indexed in a machine word — the
@@ -251,57 +273,90 @@ impl BoundedChecker {
         }
         let earliest = Earliest::new();
         let cap = budget.max_enumeration();
-        // Several workers can run past the winning index, by amounts that
-        // depend on timing; each then logs its counters after every check so
-        // the join can count only the checks at or below the winner.  Every
-        // find lies at or above the lowest index some worker has yet to
-        // pass (`passed[v]` is worker `v`'s next unexamined index while its
-        // checks hold), so the log entries below that floor collapse into
-        // the last of them and a log only spans the workers' spread.
-        let speculative = workers > 1;
-        let passed: Vec<AtomicUsize> = (0..workers).map(AtomicUsize::new).collect();
-        let results = pool.run(|w| {
+        // One worker's part: the computations of `shard` below `end`, until
+        // one fails, a lower find makes the rest moot or a timing cut fires.
+        // Several fan-out workers can run past the winning index, by amounts
+        // that depend on timing; each (`progress` holds every worker's cell
+        // and its own index) then logs its counters after every check so the
+        // join can count only the checks at or below the winner.  Every find
+        // lies at or above the lowest index some worker has yet to pass
+        // (`passed[v]` is worker `v`'s next unexamined index while its checks
+        // hold), so the log entries below that floor collapse into the last
+        // of them and a log only spans the workers' spread.
+        let sweep_shard = |shard: TraceShard<'_>,
+                           end: usize,
+                           progress: Option<(&[AtomicUsize], usize)>| {
             let mut memo = MemoEvaluator::new(arena);
             if let Some(domain) = domain {
                 memo = memo.with_domain(domain.to_vec());
             }
-            let mut checked = 0usize;
-            let mut found: Option<(usize, Trace)> = None;
-            // A timing cut, with the first global index this worker did NOT
-            // examine because of it.
-            let mut interrupt: Option<(Exhaustion, usize)> = None;
-            // `(global index, checks so far, memo counters)` after each check.
-            let mut log: Vec<(usize, usize, MemoStats)> = Vec::new();
-            self.shard(w, workers).for_each_trace(|global, trace| {
-                if global >= earliest.bound() || global >= cap {
+            let mut part = ShardPart {
+                found: None,
+                checked: 0,
+                memo: MemoStats::default(),
+                interrupt: None,
+                log: progress.map(|_| Vec::new()),
+            };
+            shard.for_each_trace(|global, trace| {
+                if global >= end || global >= earliest.bound() || global >= cap {
                     return false;
                 }
-                if checked.is_multiple_of(INTERRUPT_POLL_PERIOD) {
+                if part.checked.is_multiple_of(INTERRUPT_POLL_PERIOD) {
                     if let Some(cut) = budget.interrupted() {
-                        interrupt = Some((cut, global));
+                        part.interrupt = Some((cut, global));
                         return false;
                     }
-                    let floor =
-                        passed.iter().fold(usize::MAX, |f, p| f.min(p.load(Ordering::Relaxed)));
-                    let settled = log.partition_point(|&(i, ..)| i < floor);
-                    log.drain(..settled.saturating_sub(1));
+                    if let (Some((passed, _)), Some(log)) = (progress, &mut part.log) {
+                        let floor =
+                            passed.iter().fold(usize::MAX, |f, p| f.min(p.load(Ordering::Relaxed)));
+                        let settled = log.partition_point(|&(i, ..)| i < floor);
+                        log.drain(..settled.saturating_sub(1));
+                    }
                 }
-                checked += 1;
+                part.checked += 1;
                 let holds = memo.check(trace, formula);
-                if speculative {
-                    log.push((global, checked, memo.stats()));
+                if let Some(log) = &mut part.log {
+                    log.push((global, part.checked, memo.stats()));
                 }
                 if holds {
-                    passed[w].store(global + workers, Ordering::Relaxed);
+                    if let Some((passed, w)) = progress {
+                        passed[w].store(global + shard.count, Ordering::Relaxed);
+                    }
                     true
                 } else {
                     earliest.record(global);
-                    found = Some((global, trace.clone()));
+                    part.found = Some((global, trace.clone()));
                     false
                 }
             });
-            (found, (checked, memo.stats()), interrupt, log)
-        });
+            part.memo = memo.stats();
+            part
+        };
+        // The head: the calling thread checks the first `fan_out.head`
+        // computations, or all of them when there is one worker or too few
+        // would remain to pay for the pool, and the pool fans out over the
+        // rest only if the head settles nothing.
+        let end = cap.min(self.model_count());
+        let head = if workers == 1 || end.saturating_sub(fan_out.head) < fan_out.min_rest {
+            usize::MAX
+        } else {
+            fan_out.head
+        };
+        let mut parts = vec![sweep_shard(self.shard(0, 1), head, None)];
+        let settled = parts[0].found.is_some() || parts[0].interrupt.is_some() || head >= end;
+        if !settled {
+            let passed: Vec<AtomicUsize> =
+                (0..workers).map(|w| AtomicUsize::new(head + w)).collect();
+            parts.extend(pool.run(|w| {
+                let shard = TraceShard {
+                    checker: self,
+                    index: (head + w) % workers,
+                    count: workers,
+                    start: head,
+                };
+                sweep_shard(shard, usize::MAX, Some((&passed, w)))
+            }));
+        }
         let mut sweep = ParallelSweep {
             counterexample: None,
             traces_checked: 0,
@@ -309,32 +364,30 @@ impl BoundedChecker {
             workers,
             exhausted: None,
         };
-        let mut finds = Vec::with_capacity(results.len());
         let mut interrupted: Option<Exhaustion> = None;
         // Lowest index any interrupted worker left unexamined: finds at or
         // above it cannot be proven minimal.
         let mut unexamined_floor = usize::MAX;
-        let mut counters = Vec::with_capacity(results.len());
-        for (found, totals, interrupt, log) in results {
-            if let Some((cut, stopped_at)) = interrupt {
+        for part in &parts {
+            if let Some((cut, stopped_at)) = part.interrupt {
                 interrupted = interrupted.or(Some(cut));
                 unexamined_floor = unexamined_floor.min(stopped_at);
             }
-            finds.push(found);
-            counters.push((totals, log));
         }
         sweep.counterexample =
-            crate::pool::min_find(finds).filter(|(index, _)| *index < unexamined_floor);
+            crate::pool::min_find(parts.iter_mut().map(|part| part.found.take()))
+                .filter(|(index, _)| *index < unexamined_floor);
         let winner = sweep.counterexample.as_ref().map_or(usize::MAX, |(index, _)| *index);
-        for (totals, log) in counters {
-            let (checked, stats) = if speculative {
-                // The worker's checks are in ascending index order.
-                log.iter()
+        for part in parts {
+            let (checked, stats) = match part.log {
+                // A fan-out worker's checks are in ascending index order.
+                Some(log) => log
+                    .iter()
                     .rev()
                     .find(|&&(global, ..)| global <= winner)
-                    .map_or((0, MemoStats::default()), |&(_, checked, stats)| (checked, stats))
-            } else {
-                totals
+                    .map_or((0, MemoStats::default()), |&(_, checked, stats)| (checked, stats)),
+                // The head lies below every fan-out index: all of it counts.
+                None => (part.checked, part.memo),
             };
             sweep.traces_checked += checked;
             sweep.memo.merge(stats);
@@ -377,13 +430,51 @@ pub struct ParallelSweep {
     /// Per-worker memoization counters of the checks counted in
     /// `traces_checked`, merged at join.
     pub memo: MemoStats,
-    /// Number of workers that swept.
+    /// Number of workers the sweep was given.  Its head (the first few
+    /// hundred computations) and any sweep of fewer than some 8 000 run on
+    /// the calling thread whatever this count.
     pub workers: usize,
     /// `Some` when the sweep ended because a [`ResourceBudget`] resource ran
     /// out *before* the enumeration was exhausted (and no counterexample was
     /// found below the cut): absence of a counterexample is then inconclusive
     /// rather than bounded-validity evidence.
     pub exhausted: Option<Exhaustion>,
+}
+
+/// When a multi-worker [`BoundedChecker::sweep_budgeted`] fans out: it
+/// checks its first `head` computations on the calling thread, and shards
+/// the rest across the pool only if the head settles nothing and at least
+/// `min_rest` computations remain.
+#[derive(Clone, Copy, Debug)]
+struct FanOut {
+    head: usize,
+    min_rest: usize,
+}
+
+impl FanOut {
+    /// The measured grain (the fan-out table in `ARCHITECTURE.md`).  A
+    /// typical refutation fails within a few dozen computations, where
+    /// spawning workers costs more than the whole sweep, and a few hundred
+    /// checks cost about as much as the spawn.  A full sweep of fewer than
+    /// about 8 000 computations lost at two workers (0.43x at 312, 0.78x at
+    /// 2 256, 1.06x at 7 736) and paid above (1.24x at 17 184, 1.34x at
+    /// 22 736).
+    const MEASURED: FanOut = FanOut { head: 256, min_rest: 8192 };
+}
+
+/// One worker's share of a [`BoundedChecker::sweep_budgeted`] sweep.
+struct ShardPart {
+    /// Its failing computation, if any (the lowest of its shard).
+    found: Option<(usize, Trace)>,
+    /// The computations it checked and the memo counters of those checks.
+    checked: usize,
+    memo: MemoStats,
+    /// A timing cut, with the first global index it did NOT examine because
+    /// of it.
+    interrupt: Option<(Exhaustion, usize)>,
+    /// For a fan-out worker, `(global index, checks so far, memo counters)`
+    /// after each check.
+    log: Option<Vec<(usize, usize, MemoStats)>>,
 }
 
 /// One interleaved slice of a [`BoundedChecker`] enumeration; see
@@ -393,9 +484,16 @@ pub struct TraceShard<'a> {
     checker: &'a BoundedChecker,
     index: usize,
     count: usize,
+    /// No computation below this global index is yielded.
+    start: usize,
 }
 
 impl TraceShard<'_> {
+    /// Whether the computation at global index `at` belongs to this shard.
+    fn yields(&self, at: usize) -> bool {
+        at >= self.start && at % self.count == self.index
+    }
+
     /// Calls `f(global_index, trace)` for every computation in this shard, in
     /// increasing global-index order, until `f` returns `false`; returns
     /// `true` if `f` accepted every computation of the shard.
@@ -415,11 +513,11 @@ impl TraceShard<'_> {
             let mut word = vec![0usize; len];
             loop {
                 // Does this word's block contain any index of the shard?
-                let selected = (0..block).any(|k| (global + k) % self.count == self.index);
+                let selected = (0..block).any(|k| self.yields(global + k));
                 if selected {
                     let states: Vec<State> =
                         word.iter().map(|&bits| checker.state_of(bits)).collect();
-                    if global % self.count == self.index {
+                    if self.yields(global) {
                         let stutter = Trace::finite(states.clone());
                         if !f(global, &stutter) {
                             return false;
@@ -428,7 +526,7 @@ impl TraceShard<'_> {
                     if checker.include_lassos {
                         for loop_start in 0..len {
                             let at = global + 1 + loop_start;
-                            if at % self.count == self.index {
+                            if self.yields(at) {
                                 let lasso = Trace::lasso(states.clone(), loop_start);
                                 if !f(at, &lasso) {
                                     return false;
@@ -549,6 +647,24 @@ mod tests {
                         "shard union differs from the sequential enumeration at {global}"
                     );
                 }
+                // The shards of a fan-out past a head of `start` computations
+                // cover exactly the rest, worker `w` starting at `start + w`.
+                let start = 5;
+                let mut rest = Vec::new();
+                for w in 0..count {
+                    let shard =
+                        TraceShard { checker: &checker, index: (start + w) % count, count, start };
+                    let mut first = None;
+                    shard.for_each_trace(|global, trace| {
+                        first = first.or(Some(global));
+                        assert_eq!(trace, &sequential[global], "index {global}");
+                        rest.push(global);
+                        true
+                    });
+                    assert_eq!(first, Some(start + w), "worker {w} of {count}");
+                }
+                rest.sort_unstable();
+                assert_eq!(rest, (start..sequential.len()).collect::<Vec<_>>(), "{count} shards");
             }
         }
     }
@@ -601,6 +717,28 @@ mod tests {
                     (swept.traces_checked, swept.memo),
                     "parallel({workers}) and sequential counters differ on {formula}"
                 );
+                // Driven onto the pool from the first computation, or past a
+                // three-computation head, however small the sweep.
+                for fan_out in [FanOut { head: 0, min_rest: 0 }, FanOut { head: 3, min_rest: 0 }] {
+                    let forced = checker.sweep_fanning(
+                        &snapshot,
+                        id,
+                        None,
+                        WorkerPool::new(Parallelism::Fixed(workers)),
+                        fan_out,
+                        &ResourceBudget::unbounded(),
+                    );
+                    assert_eq!(
+                        forced.counterexample.map(|(_, trace)| trace),
+                        sequential,
+                        "{fan_out:?} at {workers} workers differs on {formula}"
+                    );
+                    assert_eq!(
+                        (forced.traces_checked, forced.memo),
+                        (swept.traces_checked, swept.memo),
+                        "{fan_out:?} at {workers} workers counts differently on {formula}"
+                    );
+                }
             }
         }
     }
@@ -651,21 +789,27 @@ mod tests {
         let full = checker.sweep_parallel(&arena, id, None, Parallelism::Off);
         assert_eq!(full.counterexample.as_ref().map(|(i, _)| *i), Some(2));
         assert_eq!(full.exhausted, None);
-        for workers in 1..=4 {
-            let parallelism = Parallelism::Fixed(workers);
+        // At the measured grain this sweep stays on the calling thread; the
+        // forced fan-out shards it from the first computation.
+        let fan_outs = [FanOut::MEASURED, FanOut { head: 0, min_rest: 0 }];
+        for (workers, fan_out) in (1..=4).flat_map(|w| fan_outs.map(|f| (w, f))) {
+            let pool = WorkerPool::new(Parallelism::Fixed(workers));
+            let sweep = |budget: &ResourceBudget| {
+                checker.sweep_fanning(&arena, id, None, pool, fan_out, budget)
+            };
             // A cap below the counterexample index truncates: no
             // counterexample, exhaustion reported — identically at every
             // worker count.
             let capped = ResourceBudget::unbounded().with_max_enumeration(2);
-            let cut = checker.sweep_budgeted(&arena, id, None, parallelism, &capped);
-            assert_eq!(cut.counterexample, None, "workers={workers}");
+            let cut = sweep(&capped);
+            assert_eq!(cut.counterexample, None, "workers={workers} {fan_out:?}");
             assert_eq!(cut.exhausted, Some(Exhaustion::Enumeration), "workers={workers}");
-            assert!(cut.traces_checked <= 2, "workers={workers}");
+            assert!(cut.traces_checked <= 2, "workers={workers} {fan_out:?}");
             // A cap above it finds the very same counterexample.
             let enough = ResourceBudget::unbounded().with_max_enumeration(3);
-            let found = checker.sweep_budgeted(&arena, id, None, parallelism, &enough);
-            assert_eq!(found.counterexample, full.counterexample, "workers={workers}");
-            assert_eq!(found.exhausted, None, "workers={workers}");
+            let found = sweep(&enough);
+            assert_eq!(found.counterexample, full.counterexample, "workers={workers} {fan_out:?}");
+            assert_eq!(found.exhausted, None, "workers={workers} {fan_out:?}");
         }
         // A pre-cancelled token stops the sweep before anything is examined.
         let token = CancelToken::new();

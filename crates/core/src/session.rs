@@ -279,8 +279,10 @@ impl CheckRequest {
     }
 
     /// Fans the check's enumeration across a worker pool: the `Bounded`
-    /// sweep, and the refutation sweep of `Decide`.  Every other phase —
-    /// and the `Trace` and `Explore` backends — runs on the calling thread.
+    /// sweep, and the refutation sweep of `Decide`, past the first few
+    /// hundred computations and only when some 8 000 or more remain (a
+    /// sweep that settles sooner, or is smaller, never spawns a worker).  Every other phase — and the `Trace` and `Explore` backends
+    /// — runs on the calling thread.
     /// When not set, the session default and then the
     /// `ILOGIC_TEST_PARALLEL` environment override apply; the fallback is
     /// [`Parallelism::Off`].
@@ -502,9 +504,12 @@ pub struct CheckStats {
     pub exhausted: Option<Exhaustion>,
     /// Total distinct nodes in the session arena after the check.
     pub arena_nodes: usize,
-    /// Number of pool workers the backend fanned out across: the sweep's
-    /// worker count when a `Bounded` or `Decide` refutation sweep ran, 1 for
-    /// every check that ran on the calling thread.
+    /// Number of pool workers the backend was given: the request's worker
+    /// count when a `Bounded` or `Decide` refutation sweep ran, 1 for every
+    /// other check, all of which run on the calling thread.  A sweep checks
+    /// its first few hundred computations on the calling thread and fans
+    /// out only when some 8 000 or more remain, so a sweep that settles
+    /// sooner, or is smaller, spawns no worker whatever this count.
     pub workers: usize,
     /// The pre-flight [`CostEstimate`] the session computed for the formula
     /// — what `Backend::Auto` routed on and what pre-flight admission
@@ -2253,8 +2258,9 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
 /// richer.
 ///
 /// Under parallelism only the refutation sweep fans out — the same sharded
-/// lowest-index-wins sweep the `Bounded` backend uses, and the only phase
-/// whose report carries more than one worker.  The tableau build, the prune
+/// lowest-index-wins sweep the `Bounded` backend uses, past the same
+/// sequential head, and the only phase whose report carries more than one
+/// worker.  The tableau build, the prune
 /// and the condition fixpoint run on the calling thread: their striped
 /// variants measured slower at two workers (see the fan-out table in
 /// `ARCHITECTURE.md`).  Verdicts — `Holds`, the concrete counterexample,
@@ -2274,7 +2280,7 @@ fn decide<A: ArenaRead + Sync>(
         AlgorithmB::new(&theory, VarSpec::all_state()).with_parallelism(job.parallelism);
     // One tableau build serves both phases below.
     let decided =
-        match TableauGraph::try_build_budgeted(&ltl.clone().not(), &job.budget, job.parallelism) {
+        match TableauGraph::try_build_budgeted(&ltl.clone().not(), &job.budget, Parallelism::Off) {
             Err(cut) => Err(cut),
             Ok(graph) => {
                 // Phase 1 — the explicit condition artifact, attempted only
@@ -2644,6 +2650,10 @@ mod tests {
         let report = session.check_spec(&spec, &bad);
         assert!(!report.passed());
         assert_eq!(report.failures(), vec!["Init", "A1"]);
+        assert!(
+            session.cumulative_memo().misses > 0,
+            "spec checking must feed the cumulative counters"
+        );
     }
 
     #[test]
@@ -2696,7 +2706,8 @@ mod tests {
         let explore = fixed4(CheckRequest::new(occurs(event(prop("A")))).over_runs(runs));
         assert!(explore.verdict.passed());
         assert_eq!(explore.stats.workers, 1);
-        // A non-theorem's refutation sweep does fan out.
+        // A non-theorem's refutation sweep reports the workers it is
+        // sharded across.
         let refuted = fixed4(CheckRequest::new(prop("P")).decide());
         assert!(refuted.verdict.counterexample().is_some());
         assert_eq!(refuted.stats.workers, 4);

@@ -58,9 +58,9 @@
 //!
 //! The procedure runs on the calling thread except for one phase: the
 //! extralogical selection search, which [`AlgorithmB::with_parallelism`]
-//! shards across the [`crate::pool`] workers (1.9x at two workers on the
-//! 153 600 selections of the §5.1 example; batching fixpoint rounds across
-//! workers lost, at 0.2–0.6x).
+//! shards across the [`crate::pool`] workers past its first few dozen
+//! selections (1.9x at two workers on the 153 600 selections of the §5.1
+//! example; batching fixpoint rounds across workers lost, at 0.2–0.6x).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -70,6 +70,13 @@ use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 use crate::syntax::{Ltl, VarSpec};
 use crate::tableau::{EdgeId, EventualityIndex, NodeId, SweepPlan, TableauGraph};
 use crate::theory::Theory;
+
+/// Selections the extralogical selection search visits on the calling
+/// thread before it fans out.  A satisfiable selection usually comes early,
+/// and a selection's theory check costs microseconds, so a few dozen of them
+/// cost about as much as spawning the workers (see the fan-out table in
+/// `ARCHITECTURE.md`).
+const SELECTION_HEAD: usize = 32;
 
 /// The answer of the combined decision procedure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,8 +157,9 @@ impl<'t> AlgorithmB<'t> {
     }
 
     /// Shards the extralogical selection search (the end-of-run check of
-    /// the purely extralogical mode) across a worker pool; every other phase
-    /// runs on the calling thread.  Answers (including
+    /// the purely extralogical mode) across a worker pool once its first few
+    /// dozen selections, checked on the calling thread, have not answered;
+    /// every other phase runs on the calling thread.  Answers (including
     /// `Unknown`-under-budget) are identical at every worker count.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> AlgorithmB<'t> {
         self.parallelism = parallelism;
@@ -362,7 +370,7 @@ impl<'t> AlgorithmB<'t> {
             return Err(Exhaustion::Enumeration);
         }
         // The selections are a mixed-radix enumeration (first implicant
-        // varying fastest); shard it across the pool.  The answer — "does any
+        // varying fastest); past its head, shard it across the pool.  The answer — "does any
         // selection have a T-model?" — does not depend on *which* satisfiable
         // selection is found, and the sharded search's lowest-index-wins
         // early exit keeps even the work pattern deterministic.  Each worker
@@ -373,7 +381,8 @@ impl<'t> AlgorithmB<'t> {
             Sat,
             Cut(Exhaustion),
         }
-        let hit = WorkerPool::new(self.parallelism).search(total, |visited: &mut usize, index| {
+        let pool = WorkerPool::new(self.parallelism);
+        let hit = pool.search(total, SELECTION_HEAD, |visited: &mut usize, index| {
             *visited += 1;
             if visited.is_multiple_of(crate::pool::INTERRUPT_POLL_PERIOD) {
                 if let Some(cut) = budget.interrupted() {

@@ -44,9 +44,12 @@
 //!   pipeline, session scheduler) enforces the same budget type.
 //!
 //! The pool uses `std::thread::scope` — no external dependencies — and spawns
-//! workers per call.  The sharded searches are coarse (milliseconds to
-//! seconds per shard), so thread spawn cost is noise; a persistent pool
-//! with channels would buy nothing but complexity.
+//! workers per call.  Spawn and join cost tens of microseconds, more than a
+//! typical refutation's whole search (a few dozen checks), so each sharded
+//! search first visits a head of its lowest indices on the calling thread
+//! and fans out only when the head does not answer; past the head the
+//! shards are coarse (milliseconds to seconds each), spawn cost is noise,
+//! and a persistent pool with channels would buy nothing but complexity.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -170,23 +173,37 @@ impl WorkerPool {
         })
     }
 
-    /// Deterministic lowest-index-wins search over the indices `0..items`:
-    /// worker `w` visits `w`, `w + n`, … in increasing order with a fresh
-    /// `St::default()` state (a poll counter, say); the first `Some` stops
-    /// that worker, an [`Earliest`] cell lets every worker stop once its next
-    /// index can no longer beat the published best, and the find with the
-    /// lowest index wins ([`min_find`]) — exactly the find a sequential scan
-    /// of the same range would return first.
-    pub fn search<St, T, Visit>(&self, items: usize, visit: Visit) -> Option<(usize, T)>
+    /// Deterministic lowest-index-wins search over the indices `0..items`.
+    /// The indices below `head` are visited first, in order, on the calling
+    /// thread, so a search that answers early never pays for spawning
+    /// workers; only if none of them answers does the pool fan out over the
+    /// rest: worker `w` visits `head + w`, `head + w + n`, … in increasing
+    /// order with a fresh `St::default()` state (a poll counter, say), the
+    /// first `Some` stops that worker, an [`Earliest`] cell lets every worker
+    /// stop once its next index can no longer beat the published best, and
+    /// the find with the lowest index wins ([`min_find`]) — exactly the find
+    /// a sequential scan of the same range would return first.
+    pub fn search<St, T, Visit>(
+        &self,
+        items: usize,
+        head: usize,
+        visit: Visit,
+    ) -> Option<(usize, T)>
     where
         St: Default,
         T: Send,
         Visit: Fn(&mut St, usize) -> Option<T> + Sync,
     {
+        let head = if self.workers == 1 { items } else { head.min(items) };
+        let mut state = St::default();
+        let first = (0..head).find_map(|index| Some((index, visit(&mut state, index)?)));
+        if first.is_some() || head == items {
+            return first;
+        }
         let earliest = Earliest::new();
         min_find(self.run(|w| {
             let mut state = St::default();
-            let mut index = w;
+            let mut index = head + w;
             while index < items.min(earliest.bound()) {
                 if let Some(witness) = visit(&mut state, index) {
                     earliest.record(index);
@@ -528,6 +545,46 @@ mod tests {
         let pool = WorkerPool::new(Parallelism::Fixed(3));
         let sums = pool.run(|w| data.iter().skip(w).step_by(3).sum::<usize>());
         assert_eq!(sums.iter().sum::<usize>(), data.iter().sum::<usize>());
+    }
+
+    #[test]
+    fn search_finds_what_a_sequential_scan_finds_first() {
+        let needles = [vec![], vec![0], vec![7], vec![2, 9, 31], vec![40, 41]];
+        for items in [0, 1, 8, 42] {
+            for needle in &needles {
+                let expected = needle.iter().copied().filter(|&i| i < items).min();
+                for head in [0, 3, 100] {
+                    for workers in 1..=4 {
+                        let pool = WorkerPool::new(Parallelism::Fixed(workers));
+                        let found = pool.search(items, head, |_: &mut (), i| {
+                            needle.contains(&i).then_some(i * 10)
+                        });
+                        assert_eq!(
+                            found,
+                            expected.map(|i| (i, i * 10)),
+                            "{items} items, needles {needle:?}, head {head}, {workers} workers"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn search_visits_its_head_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let pool = WorkerPool::new(Parallelism::Fixed(4));
+        let visited = |limit: usize| {
+            move |seen: &mut usize, i: usize| {
+                *seen += 1;
+                assert_eq!(std::thread::current().id() == caller, i < limit, "index {i}");
+                (i == 5).then_some(*seen)
+            }
+        };
+        // A find inside the head: no worker ever starts.
+        assert_eq!(pool.search(100, 8, visited(8)), Some((5, 6)));
+        // A find past the head: the head's indices stay on the caller.
+        assert_eq!(pool.search(100, 2, visited(2)).map(|(i, _)| i), Some(5));
     }
 
     #[test]

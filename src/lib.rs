@@ -169,7 +169,12 @@
 //! `ilogic::temporal::algorithm_b::AlgorithmB::with_parallelism`.  Everything
 //! else (tableau, prune, condition fixpoint, spec clauses, `Explore` runs,
 //! `ilogic::systems::explore::explore`, the low-level pipeline) runs on the
-//! calling thread; `ARCHITECTURE.md` holds the measurements.
+//! calling thread; `ARCHITECTURE.md` holds the measurements.  The two
+//! sharded searches visit their first indices on the calling thread and fan
+//! out only when those do not answer, so a typical refutation, which fails
+//! within a few dozen computations, never pays for spawning workers; the
+//! bounded sweep also stays on the calling thread when fewer than some
+//! 8 000 computations remain, where two workers lost.
 //!
 //! Verdicts never depend on the worker count: the sharded searches pick
 //! counterexamples deterministically (lowest enumeration index wins), so
