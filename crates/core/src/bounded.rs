@@ -267,7 +267,7 @@ impl BoundedChecker {
                 counterexample: None,
                 traces_checked: 0,
                 memo: MemoStats::default(),
-                workers,
+                workers: 1,
                 exhausted: Some(Exhaustion::Enumeration),
             };
         }
@@ -361,7 +361,7 @@ impl BoundedChecker {
             counterexample: None,
             traces_checked: 0,
             memo: MemoStats::default(),
-            workers,
+            workers: if settled { 1 } else { workers },
             exhausted: None,
         };
         let mut interrupted: Option<Exhaustion> = None;
@@ -430,9 +430,10 @@ pub struct ParallelSweep {
     /// Per-worker memoization counters of the checks counted in
     /// `traces_checked`, merged at join.
     pub memo: MemoStats,
-    /// Number of workers the sweep was given.  Its head (the first few
-    /// hundred computations) and any sweep of fewer than some 8 000 run on
-    /// the calling thread whatever this count.
+    /// Number of workers that swept: the pool's size when the sweep fanned
+    /// out, and 1 when it never left the calling thread — it settled in its
+    /// head (the first few hundred computations), or fewer than some 8 000
+    /// computations remained after it, or the pool has one worker.
     pub workers: usize,
     /// `Some` when the sweep ended because a [`ResourceBudget`] resource ran
     /// out *before* the enumeration was exhausted (and no counterexample was

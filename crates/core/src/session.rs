@@ -504,12 +504,12 @@ pub struct CheckStats {
     pub exhausted: Option<Exhaustion>,
     /// Total distinct nodes in the session arena after the check.
     pub arena_nodes: usize,
-    /// Number of pool workers the backend was given: the request's worker
-    /// count when a `Bounded` or `Decide` refutation sweep ran, 1 for every
-    /// other check, all of which run on the calling thread.  A sweep checks
-    /// its first few hundred computations on the calling thread and fans
-    /// out only when some 8 000 or more remain, so a sweep that settles
-    /// sooner, or is smaller, spawns no worker whatever this count.
+    /// Number of pool workers that ran the check: the request's worker
+    /// count when a `Bounded` or `Decide` refutation sweep fanned out, 1 for
+    /// every other check, all of which run on the calling thread.  A sweep
+    /// checks its first few hundred computations on the calling thread and
+    /// fans out only when some 8 000 or more remain, so a sweep that
+    /// settles sooner, or is smaller, reports 1.
     pub workers: usize,
     /// The pre-flight [`CostEstimate`] the session computed for the formula
     /// — what `Backend::Auto` routed on and what pre-flight admission
@@ -2674,9 +2674,20 @@ mod tests {
                         .with_parallelism(Parallelism::Fixed(workers)),
                 );
                 assert_eq!(parallel.verdict, sequential.verdict, "workers={workers}");
-                assert_eq!(parallel.stats.workers, workers);
+                // 312 computations stay below the fan-out grain.
+                assert_eq!(parallel.stats.workers, 1, "workers={workers}");
             }
         }
+        // A valid formula's sweep of 22 736 computations fans out past its
+        // head and reports the workers it was sharded across.
+        let fanned = Session::new().check(
+            CheckRequest::new(prop("P").or(prop("P").not()))
+                .bounded(["P", "Q", "R"], 4)
+                .with_parallelism(Parallelism::Fixed(2)),
+        );
+        assert_eq!(fanned.verdict, Verdict::ValidUpTo(4));
+        assert_eq!(fanned.stats.traces_checked, 22_736);
+        assert_eq!(fanned.stats.workers, 2);
     }
 
     #[test]
@@ -2706,11 +2717,11 @@ mod tests {
         let explore = fixed4(CheckRequest::new(occurs(event(prop("A")))).over_runs(runs));
         assert!(explore.verdict.passed());
         assert_eq!(explore.stats.workers, 1);
-        // A non-theorem's refutation sweep reports the workers it is
-        // sharded across.
+        // A non-theorem's refutation sweep fails in its head, on the
+        // calling thread.
         let refuted = fixed4(CheckRequest::new(prop("P")).decide());
         assert!(refuted.verdict.counterexample().is_some());
-        assert_eq!(refuted.stats.workers, 4);
+        assert_eq!(refuted.stats.workers, 1);
     }
 
     #[test]

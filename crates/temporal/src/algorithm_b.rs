@@ -22,39 +22,39 @@
 //! As the report describes, the fixpoint iteration is accelerated by iterating
 //! over the strongly connected components of the graph in dependency order.
 //!
-//! # The condition store, the evaluated fixpoint, and budgets
+//! # One fixpoint engine over two lattices
 //!
 //! The §5.3 double fixpoint is the procedure's hot phase — PR 2 measured the
 //! `[ => Q ] []P` blowup *here*, not in tableau construction (the graph is
 //! only 97 nodes / 3362 edges and builds in ~55 ms, but the unbudgeted
-//! fixpoint over explicit `BTreeSet` DNFs does not terminate in hours).  Two
-//! mechanisms now split that cost by what the caller actually needs:
+//! fixpoint over explicit `BTreeSet` DNFs does not terminate in hours).  One
+//! semi-naive worklist driver runs it, over whichever lattice the caller
+//! needs:
 //!
 //! * **Decisions** ([`AlgorithmB::decide`] / [`AlgorithmB::decide_budgeted`])
 //!   never materialize a condition in the state-variable, mixed, and
-//!   propositional modes: they run the same fixpoint over plain Booleans
-//!   ([`evaluate_condition_at_budgeted_stats`]) — evaluation at an atom assignment is a
-//!   lattice homomorphism onto the Booleans, so the projected fixpoint
-//!   returns exactly the condition's truth value in O(graph) time.  This is
-//!   what finally refutes the prefix-invariance family in milliseconds.
+//!   propositional modes: they run the fixpoint over plain Booleans
+//!   ([`evaluate_condition_at_budgeted_stats`]) — evaluation at an atom
+//!   assignment is a lattice homomorphism onto the Booleans, so the projected
+//!   fixpoint returns exactly the condition's truth value in O(graph) time.
+//!   This is what finally refutes the prefix-invariance family in
+//!   milliseconds.
 //! * **The explicit condition artifact**
 //!   ([`AlgorithmB::condition_budgeted`], [`condition_of_graph_budgeted`])
-//!   runs on the interned [`crate::dnf::store::ConditionStore`]: `delete`/
+//!   runs over the interned [`crate::dnf::store::ConditionStore`]: `delete`/
 //!   `fail` values are hash-consed [`DnfId`]s, products are memoized, and
 //!   the shared atomic [`crate::dnf::DnfBudget`] cell charges *distinct*
 //!   implicants, so heavily-absorbing computations fit budgets the old
-//!   pre-absorption estimate tripped on.  The iteration itself is
-//!   *semi-naive*: a reverse-dependency graph built once per tableau drives a
-//!   per-component worklist, and each round re-evaluates only the equations
-//!   whose inputs changed since their last evaluation — an equation whose
-//!   inputs did not change would have replayed entirely from the memo tables,
-//!   so skipping it leaves ids, budget charges, and trip reasons bit-identical
-//!   to a full sweep.  Each round evaluates its ready set in task order on
-//!   the calling thread.  The full-sweep (Jacobi) discipline survives as
-//!   [`condition_of_graph_full_sweep_stats`] (the differential anchor for the
-//!   worklist engine), and the PR 3 `BTreeSet` fixpoint as
-//!   [`condition_of_graph_baseline`], the oracle for tests and the
-//!   `condition_fixpoint` bench.
+//!   pre-absorption estimate tripped on.
+//!
+//! The driver reads the graph's cached sweep plan (SCC order,
+//! reverse-dependency CSR, fulfillment tables), seeds every equation of a
+//! phase, and afterwards re-evaluates only the equations whose inputs
+//! changed.  Each round evaluates its ready set in task order against the
+//! values at the round's start, so the interned DNFs come out in one fixed
+//! order.  The PR 3 `BTreeSet` fixpoint survives as
+//! [`condition_of_graph_baseline`], the independent oracle for tests and the
+//! `condition_fixpoint` bench.
 //!
 //! The procedure runs on the calling thread except for one phase: the
 //! extralogical selection search, which [`AlgorithmB::with_parallelism`]
@@ -77,6 +77,19 @@ use crate::theory::Theory;
 /// cost about as much as spawning the workers (see the fan-out table in
 /// `ARCHITECTURE.md`).
 const SELECTION_HEAD: usize = 32;
+
+/// Which classes of constraint variable a formula mentions, which fixes how
+/// the condition answers validity (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// State variables only, or no variables at all: "some implicant has
+    /// only `T`-unsatisfiable edges" is exact.
+    State,
+    /// Extralogical variables only: decided by the selection search.
+    Extralogical,
+    /// Both: the implicant check is only sufficient.
+    Mixed,
+}
 
 /// The answer of the combined decision procedure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,6 +179,18 @@ impl<'t> AlgorithmB<'t> {
         self
     }
 
+    /// The variable classes `formula` mentions.
+    fn mode(&self, formula: &Ltl) -> Mode {
+        let vars = formula.variables();
+        let has_state = vars.iter().any(|v| !self.vars.is_extralogical(v));
+        let has_extra = vars.iter().any(|v| self.vars.is_extralogical(v));
+        match (has_state, has_extra) {
+            (_, false) => Mode::State,
+            (false, true) => Mode::Extralogical,
+            (true, true) => Mode::Mixed,
+        }
+    }
+
     /// Computes the condition formula for `formula` (i.e. for `Graph(¬formula)`).
     pub fn condition(&self, formula: &Ltl) -> Condition {
         self.condition_budgeted(formula, &ResourceBudget::unbounded())
@@ -243,7 +268,7 @@ impl<'t> AlgorithmB<'t> {
     /// of the attempt, on *both* outcomes.  In the
     /// evaluated (Boolean) modes the interning counters stay zero but the
     /// `rounds`/`equations_evaluated`/`equations_skipped` trio measures the
-    /// worklist engine's work; in the purely extralogical mode the counters
+    /// fixpoint's work; in the purely extralogical mode the counters
     /// are those of the explicit condition computation.
     pub fn decide_from_graph_budgeted_stats(
         &self,
@@ -251,13 +276,12 @@ impl<'t> AlgorithmB<'t> {
         graph: &TableauGraph,
         budget: &ResourceBudget,
     ) -> (Result<Decision, Exhaustion>, StoreStats) {
-        let vars = formula.variables();
-        let has_state = vars.iter().any(|v| !self.vars.is_extralogical(v));
-        let has_extra = vars.iter().any(|v| self.vars.is_extralogical(v));
-        if has_extra && !has_state {
+        let mode = self.mode(formula);
+        if mode == Mode::Extralogical {
             // Purely extralogical: the selection check needs the actual
             // implicants, so the explicit (budgeted) condition is computed.
-            let (result, stats) = condition_of_graph_engine(graph.clone(), budget, true);
+            let (result, stats) =
+                condition_of_graph_budgeted_stats(graph.clone(), budget, Parallelism::Off);
             return match result {
                 Ok(condition) => {
                     (self.decide_from_condition_budgeted(formula, &condition, budget), stats)
@@ -293,7 +317,7 @@ impl<'t> AlgorithmB<'t> {
             Ok(true) => return (Ok(Decision::Valid), stats),
             Ok(false) => {}
         }
-        if has_state && has_extra {
+        if mode == Mode::Mixed {
             // Mixed mode: the pointwise check is only sufficient.  delete(init)
             // evaluating false even at the all-true assignment means it is ⊥ —
             // not valid in any mode; anything else stays out of reach.
@@ -341,17 +365,13 @@ impl<'t> AlgorithmB<'t> {
             return Ok(Decision::Valid);
         }
 
-        let vars = formula.variables();
-        let has_state = vars.iter().any(|v| !self.vars.is_extralogical(v));
-        let has_extra = vars.iter().any(|v| self.vars.is_extralogical(v));
-        if !has_extra {
+        match self.mode(formula) {
             // Pure state-variable (or purely propositional) mode: the check above is exact.
-            return Ok(Decision::NotValid);
-        }
-        if has_state {
+            Mode::State => return Ok(Decision::NotValid),
             // Mixed mode: we only implement the sufficient check.  Not a
             // budget matter — the procedure simply has no exact answer here.
-            return Ok(Decision::Unknown);
+            Mode::Mixed => return Ok(Decision::Unknown),
+            Mode::Extralogical => {}
         }
         // Extralogical-only mode: T ⊨ ∨ᵢ Cᵢ  iff  every selection of one edge per
         // implicant yields a T-unsatisfiable conjunction of edge labels.
@@ -420,39 +440,24 @@ pub fn condition_of_graph(graph: TableauGraph) -> Condition {
 /// (polled at every round and inside large products through the shared
 /// [`DnfBudget`] cell), and names the exhausted resource on `Err`.
 ///
-/// # The semi-naive interned fixpoint
-///
 /// The fixpoint runs on a [`ConditionStore`]: `delete`/`fail` values are
 /// `Copy` [`DnfId`]s, the equations' `∨`/`∧` are memoized store operations,
-/// and the convergence test per equation is an id comparison — which also
-/// makes *change detection* O(1), the hook the worklist engine hangs
-/// on.  A reverse-dependency graph (`preds[m]` = the nodes whose equations
-/// read the values at `m`) is derived once per tableau — it lives in the
-/// graph's cached sweep plan, computed at the end of
-/// [`TableauGraph::try_build_budgeted`] alongside the SCC order and the
-/// per-edge fulfillment tables; each inner fixpoint seeds its worklist with
-/// every equation of the component and thereafter re-evaluates only
-/// equations some input of which changed last round.  A round evaluates its
-/// ready set in ascending task order against the mutable store, interning
-/// new implicants (each distinct one charged once to the budget cell) and
-/// growing the memo tables.
-///
-/// Both fixpoints converge to the same place as a dependency-ordered
-/// (Gauss–Seidel) iteration would: `fail` descends monotonically from `⊤`
-/// to its greatest fixpoint and `delete` ascends from `⊥` to its least, and
-/// on a finite lattice chaotic iteration reaches the unique extreme fixpoint
-/// in either discipline.  Skipping is conservative: an equation whose inputs
-/// did not change would have replayed entirely from the memo tables without
-/// mutating the store or charging the budget, so the worklist run's ids,
-/// charges, and trip reasons are bit-identical to the full-sweep discipline
-/// (only `memo_hits` counts the replays a full sweep would have performed).
-/// [`condition_of_graph_full_sweep_stats`] keeps the full-sweep discipline
-/// callable as the differential anchor.
+/// and the convergence test per equation is an id comparison, which is also
+/// the change test the semi-naive worklist hangs on.  Each round evaluates
+/// its ready set in ascending task order against the values at the round's
+/// start, interning new implicants (each distinct one charged once to the
+/// budget cell) and growing the memo tables.  Skipping is conservative: an
+/// equation whose inputs did not change would replay entirely from the memo
+/// tables to the value it already has, without mutating the store or
+/// charging the budget.  `fail` descends monotonically from `⊤` to its
+/// greatest fixpoint and `delete` ascends from `⊥` to its least, so the
+/// result is the condition [`condition_of_graph_baseline`] computes by full
+/// sweeps.
 pub fn condition_of_graph_budgeted(
     graph: TableauGraph,
     resource_budget: &ResourceBudget,
 ) -> Result<Condition, Exhaustion> {
-    condition_of_graph_engine(graph, resource_budget, true).0
+    condition_of_graph_budgeted_stats(graph, resource_budget, Parallelism::Off).0
 }
 
 /// [`condition_of_graph_budgeted`] that also hands back the
@@ -466,108 +471,28 @@ pub fn condition_of_graph_budgeted_stats(
     resource_budget: &ResourceBudget,
     _parallelism: Parallelism,
 ) -> (Result<Condition, Exhaustion>, StoreStats) {
-    condition_of_graph_engine(graph, resource_budget, true)
-}
-
-/// The PR 5 full-sweep (Jacobi) discipline of the interned fixpoint, kept
-/// callable as the differential anchor for the worklist engine: every round
-/// re-evaluates *every* equation of the component until none changes.
-///
-/// Ids, budget charges, and trip reasons are bit-identical to
-/// [`condition_of_graph_budgeted_stats`] — the worklist engine only skips
-/// equations that would have replayed from the memo tables — so the
-/// differential tests compare conditions, implicant charges, and exhaustion
-/// reasons across the two, and the `condition_fixpoint` bench measures the
-/// speedup of skipping (recorded in `BENCH_PR7.json`).  Only the
-/// `memo_hits`/`rounds`/`equations_*` counters legitimately differ.
-pub fn condition_of_graph_full_sweep_stats(
-    graph: TableauGraph,
-    resource_budget: &ResourceBudget,
-) -> (Result<Condition, Exhaustion>, StoreStats) {
-    condition_of_graph_engine(graph, resource_budget, false)
-}
-
-/// The shared engine behind [`condition_of_graph_budgeted_stats`] (`delta ==
-/// true`, semi-naive worklist) and [`condition_of_graph_full_sweep_stats`]
-/// (`delta == false`, PR 5 Jacobi sweeps).  Both disciplines share the
-/// interned store, the atom leaves, and the §5.3 two-phase outer round; they
-/// differ in which equations a round evaluates — dependents of changed
-/// values vs. everything again — and in the constant-factor machinery that
-/// choice allows (fulfillment tables, hoisted worklist buffers).
-fn condition_of_graph_engine(
-    graph: TableauGraph,
-    resource_budget: &ResourceBudget,
-    delta: bool,
-) -> (Result<Condition, Exhaustion>, StoreStats) {
-    let n = graph.node_count();
-    let ne = graph.eventualities().len();
     let budget = DnfBudget::from_budget(resource_budget);
-
     let mut store = ConditionStore::new();
     // The equations' leaves: one □¬prop(e) atom per edge, interned once and
     // shared by every equation that mentions the edge.
-    let mut atoms: Vec<DnfId> = Vec::with_capacity(graph.edge_count());
-    for eid in 0..graph.edge_count() {
-        match store.atom(eid, &budget) {
-            Some(id) => atoms.push(id),
-            None => {
-                let cut = budget.exhaustion().unwrap_or(Exhaustion::Implicants);
-                return (Err(cut), store.stats());
-            }
+    let atoms: Option<Vec<DnfId>> =
+        (0..graph.edge_count()).map(|eid| store.atom(eid, &budget)).collect();
+    let mut lattice = Interned { store, budget, atoms: Vec::new(), terms: Vec::new() };
+    let solved = match atoms {
+        Some(atoms) => {
+            lattice.atoms = atoms;
+            solve(&graph, &mut lattice)
         }
-    }
-
-    let mut delete: Vec<DnfId> = vec![ConditionStore::BOTTOM; n];
-    // fail(ev, node) at slot `ev_index * n + node`.
-    let mut fail: Vec<DnfId> = vec![ConditionStore::TOP; n * ne];
-    let mut outer_rounds = 0;
-
-    let run = {
-        // The worklist engine hoists the per-edge eventuality membership
-        // tests and edge targets out of the hot loop into tables computed
-        // once per tableau; the full-sweep anchor keeps PR 5's
-        // per-evaluation `BTreeSet<Ltl>` lookups so its measured cost stays
-        // that of the path it preserves.  The lookups return the same
-        // booleans either way, so the DNF op sequence — and with it every
-        // interned id and budget charge — is unaffected.
-        let tables = if delta { Some(FulfillTables::new(&graph)) } else { None };
-        let fixpoint = ConditionFixpoint {
-            graph: &graph,
-            eventualities: graph.eventualities(),
-            atoms,
-            tables,
-            n,
-        };
-        if delta {
-            fixpoint.run_worklist(
-                graph.sweep_plan(),
-                &mut store,
-                &budget,
-                &mut delete,
-                &mut fail,
-                &mut outer_rounds,
-            )
-        } else {
-            // The anchor re-derives the component structure per call, as
-            // PR 5 did — its measured cost is that of the preserved path.
-            let sccs = strongly_connected_components(&graph);
-            fixpoint.run_full_sweep(
-                &sccs,
-                &mut store,
-                &budget,
-                &mut delete,
-                &mut fail,
-                &mut outer_rounds,
-            )
-        }
+        None => Err(lattice.cut()),
     };
-    if let Err(cut) = run {
-        return (Err(cut), store.stats());
+    let stats = lattice.store.stats();
+    match solved {
+        Ok((delete_init, outer_rounds)) => {
+            let delete_init = lattice.store.extract(delete_init);
+            (Ok(Condition { graph, delete_init, outer_rounds, store_stats: stats }), stats)
+        }
+        Err(cut) => (Err(cut), stats),
     }
-
-    let delete_init = store.extract(delete[graph.initial()]);
-    let stats = store.stats();
-    (Ok(Condition { graph, delete_init, outer_rounds, store_stats: stats }), stats)
 }
 
 /// Evaluates the condition `delete(init)` of a tableau graph as a plain
@@ -592,643 +517,359 @@ fn condition_of_graph_engine(
 /// fired.
 ///
 /// Alongside the Boolean it reports the worklist counters of the run —
-/// `rounds`, `equations_evaluated`,
-/// `equations_skipped`; the interning counters stay zero, nothing is ever
-/// interned here.  The Boolean projection uses the same semi-naive
-/// discipline as the DNF-valued engine (seed everything at phase start,
-/// re-evaluate only dependents of changes), but evaluates its ready set in
-/// place: over the two-point lattice each value moves monotonically within a
-/// phase, so chaotic in-place iteration reaches the same extreme fixpoint as
-/// the snapshot rounds and skipping never changes the answer.  The run
-/// reads the graph's cached sweep plan (SCC order, reverse-dependency CSR,
-/// flat fulfillment tables) instead of re-deriving any of it, so repeated
-/// evaluations over one tableau — the shape of an evaluated decision —
-/// amortize everything but the fixpoint itself; it directly speeds the
-/// `[ => Q ] []P` family decision (~2x the PR 5 sweep per call,
-/// `BENCH_PR7.json`).
+/// `rounds`, `equations_evaluated`, `equations_skipped`; the interning
+/// counters stay zero, nothing is ever interned here.  It is the same
+/// worklist driver as [`condition_of_graph_budgeted`]'s, over the cached
+/// sweep plan, so the repeated evaluations of one decision over one tableau
+/// amortize everything but the fixpoint itself.
 pub fn evaluate_condition_at_budgeted_stats(
     graph: &TableauGraph,
     atom_true: &[bool],
     budget: &ResourceBudget,
 ) -> (Result<bool, Exhaustion>, StoreStats) {
+    let mut lattice = AtAssignment { atom_true, budget, stats: StoreStats::default() };
+    let delete_init = solve(graph, &mut lattice).map(|(delete_init, _)| delete_init);
+    (delete_init, lattice.stats)
+}
+
+/// A lattice the §5.3 fixpoint runs over: the interned condition DNFs
+/// ([`Interned`]) or the Booleans at one atom assignment
+/// ([`AtAssignment`]).  `Err` names the resource that ran out.
+trait Lattice {
+    type Value: Copy + Eq;
+    /// The greatest element, where every `fail` starts.
+    const TOP: Self::Value;
+    /// The least element, where every `delete` starts.
+    const BOTTOM: Self::Value;
+
+    /// The atom `□¬prop(e)` of edge `eid`.
+    fn atom(&self, eid: EdgeId) -> Self::Value;
+
+    /// The disjunction of `first` and `rest`, folded left to right, each
+    /// operand of `rest` computed when the disjunction asks for it.
+    fn any(
+        &mut self,
+        first: Self::Value,
+        rest: impl Iterator<Item = Self::Value>,
+    ) -> Result<Self::Value, Exhaustion>;
+
+    /// The conjunction of `term(eid)` over `edges`, each term computed when
+    /// the conjunction asks for it.
+    fn all<F>(&mut self, edges: &[EdgeId], term: F) -> Result<Self::Value, Exhaustion>
+    where
+        F: FnMut(&mut Self, EdgeId) -> Result<Self::Value, Exhaustion>;
+
+    /// The timing cutoff that fired, if any; polled once per round.
+    fn interrupted(&mut self) -> Option<Exhaustion>;
+
+    /// Tallies one round: the equations it evaluated and those it skipped.
+    fn tally(&mut self, evaluated: u64, skipped: u64);
+}
+
+/// Interned condition DNFs: values are [`DnfId`]s of one
+/// [`ConditionStore`], and every new implicant is charged to the budget.
+struct Interned {
+    store: ConditionStore,
+    budget: DnfBudget,
+    /// Interned `□¬prop(e)` atom conditions, indexed by edge id.
+    atoms: Vec<DnfId>,
+    /// The terms of the conjunction being evaluated (reused across the run).
+    terms: Vec<DnfId>,
+}
+
+impl Interned {
+    /// Why the budget cell tripped.
+    fn cut(&self) -> Exhaustion {
+        self.budget.exhaustion().unwrap_or(Exhaustion::Implicants)
+    }
+}
+
+impl Lattice for Interned {
+    type Value = DnfId;
+    const TOP: DnfId = ConditionStore::TOP;
+    const BOTTOM: DnfId = ConditionStore::BOTTOM;
+
+    fn atom(&self, eid: EdgeId) -> DnfId {
+        self.atoms[eid]
+    }
+
+    fn any(
+        &mut self,
+        first: DnfId,
+        mut rest: impl Iterator<Item = DnfId>,
+    ) -> Result<DnfId, Exhaustion> {
+        rest.try_fold(first, |acc, b| {
+            if self.budget.tripped() {
+                return Err(self.cut());
+            }
+            Ok(self.store.or(acc, b))
+        })
+    }
+
+    /// Every term is interned before the first product, as
+    /// [`ConditionStore::all`] takes them all at once.
+    fn all<F>(&mut self, edges: &[EdgeId], mut term: F) -> Result<DnfId, Exhaustion>
+    where
+        F: FnMut(&mut Self, EdgeId) -> Result<DnfId, Exhaustion>,
+    {
+        let mut terms = std::mem::take(&mut self.terms);
+        terms.clear();
+        for &eid in edges {
+            terms.push(term(self, eid)?);
+        }
+        let all = self.store.all(&terms, &self.budget).ok_or_else(|| self.cut());
+        self.terms = terms;
+        all
+    }
+
+    fn interrupted(&mut self) -> Option<Exhaustion> {
+        self.budget.poll_interrupts().then(|| self.cut())
+    }
+
+    fn tally(&mut self, evaluated: u64, skipped: u64) {
+        self.store.record_sweep(evaluated, skipped);
+    }
+}
+
+/// The Booleans at the atom assignment `atom_true`: the image of
+/// [`Interned`] under evaluation at that point.
+struct AtAssignment<'a> {
+    atom_true: &'a [bool],
+    budget: &'a ResourceBudget,
+    stats: StoreStats,
+}
+
+impl Lattice for AtAssignment<'_> {
+    type Value = bool;
+    const TOP: bool = true;
+    const BOTTOM: bool = false;
+
+    fn atom(&self, eid: EdgeId) -> bool {
+        self.atom_true[eid]
+    }
+
+    /// Stops at the first true operand.
+    fn any(
+        &mut self,
+        first: bool,
+        mut rest: impl Iterator<Item = bool>,
+    ) -> Result<bool, Exhaustion> {
+        Ok(first || rest.any(|b| b))
+    }
+
+    /// Stops at the first false term.
+    fn all<F>(&mut self, edges: &[EdgeId], mut term: F) -> Result<bool, Exhaustion>
+    where
+        F: FnMut(&mut Self, EdgeId) -> Result<bool, Exhaustion>,
+    {
+        for &eid in edges {
+            if !term(self, eid)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    fn interrupted(&mut self) -> Option<Exhaustion> {
+        self.budget.interrupted()
+    }
+
+    fn tally(&mut self, evaluated: u64, skipped: u64) {
+        self.stats.rounds += 1;
+        self.stats.equations_evaluated += evaluated;
+        self.stats.equations_skipped += skipped;
+    }
+}
+
+/// Runs the §5.3 double fixpoint of `graph` over `lattice` and returns
+/// `delete(init)` with the number of outer rounds.
+///
+/// Per component of the graph's sweep plan, in reverse-topological order,
+/// `fail` is reset to ⊤ and descends to its greatest fixpoint, then `delete`
+/// ascends to its least; the pair repeats while some `delete` change is read
+/// *inside* the component.  A change every reader of which lies in a later
+/// component cannot move this component's fixpoint, so it triggers no
+/// verification round.
+///
+/// Each phase is a semi-naive worklist.  It seeds every equation of the
+/// component (a phase boundary touches all their inputs); afterwards a
+/// changed value enqueues exactly the equations that read it, found in the
+/// reverse-dependency CSR, with a dirty flag absorbing duplicates.  A round
+/// evaluates its ready set in ascending task order against the values at
+/// the round's start and then applies the results in the same order, so the
+/// [`Interned`] instance interns in one fixed order.
+fn solve<L: Lattice>(
+    graph: &TableauGraph,
+    lattice: &mut L,
+) -> Result<(L::Value, usize), Exhaustion> {
     let n = graph.node_count();
     let ne = graph.eventualities().len();
     let plan = graph.sweep_plan();
-    let tables = FulfillTables::new(graph);
-    let mut stats = StoreStats::default();
-    let mut delete = vec![false; n];
-    let mut fail = vec![true; n * ne];
-    let mut pos: Vec<usize> = vec![usize::MAX; n];
-    // fail(component[ci], ei) at task index `ci * ne + ei` (node-major, like
-    // the DNF engine); delete(component[ci]) at task index `ci`.  The
-    // worklist buffers are sized once for the largest component — per-trip
-    // allocations inside the SCC loop dominate the runtime on tableaux with
-    // thousands of trivial components.
-    let max_cn = plan.sccs.iter().map(Vec::len).max().unwrap_or(0);
-    let mut fail_dirty = vec![false; max_cn * ne];
-    let mut delete_dirty = vec![false; max_cn];
-    let mut ready: Vec<usize> = Vec::with_capacity(max_cn * ne);
-    let mut queue: Vec<usize> = Vec::with_capacity(max_cn * ne);
+    // Worklist buffers are sized once for the largest component: per-trip
+    // allocations dominate on tableaux with thousands of trivial components.
+    let tasks = plan.sccs.iter().map(Vec::len).max().unwrap_or(0) * ne.max(1);
+    let mut values = vec![L::BOTTOM; n];
+    values.resize(n * (ne + 1), L::TOP);
+    let mut worklist = Worklist {
+        graph,
+        plan,
+        index: graph.eventuality_index(),
+        n,
+        ne,
+        values,
+        pos: vec![usize::MAX; n],
+        dirty: vec![false; tasks],
+        ready: Vec::with_capacity(tasks),
+        queue: Vec::with_capacity(tasks),
+        results: Vec::with_capacity(tasks),
+    };
+    let mut outer_rounds = 0;
     for component in &plan.sccs {
-        let cn = component.len();
         for (i, &node) in component.iter().enumerate() {
-            pos[node] = i;
+            worklist.pos[node] = i;
         }
         loop {
-            for &node in component {
-                for ei in 0..ne {
-                    fail[ei * n + node] = true;
+            outer_rounds += 1;
+            for ei in 0..ne {
+                for &node in component {
+                    worklist.values[(ei + 1) * n + node] = L::TOP;
                 }
             }
-            // fail to its greatest fixpoint within the component: the reset
-            // touched everything, so every task seeds the worklist.
-            queue.clear();
-            queue.extend(0..cn * ne);
-            fail_dirty[..cn * ne].iter_mut().for_each(|d| *d = true);
-            while !queue.is_empty() {
-                if let Some(cut) = budget.interrupted() {
-                    return (Err(cut), stats);
-                }
-                std::mem::swap(&mut ready, &mut queue);
-                queue.clear();
-                ready.sort_unstable();
-                stats.rounds += 1;
-                stats.equations_evaluated += ready.len() as u64;
-                stats.equations_skipped += (cn * ne - ready.len()) as u64;
-                for &t in &ready {
-                    fail_dirty[t] = false;
-                }
-                for &t in &ready {
-                    let node = component[t / ne];
-                    let ei = t % ne;
-                    let new = graph.outgoing(node).iter().all(|&eid| {
-                        let to = tables.plan.targets[eid] as usize;
-                        atom_true[eid]
-                            || delete[to]
-                            || (tables.plan.unfulfilled[eid * ne + ei] && fail[ei * n + to])
-                    });
-                    if new != fail[ei * n + node] {
-                        fail[ei * n + node] = new;
-                        for &p in plan.preds_of(node) {
-                            let pp = pos[p as usize];
-                            if pp != usize::MAX {
-                                let pt = pp * ne + ei;
-                                if !fail_dirty[pt] {
-                                    fail_dirty[pt] = true;
-                                    queue.push(pt);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            // delete to its least fixpoint within the component; the fail
-            // phase moved the inputs of every delete equation, so all seed.
-            let mut rerun_outer = false;
-            queue.clear();
-            queue.extend(0..cn);
-            delete_dirty[..cn].iter_mut().for_each(|d| *d = true);
-            while !queue.is_empty() {
-                if let Some(cut) = budget.interrupted() {
-                    return (Err(cut), stats);
-                }
-                std::mem::swap(&mut ready, &mut queue);
-                queue.clear();
-                ready.sort_unstable();
-                stats.rounds += 1;
-                stats.equations_evaluated += ready.len() as u64;
-                stats.equations_skipped += (cn - ready.len()) as u64;
-                for &t in &ready {
-                    delete_dirty[t] = false;
-                }
-                for &t in &ready {
-                    let node = component[t];
-                    let new = graph.outgoing(node).iter().all(|&eid| {
-                        let to = tables.plan.targets[eid] as usize;
-                        atom_true[eid]
-                            || delete[to]
-                            || tables.mentions(eid).iter().any(|&ei| fail[ei as usize * n + to])
-                    });
-                    if new != delete[node] {
-                        delete[node] = new;
-                        for &p in plan.preds_of(node) {
-                            let pp = pos[p as usize];
-                            if pp != usize::MAX {
-                                // Some in-component equation reads this
-                                // value, so the fail gfp it was computed
-                                // against is stale: rerun the outer round.
-                                // A change nothing in the component reads
-                                // (every predecessor lies in a later
-                                // component of the reverse-topological
-                                // order) cannot move the fixpoint here.
-                                rerun_outer = true;
-                                if !delete_dirty[pp] {
-                                    delete_dirty[pp] = true;
-                                    queue.push(pp);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if !rerun_outer {
+            worklist.settle::<L, true>(lattice, component)?;
+            if !worklist.settle::<L, false>(lattice, component)? {
                 break;
             }
         }
         for &node in component {
-            pos[node] = usize::MAX;
+            worklist.pos[node] = usize::MAX;
         }
     }
-    (Ok(delete[graph.initial()]), stats)
+    Ok((worklist.values[graph.initial()], outer_rounds))
 }
 
-/// The PR 5 Boolean projection, preserved verbatim as the differential
-/// anchor for [`evaluate_condition_at_budgeted_stats`]: full Jacobi sweeps —
-/// every component equation re-evaluated every round until an unchanged
-/// round — with the per-edge `BTreeSet<Ltl>` fulfillment lookups of the
-/// original hot loop.  The worklist engine must compute the identical
-/// Boolean at every assignment (pinned by the differential tests); the
-/// `condition_fixpoint` bench measures the delta engine's speedup against
-/// this path.  Reports `rounds`/`equations_evaluated` like the engines
-/// (`equations_skipped` zero by construction; nothing is ever interned).
-pub fn evaluate_condition_at_full_sweep_stats(
-    graph: &TableauGraph,
-    atom_true: &[bool],
-    budget: &ResourceBudget,
-) -> (Result<bool, Exhaustion>, StoreStats) {
-    let n = graph.node_count();
-    let eventualities = graph.eventualities();
-    let ne = eventualities.len();
-    let sccs = strongly_connected_components(graph);
-    let mut stats = StoreStats::default();
-    let mut delete = vec![false; n];
-    let mut fail = vec![true; n * ne];
-    for component in &sccs {
-        loop {
-            for &node in component {
-                for ei in 0..ne {
-                    fail[ei * n + node] = true;
-                }
-            }
-            // fail to its greatest fixpoint within the component (in-place
-            // chaotic iteration reaches the same extreme fixpoint as the
-            // Jacobi sweeps of the DNF-valued run).
-            loop {
-                if let Some(cut) = budget.interrupted() {
-                    return (Err(cut), stats);
-                }
-                stats.rounds += 1;
-                stats.equations_evaluated += (component.len() * ne) as u64;
-                let mut changed = false;
-                for &node in component {
-                    for (ei, ev) in eventualities.iter().enumerate() {
-                        let new = graph.outgoing(node).iter().all(|&eid| {
-                            let edge = graph.edge(eid);
-                            atom_true[eid]
-                                || delete[edge.to]
-                                || (!edge.fulfilled.contains(ev) && fail[ei * n + edge.to])
-                        });
-                        if new != fail[ei * n + node] {
-                            fail[ei * n + node] = new;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            // delete to its least fixpoint within the component.
-            let mut delete_changed_any = false;
-            loop {
-                if let Some(cut) = budget.interrupted() {
-                    return (Err(cut), stats);
-                }
-                stats.rounds += 1;
-                stats.equations_evaluated += component.len() as u64;
-                let mut changed = false;
-                for &node in component {
-                    let new = graph.outgoing(node).iter().all(|&eid| {
-                        let edge = graph.edge(eid);
-                        atom_true[eid]
-                            || delete[edge.to]
-                            || eventualities.iter().enumerate().any(|(ei, ev)| {
-                                edge.eventualities.contains(ev) && fail[ei * n + edge.to]
-                            })
-                    });
-                    if new != delete[node] {
-                        delete[node] = new;
-                        changed = true;
-                        delete_changed_any = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            if !delete_changed_any {
-                break;
-            }
-        }
-    }
-    (Ok(delete[graph.initial()]), stats)
-}
-
-/// Which equation of the §5.3 system a sweep task evaluates.
-#[derive(Clone, Copy, Debug)]
-enum EqKind {
-    /// `fail(A, N)` for the eventuality with this index.
-    Fail(usize),
-    /// `delete(N)`.
-    Delete,
-}
-
-/// Per-tableau fulfillment tables: the `A ∈ ev(e)` / `A fulfilled by e`
-/// membership tests of the §5.3 equations as flat arrays — borrowed from the
-/// graph's cached [`EventualityIndex`] and [`SweepPlan`] — so the hot loop
-/// indexes integers instead of running `BTreeSet<Ltl>` lookups (deep
-/// structural comparisons) on every edge of every evaluation.  The booleans
-/// are definitionally those of the set lookups, so using the tables cannot
-/// change an evaluation's DNF op sequence — only its constant factor.
-struct FulfillTables<'g> {
-    /// The graph's eventuality index (per-edge mention lists).
-    index: &'g EventualityIndex,
-    /// The graph's fixpoint plan (`targets`, dense `unfulfilled`).
-    plan: &'g SweepPlan,
-}
-
-impl<'g> FulfillTables<'g> {
-    fn new(graph: &'g TableauGraph) -> FulfillTables<'g> {
-        FulfillTables { index: graph.eventuality_index(), plan: graph.sweep_plan() }
-    }
-
-    /// Eventuality indices mentioned by edge `eid`, ascending.
-    fn mentions(&self, eid: usize) -> &[u32] {
-        self.index.mentions(eid)
-    }
-}
-
-/// The per-graph context of the interned condition fixpoint: everything the
-/// sweep equations read besides the evolving `delete`/`fail` vectors.
-struct ConditionFixpoint<'g> {
+/// The state of one [`solve`] run.  Within a component, the equation
+/// `fail(A, N)` is task `pos[N] * ne + A` and `delete(N)` is task `pos[N]`.
+struct Worklist<'g, V> {
     graph: &'g TableauGraph,
-    eventualities: &'g [Ltl],
-    /// Interned `□¬prop(e)` atom conditions, indexed by edge id.
-    atoms: Vec<DnfId>,
-    /// `Some` in the worklist engine; `None` in the full-sweep anchor, which
-    /// keeps PR 5's per-evaluation set lookups (see
-    /// [`condition_of_graph_full_sweep_stats`]).
-    tables: Option<FulfillTables<'g>>,
+    plan: &'g SweepPlan,
+    index: &'g EventualityIndex,
     n: usize,
+    ne: usize,
+    /// `delete(N)` at `N`, `fail(A, N)` at `(A + 1) * n + N`.
+    values: Vec<V>,
+    /// Each node's position in the component being solved; `usize::MAX`
+    /// outside it (those values are final, so changes never reach them).
+    pos: Vec<usize>,
+    /// Tasks waiting in `queue`.
+    dirty: Vec<bool>,
+    ready: Vec<usize>,
+    queue: Vec<usize>,
+    /// The values of this round's `ready` tasks, in the same order.
+    results: Vec<V>,
 }
 
-impl ConditionFixpoint<'_> {
-    /// The semi-naive worklist discipline driving
-    /// [`condition_of_graph_budgeted_stats`]: every phase seeds its full
-    /// equation set (a phase boundary touches every equation's inputs), and
-    /// afterwards only the dependents of values that actually changed —
-    /// looked up in the reverse-dependency CSR — re-enter the ready set,
-    /// which each round evaluates in ascending task order so the interning
-    /// sequence matches the Jacobi path's.  The outer §5.3 round repeats
-    /// only while some `delete` change is read *inside* the component;
-    /// a change every reader of which lies in a later component of the
-    /// reverse-topological order cannot move this component's fixpoint, so
-    /// its verification round (all replays, no interning, no charges) is
-    /// skipped.  Worklist buffers are sized once for the largest component;
-    /// per-component allocations dominate on tableaux with thousands of
-    /// trivial SCCs.
-    fn run_worklist(
-        &self,
-        plan: &SweepPlan,
-        store: &mut ConditionStore,
-        budget: &DnfBudget,
-        delete: &mut [DnfId],
-        fail: &mut [DnfId],
-        outer_rounds: &mut usize,
-    ) -> Result<(), Exhaustion> {
-        let sccs = &plan.sccs;
-        let n = self.n;
-        let ne = self.eventualities.len();
-        // Dense position of each node within the component being processed;
-        // `usize::MAX` marks nodes outside it (their values are already
-        // final, so changes never propagate to them).
-        let mut pos: Vec<usize> = vec![usize::MAX; n];
-        let max_cn = sccs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut fail_tasks: Vec<(NodeId, EqKind)> = Vec::with_capacity(max_cn * ne);
-        let mut delete_tasks: Vec<(NodeId, EqKind)> = Vec::with_capacity(max_cn);
-        let mut fail_dirty = vec![false; max_cn * ne];
-        let mut delete_dirty = vec![false; max_cn];
-        let mut ready: Vec<usize> = Vec::with_capacity(max_cn * ne);
-        let mut queue: Vec<usize> = Vec::with_capacity(max_cn * ne);
-        let mut scratch: Vec<DnfId> = Vec::new();
-        for component in sccs {
-            let cn = component.len();
-            for (i, &node) in component.iter().enumerate() {
-                pos[node] = i;
+impl<V: Copy + Eq> Worklist<'_, V> {
+    /// Iterates the `fail` equations (`FAIL`) or the `delete` equations of
+    /// `component` to their fixpoint; `true` when some changed value is read
+    /// inside the component.
+    fn settle<L: Lattice<Value = V>, const FAIL: bool>(
+        &mut self,
+        lattice: &mut L,
+        component: &[NodeId],
+    ) -> Result<bool, Exhaustion> {
+        let (n, width) = (self.n, if FAIL { self.ne } else { 1 });
+        let base = if FAIL { n } else { 0 };
+        let count = component.len() * width;
+        // A task's node and, for `fail`, its eventuality.
+        let task =
+            |t: usize| if FAIL { (component[t / width], t % width) } else { (component[t], 0) };
+        self.queue.clear();
+        self.queue.extend(0..count);
+        self.dirty[..count].fill(true);
+        let mut read_inside = false;
+        while !self.queue.is_empty() {
+            if let Some(cut) = lattice.interrupted() {
+                return Err(cut);
             }
-            // The equations of one component: every (node, eventuality) pair
-            // for `fail` — task index `pos[node] * ne + ei`, node-major —
-            // and every node for `delete` — task index `pos[node]`.
-            fail_tasks.clear();
-            fail_tasks.extend(
-                component.iter().flat_map(|&node| (0..ne).map(move |ei| (node, EqKind::Fail(ei)))),
-            );
-            delete_tasks.clear();
-            delete_tasks.extend(component.iter().map(|&node| (node, EqKind::Delete)));
-            loop {
-                *outer_rounds += 1;
-                // Reset fail to the top element within the component (step
-                // 6 / 2); the reset touched everything, so all tasks seed.
-                for &node in component {
-                    for ei in 0..ne {
-                        fail[ei * n + node] = ConditionStore::TOP;
-                    }
+            std::mem::swap(&mut self.ready, &mut self.queue);
+            self.queue.clear();
+            self.ready.sort_unstable();
+            lattice.tally(self.ready.len() as u64, (count - self.ready.len()) as u64);
+            self.results.clear();
+            for i in 0..self.ready.len() {
+                let t = self.ready[i];
+                self.dirty[t] = false;
+                let (node, k) = task(t);
+                let value = self.equation(lattice, node, FAIL.then_some(k))?;
+                self.results.push(value);
+            }
+            for (&t, &new) in self.ready.iter().zip(&self.results) {
+                let (node, k) = task(t);
+                let slot = base + k * n + node;
+                if new == self.values[slot] {
+                    continue;
                 }
-                queue.clear();
-                queue.extend(0..cn * ne);
-                fail_dirty[..cn * ne].iter_mut().for_each(|d| *d = true);
-                // Iterate fail to its greatest fixpoint within the component.
-                while !queue.is_empty() {
-                    std::mem::swap(&mut ready, &mut queue);
-                    queue.clear();
-                    ready.sort_unstable();
-                    for &t in &ready {
-                        fail_dirty[t] = false;
-                    }
-                    let updates =
-                        self.sweep(store, budget, delete, fail, &fail_tasks, &ready, &mut scratch)?;
-                    for (&t, new) in ready.iter().zip(updates) {
-                        let (node, kind) = fail_tasks[t];
-                        let EqKind::Fail(ei) = kind else { unreachable!("fail task") };
-                        if new != fail[ei * n + node] {
-                            fail[ei * n + node] = new;
-                            for &p in plan.preds_of(node) {
-                                let pp = pos[p as usize];
-                                if pp != usize::MAX {
-                                    let pt = pp * ne + ei;
-                                    if !fail_dirty[pt] {
-                                        fail_dirty[pt] = true;
-                                        queue.push(pt);
-                                    }
-                                }
-                            }
+                self.values[slot] = new;
+                for &p in self.plan.preds_of(node) {
+                    let pp = self.pos[p as usize];
+                    if pp != usize::MAX {
+                        read_inside = true;
+                        let pt = pp * width + k;
+                        if !self.dirty[pt] {
+                            self.dirty[pt] = true;
+                            self.queue.push(pt);
                         }
                     }
                 }
-                // Iterate delete to its least fixpoint within the component.
-                // The fail phase just moved (or at least reset-and-
-                // recomputed) the fail values every delete equation reads,
-                // so all tasks seed.
-                let mut rerun_outer = false;
-                queue.clear();
-                queue.extend(0..cn);
-                delete_dirty[..cn].iter_mut().for_each(|d| *d = true);
-                while !queue.is_empty() {
-                    std::mem::swap(&mut ready, &mut queue);
-                    queue.clear();
-                    ready.sort_unstable();
-                    for &t in &ready {
-                        delete_dirty[t] = false;
-                    }
-                    let updates = self.sweep(
-                        store,
-                        budget,
-                        delete,
-                        fail,
-                        &delete_tasks,
-                        &ready,
-                        &mut scratch,
-                    )?;
-                    for (&t, new) in ready.iter().zip(updates) {
-                        let (node, _) = delete_tasks[t];
-                        if new != delete[node] {
-                            delete[node] = new;
-                            for &p in plan.preds_of(node) {
-                                let pp = pos[p as usize];
-                                if pp != usize::MAX {
-                                    // Some in-component equation reads this
-                                    // value, so the fail gfp it was computed
-                                    // against is stale: rerun the outer
-                                    // round.
-                                    rerun_outer = true;
-                                    if !delete_dirty[pp] {
-                                        delete_dirty[pp] = true;
-                                        queue.push(pp);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if !rerun_outer {
-                    break;
-                }
-            }
-            for &node in component {
-                pos[node] = usize::MAX;
             }
         }
-        Ok(())
+        Ok(read_inside)
     }
 
-    /// The PR 5 discipline driving [`condition_of_graph_full_sweep_stats`]:
-    /// Jacobi rounds that re-evaluate every component equation until an
-    /// unchanged round, with no worklist bookkeeping — the preserved path
-    /// the worklist engine is differentially pinned against and benchmarked
-    /// over.
-    fn run_full_sweep(
-        &self,
-        sccs: &[Vec<NodeId>],
-        store: &mut ConditionStore,
-        budget: &DnfBudget,
-        delete: &mut [DnfId],
-        fail: &mut [DnfId],
-        outer_rounds: &mut usize,
-    ) -> Result<(), Exhaustion> {
-        let n = self.n;
-        let ne = self.eventualities.len();
-        let mut scratch: Vec<DnfId> = Vec::new();
-        for component in sccs {
-            let fail_tasks: Vec<(NodeId, EqKind)> = component
-                .iter()
-                .flat_map(|&node| (0..ne).map(move |ei| (node, EqKind::Fail(ei))))
-                .collect();
-            let delete_tasks: Vec<(NodeId, EqKind)> =
-                component.iter().map(|&node| (node, EqKind::Delete)).collect();
-            // Every round of a full sweep is ready in full.
-            let all: Vec<usize> = (0..fail_tasks.len().max(delete_tasks.len())).collect();
-            let (all_fail, all_delete) = (&all[..fail_tasks.len()], &all[..delete_tasks.len()]);
-            loop {
-                *outer_rounds += 1;
-                // Reset fail to the top element within the component.
-                for &node in component {
-                    for ei in 0..ne {
-                        fail[ei * n + node] = ConditionStore::TOP;
-                    }
-                }
-                // Iterate fail to its greatest fixpoint within the component.
-                loop {
-                    let updates = self.sweep(
-                        store,
-                        budget,
-                        delete,
-                        fail,
-                        &fail_tasks,
-                        all_fail,
-                        &mut scratch,
-                    )?;
-                    let mut changed = false;
-                    for (&(node, kind), new) in fail_tasks.iter().zip(updates) {
-                        let EqKind::Fail(ei) = kind else { unreachable!("fail task") };
-                        if new != fail[ei * n + node] {
-                            fail[ei * n + node] = new;
-                            changed = true;
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-                // Iterate delete to its least fixpoint within the component.
-                let mut delete_changed_any = false;
-                loop {
-                    let updates = self.sweep(
-                        store,
-                        budget,
-                        delete,
-                        fail,
-                        &delete_tasks,
-                        all_delete,
-                        &mut scratch,
-                    )?;
-                    let mut changed = false;
-                    for (&(node, _), new) in delete_tasks.iter().zip(updates) {
-                        if new != delete[node] {
-                            delete[node] = new;
-                            changed = true;
-                            delete_changed_any = true;
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-                if !delete_changed_any {
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One round over the `ready` subset of `tasks`, evaluated in task order
-    /// against the mutable store; results aligned with `ready`, or the
-    /// exhaustion that tripped the shared budget.  Records the round's
-    /// evaluated/skipped tallies on the store before evaluating (so a
-    /// tripped round is still counted in the trip report).
-    #[allow(clippy::too_many_arguments)]
-    fn sweep(
-        &self,
-        store: &mut ConditionStore,
-        budget: &DnfBudget,
-        delete: &[DnfId],
-        fail: &[DnfId],
-        tasks: &[(NodeId, EqKind)],
-        ready: &[usize],
-        scratch: &mut Vec<DnfId>,
-    ) -> Result<Vec<DnfId>, Exhaustion> {
-        if budget.poll_interrupts() {
-            return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
-        }
-        store.record_sweep(ready.len() as u64, (tasks.len() - ready.len()) as u64);
-        let mut results = Vec::with_capacity(ready.len());
-        for &t in ready {
-            match self.eval(store, budget, delete, fail, tasks[t], scratch) {
-                Some(id) => results.push(id),
-                None => return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants)),
-            }
-        }
-        Ok(results)
-    }
-
-    /// One equation of the §5.3 system, evaluated on the store, its per-edge
-    /// terms written into the caller's `terms` buffer (one allocation reused
-    /// across the whole run):
+    /// One equation of the §5.3 system at `node`, over the current values:
     ///
     /// * delete(N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ ∨_{A ∈ ev(e)} fail(A, fin(e)) )
     /// * fail(A, N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ \[A not satisfied by e ∧ fail(A, fin(e))\] )
     ///
-    /// `None` means the shared budget tripped.
-    fn eval(
+    /// `fail` names `A` for a `fail` equation and is `None` for `delete`.
+    fn equation<L: Lattice<Value = V>>(
         &self,
-        store: &mut ConditionStore,
-        budget: &DnfBudget,
-        delete: &[DnfId],
-        fail: &[DnfId],
-        (node, kind): (NodeId, EqKind),
-        terms: &mut Vec<DnfId>,
-    ) -> Option<DnfId> {
-        let mut or = |a: DnfId, b: DnfId| (!budget.tripped()).then(|| store.or(a, b));
-        let outgoing = self.graph.outgoing(node);
-        terms.clear();
-        match &self.tables {
-            // Worklist engine: flat-table lookups, no `Edge` struct access.
-            Some(tables) => {
-                let ne = self.eventualities.len();
-                for &eid in outgoing {
-                    let to = tables.plan.targets[eid] as usize;
-                    let mut term = or(self.atoms[eid], delete[to])?;
-                    match kind {
-                        EqKind::Delete => {
-                            for &ei in tables.mentions(eid) {
-                                term = or(term, fail[ei as usize * self.n + to])?;
-                            }
-                        }
-                        EqKind::Fail(ei) => {
-                            if tables.plan.unfulfilled[eid * ne + ei] {
-                                term = or(term, fail[ei * self.n + to])?;
-                            }
-                        }
-                    }
-                    terms.push(term);
-                }
-            }
-            // Full-sweep anchor: PR 5's per-evaluation set lookups.
-            None => {
-                for &eid in outgoing {
-                    let edge = self.graph.edge(eid);
-                    let mut term = or(self.atoms[eid], delete[edge.to])?;
-                    match kind {
-                        EqKind::Delete => {
-                            for (ei, ev) in self.eventualities.iter().enumerate() {
-                                if edge.eventualities.contains(ev) {
-                                    term = or(term, fail[ei * self.n + edge.to])?;
-                                }
-                            }
-                        }
-                        EqKind::Fail(ei) => {
-                            if !edge.fulfilled.contains(&self.eventualities[ei]) {
-                                term = or(term, fail[ei * self.n + edge.to])?;
-                            }
-                        }
-                    }
-                    terms.push(term);
-                }
-            }
+        lattice: &mut L,
+        node: NodeId,
+        fail: Option<usize>,
+    ) -> Result<V, Exhaustion> {
+        let (n, ne, plan, values) = (self.n, self.ne, self.plan, &self.values[..]);
+        let edges = self.graph.outgoing(node);
+        // The term of edge `eid` is the disjunction of its atom,
+        // delete(fin(e)) and fail(A, fin(e)) for some eventualities `A`.
+        let fail_at = |to: usize| move |ei: usize| values[(ei + 1) * n + to];
+        match fail {
+            Some(ei) => lattice.all(edges, |lattice, eid| {
+                let to = plan.targets[eid] as usize;
+                let unfulfilled = std::iter::once(ei).filter(|&ei| plan.unfulfilled[eid * ne + ei]);
+                let rest = std::iter::once(values[to]).chain(unfulfilled.map(fail_at(to)));
+                lattice.any(lattice.atom(eid), rest)
+            }),
+            None => lattice.all(edges, |lattice, eid| {
+                let to = plan.targets[eid] as usize;
+                let promised = self.index.mentions(eid).iter().map(|&ei| ei as usize);
+                let rest = std::iter::once(values[to]).chain(promised.map(fail_at(to)));
+                lattice.any(lattice.atom(eid), rest)
+            }),
         }
-        store.all(terms, budget)
     }
 }
 
-/// The PR 3 `BTreeSet` condition fixpoint, kept as the differential
-/// baseline: same Jacobi sweeps and SCC acceleration, but explicit [`Dnf`]
-/// values (re-cloned and re-absorbed at every product) and the
-/// pre-absorption estimate cut of [`Dnf::all_bounded_estimated`] instead of
-/// the interned store's distinct-implicant accounting.  It stays naive —
-/// every sweep re-evaluates every equation — but reports its `rounds` and
-/// `equations_evaluated` through [`Condition::store_stats`] (interning
-/// counters zero, `equations_skipped` zero by construction) so the
-/// differential tests can compare convergence against the worklist engine.
+/// The PR 3 `BTreeSet` condition fixpoint, kept as the independent oracle:
+/// full Jacobi sweeps with SCC acceleration, but explicit [`Dnf`] values
+/// (re-cloned and re-absorbed at every product) and the pre-absorption
+/// estimate cut of [`Dnf::all_bounded_estimated`] instead of the interned
+/// store's distinct-implicant accounting.  Beyond the SCC decomposition it
+/// shares no code with the worklist driver: every sweep re-evaluates every
+/// equation.  It reports its `rounds` and `equations_evaluated` through
+/// [`Condition::store_stats`] (interning counters zero, `equations_skipped`
+/// zero by construction) so the differential tests can compare convergence
+/// against the worklist driver.
 ///
 /// Tests pin that it computes the same condition as
 /// [`condition_of_graph_budgeted`] wherever neither path trips its budget,
@@ -1268,10 +909,13 @@ pub fn condition_of_graph_baseline(
             loop {
                 stats.rounds += 1;
                 stats.equations_evaluated += fail_tasks.len() as u64;
-                let Some(updates) = sweep_equations(fail_tasks.len(), |i| {
-                    let (node, ei) = fail_tasks[i];
-                    fail_equation(&graph, node, ei, &eventualities[ei], &delete, &fail, &budget)
-                }) else {
+                let Some(updates) = fail_tasks
+                    .iter()
+                    .map(|&(node, ei)| {
+                        fail_equation(&graph, node, ei, &eventualities[ei], &delete, &fail, &budget)
+                    })
+                    .collect::<Option<Vec<Dnf>>>()
+                else {
                     return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
                 };
                 let mut changed = false;
@@ -1289,9 +933,13 @@ pub fn condition_of_graph_baseline(
             loop {
                 stats.rounds += 1;
                 stats.equations_evaluated += component.len() as u64;
-                let Some(updates) = sweep_equations(component.len(), |i| {
-                    delete_equation(&graph, component[i], eventualities, &delete, &fail, &budget)
-                }) else {
+                let Some(updates) = component
+                    .iter()
+                    .map(|&node| {
+                        delete_equation(&graph, node, eventualities, &delete, &fail, &budget)
+                    })
+                    .collect::<Option<Vec<Dnf>>>()
+                else {
                     return Err(budget.exhaustion().unwrap_or(Exhaustion::Implicants));
                 };
                 let mut changed = false;
@@ -1314,13 +962,6 @@ pub fn condition_of_graph_baseline(
 
     let delete_init = delete[graph.initial()].clone();
     Ok(Condition { graph, delete_init, outer_rounds, store_stats: stats })
-}
-
-/// One baseline Jacobi sweep: evaluates `eval(0..count)` — each equation
-/// reading only the caller's frozen snapshot — and returns the results in
-/// task order, or `None` when any equation blew the budget.
-fn sweep_equations<T>(count: usize, eval: impl Fn(usize) -> Option<T>) -> Option<Vec<T>> {
-    (0..count).map(eval).collect()
 }
 
 /// delete(N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ ∨_{A ∈ ev(e)} fail(A, fin(e)) )

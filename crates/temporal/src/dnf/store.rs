@@ -102,22 +102,22 @@ pub struct StoreStats {
     /// Widest antichain interned: the largest implicant count of any single
     /// condition DNF the computation produced.
     pub peak_dnf_width: usize,
-    /// Fixpoint rounds run: every worklist (or full-sweep) round of the §5.3
-    /// iteration, `fail` and `delete` phases both counted.  The evaluated
-    /// Boolean fixpoint reports its rounds here too (with zero interning
-    /// counters), and the naive baseline reports rounds so differential tests
-    /// can compare convergence.
+    /// Fixpoint rounds run: every worklist round of the §5.3 iteration,
+    /// `fail` and `delete` phases both counted.  The evaluated Boolean
+    /// fixpoint reports its rounds here too (with zero interning counters),
+    /// and the naive baseline reports its full-sweep rounds so differential
+    /// tests can compare convergence.
     pub rounds: u64,
-    /// Equations actually evaluated across all rounds.  Under the semi-naive
-    /// worklist engine only equations whose inputs changed since their last
-    /// evaluation are evaluated; under a full (Jacobi) sweep this is
+    /// Equations actually evaluated across all rounds.  The semi-naive
+    /// worklist evaluates only equations whose inputs changed since their
+    /// last evaluation; the baseline's full (Jacobi) sweeps evaluate
     /// `rounds × equations`.
     pub equations_evaluated: u64,
-    /// Equations *skipped* by the worklist engine: per round, the equations
-    /// of the active phase whose inputs did not change and which a Jacobi
-    /// sweep would have re-evaluated (from memo) anyway.  Zero for full-sweep
-    /// and baseline runs — the bench-smoke regression guard asserts it is
-    /// strictly positive on the wide tableaux.
+    /// Equations *skipped* by the worklist: per round, the equations of the
+    /// active phase whose inputs did not change and which a full sweep would
+    /// have re-evaluated (from memo) anyway.  Zero for baseline runs — the
+    /// bench-smoke regression guard asserts it is strictly positive on the
+    /// wide tableaux.
     pub equations_skipped: u64,
 }
 
@@ -228,11 +228,10 @@ impl ConditionStore {
         self.stats
     }
 
-    /// Records one fixpoint round of the worklist engine: how many equations
-    /// the round actually evaluated (its ready set) and how many it skipped
-    /// because none of their inputs changed since their last evaluation.  A
-    /// full (Jacobi) sweep records `skipped == 0`.  Both tallies are pure
-    /// functions of the iteration history.
+    /// Records one round of the §5.3 worklist: how many equations the round
+    /// actually evaluated (its ready set) and how many it skipped because
+    /// none of their inputs changed since their last evaluation.  Both
+    /// tallies are pure functions of the iteration history.
     pub fn record_sweep(&mut self, evaluated: u64, skipped: u64) {
         self.stats.rounds += 1;
         self.stats.equations_evaluated += evaluated;

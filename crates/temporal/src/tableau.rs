@@ -202,17 +202,17 @@ impl EventualityIndex {
 }
 
 /// Per-graph fixpoint plan, derived once at the end of construction for the
-/// semi-naive worklist engines of [`crate::algorithm_b`]: the strongly
+/// semi-naive worklist driver of [`crate::algorithm_b`]: the strongly
 /// connected components in reverse-topological order, the reverse-dependency
 /// CSR that turns a changed `delete`/`fail` value into the tasks to mark
 /// dirty, each edge's target node as a flat array, and the dense
 /// edge × eventuality "not fulfilled" table the `fail` equations branch on.
 /// Every entry is a pure function of the finished graph, so computing it
 /// here amortizes it across every fixpoint run — most visibly across the
-/// thousands of Boolean-projected evaluations one evaluated decision makes
-/// over the same tableau.  The full-sweep and baseline disciplines
-/// deliberately do *not* read it: they preserve their original per-call
-/// derivations as the comparison anchors.
+/// repeated Boolean-projected evaluations one evaluated decision makes over
+/// the same tableau.  The `BTreeSet` baseline deliberately does *not* read
+/// it: as the independent oracle it derives its components per call and
+/// reads the edges' eventuality sets.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SweepPlan {
     /// Strongly connected components, reverse-topological (every edge leaves

@@ -1,29 +1,30 @@
-//! Differential tests for the semi-naive worklist fixpoint (ISSUE 7).
+//! Differential tests for the §5.3 fixpoint engine, against independent
+//! oracles.
 //!
-//! The worklist engine skips equations whose inputs did not change since
-//! their last evaluation.  The claim that makes that safe — a skipped
-//! equation would have replayed entirely from the memo tables, mutating
-//! nothing and charging nothing — is pinned here three ways:
+//! One semi-naive worklist driver runs the fixpoint over two lattices: the
+//! interned condition DNFs and the Booleans at an atom assignment.  Neither
+//! instance is checked against the other; both are pinned here:
 //!
-//! * against the PR 5 full-sweep (Jacobi) discipline
-//!   ([`condition_of_graph_full_sweep_stats`]): bit-identical conditions,
-//!   interned-implicant charges, and budget trip reasons, on random
-//!   tableaux and on the pattern catalogue;
-//! * against the PR 3 `BTreeSet` oracle ([`condition_of_graph_baseline`]):
-//!   same conditions wherever neither path trips;
-//! * within the worklist engine itself: strictly positive skip counters on
-//!   ladder3 — the regression guard that the engine is not silently falling
-//!   back to full sweeps.
+//! * the Boolean instance ([`evaluate_condition_at_budgeted_stats`]) equals
+//!   the PR 3 `BTreeSet` condition ([`condition_of_graph_baseline`])
+//!   evaluated at the same assignment — at random assignments and at the two
+//!   a decision uses (the `T`-unsatisfiable edges, and all-true);
+//! * the DNF instance ([`condition_of_graph_budgeted_stats`]) under implicant
+//!   caps 1..=48 either computes the uncapped condition or reports
+//!   [`Exhaustion::Implicants`], repeats its counters exactly, and never
+//!   trips at a larger cap after completing at a smaller one;
+//! * on ladder3 both instances actually skip equations, and the DNF instance
+//!   evaluates fewer of them than the baseline's full sweeps.
 
 use ilogic_temporal::algorithm_b::{
     condition_of_graph_baseline, condition_of_graph_budgeted_stats,
-    condition_of_graph_full_sweep_stats, evaluate_condition_at_budgeted_stats,
-    evaluate_condition_at_full_sweep_stats, Condition,
+    evaluate_condition_at_budgeted_stats, Condition,
 };
 use ilogic_temporal::patterns;
-use ilogic_temporal::pool::{Parallelism, ResourceBudget};
+use ilogic_temporal::pool::{Exhaustion, Parallelism, ResourceBudget};
 use ilogic_temporal::syntax::Ltl;
 use ilogic_temporal::tableau::TableauGraph;
+use ilogic_temporal::theory::{PropositionalTheory, Theory};
 use proptest::prelude::*;
 
 /// Random pure-temporal formulas over a two-proposition alphabet — deep
@@ -47,141 +48,14 @@ fn arb_formula(depth: u32) -> BoxedStrategy<Ltl> {
 }
 
 /// `Graph(¬formula)` under `budget`, or `None` when the build itself trips
-/// (nothing to compare then — both fixpoint paths would see the same cut).
+/// (nothing to compare then).
 fn graph_of(formula: &Ltl, budget: &ResourceBudget) -> Option<TableauGraph> {
     TableauGraph::try_build_budgeted(&formula.clone().not(), budget, Parallelism::Off).ok()
 }
 
-/// Evaluates an explicit condition DNF at an atom assignment — the spec the
-/// Boolean worklist projection must agree with.
-fn dnf_at(condition: &Condition, atom_true: &[bool]) -> bool {
-    condition.dnf().implicants().any(|imp| imp.iter().all(|&e| atom_true[e]))
-}
-
-/// The full differential check for one graph and one budget: worklist vs
-/// full-sweep (conditions, charges, trip reasons), plus the skip-accounting
-/// invariants.
-fn check_worklist_against_full_sweep(label: &str, graph: &TableauGraph, budget: &ResourceBudget) {
-    let (full, full_stats) = condition_of_graph_full_sweep_stats(graph.clone(), budget);
-    let (delta, delta_stats) =
-        condition_of_graph_budgeted_stats(graph.clone(), budget, Parallelism::Off);
-    // Charges are bit-identical to the full sweep on both outcomes: a
-    // skipped equation never interns.
-    assert_eq!(
-        full_stats.interned_implicants, delta_stats.interned_implicants,
-        "{label}: implicant charges diverge"
-    );
-    assert_eq!(
-        full_stats.interned_dnfs, delta_stats.interned_dnfs,
-        "{label}: interned DNF counts diverge"
-    );
-    assert_eq!(
-        full_stats.peak_dnf_width, delta_stats.peak_dnf_width,
-        "{label}: peak widths diverge"
-    );
-    match (&full, &delta) {
-        (Ok(full_cond), Ok(delta_cond)) => {
-            assert_eq!(full_cond.dnf(), delta_cond.dnf(), "{label}: conditions diverge");
-        }
-        (Err(full_cut), Err(delta_cut)) => {
-            assert_eq!(full_cut, delta_cut, "{label}: trip reasons diverge");
-        }
-        (full_outcome, delta_outcome) => panic!(
-            "{label}: full sweep {} but worklist {}",
-            if full_outcome.is_ok() { "completed" } else { "tripped" },
-            if delta_outcome.is_ok() { "completed" } else { "tripped" },
-        ),
-    }
-    // Skip accounting: the worklist never evaluates more than the full
-    // sweep, and what it skips is exactly what it chose not to evaluate.
-    assert!(
-        delta_stats.equations_evaluated <= full_stats.equations_evaluated,
-        "{label}: worklist evaluated more equations than the full sweep"
-    );
-    assert_eq!(full_stats.equations_skipped, 0, "{label}: a full sweep must not report skips");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random tableaux, default budget: worklist ≡ full sweep ≡ baseline.
-    #[test]
-    fn worklist_matches_full_sweep_and_baseline_on_random_tableaux(formula in arb_formula(3)) {
-        let budget = ResourceBudget::default();
-        let Some(graph) = graph_of(&formula, &budget) else { return Ok(()) };
-        check_worklist_against_full_sweep("random", &graph, &budget);
-        let baseline = condition_of_graph_baseline(graph.clone(), &budget);
-        let (delta, _) = condition_of_graph_budgeted_stats(graph, &budget, Parallelism::Off);
-        match (&baseline, &delta) {
-            (Ok(base), Ok(worklist)) => {
-                prop_assert_eq!(base.dnf(), worklist.dnf(), "baseline and worklist diverge");
-                // The baseline now reports its convergence too.
-                prop_assert!(base.store_stats().rounds > 0);
-                prop_assert_eq!(base.store_stats().equations_skipped, 0);
-            }
-            (Err(base_cut), Err(delta_cut)) => prop_assert_eq!(base_cut, delta_cut),
-            // The interned path completing where the estimate cut gave up is
-            // the point of the store rewrite.
-            (Err(_), Ok(_)) => {}
-            (Ok(_), Err(cut)) => {
-                panic!("worklist tripped ({cut}) on a condition the baseline completes")
-            }
-        }
-    }
-
-    /// Random tableaux under random tight implicant caps: the worklist trips
-    /// exactly when — and exactly as — the full sweep does.
-    #[test]
-    fn budget_trips_agree_under_tight_caps(formula in arb_formula(3), cap_raw in any::<u8>()) {
-        let cap = usize::from(cap_raw) % 48 + 1;
-        let budget = ResourceBudget::default().with_max_implicants(cap);
-        let Some(graph) = graph_of(&formula, &budget) else { return Ok(()) };
-        check_worklist_against_full_sweep("tight-cap", &graph, &budget);
-    }
-
-    /// The Boolean worklist projection agrees with the explicit condition
-    /// evaluated at random atom assignments (and with itself on trips).
-    #[test]
-    fn evaluated_worklist_agrees_with_explicit_condition(
-        formula in arb_formula(3),
-        seed in any::<u64>(),
-    ) {
-        let budget = ResourceBudget::default();
-        let Some(graph) = graph_of(&formula, &budget) else { return Ok(()) };
-        let (explicit, _) =
-            condition_of_graph_budgeted_stats(graph.clone(), &budget, Parallelism::Off);
-        let Ok(condition) = explicit else { return Ok(()) };
-        let atom_true: Vec<bool> =
-            (0..graph.edges().len()).map(|e| (seed >> (e % 64)) & 1 == 1).collect();
-        let (evaluated, stats) =
-            evaluate_condition_at_budgeted_stats(&graph, &atom_true, &budget);
-        let answer = evaluated.expect("structural caps cannot trip the Boolean projection");
-        prop_assert_eq!(
-            answer,
-            dnf_at(&condition, &atom_true),
-            "Boolean worklist disagrees with the explicit condition"
-        );
-        prop_assert!(stats.rounds > 0, "the projection must report its rounds");
-        prop_assert_eq!(stats.interned_implicants, 0, "the projection interns nothing");
-        // And against the preserved PR 5 Boolean full-sweep path: identical
-        // answer, strictly no-skip accounting on the anchor, and the
-        // worklist never evaluating more equations than the full sweeps.
-        let (anchor, anchor_stats) =
-            evaluate_condition_at_full_sweep_stats(&graph, &atom_true, &budget);
-        prop_assert_eq!(
-            answer,
-            anchor.expect("the anchor has the same (absent) trip conditions"),
-            "Boolean worklist disagrees with the PR 5 full-sweep anchor"
-        );
-        prop_assert_eq!(anchor_stats.equations_skipped, 0);
-        prop_assert!(stats.equations_evaluated <= anchor_stats.equations_evaluated);
-    }
-}
-
-/// The pattern catalogue — R3–R5, the eventuality chains, the response
-/// ladders — through the full differential harness.
-#[test]
-fn worklist_matches_full_sweep_on_pattern_formulas() {
+/// The pattern catalogue: the §6 measurement table, the eventuality chains
+/// and the response ladders.
+fn pattern_graphs() -> Vec<(String, TableauGraph)> {
     let mut formulas: Vec<(String, Ltl)> =
         patterns::appendix_b_table().into_iter().map(|(n, f)| (n.to_string(), f)).collect();
     for n in 1..=3 {
@@ -189,58 +63,170 @@ fn worklist_matches_full_sweep_on_pattern_formulas() {
     }
     formulas.push(("ladder2".to_string(), patterns::response_ladder(2)));
     formulas.push(("ladder3".to_string(), patterns::response_ladder(3)));
-    for (label, formula) in formulas {
-        let budget = ResourceBudget::default();
-        let graph =
-            graph_of(&formula, &budget).unwrap_or_else(|| panic!("{label}: tableau build tripped"));
-        check_worklist_against_full_sweep(&label, &graph, &budget);
+    formulas
+        .into_iter()
+        .map(|(label, formula)| {
+            let graph = graph_of(&formula, &ResourceBudget::default())
+                .unwrap_or_else(|| panic!("{label}: tableau build tripped"));
+            (label, graph)
+        })
+        .collect()
+}
+
+/// Evaluates an explicit condition DNF at an atom assignment.
+fn dnf_at(condition: &Condition, atom_true: &[bool]) -> bool {
+    condition.dnf().implicants().any(|imp| imp.iter().all(|&e| atom_true[e]))
+}
+
+/// The assignments a decision evaluates at — each edge true iff its label
+/// is unsatisfiable under [`PropositionalTheory`], and all-true — plus the
+/// all-false one and pseudo-random ones drawn from `seed`.
+fn assignments(graph: &TableauGraph, seed: u64) -> Vec<Vec<bool>> {
+    let theory = PropositionalTheory::new();
+    let unsat = graph.edges().iter().map(|e| !theory.satisfiable(&e.literals).is_sat()).collect();
+    let ne = graph.edge_count();
+    let mut out = vec![unsat, vec![true; ne], vec![false; ne]];
+    let mut x = seed | 1;
+    for _ in 0..4 {
+        out.push(
+            (0..ne)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x & 3 == 0
+                })
+                .collect(),
+        );
+    }
+    out
+}
+
+/// Both instances against the `BTreeSet` baseline computed under
+/// `baseline_budget`, the instances themselves running under the default
+/// budget:
+///
+/// * the DNF instance computes the baseline's condition wherever both
+///   complete;
+/// * the Boolean instance equals the baseline condition at every assignment
+///   of [`assignments`];
+/// * under every cap in 1..=48 the DNF instance computes its uncapped
+///   condition or trips on implicants, gives identical counters on a second
+///   run, and completes at twice every cap it completes at.
+fn check_graph(label: &str, graph: &TableauGraph, baseline_budget: &ResourceBudget, seed: u64) {
+    let budget = ResourceBudget::default();
+    let (reference, _) =
+        condition_of_graph_budgeted_stats(graph.clone(), &budget, Parallelism::Off);
+    let baseline = condition_of_graph_baseline(graph.clone(), baseline_budget);
+    match (&baseline, &reference) {
+        (Ok(base), Ok(condition)) => {
+            assert_eq!(base.dnf(), condition.dnf(), "{label}: worklist and baseline diverge");
+            // The baseline reports its convergence too.
+            assert!(base.store_stats().rounds > 0, "{label}: baseline rounds");
+            assert_eq!(base.store_stats().equations_skipped, 0, "{label}: baseline skips");
+        }
+        (Err(base_cut), Err(cut)) => assert_eq!(base_cut, cut, "{label}: trip reasons diverge"),
+        // The interned path completing where the estimate cut gave up is
+        // the point of the store.
+        (Err(_), Ok(_)) => {}
+        (Ok(_), Err(cut)) => {
+            panic!("{label}: worklist tripped ({cut}) on a condition the baseline completes")
+        }
+    }
+    if let Ok(baseline) = &baseline {
+        for (i, atom_true) in assignments(graph, seed).iter().enumerate() {
+            let (answer, stats) = evaluate_condition_at_budgeted_stats(graph, atom_true, &budget);
+            let answer = answer.expect("structural caps cannot trip the Boolean fixpoint");
+            assert_eq!(
+                answer,
+                dnf_at(baseline, atom_true),
+                "{label}: Boolean fixpoint disagrees with the baseline at assignment {i}"
+            );
+            assert!(stats.rounds > 0, "{label}: the Boolean fixpoint must report its rounds");
+            assert_eq!(stats.interned_implicants, 0, "{label}: the Boolean fixpoint interns");
+        }
+    }
+    let Ok(reference) = reference else { return };
+    let run = |cap: usize| {
+        let budget = ResourceBudget::default().with_max_implicants(cap);
+        condition_of_graph_budgeted_stats(graph.clone(), &budget, Parallelism::Off)
+    };
+    for cap in 1..=48 {
+        let (outcome, stats) = run(cap);
+        let (again, again_stats) = run(cap);
+        assert_eq!(stats, again_stats, "{label}: counters differ between runs at cap {cap}");
+        match (&outcome, &again) {
+            (Ok(condition), Ok(repeat)) => {
+                assert_eq!(condition.dnf(), reference.dnf(), "{label}: cap {cap} condition");
+                assert_eq!(repeat.dnf(), reference.dnf(), "{label}: cap {cap} repeat");
+                let (doubled, _) = run(2 * cap);
+                let doubled = doubled.unwrap_or_else(|cut| {
+                    panic!("{label}: completes at cap {cap} but trips ({cut}) at {}", 2 * cap)
+                });
+                assert_eq!(doubled.dnf(), reference.dnf(), "{label}: cap {} condition", 2 * cap);
+            }
+            (Err(cut), Err(repeat)) => {
+                assert_eq!(*cut, Exhaustion::Implicants, "{label}: cap {cap} trips on {cut}");
+                assert_eq!(cut, repeat, "{label}: cap {cap} trip reasons differ between runs");
+            }
+            _ => panic!("{label}: cap {cap} completes on only one of two runs"),
+        }
     }
 }
 
-/// Once a component converges it is never re-entered: on ladder3 the
-/// worklist engine must actually skip work — strictly positive skip
-/// counters, strictly fewer evaluations than the full sweep — while
-/// reaching the identical condition.  (The bench-smoke job enforces the
-/// same guard on the release build.)
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random tableaux through [`check_graph`], the baseline under the
+    /// default budget.
+    #[test]
+    fn both_lattices_match_the_oracles_on_random_tableaux(
+        formula in arb_formula(3),
+        seed in any::<u64>(),
+    ) {
+        let budget = ResourceBudget::default();
+        let Some(graph) = graph_of(&formula, &budget) else { return Ok(()) };
+        check_graph("random", &graph, &budget, seed);
+    }
+}
+
+/// The pattern catalogue through [`check_graph`].  The baseline runs
+/// unbudgeted: its pre-absorption estimate trips ladder3 at the default cap
+/// although the computation finishes in milliseconds.
+#[test]
+fn both_lattices_match_the_oracles_on_pattern_formulas() {
+    for (label, graph) in pattern_graphs() {
+        check_graph(&label, &graph, &ResourceBudget::unbounded(), 9001);
+    }
+}
+
+/// Once a component converges it is never re-entered: on ladder3 both
+/// lattices skip equations, and the DNF instance evaluates fewer of them
+/// than the baseline's full sweeps while reaching the same condition.
+/// (The bench-smoke job enforces the same skip guard on the release build.)
 #[test]
 fn converged_components_are_skipped_on_ladder3() {
     let budget = ResourceBudget::default();
-    let formula = patterns::response_ladder(3);
-    let graph = graph_of(&formula, &budget).expect("ladder3 builds under the default budget");
-    let (delta, delta_stats) =
+    let graph = graph_of(&patterns::response_ladder(3), &budget)
+        .expect("ladder3 builds under the default budget");
+    let (condition, stats) =
         condition_of_graph_budgeted_stats(graph.clone(), &budget, Parallelism::Off);
-    let (full, full_stats) = condition_of_graph_full_sweep_stats(graph.clone(), &budget);
-    assert_eq!(
-        delta.expect("ladder3 fits the default budget").dnf(),
-        full.expect("ladder3 fits the default budget").dnf(),
-    );
+    let baseline = condition_of_graph_baseline(graph.clone(), &ResourceBudget::unbounded())
+        .expect("the unbudgeted baseline completes ladder3");
+    assert_eq!(condition.expect("ladder3 fits the default budget").dnf(), baseline.dnf());
+    assert!(stats.equations_skipped > 0, "ladder3 must exercise the skip path, got {stats:?}");
+    let naive = baseline.store_stats().equations_evaluated;
     assert!(
-        delta_stats.equations_skipped > 0,
-        "ladder3 must exercise the skip path, got {delta_stats:?}"
+        stats.equations_evaluated < naive,
+        "the worklist must evaluate fewer equations than the baseline ({} vs {naive})",
+        stats.equations_evaluated,
     );
-    assert!(
-        delta_stats.equations_evaluated < full_stats.equations_evaluated,
-        "the worklist must evaluate strictly less than the full sweep \
-         ({} vs {})",
-        delta_stats.equations_evaluated,
-        full_stats.equations_evaluated,
-    );
-    // The Boolean projection skips on the same structure.  (The all-false
-    // assignment forces real iteration — at all-true every equation is
-    // trivially ⊤ and each phase converges in its seed round.)
-    let atom_true = vec![false; graph.edges().len()];
-    let (answer, eval_stats) = evaluate_condition_at_budgeted_stats(&graph, &atom_true, &budget);
+    // The all-false assignment forces real iteration: at all-true every
+    // equation is trivially true and each phase converges in its seed round.
+    let atoms_false = vec![false; graph.edge_count()];
+    let (_, eval_stats) = evaluate_condition_at_budgeted_stats(&graph, &atoms_false, &budget);
     assert!(
         eval_stats.equations_skipped > 0,
-        "the Boolean worklist must skip on ladder3 too, got {eval_stats:?}"
-    );
-    let (anchor, anchor_stats) =
-        evaluate_condition_at_full_sweep_stats(&graph, &atom_true, &budget);
-    assert_eq!(answer.unwrap(), anchor.unwrap(), "Boolean worklist vs PR 5 anchor on ladder3");
-    assert!(
-        eval_stats.equations_evaluated < anchor_stats.equations_evaluated,
-        "the Boolean worklist must evaluate strictly less than the PR 5 sweeps ({} vs {})",
-        eval_stats.equations_evaluated,
-        anchor_stats.equations_evaluated,
+        "the Boolean fixpoint must skip on ladder3 too, got {eval_stats:?}"
     );
 }

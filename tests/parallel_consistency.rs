@@ -64,7 +64,9 @@ fn every_formula_agrees_at_every_worker_count() {
                 parallel.verdict, sequential.verdict,
                 "parallel({workers}) and sequential verdicts differ on {label}"
             );
-            assert_eq!(parallel.stats.workers, workers);
+            // 208 computations stay below the fan-out grain: the sweep runs
+            // on the calling thread and says so.
+            assert_eq!(parallel.stats.workers, 1, "{label} at {workers} workers");
         }
     }
 }
