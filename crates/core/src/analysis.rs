@@ -112,8 +112,9 @@ pub enum DiagnosticCode {
     /// whose tableau closure grows exponentially with depth.
     DeepNesting,
     /// `C001` — the `[ ⇒ α ] []β` prefix-invariance family and its dual
-    /// `~[ ⇒ α ] <>β`: the explicit §5 condition DNF is intractably wide, so
-    /// the decision must come from the evaluated fixpoint.
+    /// `~[ ⇒ α ] <>β`: the evaluated fixpoint decides them far more cheaply
+    /// than the explicit §5 condition DNF, which on the `□` shape trips the
+    /// default implicant cap.
     ArtifactIntractable,
     /// `C002` — pre-flight admission rejected the job: the predicted cost
     /// exceeds the attached budget, so the check answered `Unknown` without
@@ -276,8 +277,9 @@ pub struct CostEstimate {
     /// artifact-intractable family.
     pub condition_width: u64,
     /// The `[ ⇒ α ] []β` prefix-invariance shape (or its dual
-    /// `~[ ⇒ α ] <>β`): the explicit condition artifact is hopeless, the
-    /// evaluated fixpoint is not.
+    /// `~[ ⇒ α ] <>β`): the evaluated fixpoint decides it more cheaply than
+    /// the explicit condition artifact, which on the `□` shape trips the
+    /// default implicant cap.
     pub artifact_intractable: bool,
     /// Nested `[α ⇒]` prefixes at depth ≥ 2 (the PR 1 exponential
     /// translation family).
@@ -291,6 +293,16 @@ impl CostEstimate {
         self.artifact_intractable || self.deep_nesting
     }
 }
+
+/// The `C001` message of `[ => α ] []β`, measured on `[ => Q ] []P`.
+const PREFIX_INVARIANCE: &str = "prefix-invariance shape `[ => α ] []β`: its explicit condition \
+     DNF trips the default 10 000-implicant cap (measured on `[ => Q ] []P`); the decision comes \
+     from the evaluated fixpoint";
+
+/// The `C001` message of `~[ => α ] <>β`, measured on `~[ => Q ] <>P`.
+const PREFIX_INVARIANCE_DUAL: &str = "dual prefix-invariance shape `~[ => α ] <>β`: its explicit \
+     condition DNF completes (157 interned implicants on `~[ => Q ] <>P`), but the evaluated \
+     fixpoint decides it more cheaply, so the decision comes from there";
 
 /// What [`analyze`] returns: findings plus the cost prediction.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -328,7 +340,7 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
         consts: Vec::new(),
         never: Vec::new(),
         diagnostics: Vec::new(),
-        intractable_path: None,
+        intractable: None,
         deep_nesting: false,
     };
     pass.walk(root, &mut Vec::new(), 0);
@@ -364,7 +376,7 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
 
     let mut diagnostics = pass.diagnostics;
     let deep_nesting = pass.deep_nesting;
-    let intractable_path = pass.intractable_path;
+    let intractable = pass.intractable;
 
     let size = formula.size();
     let propositions = count_propositions(formula);
@@ -373,14 +385,12 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
             // The decision pipeline builds the tableau of the *negation*;
             // profile exactly that.
             let profile = tableau::closure_profile(&ltl.not());
-            let artifact_intractable = intractable_path.is_some();
-            if let Some(path) = intractable_path {
+            let artifact_intractable = intractable.is_some();
+            if let Some((path, message)) = intractable {
                 diagnostics.push(Diagnostic::new(
                     DiagnosticCode::ArtifactIntractable,
                     path,
-                    "prefix-invariance shape `[ => α ] []β` or `~[ => α ] <>β`: the explicit \
-                     condition DNF is intractably wide at any implicant budget; the decision \
-                     must come from the evaluated fixpoint",
+                    message,
                 ));
             }
             let blowup = artifact_intractable || deep_nesting;
@@ -591,8 +601,9 @@ struct Pass<'a, A: ArenaRead> {
     /// (same dense-id memo layout).
     never: Vec<Option<bool>>,
     diagnostics: Vec<Diagnostic>,
-    /// Path of the first artifact-intractable site, if any.
-    intractable_path: Option<Vec<FormulaId>>,
+    /// Path and `C001` message of the first artifact-intractable site, if
+    /// any.
+    intractable: Option<(Vec<FormulaId>, &'static str)>,
     deep_nesting: bool,
 }
 
@@ -626,18 +637,23 @@ impl<A: ArenaRead> Pass<'_, A> {
                 let term_node = *self.arena.term_node(term);
                 // `[ ⇒ α ] □β`, or its dual `¬[ ⇒ α ] ◇β`: either way the
                 // tableau of the negated translation carries the □.
-                let invariance = match arena.formula_node(body) {
-                    FormulaNode::Always(_) => true,
-                    FormulaNode::Eventually(_) => path.len().checked_sub(2).is_some_and(|at| {
-                        matches!(arena.formula_node(path[at]), FormulaNode::Not(_))
-                    }),
-                    _ => false,
+                let message = match arena.formula_node(body) {
+                    FormulaNode::Always(_) => Some(PREFIX_INVARIANCE),
+                    FormulaNode::Eventually(_) => path
+                        .len()
+                        .checked_sub(2)
+                        .is_some_and(|at| {
+                            matches!(arena.formula_node(path[at]), FormulaNode::Not(_))
+                        })
+                        .then_some(PREFIX_INVARIANCE_DUAL),
+                    _ => None,
                 };
-                if matches!(term_node, TermNode::Forward(None, Some(_)))
-                    && invariance
-                    && self.intractable_path.is_none()
-                {
-                    self.intractable_path = Some(path.clone());
+                if let Some(message) = message {
+                    if matches!(term_node, TermNode::Forward(None, Some(_)))
+                        && self.intractable.is_none()
+                    {
+                        self.intractable = Some((path.clone(), message));
+                    }
                 }
                 if self.never_constructible(term) {
                     let message = if self.term_has_must(term) {
@@ -968,7 +984,9 @@ mod tests {
 
     #[test]
     fn prefix_invariance_is_artifact_intractable_without_building_anything() {
-        // [ => Q ] []P — the PR 5 family whose explicit condition is >15k wide.
+        // [ => Q ] []P — the family whose explicit condition trips the default
+        // 10 000-implicant cap (33 nodes / 410 edges in Graph(¬B)); the
+        // evaluated fixpoint decides it.
         let f = always(prop("P")).within(fwd_to(event(prop("Q"))));
         let analysis = analyze_formula(&f);
         assert!(codes(&analysis).contains(&DiagnosticCode::ArtifactIntractable));
@@ -981,7 +999,9 @@ mod tests {
         assert!(!dual_analysis.estimate.artifact_intractable);
         assert!(dual_analysis.estimate.condition_width < 100);
         // Its negation is the □ shape again once the tableau pushes the
-        // negation in: ~[ => Q ] <>P.
+        // negation in: ~[ => Q ] <>P.  Its explicit condition completes (157
+        // interned implicants on a 7-node / 36-edge graph), but routing keeps
+        // it on the cheaper evaluated fixpoint.
         let negated = analyze_formula(&not(dual));
         assert!(codes(&negated).contains(&DiagnosticCode::ArtifactIntractable));
         assert!(negated.estimate.artifact_intractable && negated.estimate.blowup());

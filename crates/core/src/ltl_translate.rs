@@ -13,9 +13,20 @@
 //!   a weak-until expression that waits for the change of `p` from false to
 //!   true and asserts the translation of `α` there;
 //! * `[ ⇒ q ] □p` and `[ ⇒ q ] ◇p` — invariance / eventuality up to the end of
-//!   the first `q` event — translate to weak-until expressions;
-//! * `*p` — the event `p` occurs — translates to `◇(¬p ∧ ◇p)` (valid formula
-//!   V5).
+//!   the first `q` event — find the rise of `q` with a single next step:
+//!   `[ ⇒ q ] □p` is `never(q) ∨ U(p, p ∧ ¬q ∧ ◦(p ∧ q))` and `[ ⇒ q ] ◇p` is
+//!   `¬U_s(¬p, ¬p ∧ ¬q ∧ ◦(¬p ∧ q))`, where `never(q)` is `□q ∨ U(q, □¬q)`;
+//! * `[ ⇒ ] α` — the whole context — is `α` (valid formula V7).
+//!
+//! The encoding of the prefix intervals sets the size of everything the
+//! decision procedure builds afterwards, since `Decide` expands the
+//! Appendix B graph of the negated translation.  An earlier strong-until
+//! chain, `U_s(p ∧ q, (p ∧ ¬q) ∧ U_s(p ∧ ¬q, p ∧ q))`, carried two `◇`
+//! eventualities over compound bodies; the one-step encoding carries at most
+//! one.  On `[ ⇒ r ] □(p ∨ q)` that shrinks `Graph(¬B)` from 97 nodes / 3362
+//! edges to 33 / 410, and one round of the benchmark's `decide_heavy`
+//! workload (44 tableaux) from 1815 nodes to 749.  The tests keep the chain
+//! as the oracle of the equivalence.
 //!
 //! Everything outside the fragment is rejected with
 //! [`TranslateError::Unsupported`]; the Appendix C pipeline
@@ -141,24 +152,34 @@ fn after_next_event(p: &Ltl, alpha: Ltl) -> Ltl {
     p.clone().until(p.clone().not().and(change))
 }
 
-/// The constructive part of `[ ⇒ q ] □p`: the first `q` event completes and `p`
+/// The constructive part of `[ ⇒ q ] □x`: the first `q` event completes and `x`
 /// holds at every state up to and including that completion.
 ///
-/// Encoded as a strong-until chain: an initial (possibly empty) segment where
-/// `p ∧ q` holds, then a segment where `p ∧ ¬q` holds, ending at a state where
-/// `p ∧ q` holds again — the completion of the first change of `q` from false
-/// to true.
-fn up_to_event_constructive(q: &Ltl, p: &Ltl) -> Ltl {
-    let completion = p.clone().and(q.clone());
-    let falling = p.clone().and(q.clone().not());
-    let inner = falling.clone().strong_until(completion);
-    p.clone().and(q.clone()).strong_until(falling.and(inner))
+/// Encoded with one next step: `U_s(x, x ∧ ¬q ∧ ◦(x ∧ q))` — `x` holds up to
+/// some rise of `q` (a `¬q` state followed by a `q` state) and at both of its
+/// states.  Let `k` be the completion of the first rise, the first state with
+/// `q` after a `¬q` state.  Any step `j` satisfying `¬q ∧ ◦q` has `j + 1 ≥ k`,
+/// so `x` on `[0, j + 1]` covers `[0, k]`; conversely `j = k − 1` is a
+/// witness.  The formula carries a single eventuality, which is what keeps the
+/// Appendix B graph of its negation small.
+fn up_to_event_constructive(q: &Ltl, x: &Ltl) -> Ltl {
+    x.clone().strong_until(rise_within(q, x))
+}
+
+/// `x ∧ ¬q ∧ ◦(x ∧ q)`: `q` rises at the next step and `x` holds at both ends.
+fn rise_within(q: &Ltl, x: &Ltl) -> Ltl {
+    x.clone().and(q.clone().not()).and(x.clone().and(q.clone()).next())
 }
 
 /// `[ ⇒ q ] □p`: `p` holds from now until (and including) the state at which
 /// the first `q` event completes; vacuously true if `q` never changes to true.
+///
+/// Encoded as `never(q) ∨ U(p, p ∧ ¬q ∧ ◦(p ∧ q))`: the weak until needs no
+/// eventuality, since its `□p` reading already implies `p` up to the
+/// completion whenever the event occurs.
 fn up_to_event_always(q: &Ltl, p: Ltl) -> Ltl {
-    event_never_occurs(q).or(up_to_event_constructive(q, &p))
+    let rise = rise_within(q, &p);
+    event_never_occurs(q).or(p.until(rise))
 }
 
 /// `[ ⇒ q ] ◇p`: if the first `q` event completes, `p` holds at some state up
@@ -251,11 +272,54 @@ mod tests {
         );
     }
 
+    /// The prefix-interval bodies both encodings are checked on: an atom, a
+    /// disjunction, bodies that mention the event atom `Q`, and a negation.
+    fn prefix_bodies() -> Vec<Formula> {
+        vec![prop("P"), prop("P").or(prop("R")), prop("Q"), prop("Q").or(prop("P")), not(prop("P"))]
+    }
+
     #[test]
     fn prefix_interval_up_to_event() {
-        // [ ⇒ Q ] □P  and  [ ⇒ Q ] ◇P
-        agree_on_small_traces(&always(prop("P")).within(fwd_to(event(prop("Q")))), &["P", "Q"]);
-        agree_on_small_traces(&eventually(prop("P")).within(fwd_to(event(prop("Q")))), &["P", "Q"]);
+        // [ ⇒ Q ] □β  and  [ ⇒ Q ] ◇β
+        let to_q = || fwd_to(event(prop("Q")));
+        for body in prefix_bodies() {
+            agree_on_small_traces(&always(body.clone()).within(to_q()), &["P", "Q", "R"]);
+            agree_on_small_traces(&eventually(body.clone()).within(to_q()), &["P", "Q", "R"]);
+        }
+    }
+
+    /// The strong-until chain encodings the one-step ones replaced: an
+    /// initial `x ∧ q` segment, then `x ∧ ¬q`, ending at `x ∧ q`.
+    mod chain {
+        use super::*;
+
+        fn constructive(q: &Ltl, x: &Ltl) -> Ltl {
+            let completion = x.clone().and(q.clone());
+            let falling = x.clone().and(q.clone().not());
+            let inner = falling.clone().strong_until(completion);
+            x.clone().and(q.clone()).strong_until(falling.and(inner))
+        }
+
+        pub fn always(q: &Ltl, p: Ltl) -> Ltl {
+            event_never_occurs(q).or(constructive(q, &p))
+        }
+
+        pub fn eventually(q: &Ltl, p: Ltl) -> Ltl {
+            constructive(q, &p.not()).not()
+        }
+    }
+
+    #[test]
+    fn one_step_encodings_are_equivalent_to_the_chains() {
+        use ilogic_temporal::tableau::valid_pure;
+        let q = Ltl::prop("Q");
+        for body in prefix_bodies() {
+            let p = state_formula(&body).unwrap();
+            let always = up_to_event_always(&q, p.clone());
+            assert!(valid_pure(&chain::always(&q, p.clone()).iff(always)), "[ => Q ] []{body}");
+            let eventually = up_to_event_eventually(&q, p.clone());
+            assert!(valid_pure(&chain::eventually(&q, p).iff(eventually)), "[ => Q ] <>{body}");
+        }
     }
 
     #[test]

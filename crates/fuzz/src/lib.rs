@@ -10,7 +10,8 @@
 //!   ([`ilogic_core::generate`], re-exported here) and random transition
 //!   systems ([`sysgen`]) implementing the [`ilogic_systems::explore::Model`]
 //!   trait, built from the compat `proptest` combinators;
-//! * **Oracle** — [`oracle::check_instance`] runs one generated instance
+//! * **Oracle** — [`oracle::check_instance`] checks the LTL translation of
+//!   one generated instance against the interval semantics, then runs it
 //!   through every applicable backend pairing (`Decide` vs `Bounded`,
 //!   evaluated fixpoint vs explicit condition artifact, `Auto` vs
 //!   hand-routed, `Explore` vs a sequential per-run reference) and asserts

@@ -9,6 +9,10 @@
 //! three-valued agreement the harness checks sharper, structural identities
 //! where the implementation guarantees them:
 //!
+//! * the Chapter 9 reduction is sound where it applies: for a formula that
+//!   `to_ltl` accepts, its LTL image and the interval semantics agree on
+//!   every computation up to [`CROSS_CHECK_DEPTH`] states (stutter and lasso
+//!   extensions) over the formula's alphabet;
 //! * `Decide`'s refutation sweep *is* the `Bounded` enumeration (same
 //!   propositions, same depth), so when both refute, the counterexample
 //!   computations and enumeration indices must be bit-identical;
@@ -33,9 +37,13 @@
 
 use ilogic_core::analysis::{self, proposition_names};
 use ilogic_core::generate::{FormulaGenerator, GeneratorConfig};
+use ilogic_core::ltl_translate::{to_ltl, TranslateError};
 use ilogic_core::prelude::*;
+use ilogic_core::semantics;
 use ilogic_core::session::auto_backend;
 use ilogic_systems::explore::{collect_runs, ExploreLimits};
+use ilogic_temporal::semantics::{TlState, TlTrace};
+use ilogic_temporal::syntax::Ltl;
 
 use crate::sysgen::{system_from_seed, RandomSystem};
 
@@ -145,6 +153,50 @@ pub fn tight_budget() -> ResourceBudget {
         .with_max_enumeration(300)
 }
 
+/// The first computation of up to [`CROSS_CHECK_DEPTH`] states over the
+/// formula's alphabet (stutter and lasso extensions, in `Bounded`
+/// enumeration order) on which `translate`'s LTL image of `formula` and the
+/// interval semantics disagree; `None` when they agree everywhere or the
+/// formula is outside the translatable fragment.
+pub fn translation_disagreement(
+    formula: &Formula,
+    translate: impl Fn(&Formula) -> Result<Ltl, TranslateError>,
+) -> Option<String> {
+    let ltl = translate(formula).ok()?;
+    let props = proposition_names(formula);
+    let mut found = None;
+    BoundedChecker::new(props.iter().map(String::as_str), CROSS_CHECK_DEPTH).for_each_trace(
+        |trace| {
+            let interval = semantics::holds(trace, formula);
+            let image = ltl_trace(trace, &props).eval(&ltl);
+            if interval != image {
+                found = Some(format!("interval: {interval} | LTL image {ltl}: {image} on {trace}"));
+            }
+            found.is_none()
+        },
+    );
+    found
+}
+
+/// `trace` as an LTL computation over the plain propositions `props`.
+fn ltl_trace(trace: &Trace, props: &[String]) -> TlTrace {
+    let states = trace
+        .states()
+        .iter()
+        .map(|state| {
+            let mut tl = TlState::new();
+            for name in props {
+                tl.set_prop(name.as_str(), state.holds(&Prop::plain(name.as_str())));
+            }
+            tl
+        })
+        .collect();
+    match trace.extension() {
+        Extension::Stutter => TlTrace::finite(states),
+        Extension::Loop(start) => TlTrace::lasso(states, start),
+    }
+}
+
 /// The full oracle: runs every invariant against the instance and returns
 /// the first disagreement found.
 pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
@@ -154,6 +206,11 @@ pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
         invariant,
         detail,
     };
+
+    // --- Translation: the LTL image vs the interval semantics ------------
+    if let Some(detail) = translation_disagreement(&instance.formula, to_ltl) {
+        return Err(fail("translation", detail));
+    }
 
     // --- Decide vs Bounded: same alphabet, same depth --------------------
     let props = proposition_names(&instance.formula);

@@ -9,18 +9,26 @@
 //! * `planted_disagreement_is_caught_and_shrunk` — regression for the
 //!   harness itself: an intentionally buggy oracle stub must be caught by
 //!   the corpus loop and minimized to a local minimum by the shrinker.
+//! * `planted_translation_bug_is_caught_and_shrunk` — the same for the
+//!   translation invariant: a translator that reads every next step as the
+//!   present state must disagree with the interval semantics and shrink to
+//!   a single prefix interval.
 //! * `protocol_zoo_instances_agree_across_backends` — wires the ring
 //!   election and sensor bus into the differential corpus: their theorems
 //!   cross-checked Explore vs a sequential reference on correct *and*
 //!   broken variants.
 
+use ilogic_core::ltl_translate::{to_ltl, TranslateError};
 use ilogic_core::prelude::*;
-use ilogic_fuzz::oracle::{check_instance, classify, disagree, Instance, Outcome};
+use ilogic_fuzz::oracle::{
+    check_instance, classify, disagree, translation_disagreement, Instance, Outcome,
+};
 use ilogic_fuzz::shrink::{candidates, formula_size, shrink_instance};
 use ilogic_fuzz::{repro_path, CorpusPlan};
 use ilogic_systems::explore::{collect_runs, explore_backend, ExploreLimits};
 use ilogic_systems::ring::{leader_uniqueness_theorem, RingModel};
 use ilogic_systems::sensorbus::{bus_exclusivity_theorem, SensorBusModel};
+use ilogic_temporal::syntax::Ltl;
 
 #[test]
 fn differential_corpus_agrees() {
@@ -87,6 +95,51 @@ fn planted_disagreement_is_caught_and_shrunk() {
     // For this particular stub the minimum is known exactly: the formula
     // `q` over a run set that satisfies it vacuously or positively.
     assert!(formula_size(&shrunk.formula) <= 2, "expected an atomic repro, got {}", shrunk.formula);
+}
+
+/// `to_ltl` with every next step read as the present state: wrong on the
+/// prefix intervals `[ => q ] □p` and `[ => q ] ◇p`, which find the rise of
+/// `q` with one `◦`.
+fn presentist_translation(formula: &Formula) -> Result<Ltl, TranslateError> {
+    fn drop_next(ltl: Ltl) -> Ltl {
+        match ltl {
+            Ltl::Next(a) => drop_next(*a),
+            Ltl::Not(a) => drop_next(*a).not(),
+            Ltl::And(a, b) => drop_next(*a).and(drop_next(*b)),
+            Ltl::Or(a, b) => drop_next(*a).or(drop_next(*b)),
+            Ltl::Always(a) => drop_next(*a).always(),
+            Ltl::Eventually(a) => drop_next(*a).eventually(),
+            Ltl::Until(a, b) => drop_next(*a).until(drop_next(*b)),
+            leaf => leaf,
+        }
+    }
+    to_ltl(formula).map(drop_next)
+}
+
+#[test]
+fn planted_translation_bug_is_caught_and_shrunk() {
+    let buggy =
+        |i: &Instance| translation_disagreement(&i.formula, presentist_translation).is_some();
+    let caught = (0..64)
+        .map(Instance::from_seed)
+        .find(buggy)
+        .expect("the planted translation bug must disagree somewhere in 64 seeds");
+    let original_size = formula_size(&caught.formula);
+
+    let shrunk = shrink_instance(caught, buggy);
+
+    assert!(buggy(&shrunk));
+    assert!(formula_size(&shrunk.formula) <= original_size);
+    for candidate in candidates(&shrunk) {
+        assert!(!buggy(&candidate), "shrinker stopped early: {} still shrinks", shrunk.formula);
+    }
+    // Only a prefix interval carries a `◦`, and a constant body makes it
+    // vacuous, so the minimum is `[ => q ] □p` or `[ => q ] ◇p`.
+    assert!(
+        matches!(shrunk.formula, Formula::In(..)) && formula_size(&shrunk.formula) == 5,
+        "expected a single prefix interval over a proposition, got {}",
+        shrunk.formula
+    );
 }
 
 /// A zoo entry: name, closed theorem, and the runs it is checked over.

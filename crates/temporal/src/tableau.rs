@@ -47,16 +47,22 @@
 //! # Cost
 //!
 //! On the hard `[ => α ] []β` family the tableau used to be the main cost
-//! of a decision: the LTL image of `[ => r ] [](p | q)` expands to 97 nodes
-//! and 3362 edges.  `perfbench --workload decide_heavy --seed 1 --seconds 8
+//! of a decision.  `perfbench --workload decide_heavy --seed 1 --seconds 8
 //! --trace 1` replays one round of the benchmark's hard-family workload (44
-//! tableaux, 1815 nodes in all) layer by layer.  On a shared 2-vCPU Intel
-//! Xeon VM it read `tableau.build_us` 1419 µs and `tableau.busy_ms` 1472 ms
-//! (build and prune together) when expansion cloned boxed formula sets.
-//! Over interned ids with a level-parallel build it read a median of 145 µs
-//! and 25.2 ms, and with the fused sequential pass over a hash-consed
-//! closure 34 µs and 10.0 ms (seven alternating runs of each on the same
-//! host), for the same 1815 nodes.
+//! tableaux) layer by layer.  While `ilogic-core`'s `to_ltl` wrote "up to
+//! the first `q` event" as a strong-until chain, the LTL image of
+//! `[ => r ] [](p | q)` expanded to 97 nodes and 3362 edges and the round to
+//! 1815 nodes.  On a shared 2-vCPU Intel Xeon VM it read `tableau.build_us`
+//! 1419 µs and `tableau.busy_ms` 1472 ms (build and prune together) when
+//! expansion cloned boxed formula sets.  Over interned ids with a
+//! level-parallel build it read a median of 145 µs and 25.2 ms, and with the
+//! fused sequential pass over a hash-consed closure 34 µs and 10.0 ms (seven
+//! alternating runs of each on the same host), for the same 1815 nodes.
+//!
+//! The translation now finds the rise of `q` with one next step, so the same
+//! shape expands to 33 nodes and 410 edges and the round to 749 nodes.  One
+//! traced run of each encoding on a 2-vCPU VM read `tableau.build_us` 48.9 →
+//! 21.0 µs and `tableau.busy_ms` 15.5 → 2.8 ms.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
@@ -1663,8 +1669,10 @@ mod tests {
         Ltl::prop("Q")
     }
 
-    /// `[ ⇒ q ] □p` / `[ ⇒ q ] ◇p` as `ilogic-core`'s `to_ltl` writes them:
-    /// the constructive strong-until chain up to the first `q` event.
+    /// `[ ⇒ q ] □p` / `[ ⇒ q ] ◇p` as `ilogic-core`'s `to_ltl` used to
+    /// write them: the constructive strong-until chain up to the first `q`
+    /// event.  Its graphs are larger than the one-step encoding's, so they
+    /// stay here as the heaviest shapes the reference comparison runs on.
     fn up_to_event(q: Ltl, p: Ltl) -> Ltl {
         let completion = p.clone().and(q.clone());
         let falling = p.clone().and(q.clone().not());

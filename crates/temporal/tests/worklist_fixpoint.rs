@@ -14,7 +14,10 @@
 //!   [`Exhaustion::Implicants`], repeats its counters exactly, and never
 //!   trips at a larger cap after completing at a smaller one;
 //! * on ladder3 both instances actually skip equations, and the DNF instance
-//!   evaluates fewer of them than the baseline's full sweeps.
+//!   evaluates fewer of them than the baseline's full sweeps;
+//! * on `Graph(¬U(Q, □Q))`, whose `fail` phase needs a second round before
+//!   `delete(init)` is right, both instances equal the baseline — the DNF
+//!   exactly, the Boolean instance at every assignment.
 
 use ilogic_temporal::algorithm_b::{
     condition_of_graph_baseline, condition_of_graph_budgeted_stats,
@@ -229,4 +232,36 @@ fn converged_components_are_skipped_on_ladder3() {
         eval_stats.equations_skipped > 0,
         "the Boolean fixpoint must skip on ladder3 too, got {eval_stats:?}"
     );
+}
+
+/// A worklist must re-enqueue the readers of a changed value until nothing
+/// changes.  `Graph(¬U(Q, □Q))` (4 nodes, 11 edges, the eventuality `◇¬Q`)
+/// is a fixed graph on which one round per phase is not enough: the
+/// `fail(◇¬Q)` values of the component {0, 3} only settle in a second round,
+/// and a driver that stops after the first adds the implicants
+/// `{0,1,2,7,9,10}`, `{0,2,5,7,10}` and `{2,4,10}` to `delete(init)`, all
+/// through the self-loop at node 3 that never fulfills `◇¬Q`.  Both lattices
+/// must still equal the baseline: the DNF instance's condition exactly, and
+/// the Boolean instance at all 2¹¹ assignments.
+#[test]
+fn a_second_round_changes_delete_init() {
+    let budget = ResourceBudget::default();
+    let q = Ltl::prop("Q");
+    let graph = graph_of(&q.clone().until(q.always()), &budget).expect("a four-node tableau");
+    assert_eq!((graph.node_count(), graph.edge_count()), (4, 11));
+    let baseline = condition_of_graph_baseline(graph.clone(), &budget).expect("baseline completes");
+    assert_eq!(baseline.dnf().implicants().count(), 6);
+    let (condition, _) =
+        condition_of_graph_budgeted_stats(graph.clone(), &budget, Parallelism::Off);
+    assert_eq!(condition.expect("fits the default budget").dnf(), baseline.dnf());
+    let ne = graph.edge_count();
+    for bits in 0u32..1 << ne {
+        let atom_true: Vec<bool> = (0..ne).map(|e| bits & (1 << e) != 0).collect();
+        let (answer, _) = evaluate_condition_at_budgeted_stats(&graph, &atom_true, &budget);
+        assert_eq!(
+            answer.expect("structural caps cannot trip the Boolean fixpoint"),
+            dnf_at(&baseline, &atom_true),
+            "Boolean fixpoint disagrees with the baseline at {bits:011b}"
+        );
+    }
 }

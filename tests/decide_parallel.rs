@@ -62,9 +62,9 @@ fn hard_family() -> Vec<(String, Ltl, usize, usize)> {
     use ilogic::core::ltl_translate::to_ltl;
     let p_or_q = || prop("p").or(prop("q"));
     [
-        ("[ => p ] [](p | q)", always(p_or_q()).within(fwd_to(event(prop("p")))), 79, 1812),
-        ("[ => r ] [](p | q)", always(p_or_q()).within(fwd_to(event(prop("r")))), 97, 3362),
-        ("~[ => p ] <>q", not(eventually(prop("q")).within(fwd_to(event(prop("p"))))), 13, 195),
+        ("[ => p ] [](p | q)", always(p_or_q()).within(fwd_to(event(prop("p")))), 31, 303),
+        ("[ => r ] [](p | q)", always(p_or_q()).within(fwd_to(event(prop("r")))), 33, 410),
+        ("~[ => p ] <>q", not(eventually(prop("q")).within(fwd_to(event(prop("p"))))), 7, 36),
     ]
     .into_iter()
     .map(|(name, formula, nodes, edges)| {

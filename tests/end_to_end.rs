@@ -152,14 +152,17 @@ fn algorithm_b_and_bounded_models_agree_on_interval_fragment_validities() {
 #[test]
 fn algorithm_b_condition_artifact_is_budgeted_on_the_prefix_invariance_formula() {
     // ISSUE 5 re-triage of the `[ => Q ] []P` blowup.  The tableau of
-    // ¬to_ltl([ => Q ] []P) is *small* — 97 nodes / 3362 edges, built in
-    // ~55 ms — and since the interned-implicant condition store the
-    // *decision* settles exactly (see
+    // ¬to_ltl([ => Q ] []P) is *small* — 33 nodes / 410 edges with the
+    // one-step encoding of the prefix interval (97 / 3362 under the earlier
+    // strong-until chain) — and since the interned-implicant condition store
+    // the *decision* settles exactly (see
     // `algorithm_b_refutes_the_prefix_invariance_formula` below).  What
     // remains genuinely intractable is the *explicit condition artifact*:
     // its minimal DNF keeps widening past 10^4 implicants per value with no
-    // sign of convergence (measured: distinct-implicant charges grow through
-    // 10^5..10^6 with intermediate antichains 15 000+ wide), so
+    // sign of convergence (measured on the chain encoding's graph:
+    // distinct-implicant charges grow through 10^5..10^6 with intermediate
+    // antichains 15 000+ wide; the one-step graph still trips the default
+    // cap), so
     // `condition_budgeted` must trip the distinct-implicant cap — in
     // well-bounded time, naming the resource — rather than hang.
     use ilogic::core::pool::{Exhaustion, ResourceBudget};
