@@ -881,7 +881,8 @@ impl<'a, A: ArenaRead> MemoEvaluator<'a, A> {
         env: EnvId,
     ) -> Constructed {
         let (scan_hi, loop_region) = cx.event_scan_bounds(ctx);
-        let mut found: Vec<usize> = Vec::new();
+        // The first rise for a forward scan, the last one for a backward scan.
+        let mut found: Option<usize> = None;
         let mut recurring = false;
         let mut k = ctx.lo + 1;
         while k <= scan_hi {
@@ -893,28 +894,20 @@ impl<'a, A: ArenaRead> MemoEvaluator<'a, A> {
                         recurring = true;
                     }
                 }
-                found.push(k);
+                found = Some(k);
                 if dir == Dir::Forward {
                     break;
                 }
             }
             k += 1;
         }
-        match dir {
-            Dir::Forward => match found.first() {
-                Some(&k) => Constructed::Found(Interval::bounded(k - 1, k)),
-                None => Constructed::NotFound,
-            },
-            Dir::Backward => {
-                if recurring {
-                    // Infinitely many occurrences: max is undefined.
-                    return Constructed::NotFound;
-                }
-                match found.last() {
-                    Some(&k) => Constructed::Found(Interval::bounded(k - 1, k)),
-                    None => Constructed::NotFound,
-                }
-            }
+        if dir == Dir::Backward && recurring {
+            // Infinitely many occurrences: max is undefined.
+            return Constructed::NotFound;
+        }
+        match found {
+            Some(k) => Constructed::Found(Interval::bounded(k - 1, k)),
+            None => Constructed::NotFound,
         }
     }
 

@@ -102,7 +102,7 @@ pub use ilogic_temporal::dnf::store::StoreStats as ConditionStats;
 
 use crate::analysis::{self, Analysis, CostEstimate, Diagnostic, DiagnosticCode};
 use crate::arena::{ArenaRead, ArenaVersion, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
-use crate::bounded::BoundedChecker;
+use crate::bounded::{self, BoundedChecker};
 use crate::json::{Json, JsonError, JsonWriter};
 use crate::ltl_translate::to_ltl;
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
@@ -2338,24 +2338,9 @@ fn decide<A: ArenaRead + Sync>(
     // reports `exhausted: Some(Enumeration)` when raising `max_enumeration`
     // could actually have helped.
     let props = analysis::proposition_names(&job.formula);
-    let cap = job.budget.max_enumeration();
-    let mut cap_blocked_depth = false;
-    let mut chosen = None;
-    for len in (1..=DECIDE_REFUTATION_BOUND).rev() {
-        let checker = BoundedChecker::new(props.clone(), len);
-        let count = checker.model_count();
-        if count == usize::MAX {
-            continue; // Uncountable at this depth: not a budget matter.
-        }
-        if count > cap {
-            cap_blocked_depth = true;
-            continue;
-        }
-        chosen = Some(checker);
-        break;
-    }
+    let (depth, cap_blocked_depth) = refutation_depth(props.len(), job.budget.max_enumeration());
     let budget_cut_depth = cap_blocked_depth.then_some(Exhaustion::Enumeration);
-    let Some(checker) = chosen else {
+    let Some(depth) = depth else {
         // No enumerable refutation depth at all: name the tableau cut or the
         // cap if one of them is to blame; pure saturation is a plain
         // `Unknown` no budget change can fix.
@@ -2364,6 +2349,7 @@ fn decide<A: ArenaRead + Sync>(
             None => (Verdict::unknown(), 0, none, 1, None, condition_stats),
         };
     };
+    let checker = BoundedChecker::new(props, depth);
     let sweep = checker.sweep_budgeted(arena, job.id, None, job.parallelism, &job.budget);
     let (verdict, index) = match sweep.counterexample {
         Some((index, trace)) => (Verdict::Counterexample(trace), Some(index)),
@@ -2442,6 +2428,26 @@ fn drive_runs<A: ArenaRead>(
 /// never to hang.
 const DECIDE_REFUTATION_BOUND: usize = 4;
 
+/// The deepest refutation length, at most [`DECIDE_REFUTATION_BOUND`], whose
+/// enumeration over `props` propositions (lassos included) fits `cap`, and
+/// whether the cap — not a count too large to represent — ruled out a deeper
+/// one.  `None` when no length fits.
+fn refutation_depth(props: usize, cap: usize) -> (Option<usize>, bool) {
+    let mut cap_blocked = false;
+    for len in (1..=DECIDE_REFUTATION_BOUND).rev() {
+        let count = bounded::model_count(props, len, true);
+        if count == usize::MAX {
+            continue; // Uncountable at this depth: not a budget matter.
+        }
+        if count > cap {
+            cap_blocked = true;
+            continue;
+        }
+        return (Some(len), cap_blocked);
+    }
+    (None, cap_blocked)
+}
+
 /// Resolves [`Backend::Auto`] against the pre-flight [`CostEstimate`]:
 /// the concrete backend plus the (possibly adjusted) budget the routed job
 /// runs under.
@@ -2476,15 +2482,7 @@ pub fn auto_backend(
         (Backend::Decide, budget)
     } else {
         let props = analysis::proposition_names(formula);
-        let cap = budget.max_enumeration();
-        let mut max_len = 1;
-        for len in (1..=DECIDE_REFUTATION_BOUND).rev() {
-            let count = BoundedChecker::new(props.clone(), len).model_count();
-            if count != usize::MAX && count <= cap {
-                max_len = len;
-                break;
-            }
-        }
+        let max_len = refutation_depth(props.len(), budget.max_enumeration()).0.unwrap_or(1);
         (Backend::Bounded { props, max_len, lassos: true }, budget.clone())
     }
 }
@@ -2519,11 +2517,8 @@ fn admission(
 ) -> Option<Exhaustion> {
     match backend {
         Backend::Bounded { props, max_len, lassos } => {
-            let mut checker = BoundedChecker::new(props.clone(), *max_len);
-            if !lassos {
-                checker = checker.without_lassos();
-            }
-            (checker.model_count() > budget.max_enumeration()).then_some(Exhaustion::Enumeration)
+            (bounded::model_count(props.len(), *max_len, *lassos) > budget.max_enumeration())
+                .then_some(Exhaustion::Enumeration)
         }
         Backend::Decide if estimate.translatable => {
             if estimate.nodes > budget.max_nodes() as u64 {

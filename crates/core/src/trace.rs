@@ -55,6 +55,27 @@ impl Trace {
         Trace { states, extension: Extension::Loop(loop_start) }
     }
 
+    /// Replaces the recorded state at `index`, keeping the length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub(crate) fn set_state(&mut self, index: usize, state: State) {
+        self.states[index] = state;
+    }
+
+    /// Switches the extension policy, keeping the recorded states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a loop start is out of range.
+    pub(crate) fn set_extension(&mut self, extension: Extension) {
+        if let Extension::Loop(start) = extension {
+            assert!(start < self.states.len(), "loop start must index an existing state");
+        }
+        self.extension = extension;
+    }
+
     /// The number of explicitly recorded states.
     pub fn len(&self) -> usize {
         self.states.len()
