@@ -11,8 +11,8 @@
 //!   and a human-readable message (see the code table in `ARCHITECTURE.md`);
 //! * a [`CostEstimate`] — a structural prediction of what the `Decide`
 //!   pipeline would pay for the formula (tableau closure size, node/edge
-//!   counts, condition-DNF width), calibrated against the `BENCH_PR3` /
-//!   `BENCH_PR5` measurements.
+//!   counts, condition-DNF width), calibrated against the measured shapes
+//!   listed under "The cost estimator" in `ARCHITECTURE.md`.
 //!
 //! The estimate is what [`crate::session::Backend::Auto`] routes on and what
 //! the opt-in pre-flight admission check compares against a

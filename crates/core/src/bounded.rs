@@ -142,8 +142,9 @@ impl BoundedChecker {
     }
 
     /// [`BoundedChecker::counterexample`] over the boxed AST without interning
-    /// or memoization.  Kept as the reference implementation and as the
-    /// baseline of the arena-vs-boxed benchmark; prefer the default path.
+    /// or memoization: an independent reference, which `perfbench`'s answer
+    /// verification uses to re-check `Holds` and `ValidUpTo` verdicts.
+    /// Prefer the default path.
     pub fn counterexample_boxed(&self, formula: &Formula) -> Option<Trace> {
         let mut found = None;
         self.for_each_trace(|trace| {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! loadgen --addr 127.0.0.1:7015 [--connections 8] [--seconds 5]
-//!         [--seed 9001] [--out BENCH_PR9.json] [--max-shed-rate 0.9]
+//!         [--seed 9001] [--out target/loadgen-report.json] [--max-shed-rate 0.9]
 //!         [--duplicate-rate 0.0] [--min-cache-hit-rate 0.0]
 //! ```
 //!

@@ -1139,8 +1139,11 @@ mod tests {
         let gt = Ltl::cmp(Term::var("x"), CmpOp::Gt, Term::int(0));
         let lt = Ltl::cmp(Term::var("x"), CmpOp::Lt, Term::int(1));
         let formula = gt.always().or(lt.always());
+        // The full 153 600-selection search; the answer is the same at every
+        // worker count (`selection_search_answers_alike_at_every_worker_count`).
         let linear = LinearTheory::new();
-        let alg = AlgorithmB::new(&linear, VarSpec::with_extralogical(["x"]));
+        let alg = AlgorithmB::new(&linear, VarSpec::with_extralogical(["x"]))
+            .with_parallelism(Parallelism::Auto);
         assert_eq!(alg.decide(&formula), Decision::Valid);
     }
 

@@ -116,8 +116,7 @@ pub struct StoreStats {
     /// Equations *skipped* by the worklist: per round, the equations of the
     /// active phase whose inputs did not change and which a full sweep would
     /// have re-evaluated (from memo) anyway.  Zero for baseline runs — the
-    /// bench-smoke regression guard asserts it is strictly positive on the
-    /// wide tableaux.
+    /// worklist tests assert it is strictly positive on ladder3.
     pub equations_skipped: u64,
 }
 

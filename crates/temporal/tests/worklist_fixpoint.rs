@@ -206,7 +206,6 @@ fn both_lattices_match_the_oracles_on_pattern_formulas() {
 /// Once a component converges it is never re-entered: on ladder3 both
 /// lattices skip equations, and the DNF instance evaluates fewer of them
 /// than the baseline's full sweeps while reaching the same condition.
-/// (The bench-smoke job enforces the same skip guard on the release build.)
 #[test]
 fn converged_components_are_skipped_on_ladder3() {
     let budget = ResourceBudget::default();

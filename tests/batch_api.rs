@@ -47,13 +47,19 @@ fn assert_reports_identical(batch: &CheckReport, sequential: &CheckReport, label
     assert_eq!(b.workers, s.workers, "{label}: workers");
 }
 
-/// `check_many` over the corpus + catalogue at every scheduler worker count
-/// is the sequential loop, bit for bit (durations aside).
+/// `check_many` over the corpus + catalogue, swept and (for the catalogue)
+/// decided, at every scheduler worker count is the sequential loop, bit for
+/// bit (durations aside).
 #[test]
 fn check_many_is_bit_identical_to_a_sequential_check_loop() {
     let requests: Vec<(String, CheckRequest)> = all_formulas()
         .into_iter()
         .map(|(label, f)| (label, CheckRequest::new(f).bounded(["P", "A", "B"], 2)))
+        .chain(
+            valid::catalogue()
+                .into_iter()
+                .map(|(name, f)| (format!("{name} (decide)"), CheckRequest::new(f).decide())),
+        )
         .collect();
     // The reference: one session, single-threaded checks in submission order.
     let reference = Session::new();

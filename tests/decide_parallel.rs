@@ -189,15 +189,21 @@ fn prefix_invariance_budget_trip_is_worker_count_independent() {
     let invalid_formula = always(prop("P")).within(fwd_to(event(prop("Q"))));
     let ltl = to_ltl(&invalid_formula).unwrap();
     let theory = PropositionalTheory::new();
-    let algorithm =
-        AlgorithmB::new(&theory, VarSpec::all_state()).with_parallelism(Parallelism::Fixed(2));
-    let started = std::time::Instant::now();
-    assert_eq!(
-        algorithm.decide_budgeted(&ltl, &ResourceBudget::default()),
-        Ok(Decision::NotValid),
-        "the evaluated fixpoint must refute"
-    );
-    assert!(started.elapsed() < std::time::Duration::from_secs(30), "the decision must stay fast");
+    let at =
+        |parallelism| AlgorithmB::new(&theory, VarSpec::all_state()).with_parallelism(parallelism);
+    for parallelism in [Parallelism::Off, Parallelism::Fixed(2)] {
+        let started = std::time::Instant::now();
+        assert_eq!(
+            at(parallelism).decide_budgeted(&ltl, &ResourceBudget::default()),
+            Ok(Decision::NotValid),
+            "the evaluated fixpoint must refute at {parallelism:?}"
+        );
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(30),
+            "the decision must stay fast"
+        );
+    }
+    let algorithm = at(Parallelism::Fixed(2));
     let started = std::time::Instant::now();
     assert_eq!(
         algorithm.condition_budgeted(&ltl, &ResourceBudget::default()).err(),
