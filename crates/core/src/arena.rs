@@ -18,6 +18,10 @@
 //!   `(FormulaId, Interval, environment)`, so shared subterms — made explicit
 //!   by hash-consing — are evaluated once per (interval, binding) context
 //!   rather than once per syntactic occurrence;
+//! * `BlockEvaluator` (crate-private) is its word-parallel twin behind the
+//!   bounded sweep: one pass evaluates a formula over up to 64
+//!   computations of the same length and extension, with a `u64` truth
+//!   mask in place of each `bool`;
 //! * [`ArenaSnapshot`] is a frozen, `Send + Sync` *version* of an arena's
 //!   nodes.  The arena's storage is multiversion — an append-only store of
 //!   `Arc`-shared chunks — so taking a snapshot is O(1) (one `Arc` bump per
@@ -36,7 +40,9 @@
 //!
 //! The memoized evaluator implements exactly the satisfaction relation of
 //! [`crate::semantics::Evaluator`]; the two are cross-checked by the property
-//! suite in `tests/arena.rs`.
+//! suite in `tests/arena.rs`.  The word-parallel evaluator is cross-checked
+//! against a per-computation scan by the bounded module's tests and by the
+//! differential fuzz oracle's `sweep` invariant.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -44,6 +50,7 @@ use std::sync::Arc;
 
 use crate::interval::{Constructed, Endpoint, Interval};
 use crate::semantics::Dir;
+use crate::state::{Prop, State};
 use crate::syntax::{Arg, CmpOp, Expr, Formula, IntervalTerm, Pred};
 use crate::trace::{Extension, Trace};
 use crate::value::Value;
@@ -747,9 +754,11 @@ impl<'a, A: ArenaRead> MemoEvaluator<'a, A> {
             | FormulaNode::And(_, _)
             | FormulaNode::Or(_, _) => unreachable!("handled above"),
             FormulaNode::Always(a) => cx
+                .shape()
                 .suffix_positions(interval)
                 .all(|k| self.eval(cx, *a, Interval { lo: k, hi: interval.hi }, env)),
             FormulaNode::Eventually(a) => cx
+                .shape()
                 .suffix_positions(interval)
                 .any(|k| self.eval(cx, *a, Interval { lo: k, hi: interval.hi }, env)),
             FormulaNode::In(term, a) => {
@@ -880,7 +889,7 @@ impl<'a, A: ArenaRead> MemoEvaluator<'a, A> {
         dir: Dir,
         env: EnvId,
     ) -> Constructed {
-        let (scan_hi, loop_region) = cx.event_scan_bounds(ctx);
+        let (scan_hi, loop_region) = cx.shape().event_scan_bounds(ctx);
         // The first rise for a forward scan, the last one for a backward scan.
         let mut found: Option<usize> = None;
         let mut recurring = false;
@@ -911,53 +920,468 @@ impl<'a, A: ArenaRead> MemoEvaluator<'a, A> {
         }
     }
 
-    /// Evaluates a state predicate at a position of the trace, resolving data
-    /// variables in the interned environment. No values are cloned.
+    /// Evaluates a state predicate at a position of the trace.
     fn eval_pred(&self, cx: &TraceCx<'_>, pred: &Pred, position: usize, env: EnvId) -> bool {
-        let state = cx.trace.state(position);
-        match pred {
-            Pred::Prop { name, args } => state.props().any(|p| {
-                p.name == *name
-                    && p.args.len() == args.len()
-                    && p.args.iter().zip(args).all(|(held, wanted)| match wanted {
-                        Arg::Value(v) => held == v,
-                        Arg::Var(x) => self.envs.get(env, x) == Some(held),
-                    })
-            }),
-            Pred::Cmp { lhs, op, rhs } => {
-                fn lookup<'r>(
-                    expr: &'r Expr,
-                    state: &'r crate::state::State,
-                    envs: &'r EnvInterner,
-                    env: EnvId,
-                ) -> Option<&'r Value> {
-                    match expr {
-                        Expr::StateVar(name) => state.var(name),
-                        Expr::DataVar(name) => envs.get(env, name),
-                        Expr::Lit(v) => Some(v),
-                    }
+        pred_holds(cx.trace.state(position), pred, &self.envs, env)
+    }
+}
+
+/// Whether `pred` holds in `state`, resolving data variables in the
+/// interned environment `env`.  No values are cloned.
+fn pred_holds(state: &State, pred: &Pred, envs: &EnvInterner, env: EnvId) -> bool {
+    match pred {
+        Pred::Prop { name, args } => state.props().any(|p| {
+            p.name == *name
+                && p.args.len() == args.len()
+                && p.args.iter().zip(args).all(|(held, wanted)| match wanted {
+                    Arg::Value(v) => held == v,
+                    Arg::Var(x) => envs.get(env, x) == Some(held),
+                })
+        }),
+        Pred::Cmp { lhs, op, rhs } => {
+            fn lookup<'r>(
+                expr: &'r Expr,
+                state: &'r State,
+                envs: &'r EnvInterner,
+                env: EnvId,
+            ) -> Option<&'r Value> {
+                match expr {
+                    Expr::StateVar(name) => state.var(name),
+                    Expr::DataVar(name) => envs.get(env, name),
+                    Expr::Lit(v) => Some(v),
                 }
-                let (Some(l), Some(r)) =
-                    (lookup(lhs, state, &self.envs, env), lookup(rhs, state, &self.envs, env))
-                else {
-                    return false;
-                };
-                match op {
-                    CmpOp::Eq => l == r,
-                    CmpOp::Ne => l != r,
-                    CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-                        let (Some(a), Some(b)) = (l.as_int(), r.as_int()) else { return false };
-                        match op {
-                            CmpOp::Lt => a < b,
-                            CmpOp::Le => a <= b,
-                            CmpOp::Gt => a > b,
-                            CmpOp::Ge => a >= b,
-                            _ => unreachable!(),
-                        }
+            }
+            let (Some(l), Some(r)) = (lookup(lhs, state, envs, env), lookup(rhs, state, envs, env))
+            else {
+                return false;
+            };
+            match op {
+                CmpOp::Eq => l == r,
+                CmpOp::Ne => l != r,
+                CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
+                    let (Some(a), Some(b)) = (l.as_int(), r.as_int()) else { return false };
+                    match op {
+                        CmpOp::Lt => a < b,
+                        CmpOp::Le => a <= b,
+                        CmpOp::Gt => a > b,
+                        CmpOp::Ge => a >= b,
+                        _ => unreachable!(),
                     }
                 }
             }
         }
+    }
+}
+
+/// Computations a [`BlockEvaluator`] pass evaluates together: one per bit
+/// of a `u64` lane mask.
+pub(crate) const LANES: usize = u64::BITS as usize;
+
+/// The outcome of constructing an interval for every lane of a
+/// [`BlockEvaluator`] pass: the lanes of each found interval (a range of
+/// the evaluator's group pool), and the lanes for which the construction
+/// found nothing or violated a `*` obligation.  Every live lane is in
+/// exactly one of them.
+#[derive(Clone, Copy, Debug)]
+struct Lanes {
+    groups: (usize, usize),
+    not_found: u64,
+    violated: u64,
+}
+
+/// Evaluates an interned formula over up to [`LANES`] computations at once,
+/// each a bit of a `u64` truth mask.
+///
+/// The computations of one pass share their length and extension, so the
+/// intervals an evaluation visits are the same for all of them: the pass
+/// mirrors [`MemoEvaluator::eval`] and its interval construction with a
+/// mask in place of each `bool`.  An interval construction can end at a
+/// different interval in each lane, so it yields one lane mask per
+/// resulting interval, plus the lanes where it found nothing or violated a
+/// `*` obligation.  The memo tables keep `MemoEvaluator`'s keys with masks
+/// as values, and [`BlockEvaluator::stats`] counts their probes.
+///
+/// The computations range over plain propositions only: lane `j` asserts
+/// proposition `i` at position `p` when bit `j` of the mask
+/// [`BlockEvaluator::load`] stored for `(p, i)` is set.  Such states hold
+/// no data values, so an unparameterized predicate reads those masks, a
+/// parameterized one never holds, and a comparison is evaluated once for
+/// all lanes.  The quantifier domain is the explicit one, if given, and
+/// otherwise the (empty) value domain of such computations.
+///
+/// Lanes outside a pass's live mask are don't-cares: their bits in any
+/// intermediate mask are unspecified, and the evaluation stops early once
+/// every live lane is settled.
+pub(crate) struct BlockEvaluator<'a, A: ArenaRead> {
+    arena: &'a A,
+    props: &'a [Prop],
+    domain: &'a [Value],
+    memo: MemoMap<(FormulaId, Interval, EnvId), u64>,
+    construct_memo: MemoMap<(TermId, Interval, Dir, EnvId), Lanes>,
+    /// The found intervals of every construction of the pass, each with its
+    /// lanes; a [`Lanes`] owns a contiguous range of them.
+    groups: Vec<(Interval, u64)>,
+    /// Where a construction over several sub-constructions collects its
+    /// groups before it moves them into `groups` as one range.
+    scratch: Vec<(Interval, u64)>,
+    envs: EnvInterner,
+    stats: MemoStats,
+    /// Per predicate node, the propositions (bit `i` is `props[i]`) that
+    /// satisfy it.
+    pred_props: MemoMap<FormulaId, u64>,
+    /// `letters[p * props.len() + i]`: the lanes asserting `props[i]` at
+    /// position `p`.
+    letters: Vec<u64>,
+    shape: Shape,
+    live: u64,
+}
+
+impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
+    /// An evaluator over computations on the alphabet `props`, with the
+    /// quantifier domain `domain`.
+    pub(crate) fn new(arena: &'a A, props: &'a [Prop], domain: &'a [Value]) -> Self {
+        BlockEvaluator {
+            arena,
+            props,
+            domain,
+            memo: MemoMap::default(),
+            construct_memo: MemoMap::default(),
+            groups: Vec::new(),
+            scratch: Vec::new(),
+            envs: EnvInterner::new(),
+            stats: MemoStats::default(),
+            pred_props: MemoMap::default(),
+            letters: Vec::new(),
+            shape: Shape { len: 1, extension: Extension::Stutter },
+            live: 0,
+        }
+    }
+
+    /// The memo-table probes of every pass so far.
+    pub(crate) fn stats(&self) -> MemoStats {
+        self.stats
+    }
+
+    /// Loads the words of the next passes: `len` positions, where lane `j`
+    /// asserts `props[i]` at position `p` when bit `j` of
+    /// `asserted(p, i)` is set.
+    pub(crate) fn load(&mut self, len: usize, asserted: impl Fn(usize, usize) -> u64) {
+        let width = self.props.len();
+        self.letters.clear();
+        self.letters.extend((0..len * width).map(|at| asserted(at / width, at % width)));
+        self.shape.len = len;
+    }
+
+    /// The live lanes whose loaded word, with `extension`, falsifies
+    /// `formula` over the whole computation.
+    pub(crate) fn failing(&mut self, formula: FormulaId, extension: Extension, live: u64) -> u64 {
+        self.memo.clear();
+        self.construct_memo.clear();
+        self.groups.clear();
+        self.shape.extension = extension;
+        self.live = live;
+        !self.eval(formula, Interval::unbounded(0), EMPTY_ENV) & live
+    }
+
+    fn eval(&mut self, id: FormulaId, interval: Interval, env: EnvId) -> u64 {
+        let interval = self.shape.canonicalize(interval);
+        let arena = self.arena;
+        let live = self.live;
+        // The same direct cases as `MemoEvaluator::eval`, with a connective
+        // short-circuiting once its left side settles every live lane.
+        match arena.formula_node(id) {
+            FormulaNode::True => return !0,
+            FormulaNode::False => return 0,
+            FormulaNode::Pred(pred) => return self.pred(id, pred, interval.lo, env),
+            FormulaNode::Not(a) => return !self.eval(*a, interval, env),
+            FormulaNode::And(a, b) => {
+                let left = self.eval(*a, interval, env);
+                return if left & live == 0 { left } else { left & self.eval(*b, interval, env) };
+            }
+            FormulaNode::Or(a, b) => {
+                let left = self.eval(*a, interval, env);
+                return if left & live == live {
+                    left
+                } else {
+                    left | self.eval(*b, interval, env)
+                };
+            }
+            _ => {}
+        }
+        let key = (id, interval, env);
+        if let Some(&verdict) = self.memo.get(&key) {
+            self.stats.hits += 1;
+            return verdict;
+        }
+        self.stats.misses += 1;
+        let verdict = match arena.formula_node(id) {
+            FormulaNode::True
+            | FormulaNode::False
+            | FormulaNode::Pred(_)
+            | FormulaNode::Not(_)
+            | FormulaNode::And(_, _)
+            | FormulaNode::Or(_, _) => unreachable!("handled above"),
+            FormulaNode::Always(a) => {
+                let mut all = !0;
+                for k in self.shape.suffix_positions(interval) {
+                    all &= self.eval(*a, Interval { lo: k, hi: interval.hi }, env);
+                    if all & live == 0 {
+                        break;
+                    }
+                }
+                all
+            }
+            FormulaNode::Eventually(a) => {
+                let mut any = 0;
+                for k in self.shape.suffix_positions(interval) {
+                    any |= self.eval(*a, Interval { lo: k, hi: interval.hi }, env);
+                    if any & live == live {
+                        break;
+                    }
+                }
+                any
+            }
+            FormulaNode::In(term, a) => {
+                let built = self.construct(*term, interval, Dir::Forward, env);
+                let mut holds = built.not_found;
+                for at in built.groups.0..built.groups.1 {
+                    let (sub, lanes) = self.groups[at];
+                    holds |= lanes & self.eval(*a, sub, env);
+                }
+                holds
+            }
+            FormulaNode::Forall(var, a) => {
+                let mut all = !0;
+                for value in self.domain {
+                    let bound = self.envs.bind(env, var, value);
+                    all &= self.eval(*a, interval, bound);
+                    if all & live == 0 {
+                        break;
+                    }
+                }
+                all
+            }
+            FormulaNode::Exists(var, a) => {
+                let mut any = 0;
+                for value in self.domain {
+                    let bound = self.envs.bind(env, var, value);
+                    any |= self.eval(*a, interval, bound);
+                    if any & live == live {
+                        break;
+                    }
+                }
+                any
+            }
+        };
+        self.memo.insert(key, verdict);
+        verdict
+    }
+
+    /// The lanes where the predicate node `id` holds at `position`.
+    fn pred(&mut self, id: FormulaId, pred: &Pred, position: usize, env: EnvId) -> u64 {
+        match pred {
+            Pred::Prop { name, args } => {
+                let props = self.props;
+                let held = *self.pred_props.entry(id).or_insert_with(|| {
+                    props
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| args.is_empty() && p.name == *name)
+                        .fold(0, |bits, (i, _)| bits | 1 << i)
+                });
+                let row = self.shape.canonical(position) * props.len();
+                let mut lanes = 0;
+                let mut rest = held;
+                while rest != 0 {
+                    lanes |= self.letters[row + rest.trailing_zeros() as usize];
+                    rest &= rest - 1;
+                }
+                lanes
+            }
+            // A comparison reads no proposition: its value is the same in
+            // every lane, that of a state holding nothing.
+            Pred::Cmp { .. } => {
+                if pred_holds(&State::new(), pred, &self.envs, env) {
+                    !0
+                } else {
+                    0
+                }
+            }
+        }
+    }
+
+    /// `MemoEvaluator::construct` over lane masks.
+    fn construct(&mut self, id: TermId, ctx: Interval, dir: Dir, env: EnvId) -> Lanes {
+        let ctx = self.shape.canonicalize(ctx);
+        let arena = self.arena;
+        if let TermNode::Event(event) = *arena.term_node(id) {
+            let key = (id, ctx, dir, env);
+            if let Some(&built) = self.construct_memo.get(&key) {
+                self.stats.hits += 1;
+                return built;
+            }
+            self.stats.misses += 1;
+            let built = self.find_event(event, ctx, dir, env);
+            self.construct_memo.insert(key, built);
+            return built;
+        }
+        // The interval a construction continues from, and the ones it ends at.
+        let onward = |iv: Interval| iv.last().map(|lo| Interval { lo, hi: ctx.hi });
+        let up_to = |iv: Interval| iv.last().map(|hi| Interval::bounded(ctx.lo, hi.max(ctx.lo)));
+        match *arena.term_node(id) {
+            TermNode::Event(_) => unreachable!("handled above"),
+            TermNode::Begin(inner) => {
+                let built = self.construct(inner, ctx, dir, env);
+                self.map(built, |iv| Some(Interval::unit(iv.first())))
+            }
+            TermNode::End(inner) => {
+                let built = self.construct(inner, ctx, dir, env);
+                self.map(built, |iv| iv.last().map(Interval::unit))
+            }
+            TermNode::Must(inner) => {
+                let built = self.construct(inner, ctx, dir, env);
+                Lanes { not_found: 0, violated: built.violated | built.not_found, ..built }
+            }
+            TermNode::Forward(None, None) | TermNode::Backward(None, None) => {
+                let at = self.groups.len();
+                self.groups.push((ctx, self.live));
+                Lanes { groups: (at, at + 1), not_found: 0, violated: 0 }
+            }
+            TermNode::Forward(Some(i), None) => {
+                let built = self.construct(i, ctx, dir, env);
+                self.map(built, onward)
+            }
+            TermNode::Forward(None, Some(j)) => {
+                let built = self.construct(j, ctx, Dir::Forward, env);
+                self.map(built, up_to)
+            }
+            TermNode::Forward(Some(i), Some(j)) => {
+                // F(I ⇒ J, ctx, d) = F(⇒ J, F(I ⇒, ctx, d), F).
+                let built = self.construct(i, ctx, dir, env);
+                let mids = self.map(built, onward);
+                self.then(mids, j, Dir::Forward, env, |mid, iv| {
+                    iv.last().map(|hi| Interval::bounded(mid.lo, hi.max(mid.lo)))
+                })
+            }
+            TermNode::Backward(Some(i), None) => {
+                let built = self.construct(i, ctx, Dir::Backward, env);
+                self.map(built, onward)
+            }
+            TermNode::Backward(None, Some(j)) => {
+                let built = self.construct(j, ctx, dir, env);
+                self.map(built, up_to)
+            }
+            TermNode::Backward(Some(i), Some(j)) => {
+                // F(I ⇐ J, ctx, d) = F(I ⇐, F(⇐ J, ctx, d), F).
+                let built = self.construct(j, ctx, dir, env);
+                let mids = self.map(built, up_to);
+                self.then(mids, i, Dir::Backward, env, |mid, iv| {
+                    iv.last().map(|lo| Interval { lo, hi: mid.hi })
+                })
+            }
+        }
+    }
+
+    /// `built` with each found interval `iv` replaced by `step(iv)`, or its
+    /// lanes moved to `not_found` where that is `None`.
+    fn map(&mut self, built: Lanes, step: impl Fn(Interval) -> Option<Interval>) -> Lanes {
+        let mark = self.scratch.len();
+        let mut not_found = built.not_found;
+        for at in built.groups.0..built.groups.1 {
+            let (iv, lanes) = self.groups[at];
+            match step(iv) {
+                Some(next) => gather(&mut self.scratch, mark, next, lanes),
+                None => not_found |= lanes,
+            }
+        }
+        self.settle(mark, not_found, built.violated)
+    }
+
+    /// Continues every found interval `mid` of `mids` with the construction
+    /// of `term` from `mid` (canonicalized) in direction `dir`, each of its
+    /// found intervals `iv` becoming `step(mid, iv)`.
+    fn then(
+        &mut self,
+        mids: Lanes,
+        term: TermId,
+        dir: Dir,
+        env: EnvId,
+        step: impl Fn(Interval, Interval) -> Option<Interval>,
+    ) -> Lanes {
+        let mark = self.scratch.len();
+        let (mut not_found, mut violated) = (mids.not_found, mids.violated);
+        for at in mids.groups.0..mids.groups.1 {
+            let (mid, lanes) = self.groups[at];
+            let mid = self.shape.canonicalize(mid);
+            let built = self.construct(term, mid, dir, env);
+            not_found |= built.not_found & lanes;
+            violated |= built.violated & lanes;
+            for inner in built.groups.0..built.groups.1 {
+                let (iv, within) = self.groups[inner];
+                let both = within & lanes;
+                if both == 0 {
+                    continue;
+                }
+                match step(mid, iv) {
+                    Some(next) => gather(&mut self.scratch, mark, next, both),
+                    None => not_found |= both,
+                }
+            }
+        }
+        self.settle(mark, not_found, violated)
+    }
+
+    /// Moves the groups gathered in `scratch` from `mark` into the group
+    /// pool as one range.
+    fn settle(&mut self, mark: usize, not_found: u64, violated: u64) -> Lanes {
+        let at = self.groups.len();
+        self.groups.extend(self.scratch.drain(mark..));
+        Lanes { groups: (at, self.groups.len()), not_found, violated }
+    }
+
+    /// `MemoEvaluator::find_event` over lane masks: each lane's first (or
+    /// last) change of `event` from false to true within `ctx`.
+    fn find_event(&mut self, event: FormulaId, ctx: Interval, dir: Dir, env: EnvId) -> Lanes {
+        let (scan_hi, loop_region) = self.shape.event_scan_bounds(ctx);
+        let mark = self.scratch.len();
+        // Lanes whose rise is still to be found; a backward scan visits the
+        // positions from the last, so each lane's first rise is its last.
+        let mut pending = self.live;
+        let mut not_found = 0;
+        for step in 0..scan_hi.saturating_sub(ctx.lo) {
+            if pending == 0 {
+                break;
+            }
+            let k = match dir {
+                Dir::Forward => ctx.lo + 1 + step,
+                Dir::Backward => scan_hi - step,
+            };
+            let before = !self.eval(event, Interval { lo: k - 1, hi: ctx.hi }, env) & pending;
+            if before == 0 {
+                continue;
+            }
+            let rise = before & self.eval(event, Interval { lo: k, hi: ctx.hi }, env);
+            if rise == 0 {
+                continue;
+            }
+            pending &= !rise;
+            if dir == Dir::Backward && loop_region.is_some_and(|start| k > start) {
+                // A rise inside the loop recurs forever: max is undefined.
+                not_found |= rise;
+            } else {
+                gather(&mut self.scratch, mark, Interval::bounded(k - 1, k), rise);
+            }
+        }
+        self.settle(mark, not_found | pending, 0)
+    }
+}
+
+/// Adds `lanes` to the group of `interval` among `groups[from..]`, or opens
+/// one.
+fn gather(groups: &mut Vec<(Interval, u64)>, from: usize, interval: Interval, lanes: u64) {
+    match groups[from..].iter_mut().find(|(iv, _)| *iv == interval) {
+        Some((_, held)) => *held |= lanes,
+        None => groups.push((interval, lanes)),
     }
 }
 
@@ -968,41 +1392,71 @@ struct TraceCx<'t> {
 }
 
 impl TraceCx<'_> {
+    fn shape(&self) -> Shape {
+        Shape { len: self.trace.len(), extension: self.trace.extension() }
+    }
+
     fn canonicalize(&self, interval: Interval) -> Interval {
+        self.shape().canonicalize(interval)
+    }
+}
+
+/// What the interval arithmetic of an evaluation needs to know about a
+/// computation: its length and extension.  Every computation of one
+/// [`BlockEvaluator`] pass shares its shape, so the intervals an evaluation
+/// visits are the same for all of them; only the truth values differ.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    len: usize,
+    extension: Extension,
+}
+
+impl Shape {
+    /// The recorded position that position `index` repeats (see
+    /// [`Trace::canonical`]).
+    fn canonical(self, index: usize) -> usize {
+        if index < self.len {
+            return index;
+        }
+        match self.extension {
+            Extension::Stutter => self.len - 1,
+            Extension::Loop(start) => start + (index - start) % (self.len - start),
+        }
+    }
+
+    fn canonicalize(self, interval: Interval) -> Interval {
         match interval.hi {
-            Endpoint::Infinite => {
-                Interval { lo: self.trace.canonical(interval.lo), hi: interval.hi }
-            }
+            Endpoint::Infinite => Interval { lo: self.canonical(interval.lo), hi: interval.hi },
             Endpoint::At(_) => interval,
         }
     }
 
-    fn event_scan_bounds(&self, ctx: Interval) -> (usize, Option<usize>) {
+    fn event_scan_bounds(self, ctx: Interval) -> (usize, Option<usize>) {
         match ctx.hi {
             Endpoint::At(j) => {
-                let cap = match self.trace.extension() {
-                    Extension::Stutter => j.min(self.trace.len().saturating_sub(1)),
+                let cap = match self.extension {
+                    Extension::Stutter => j.min(self.len.saturating_sub(1)),
                     Extension::Loop(_) => j,
                 };
                 (cap, None)
             }
-            Endpoint::Infinite => match self.trace.extension() {
-                Extension::Stutter => (self.trace.len().saturating_sub(1), None),
+            Endpoint::Infinite => match self.extension {
+                Extension::Stutter => (self.len.saturating_sub(1), None),
                 Extension::Loop(start) => {
-                    let period = self.trace.len() - start;
+                    let period = self.len - start;
                     (ctx.lo.max(start) + period, Some(start))
                 }
             },
         }
     }
 
-    fn suffix_positions(&self, interval: Interval) -> std::ops::RangeInclusive<usize> {
+    fn suffix_positions(self, interval: Interval) -> std::ops::RangeInclusive<usize> {
         let hi = match interval.hi {
             Endpoint::At(j) => j,
-            Endpoint::Infinite => match self.trace.extension() {
-                Extension::Stutter => interval.lo.max(self.trace.len().saturating_sub(1)),
+            Endpoint::Infinite => match self.extension {
+                Extension::Stutter => interval.lo.max(self.len.saturating_sub(1)),
                 Extension::Loop(start) => {
-                    let period = self.trace.len() - start;
+                    let period = self.len - start;
                     interval.lo.max(start) + period - 1
                 }
             },

@@ -13,28 +13,40 @@
 //! counterexample to validity; absence of a counterexample up to the bound is
 //! reported by [`BoundedChecker::valid_up_to_bound`].
 //!
-//! # Sharding
+//! # Enumeration order and blocks
 //!
 //! The enumeration order is fixed and assigns every computation a *global
-//! index* (`0..model_count()`).  [`BoundedChecker::shard`] carves the
-//! enumeration into `n` interleaved slices — shard `i` yields exactly the
-//! computations whose global index is `≡ i (mod n)` — so `n` workers sweep
-//! disjoint slices of the same search space.  Combined with the
-//! lowest-global-index-wins cancellation of [`crate::pool::Earliest`],
-//! [`BoundedChecker::counterexample_parallel`] returns *bit-identical*
-//! verdicts to the sequential sweep: the same `Option<Trace>`, the very same
-//! counterexample.
+//! index* (`0..model_count()`): lengths ascend; within a length, words count
+//! in mixed radix with position 0 least significant; each word yields its
+//! stutter extension and then (with lassos) one lasso per loop start.
+//!
+//! Every sweep ([`BoundedChecker::sweep_budgeted`] and the entry points
+//! built on it) evaluates the words of one length in *blocks* of 64
+//! consecutive words, one bit of a `u64` truth mask per word: one pass of
+//! the word-parallel evaluator checks one extension of all the block's
+//! words at once.  The failing computation reported is the one with the
+//! lowest global index, as a scan in enumeration order would find it, and
+//! it is built as a [`Trace`] only once it is known.  Because every
+//! computation below it is checked, the count of checked computations is
+//! arithmetic: the winner's index plus one, or the size of the (capped)
+//! enumeration when nothing fails.
+//!
+//! # Sharding
+//!
+//! A large sweep can fan out: past a head checked on the calling thread,
+//! worker `w` of `n` takes every `n`-th of the remaining blocks.  Combined
+//! with the lowest-global-index-wins cancellation of
+//! [`crate::pool::Earliest`], [`BoundedChecker::counterexample_parallel`]
+//! returns *bit-identical* verdicts to the sequential sweep: the same
+//! `Option<Trace>`, the very same counterexample.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::arena::{ArenaRead, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
-use crate::pool::{
-    Earliest, Exhaustion, Parallelism, ResourceBudget, WorkerPool, INTERRUPT_POLL_PERIOD,
-};
+use crate::arena::{ArenaRead, BlockEvaluator, FormulaArena, FormulaId, MemoStats, LANES};
+use crate::pool::{Earliest, Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 use crate::semantics::Evaluator;
 use crate::state::{Prop, State};
 use crate::syntax::Formula;
 use crate::trace::{Extension, Trace};
+use crate::value::Value;
 
 /// Exhaustive enumerator of small computations over a finite proposition alphabet.
 #[derive(Clone, Debug)]
@@ -75,29 +87,57 @@ impl BoundedChecker {
         model_count(self.props.len(), self.max_len, self.include_lassos)
     }
 
-    /// Calls `f` for every enumerated computation until it returns `false`;
-    /// returns `true` if `f` accepted every computation.  The trace handed
-    /// to `f` is a reused buffer (see [`TraceShard::for_each_trace`]): clone
-    /// it to keep it past the call.
+    /// Calls `f` for every enumerated computation, in global-index order,
+    /// until it returns `false`; returns `true` if `f` accepted every
+    /// computation.
+    ///
+    /// The `&Trace` handed to `f` is one buffer per length, reused for every
+    /// computation of that length: it is valid only for the duration of the
+    /// call, so clone it to keep it.  For each word the buffer rebuilds only
+    /// the positions whose letter changed since the previous word (about one
+    /// state per word), then switches its extension in place from the
+    /// stutter to each lasso.  This is the per-computation enumeration
+    /// behind [`BoundedChecker::counterexample_boxed`]; the sweeps evaluate
+    /// whole blocks of words instead (see the module docs).
     pub fn for_each_trace(&self, mut f: impl FnMut(&Trace) -> bool) -> bool {
-        self.shard(0, 1).for_each_trace(|_, trace| f(trace))
-    }
-
-    /// The `index`-th of `count` interleaved slices of the enumeration: the
-    /// shard yields exactly the computations whose global enumeration index is
-    /// `≡ index (mod count)`, in increasing index order, lassos included.
-    ///
-    /// `count` shards together cover the full enumeration exactly once, so
-    /// `count` workers each sweeping one shard perform the same search as one
-    /// sequential sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or `index >= count`.
-    pub fn shard(&self, index: usize, count: usize) -> TraceShard<'_> {
-        assert!(count > 0, "shard count must be positive");
-        assert!(index < count, "shard index {index} out of range for {count} shards");
-        TraceShard { checker: self, index, count, start: 0 }
+        let alphabet = 1usize << self.props.len();
+        for len in 1..=self.max_len {
+            let mut word = vec![0usize; len];
+            // The buffer starts at the all-empty word (letter 0, no
+            // proposition); `held[pos]` is the letter it holds at `pos`.
+            let mut buffer = Trace::finite(vec![State::new(); len]);
+            let mut held = vec![0usize; len];
+            loop {
+                for (pos, (&letter, held)) in word.iter().zip(&mut held).enumerate() {
+                    if *held != letter {
+                        buffer.set_state(pos, self.state_of(letter));
+                        *held = letter;
+                    }
+                }
+                buffer.set_extension(Extension::Stutter);
+                if !f(&buffer) {
+                    return false;
+                }
+                if self.include_lassos {
+                    for loop_start in 0..len {
+                        buffer.set_extension(Extension::Loop(loop_start));
+                        if !f(&buffer) {
+                            return false;
+                        }
+                    }
+                }
+                // Advance the word (mixed-radix counter); it wraps to the
+                // all-empty word after the last one.
+                let advanced = word.iter_mut().any(|letter| {
+                    *letter = (*letter + 1) % alphabet;
+                    *letter != 0
+                });
+                if !advanced {
+                    break;
+                }
+            }
+        }
+        true
     }
 
     fn state_of(&self, bits: usize) -> State {
@@ -110,10 +150,93 @@ impl BoundedChecker {
         state
     }
 
+    /// The blocks of the enumeration, in global-index order.
+    fn blocks(&self) -> impl Iterator<Item = Block> + '_ {
+        let alphabet = 1usize << self.props.len();
+        let mut base = 0usize;
+        (1..=self.max_len).flat_map(move |len| {
+            let words = u32::try_from(len)
+                .ok()
+                .and_then(|len| alphabet.checked_pow(len))
+                .unwrap_or(usize::MAX);
+            let extensions = if self.include_lassos { 1 + len } else { 1 };
+            let first = base;
+            base = base.saturating_add(words.saturating_mul(extensions));
+            (0..words.div_ceil(LANES)).map(move |block| {
+                let first_word = block * LANES;
+                Block {
+                    len,
+                    first_word,
+                    words: (words - first_word).min(LANES),
+                    extensions,
+                    first_index: first.saturating_add(first_word.saturating_mul(extensions)),
+                }
+            })
+        })
+    }
+
+    /// The computation at `at`, built from scratch.
+    fn computation(&self, at: Coordinates) -> Trace {
+        let width = self.props.len() as u32;
+        let letters = (0..at.len as u32).map(|pos| {
+            let letter = at.word.checked_shr(width * pos).unwrap_or(0);
+            self.state_of(letter & ((1 << width) - 1))
+        });
+        match at.extension {
+            0 => Trace::finite(letters.collect()),
+            k => Trace::lasso(letters.collect(), k - 1),
+        }
+    }
+
+    /// Checks every extension of `block` whose computation lies below
+    /// `cap`: the global index and coordinates of the block's lowest failing
+    /// computation, if any, and the number of computations evaluated.
+    ///
+    /// Extensions are evaluated in order, stutter first; once lane `j`
+    /// fails, later extensions evaluate only the lanes below `j`, the only
+    /// ones that can still fail at a lower index.
+    fn sweep_block<A: ArenaRead>(
+        &self,
+        evaluator: &mut BlockEvaluator<'_, A>,
+        block: Block,
+        formula: FormulaId,
+        cap: usize,
+    ) -> (Option<(usize, Coordinates)>, usize) {
+        let width = self.props.len();
+        evaluator.load(block.len, |pos, prop| lanes_with_bit(block.first_word, width * pos + prop));
+        let mut best: Option<(usize, usize)> = None;
+        let mut evaluated = 0;
+        for extension in 0..block.extensions {
+            // Lane `j` is computation `first_index + j * extensions + extension`.
+            let below_cap = cap
+                .saturating_sub(block.first_index.saturating_add(extension))
+                .div_ceil(block.extensions);
+            let lanes = best.map_or(block.words, |(lane, _)| lane).min(below_cap);
+            if lanes == 0 {
+                continue;
+            }
+            evaluated += lanes;
+            let kind = match extension {
+                0 => Extension::Stutter,
+                k => Extension::Loop(k - 1),
+            };
+            let live = u64::MAX >> (LANES - lanes);
+            let failing = evaluator.failing(formula, kind, live);
+            if failing != 0 {
+                best = Some((failing.trailing_zeros() as usize, extension));
+            }
+        }
+        let find = best.map(|(lane, extension)| {
+            let index = block.first_index + lane * block.extensions + extension;
+            (index, Coordinates { len: block.len, word: block.first_word + lane, extension })
+        });
+        (find, evaluated)
+    }
+
     /// Searches for a computation (within the bound) that falsifies `formula`.
     ///
-    /// The formula is interned into a fresh [`FormulaArena`] and evaluated
-    /// with the memoized arena evaluator; to amortize interning over many
+    /// The formula is interned into a fresh [`FormulaArena`] and swept with
+    /// the word-parallel evaluator; to amortize interning over many
     /// queries, intern once and use
     /// [`BoundedChecker::counterexample_interned`].
     pub fn counterexample(&self, formula: &Formula) -> Option<Trace> {
@@ -122,29 +245,21 @@ impl BoundedChecker {
         self.counterexample_interned(&arena, id)
     }
 
-    /// Searches for a counterexample to an already interned formula.
+    /// Searches for a counterexample to an already interned formula: the
+    /// sequential [`BoundedChecker::sweep_parallel`].
     pub fn counterexample_interned(
         &self,
         arena: &FormulaArena,
         formula: FormulaId,
     ) -> Option<Trace> {
-        let mut memo = MemoEvaluator::new(arena);
-        let mut found = None;
-        self.for_each_trace(|trace| {
-            if !memo.check(trace, formula) {
-                found = Some(trace.clone());
-                false
-            } else {
-                true
-            }
-        });
-        found
+        self.sweep_parallel(arena, formula, None, Parallelism::Off).counterexample.map(|(_, cx)| cx)
     }
 
-    /// [`BoundedChecker::counterexample`] over the boxed AST without interning
-    /// or memoization: an independent reference, which `perfbench`'s answer
-    /// verification uses to re-check `Holds` and `ValidUpTo` verdicts.
-    /// Prefer the default path.
+    /// [`BoundedChecker::counterexample`] one computation at a time over the
+    /// boxed AST, without interning, memoization or word-parallel passes:
+    /// an independent reference, which `perfbench`'s answer verification
+    /// uses to re-check `Holds` and `ValidUpTo` verdicts.  Prefer the
+    /// default path.
     pub fn counterexample_boxed(&self, formula: &Formula) -> Option<Trace> {
         let mut found = None;
         self.for_each_trace(|trace| {
@@ -173,30 +288,29 @@ impl BoundedChecker {
         self.counterexample(&formula.clone().not())
     }
 
-    /// Sharded parallel counterexample search: the first few hundred
-    /// computations (the head) are checked on the calling thread, and only
-    /// if none of them fails, and at least some 8 000 remain, do
-    /// `parallelism` workers sweep disjoint interleaved slices of the rest
-    /// (a smaller sweep runs whole on the calling thread), each with a private
-    /// [`MemoEvaluator`] over `arena` (typically an
-    /// [`crate::arena::ArenaSnapshot`]), with early-exit cancellation once a
-    /// counterexample is found.  A typical refutation fails within the head,
-    /// and smaller full sweeps lost at two workers, so neither pays for
-    /// spawning workers.
+    /// The bounded sweep: checks the enumeration block by block (see the
+    /// module docs) and returns the counterexample with the lowest global
+    /// index.  The first few hundred computations (the head) are checked on
+    /// the calling thread, and only if none of them fails, and at least
+    /// some 65 000 remain, do `parallelism` workers sweep disjoint
+    /// interleaved sets of the remaining blocks (a smaller sweep runs whole
+    /// on the calling thread), each with a private evaluator over `arena`
+    /// (typically an [`crate::arena::ArenaSnapshot`]), with early-exit
+    /// cancellation once a counterexample is found.  A typical refutation
+    /// fails within the head, so it never pays for spawning workers.
     ///
     /// The verdict is **bit-identical** to the sequential sweep: among all
-    /// counterexamples found, the one with the lowest global enumeration index
-    /// — exactly the computation [`BoundedChecker::counterexample_interned`]
+    /// counterexamples found, the one with the lowest global enumeration
+    /// index — exactly the computation [`BoundedChecker::counterexample_interned`]
     /// would return — wins.  The statistics are the sequential sweep's too:
-    /// workers may examine computations above the winning index before the
-    /// cancellation signal reaches them, but only the computations at or
-    /// below it are counted, and a memoized check's counters depend on its
-    /// computation alone.
+    /// `traces_checked` is arithmetic (see [`ParallelSweep::traces_checked`]),
+    /// and the memo counters count the blocks up to the winner's, whose
+    /// passes do not depend on any other block.
     pub fn sweep_parallel<A>(
         &self,
         arena: &A,
         formula: FormulaId,
-        domain: Option<&[crate::value::Value]>,
+        domain: Option<&[Value]>,
         parallelism: Parallelism,
     ) -> ParallelSweep
     where
@@ -208,7 +322,7 @@ impl BoundedChecker {
     /// [`BoundedChecker::sweep_parallel`] under a [`ResourceBudget`]: only
     /// computations with global enumeration index below
     /// `budget.max_enumeration()` are examined, and the deadline/cancellation
-    /// cutoffs are polled every few hundred computations per worker.
+    /// cutoffs are polled before each block.
     ///
     /// The enumeration cap is deterministic — the swept prefix is the same at
     /// every worker count, so verdicts under it stay bit-identical to the
@@ -219,14 +333,14 @@ impl BoundedChecker {
     ///
     /// The lowest-index-wins guarantee survives timing cuts: a counterexample
     /// is only reported when every interrupted worker had already examined
-    /// all of its shard's indices *below* the find — otherwise an earlier
+    /// all of its blocks *below* the find — otherwise an earlier
     /// counterexample might sit in the unexamined gap, so the sweep reports
     /// the interruption instead of a possibly-non-minimal find.
     pub fn sweep_budgeted<A>(
         &self,
         arena: &A,
         formula: FormulaId,
-        domain: Option<&[crate::value::Value]>,
+        domain: Option<&[Value]>,
         parallelism: Parallelism,
         budget: &ResourceBudget,
     ) -> ParallelSweep
@@ -243,7 +357,7 @@ impl BoundedChecker {
         &self,
         arena: &A,
         formula: FormulaId,
-        domain: Option<&[crate::value::Value]>,
+        domain: Option<&[Value]>,
         pool: WorkerPool,
         fan_out: FanOut,
         budget: &ResourceBudget,
@@ -267,100 +381,59 @@ impl BoundedChecker {
         }
         let earliest = Earliest::new();
         let cap = budget.max_enumeration();
-        // One worker's part: the computations of `shard` below `end`, until
-        // one fails, a lower find makes the rest moot or a timing cut fires.
-        // Several fan-out workers can run past the winning index, by amounts
-        // that depend on timing; each (`progress` holds every worker's cell
-        // and its own index) then logs its counters after every check so the
-        // join can count only the checks at or below the winner.  Every find
-        // lies at or above the lowest index some worker has yet to pass
-        // (`passed[v]` is worker `v`'s next unexamined index while its checks
-        // hold), so the log entries below that floor collapse into the last
-        // of them and a log only spans the workers' spread.
-        let sweep_shard = |shard: TraceShard<'_>,
-                           end: usize,
-                           progress: Option<(&[AtomicUsize], usize)>| {
-            let mut memo = MemoEvaluator::new(arena);
-            if let Some(domain) = domain {
-                memo = memo.with_domain(domain.to_vec());
+        let domain = domain.unwrap_or(&[]);
+        // One worker's part: its blocks in increasing order, until one
+        // fails, a lower find makes the rest moot or a timing cut fires.  A
+        // fan-out worker can pass the winning block by an amount that
+        // depends on timing, so it logs its counters after each block and
+        // the join counts only the blocks up to the winner's.
+        let sweep_part = |blocks: &mut dyn Iterator<Item = Block>, fanned: bool| {
+            let mut evaluator = BlockEvaluator::new(arena, &self.props, domain);
+            let mut part = ShardPart::default();
+            for block in blocks {
+                if block.first_index >= cap.min(earliest.bound()) {
+                    break;
+                }
+                if let Some(cut) = budget.interrupted() {
+                    part.interrupt = Some((cut, block.first_index));
+                    break;
+                }
+                let (find, evaluated) = self.sweep_block(&mut evaluator, block, formula, cap);
+                part.evaluated += evaluated;
+                if fanned {
+                    part.log.push((block.first_index, evaluator.stats()));
+                }
+                if let Some((index, _)) = find {
+                    earliest.record(index);
+                    part.found = find;
+                    break;
+                }
             }
-            let mut part = ShardPart {
-                found: None,
-                checked: 0,
-                memo: MemoStats::default(),
-                interrupt: None,
-                log: progress.map(|_| Vec::new()),
-            };
-            shard.for_each_trace(|global, trace| {
-                if global >= end || global >= earliest.bound() || global >= cap {
-                    return false;
-                }
-                if part.checked.is_multiple_of(INTERRUPT_POLL_PERIOD) {
-                    if let Some(cut) = budget.interrupted() {
-                        part.interrupt = Some((cut, global));
-                        return false;
-                    }
-                    if let (Some((passed, _)), Some(log)) = (progress, &mut part.log) {
-                        let floor =
-                            passed.iter().fold(usize::MAX, |f, p| f.min(p.load(Ordering::Relaxed)));
-                        let settled = log.partition_point(|&(i, ..)| i < floor);
-                        log.drain(..settled.saturating_sub(1));
-                    }
-                }
-                part.checked += 1;
-                let holds = memo.check(trace, formula);
-                if let Some(log) = &mut part.log {
-                    log.push((global, part.checked, memo.stats()));
-                }
-                if holds {
-                    if let Some((passed, w)) = progress {
-                        passed[w].store(global + shard.count, Ordering::Relaxed);
-                    }
-                    true
-                } else {
-                    earliest.record(global);
-                    part.found = Some((global, trace.clone()));
-                    false
-                }
-            });
-            part.memo = memo.stats();
+            part.memo = evaluator.stats();
             part
         };
-        // The head: the calling thread checks the first `fan_out.head`
-        // computations, or all of them when there is one worker or too few
-        // would remain to pay for the pool, and the pool fans out over the
-        // rest only if the head settles nothing.
+        // The head: the calling thread checks the blocks starting below
+        // `fan_out.head`, or all of them when there is one worker or too
+        // few would remain to pay for the pool, and the pool fans out over
+        // the rest only if the head settles nothing.
         let end = cap.min(self.model_count());
         let head = if workers == 1 || end.saturating_sub(fan_out.head) < fan_out.min_rest {
             usize::MAX
         } else {
             fan_out.head
         };
-        let mut parts = vec![sweep_shard(self.shard(0, 1), head, None)];
+        let mut parts =
+            vec![sweep_part(&mut self.blocks().take_while(|b| b.first_index < head), false)];
         let settled = parts[0].found.is_some() || parts[0].interrupt.is_some() || head >= end;
         if !settled {
-            let passed: Vec<AtomicUsize> =
-                (0..workers).map(|w| AtomicUsize::new(head + w)).collect();
             parts.extend(pool.run(|w| {
-                let shard = TraceShard {
-                    checker: self,
-                    index: (head + w) % workers,
-                    count: workers,
-                    start: head,
-                };
-                sweep_shard(shard, usize::MAX, Some((&passed, w)))
+                let rest = self.blocks().skip_while(|b| b.first_index < head);
+                sweep_part(&mut rest.skip(w).step_by(workers), true)
             }));
         }
-        let mut sweep = ParallelSweep {
-            counterexample: None,
-            traces_checked: 0,
-            memo: MemoStats::default(),
-            workers: if settled { 1 } else { workers },
-            exhausted: None,
-        };
-        let mut interrupted: Option<Exhaustion> = None;
         // Lowest index any interrupted worker left unexamined: finds at or
         // above it cannot be proven minimal.
+        let mut interrupted: Option<Exhaustion> = None;
         let mut unexamined_floor = usize::MAX;
         for part in &parts {
             if let Some((cut, stopped_at)) = part.interrupt {
@@ -368,32 +441,41 @@ impl BoundedChecker {
                 unexamined_floor = unexamined_floor.min(stopped_at);
             }
         }
-        sweep.counterexample =
-            crate::pool::min_find(parts.iter_mut().map(|part| part.found.take()))
-                .filter(|(index, _)| *index < unexamined_floor);
-        let winner = sweep.counterexample.as_ref().map_or(usize::MAX, |(index, _)| *index);
-        for part in parts {
-            let (checked, stats) = match part.log {
-                // A fan-out worker's checks are in ascending index order.
-                Some(log) => log
+        let winner = crate::pool::min_find(parts.iter().map(|part| part.found))
+            .filter(|(index, _)| *index < unexamined_floor);
+        let last = winner.map_or(usize::MAX, |(index, _)| index);
+        let mut memo = MemoStats::default();
+        for part in &parts {
+            memo.merge(if part.log.is_empty() {
+                // The head, which lies below every fan-out block, or a
+                // worker that swept nothing: all of it counts.
+                part.memo
+            } else {
+                // A fan-out worker's blocks are in ascending index order.
+                part.log
                     .iter()
                     .rev()
-                    .find(|&&(global, ..)| global <= winner)
-                    .map_or((0, MemoStats::default()), |&(_, checked, stats)| (checked, stats)),
-                // The head lies below every fan-out index: all of it counts.
-                None => (part.checked, part.memo),
-            };
-            sweep.traces_checked += checked;
-            sweep.memo.merge(stats);
+                    .find(|&&(first, _)| first <= last)
+                    .map_or(MemoStats::default(), |&(_, stats)| stats)
+            });
         }
-        if sweep.counterexample.is_none() {
+        let exhausted = match winner {
+            Some(_) => None,
             // The deterministic cut (enumeration cap, a pure function of the
             // checker and the budget) takes precedence over the
             // timing-dependent ones so repeated runs agree whenever they can.
-            let truncated = cap < self.model_count();
-            sweep.exhausted = truncated.then_some(Exhaustion::Enumeration).or(interrupted);
+            None => (cap < self.model_count()).then_some(Exhaustion::Enumeration).or(interrupted),
+        };
+        ParallelSweep {
+            counterexample: winner.map(|(index, at)| (index, self.computation(at))),
+            traces_checked: winner.map_or_else(
+                || parts.iter().map(|part| part.evaluated).sum(),
+                |(index, _)| index + 1,
+            ),
+            memo,
+            workers: if settled { 1 } else { workers },
+            exhausted,
         }
-        sweep
     }
 
     /// [`BoundedChecker::counterexample`] fanned across a worker pool; the
@@ -430,6 +512,48 @@ pub(crate) fn model_count(props: usize, max_len: usize, lassos: bool) -> usize {
     total
 }
 
+/// The lanes of a block starting at word `first_word` (a multiple of
+/// [`LANES`]) whose word has bit `bit` set: lane `j` is word
+/// `first_word + j`, so the low six bits are those of `j` and the others
+/// those of `first_word`.
+fn lanes_with_bit(first_word: usize, bit: usize) -> u64 {
+    const LOW_BITS: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    match LOW_BITS.get(bit) {
+        Some(&lanes) => lanes,
+        None if first_word.checked_shr(bit as u32).unwrap_or(0) & 1 != 0 => u64::MAX,
+        None => 0,
+    }
+}
+
+/// Up to [`LANES`] consecutive words of one length, swept together: lane
+/// `j` is word `first_word + j`, and its computations are the global indices
+/// `first_index + j * extensions + e` for `e` in `0..extensions`.
+#[derive(Clone, Copy, Debug)]
+struct Block {
+    len: usize,
+    first_word: usize,
+    words: usize,
+    extensions: usize,
+    first_index: usize,
+}
+
+/// A computation by its place in the enumeration: the word of `len`
+/// letters and the extension (0 is the stutter, `k + 1` the lasso back to
+/// position `k`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Coordinates {
+    len: usize,
+    word: usize,
+    extension: usize,
+}
+
 /// The merged outcome of a [`BoundedChecker::sweep_parallel`] /
 /// [`BoundedChecker::sweep_budgeted`] search.
 #[derive(Clone, Debug)]
@@ -437,15 +561,18 @@ pub struct ParallelSweep {
     /// The counterexample with the lowest global enumeration index, if any —
     /// the same computation the sequential sweep returns first.
     pub counterexample: Option<(usize, Trace)>,
-    /// Computations evaluated across all workers; with a counterexample,
-    /// only those at or below its index.
+    /// The computations checked: with a counterexample, its index plus one
+    /// (every computation below it is checked, none above it counts);
+    /// without one, the computations evaluated — the whole enumeration, or
+    /// the part below the enumeration cap, unless a timing cut stopped the
+    /// sweep.
     pub traces_checked: usize,
-    /// Per-worker memoization counters of the checks counted in
-    /// `traces_checked`, merged at join.
+    /// Memo-table probes of the word-parallel passes over the blocks up to
+    /// the counterexample's (all of them without one), merged at join.
     pub memo: MemoStats,
     /// Number of workers that swept: the pool's size when the sweep fanned
     /// out, and 1 when it never left the calling thread — it settled in its
-    /// head (the first few hundred computations), or fewer than some 8 000
+    /// head (the first few hundred computations), or fewer than some 65 000
     /// computations remained after it, or the pool has one worker.
     pub workers: usize,
     /// `Some` when the sweep ended because a [`ResourceBudget`] resource ran
@@ -456,9 +583,9 @@ pub struct ParallelSweep {
 }
 
 /// When a multi-worker [`BoundedChecker::sweep_budgeted`] fans out: it
-/// checks its first `head` computations on the calling thread, and shards
-/// the rest across the pool only if the head settles nothing and at least
-/// `min_rest` computations remain.
+/// checks the blocks starting within its first `head` computations on the
+/// calling thread, and shards the rest across the pool only if the head
+/// settles nothing and at least `min_rest` computations remain.
 #[derive(Clone, Copy, Debug)]
 struct FanOut {
     head: usize,
@@ -468,123 +595,29 @@ struct FanOut {
 impl FanOut {
     /// The measured grain (the fan-out table in `ARCHITECTURE.md`).  A
     /// typical refutation fails within a few dozen computations, where
-    /// spawning workers costs more than the whole sweep, and a few hundred
-    /// checks cost about as much as the spawn.  A full sweep of fewer than
-    /// about 8 000 computations lost at two workers (0.43x at 312, 0.78x at
-    /// 2 256, 1.06x at 7 736) and paid above (1.24x at 17 184, 1.34x at
-    /// 22 736).  Since the enumeration reuses its trace buffer, the sweeps
-    /// above the grain still pay (1.32x at 17 184, 1.41x at 22 736, 1.53x at
-    /// 344 864).
-    const MEASURED: FanOut = FanOut { head: 256, min_rest: 8192 };
+    /// spawning workers costs more than the whole sweep.  The word-parallel
+    /// sweep checks about 90 computations per microsecond, so spawning two
+    /// workers weighs as much as some 7 000 computations: with the fan-out
+    /// forced past the head, full sweeps ran at 0.06x–0.77x from 312 to
+    /// 17 184 computations and 1.04x–1.26x at 22 736–36 408, and paid
+    /// 1.51x at 134 208, 1.59x at 219 344 and 1.76x at 344 864.
+    const MEASURED: FanOut = FanOut { head: 256, min_rest: 65_536 };
 }
 
 /// One worker's share of a [`BoundedChecker::sweep_budgeted`] sweep.
+#[derive(Default)]
 struct ShardPart {
-    /// Its failing computation, if any (the lowest of its shard).
-    found: Option<(usize, Trace)>,
-    /// The computations it checked and the memo counters of those checks.
-    checked: usize,
+    /// Its failing computation, if any (the lowest of its blocks).
+    found: Option<(usize, Coordinates)>,
+    /// The computations it evaluated and the memo counters of its passes.
+    evaluated: usize,
     memo: MemoStats,
     /// A timing cut, with the first global index it did NOT examine because
     /// of it.
     interrupt: Option<(Exhaustion, usize)>,
-    /// For a fan-out worker, `(global index, checks so far, memo counters)`
-    /// after each check.
-    log: Option<Vec<(usize, usize, MemoStats)>>,
-}
-
-/// One interleaved slice of a [`BoundedChecker`] enumeration; see
-/// [`BoundedChecker::shard`].
-#[derive(Clone, Copy, Debug)]
-pub struct TraceShard<'a> {
-    checker: &'a BoundedChecker,
-    index: usize,
-    count: usize,
-    /// No computation below this global index is yielded.
-    start: usize,
-}
-
-impl TraceShard<'_> {
-    /// Whether the computation at global index `at` belongs to this shard.
-    fn yields(&self, at: usize) -> bool {
-        at >= self.start && at % self.count == self.index
-    }
-
-    /// Calls `f(global_index, trace)` for every computation in this shard, in
-    /// increasing global-index order, until `f` returns `false`; returns
-    /// `true` if `f` accepted every computation of the shard.
-    ///
-    /// The `&Trace` handed to `f` is one buffer per length, reused for every
-    /// computation of that length: it is valid only for the duration of the
-    /// call, so clone it to keep it.  The enumeration walks the same
-    /// mixed-radix word order as the sequential sweep; when the shard selects
-    /// at least one extension of a word, the buffer rebuilds only the
-    /// positions whose letter changed since the last selected word (about one
-    /// state per word) and then switches its extension in place from the
-    /// stutter to each lasso.  Skipping a foreign word costs nothing, and a
-    /// selected one compares one letter per position.
-    pub fn for_each_trace(&self, mut f: impl FnMut(usize, &Trace) -> bool) -> bool {
-        let checker = self.checker;
-        let alphabet = 1usize << checker.props.len();
-        // Extensions enumerated per word: the stutter extension plus (with
-        // lassos) one lasso per loop start.
-        let mut global = 0usize;
-        for len in 1..=checker.max_len {
-            let block = if checker.include_lassos { 1 + len } else { 1 };
-            let mut word = vec![0usize; len];
-            // The buffer starts at the all-empty word (letter 0, no
-            // proposition); `held[pos]` is the letter it holds at `pos`.
-            let mut buffer = Trace::finite(vec![State::new(); len]);
-            let mut held = vec![0usize; len];
-            loop {
-                // Does this word's block contain any index of the shard?
-                let selected = (0..block).any(|k| self.yields(global + k));
-                if selected {
-                    for (pos, (&letter, held)) in word.iter().zip(&mut held).enumerate() {
-                        if *held != letter {
-                            buffer.set_state(pos, checker.state_of(letter));
-                            *held = letter;
-                        }
-                    }
-                    if self.yields(global) {
-                        buffer.set_extension(Extension::Stutter);
-                        if !f(global, &buffer) {
-                            return false;
-                        }
-                    }
-                    if checker.include_lassos {
-                        for loop_start in 0..len {
-                            let at = global + 1 + loop_start;
-                            if self.yields(at) {
-                                buffer.set_extension(Extension::Loop(loop_start));
-                                if !f(at, &buffer) {
-                                    return false;
-                                }
-                            }
-                        }
-                    }
-                }
-                global += block;
-                // Advance the word (mixed-radix counter).
-                let mut pos = 0;
-                loop {
-                    if pos == len {
-                        break;
-                    }
-                    word[pos] += 1;
-                    if word[pos] < alphabet {
-                        break;
-                    }
-                    word[pos] = 0;
-                    pos += 1;
-                }
-                if pos == len {
-                    break;
-                }
-            }
-        }
-        true
-    }
+    /// For a fan-out worker, `(first index, memo counters so far)` after
+    /// each block.
+    log: Vec<(usize, MemoStats)>,
 }
 
 #[cfg(test)]
@@ -677,7 +710,9 @@ mod tests {
     fn every_enumeration_matches_the_index_decoder() {
         // The enumeration reuses one buffer per length, so a stale position
         // or extension would show here as a trace differing from the one
-        // built from scratch for its index.
+        // built from scratch for its index.  The blocks must tile the same
+        // indices, and their lane masks must assert what the decoder's
+        // states assert.
         let names = ["P", "Q", "R"];
         for (props, max_len, lassos) in (1..=3)
             .flat_map(|p| (1..=4).map(move |len| (p, len)))
@@ -696,31 +731,92 @@ mod tests {
                 true
             });
             assert!(sequential == reference, "for_each_trace differs from the decoder: {case}");
-            // Every shard yields exactly its indices' computations, in
-            // increasing order; together they cover the enumeration once.
-            for count in 1..=4 {
-                for index in 0..count {
-                    let mut expected = (index..total).step_by(count);
-                    checker.shard(index, count).for_each_trace(|global, trace| {
-                        assert_eq!(Some(global), expected.next(), "shard {index}/{count}: {case}");
-                        assert!(trace == &reference[global], "index {global}: {case}");
-                        true
-                    });
-                    assert_eq!(expected.next(), None, "shard {index}/{count} stops short: {case}");
+            let mut next = 0;
+            for block in checker.blocks() {
+                assert_eq!(block.first_index, next, "blocks leave a gap: {case}");
+                for (lane, extension) in
+                    (0..block.words).flat_map(|lane| (0..block.extensions).map(move |e| (lane, e)))
+                {
+                    let word = block.first_word + lane;
+                    let at = Coordinates { len: block.len, word, extension };
+                    assert!(checker.computation(at) == reference[next], "index {next}: {case}");
+                    for (pos, state) in reference[next].states().iter().enumerate() {
+                        for (bit, &name) in props.iter().enumerate() {
+                            let lanes = lanes_with_bit(block.first_word, props.len() * pos + bit);
+                            assert_eq!(
+                                lanes >> lane & 1 == 1,
+                                state.holds(&Prop::plain(name)),
+                                "lane {lane} of index {next}, {name} at {pos}: {case}"
+                            );
+                        }
+                    }
+                    next += 1;
                 }
-                // The shards of a fan-out past a head of `start`
-                // computations, worker `w` starting at `start + w`.
-                let start = 5.min(total);
-                for w in 0..count {
-                    let shard =
-                        TraceShard { checker: &checker, index: (start + w) % count, count, start };
-                    let mut expected = (start + w..total).step_by(count);
-                    shard.for_each_trace(|global, trace| {
-                        assert_eq!(Some(global), expected.next(), "worker {w}/{count}: {case}");
-                        assert!(trace == &reference[global], "index {global}: {case}");
-                        true
+            }
+            assert_eq!(next, total, "blocks stop short: {case}");
+        }
+    }
+
+    #[test]
+    fn every_lane_of_every_pass_matches_a_per_computation_check() {
+        // A formula rarely fails first in a block's last lanes, so the
+        // sweeps' answers alone could miss a lane the masks drop or misread.
+        // Every pass's whole failing mask, and every block's lowest failure,
+        // are compared with the boxed evaluator on each computation.
+        let (p, q, r) = (prop("P"), prop("Q"), prop("R"));
+        let formulas = [
+            // Fails only on the words asserting everything everywhere: the
+            // last lane of a block.
+            not(always(p.clone().and(q.clone()).and(r.clone()))),
+            always(q.clone().or(p.clone())).within(end(fwd_to(event(q.clone())))),
+            eventually(p.clone()).within(fwd_to(event(q.clone()))),
+            always(p.clone()).within(must(begin(fwd(event(p.clone()), event(q.clone()))))),
+            eventually(r.clone()).within(bwd(event(p.clone()), event(q.clone()))),
+            // The last rise of `R`, undefined where it recurs in a loop.
+            eventually(q.clone()).within(bwd_from(event(r.clone()))),
+            occurs(event(p.clone().and(q.clone()))).implies(eventually(r.clone())),
+            always(eventually(p.clone())).implies(eventually(always(p))),
+        ];
+        for (props, depth) in [(&["P", "Q", "R"][..], 3), (&["P", "Q"][..], 4)] {
+            let checker = BoundedChecker::new(props.iter().copied(), depth);
+            for formula in &formulas {
+                let mut arena = FormulaArena::new();
+                let id = arena.intern(formula);
+                let mut holds = Vec::new();
+                checker.for_each_trace(|trace| {
+                    holds.push(Evaluator::new(trace).check(formula));
+                    true
+                });
+                let mut evaluator = BlockEvaluator::new(&arena, &checker.props, &[]);
+                for block in checker.blocks() {
+                    let index =
+                        |lane: usize, e: usize| block.first_index + lane * block.extensions + e;
+                    evaluator.load(block.len, |pos, prop| {
+                        lanes_with_bit(block.first_word, props.len() * pos + prop)
                     });
-                    assert_eq!(expected.next(), None, "worker {w}/{count} stops short: {case}");
+                    for e in 0..block.extensions {
+                        let kind = if e == 0 { Extension::Stutter } else { Extension::Loop(e - 1) };
+                        let live = u64::MAX >> (LANES - block.words);
+                        let expected = (0..block.words)
+                            .filter(|&lane| !holds[index(lane, e)])
+                            .fold(0u64, |lanes, lane| lanes | 1 << lane);
+                        assert_eq!(
+                            evaluator.failing(id, kind, live),
+                            expected,
+                            "{formula} over {props:?}, block at {}, extension {e}",
+                            block.first_index
+                        );
+                    }
+                    let lowest = (0..block.words)
+                        .flat_map(|lane| (0..block.extensions).map(move |e| index(lane, e)))
+                        .find(|&at| !holds[at]);
+                    let (found, _) = checker.sweep_block(&mut evaluator, block, id, usize::MAX);
+                    assert_eq!(
+                        found.map(|(at, _)| at),
+                        lowest,
+                        "{formula} over {props:?}, block at {}",
+                        block.first_index
+                    );
                 }
             }
         }

@@ -280,7 +280,7 @@ impl CheckRequest {
 
     /// Fans the check's enumeration across a worker pool: the `Bounded`
     /// sweep, and the refutation sweep of `Decide`, past the first few
-    /// hundred computations and only when some 8 000 or more remain (a
+    /// hundred computations and only when some 65 000 or more remain (a
     /// sweep that settles sooner, or is smaller, never spawns a worker).  Every other phase — and the `Trace` and `Explore` backends
     /// — runs on the calling thread.
     /// When not set, the session default and then the
@@ -508,7 +508,7 @@ pub struct CheckStats {
     /// count when a `Bounded` or `Decide` refutation sweep fanned out, 1 for
     /// every other check, all of which run on the calling thread.  A sweep
     /// checks its first few hundred computations on the calling thread and
-    /// fans out only when some 8 000 or more remain, so a sweep that
+    /// fans out only when some 65 000 or more remain, so a sweep that
     /// settles sooner, or is smaller, reports 1.
     pub workers: usize,
     /// The pre-flight [`CostEstimate`] the session computed for the formula
@@ -2673,15 +2673,15 @@ mod tests {
                 assert_eq!(parallel.stats.workers, 1, "workers={workers}");
             }
         }
-        // A valid formula's sweep of 22 736 computations fans out past its
+        // A valid formula's sweep of 344 864 computations fans out past its
         // head and reports the workers it was sharded across.
         let fanned = Session::new().check(
             CheckRequest::new(prop("P").or(prop("P").not()))
-                .bounded(["P", "Q", "R"], 4)
+                .bounded(["P", "Q", "R", "S"], 4)
                 .with_parallelism(Parallelism::Fixed(2)),
         );
         assert_eq!(fanned.verdict, Verdict::ValidUpTo(4));
-        assert_eq!(fanned.stats.traces_checked, 22_736);
+        assert_eq!(fanned.stats.traces_checked, 344_864);
         assert_eq!(fanned.stats.workers, 2);
     }
 

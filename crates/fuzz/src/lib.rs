@@ -11,8 +11,9 @@
 //!   systems ([`sysgen`]) implementing the [`ilogic_systems::explore::Model`]
 //!   trait, built from the compat `proptest` combinators;
 //! * **Oracle** — [`oracle::check_instance`] checks the LTL translation of
-//!   one generated instance against the interval semantics, then runs it
-//!   through every applicable backend pairing (`Decide` vs `Bounded`,
+//!   one generated instance against the interval semantics and the
+//!   word-parallel bounded sweep against a per-computation scan, then runs
+//!   it through every applicable backend pairing (`Decide` vs `Bounded`,
 //!   evaluated fixpoint vs explicit condition artifact, `Auto` vs
 //!   hand-routed, `Explore` vs a sequential per-run reference) and asserts
 //!   verdict agreement, budget monotonicity (a tighter budget may only

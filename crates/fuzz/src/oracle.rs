@@ -13,6 +13,10 @@
 //!   `to_ltl` accepts, its LTL image and the interval semantics agree on
 //!   every computation up to [`CROSS_CHECK_DEPTH`] states (stutter and lasso
 //!   extensions) over the formula's alphabet;
+//! * the word-parallel bounded sweep answers as a per-computation scan of
+//!   the same enumeration does: the same failing index, counterexample and
+//!   count of checked computations, with lassos on and off, uncapped and
+//!   under enumeration caps that fall inside a block;
 //! * `Decide`'s refutation sweep *is* the `Bounded` enumeration (same
 //!   propositions, same depth), so when both refute, the counterexample
 //!   computations and enumeration indices must be bit-identical;
@@ -178,6 +182,76 @@ pub fn translation_disagreement(
     found
 }
 
+/// What a bounded sweep reports: the failing computation with the lowest
+/// global index below the cap (with that index), and the computations
+/// checked.
+pub type SweepAnswer = (Option<(usize, Trace)>, usize);
+
+/// The word-parallel sweep's answer for `formula` over `checker`'s
+/// enumeration below `cap` ([`BoundedChecker::sweep_budgeted`] on the
+/// calling thread).
+pub fn block_sweep(checker: &BoundedChecker, formula: &Formula, cap: usize) -> SweepAnswer {
+    let mut arena = FormulaArena::new();
+    let id = arena.intern(formula);
+    let budget = ResourceBudget::unbounded().with_max_enumeration(cap);
+    let sweep = checker.sweep_budgeted(&arena, id, None, Parallelism::Off, &budget);
+    (sweep.counterexample, sweep.traces_checked)
+}
+
+/// The first enumeration setting on which `sweep` and a per-computation
+/// reference disagree about `formula`, over its alphabet up to
+/// [`CROSS_CHECK_DEPTH`] states: lassos on and off, each uncapped and
+/// under two caps, the enumeration's middle and three computations short
+/// of its end (both inside a block for every alphabet of one to three
+/// propositions; a block of the empty alphabet without lassos holds one
+/// computation).  The reference checks the computations of
+/// [`BoundedChecker::counterexample_boxed`]'s enumeration one at a time with
+/// the boxed-AST evaluator: the first failing one below the cap, and as
+/// checked computations its index plus one, or the cap (at most the whole
+/// enumeration) when none fails.
+pub fn sweep_disagreement(
+    formula: &Formula,
+    sweep: impl Fn(&BoundedChecker, &Formula, usize) -> SweepAnswer,
+) -> Option<String> {
+    let props = proposition_names(formula);
+    for lassos in [true, false] {
+        let mut checker = BoundedChecker::new(props.iter().map(String::as_str), CROSS_CHECK_DEPTH);
+        if !lassos {
+            checker = checker.without_lassos();
+        }
+        // The uncapped scan answers every cap: a cap only cuts its suffix.
+        let mut first_failure = None;
+        let mut index = 0;
+        checker.for_each_trace(|trace| {
+            if !semantics::holds(trace, formula) {
+                first_failure = Some((index, trace.clone()));
+            }
+            index += 1;
+            first_failure.is_none()
+        });
+        let total = checker.model_count();
+        for cap in [usize::MAX, total / 2 + 1, total.saturating_sub(3)] {
+            let reference = match &first_failure {
+                Some((index, trace)) if *index < cap => (Some((*index, trace.clone())), index + 1),
+                _ => (None, cap.min(total)),
+            };
+            let swept = sweep(&checker, formula, cap);
+            if swept != reference {
+                let show = |(found, checked): &SweepAnswer| match found {
+                    Some((index, trace)) => format!("#{index} {trace}, {checked} checked"),
+                    None => format!("none, {checked} checked"),
+                };
+                return Some(format!(
+                    "lassos {lassos}, cap {cap}: sweep {} | reference {}",
+                    show(&swept),
+                    show(&reference)
+                ));
+            }
+        }
+    }
+    None
+}
+
 /// `trace` as an LTL computation over the plain propositions `props`.
 fn ltl_trace(trace: &Trace, props: &[String]) -> TlTrace {
     let states = trace
@@ -210,6 +284,11 @@ pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
     // --- Translation: the LTL image vs the interval semantics ------------
     if let Some(detail) = translation_disagreement(&instance.formula, to_ltl) {
         return Err(fail("translation", detail));
+    }
+
+    // --- Sweep: the word-parallel sweep vs a per-computation scan ---------
+    if let Some(detail) = sweep_disagreement(&instance.formula, block_sweep) {
+        return Err(fail("sweep", detail));
     }
 
     // --- Decide vs Bounded: same alphabet, same depth --------------------

@@ -13,6 +13,10 @@
 //!   translation invariant: a translator that reads every next step as the
 //!   present state must disagree with the interval semantics and shrink to
 //!   a single prefix interval.
+//! * `planted_sweep_bug_is_caught_and_shrunk` — the same for the sweep
+//!   invariant: a sweep whose lane masks drop the last word of every block
+//!   must disagree with the per-computation reference and shrink to
+//!   `false`, whose first counterexample is the only word of its block.
 //! * `protocol_zoo_instances_agree_across_backends` — wires the ring
 //!   election and sensor bus into the differential corpus: their theorems
 //!   cross-checked Explore vs a sequential reference on correct *and*
@@ -21,7 +25,8 @@
 use ilogic_core::ltl_translate::{to_ltl, TranslateError};
 use ilogic_core::prelude::*;
 use ilogic_fuzz::oracle::{
-    check_instance, classify, disagree, translation_disagreement, Instance, Outcome,
+    check_instance, classify, disagree, sweep_disagreement, translation_disagreement, Instance,
+    Outcome, SweepAnswer,
 };
 use ilogic_fuzz::shrink::{candidates, formula_size, shrink_instance};
 use ilogic_fuzz::{repro_path, CorpusPlan};
@@ -140,6 +145,66 @@ fn planted_translation_bug_is_caught_and_shrunk() {
         "expected a single prefix interval over a proposition, got {}",
         shrunk.formula
     );
+}
+
+/// A per-computation sweep with the bug of lane masks that drop the last
+/// word of every 64-word block: it never checks the last word of a block
+/// (nor the last word of a length, which closes that length's last block).
+/// A word's letters are read back from the computation's states over the
+/// formula's alphabet, in the checker's order.
+fn sweep_dropping_last_words(
+    checker: &BoundedChecker,
+    formula: &Formula,
+    cap: usize,
+) -> SweepAnswer {
+    let props = ilogic_core::analysis::proposition_names(formula);
+    let mut found = None;
+    let mut index = 0;
+    checker.for_each_trace(|trace| {
+        if index >= cap {
+            return false;
+        }
+        let mut word = 0usize;
+        for (pos, state) in trace.states().iter().enumerate() {
+            for (bit, name) in props.iter().enumerate() {
+                if state.holds(&Prop::plain(name.as_str())) {
+                    word |= 1 << (props.len() * pos + bit);
+                }
+            }
+        }
+        let last_word = (1usize << (props.len() * trace.len())) - 1;
+        let dropped = word % 64 == 63 || word == last_word;
+        if !dropped && !ilogic_core::semantics::holds(trace, formula) {
+            found = Some((index, trace.clone()));
+            return false;
+        }
+        index += 1;
+        true
+    });
+    let checked = found.as_ref().map_or(index, |(index, _)| index + 1);
+    (found, checked)
+}
+
+#[test]
+fn planted_sweep_bug_is_caught_and_shrunk() {
+    let buggy = |i: &Instance| sweep_disagreement(&i.formula, sweep_dropping_last_words).is_some();
+    let caught = (0..64)
+        .map(Instance::from_seed)
+        .find(buggy)
+        .expect("the planted sweep bug must disagree somewhere in 64 seeds");
+    let original_size = formula_size(&caught.formula);
+
+    let shrunk = shrink_instance(caught, buggy);
+
+    assert!(buggy(&shrunk));
+    assert!(formula_size(&shrunk.formula) <= original_size);
+    for candidate in candidates(&shrunk) {
+        assert!(!buggy(&candidate), "shrinker stopped early: {} still shrinks", shrunk.formula);
+    }
+    // Over an empty alphabet each length has one word, the last of its
+    // block, so the buggy sweep checks nothing and misses the first
+    // computation's failure of the smallest falsifiable formula.
+    assert_eq!(shrunk.formula, Formula::False, "expected `false`, got {}", shrunk.formula);
 }
 
 /// A zoo entry: name, closed theorem, and the runs it is checked over.

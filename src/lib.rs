@@ -174,7 +174,7 @@
 //! out only when those do not answer, so a typical refutation, which fails
 //! within a few dozen computations, never pays for spawning workers; the
 //! bounded sweep also stays on the calling thread when fewer than some
-//! 8 000 computations remain, where two workers lost.
+//! 65 000 computations remain, where two workers did not pay.
 //!
 //! Verdicts never depend on the worker count: the sharded searches pick
 //! counterexamples deterministically (lowest enumeration index wins), so
