@@ -3,51 +3,15 @@
 //! tables and group pool from pass to pass, and only the counterexample, if
 //! any, is built as a `Trace`.
 //!
-//! A counting global allocator tallies every allocation of the process, so
-//! this file holds a single test: no other test thread allocates while it
-//! counts.
+//! The crate's counting global allocator tallies every allocation of the
+//! process, so this file holds a single test: no other test thread
+//! allocates while it counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use ilogic_alloc_audit::allocations;
 use ilogic_core::arena::FormulaArena;
 use ilogic_core::bounded::BoundedChecker;
 use ilogic_core::dsl::{always, end, event, fwd_to, prop};
 use ilogic_core::pool::{Parallelism, ResourceBudget};
-
-struct Counting;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// The one unsafe item of the crate (see its Cargo.toml).
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds `GlobalAlloc`'s contract, so the callers' guarantees (a non-zero
-// layout size, a pointer `System` allocated with that layout) pass straight
-// through.  Counting is an atomic add, which neither allocates nor unwinds.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's guarantees for `alloc`, forwarded.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's guarantees for `dealloc`, forwarded; `ptr`
-        // came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) };
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's guarantees for `realloc`, forwarded; `ptr`
-        // came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
 
 /// Allocations a depth-4 sweep may make beyond the depth-3 one: its longer
 /// computations visit more intervals, so the reused tables grow a few more
@@ -64,11 +28,11 @@ fn a_full_sweep_allocates_independently_of_its_size() {
     let sweep = |depth: usize| {
         let checker = BoundedChecker::new(["q", "p"], depth);
         let budget = ResourceBudget::unbounded();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let sweep = checker.sweep_budgeted(&arena, formula, None, Parallelism::Off, &budget);
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let made = allocations() - before;
         assert!(sweep.counterexample.is_none(), "the formula is valid up to depth {depth}");
-        (sweep.traces_checked, allocations)
+        (sweep.traces_checked, made)
     };
     let (small, small_allocations) = sweep(3);
     let (large, large_allocations) = sweep(4);

@@ -1,4 +1,4 @@
-//! Hash-consed formula arena and memoized evaluation.
+//! Hash-consed formula arena and the interval engine over it.
 //!
 //! The boxed [`Formula`]/[`IntervalTerm`] trees of [`crate::syntax`] are
 //! convenient to build but costly to check: structurally identical subformulas
@@ -14,14 +14,17 @@
 //!   once, handing out `Copy`-able [`FormulaId`] / [`TermId`] handles with
 //!   O(1) equality and hashing.  `intern` / `extract` are lossless bridges to
 //!   the boxed AST;
-//! * [`MemoEvaluator`] evaluates interned formulas with a memo table keyed on
-//!   `(FormulaId, Interval, environment)`, so shared subterms — made explicit
+//! * one interval engine evaluates interned formulas.  A pass evaluates a
+//!   formula over up to 64 computations of the same length and extension,
+//!   with a `u64` truth mask in place of each `bool`, memoizing verdicts on
+//!   `(FormulaId, Interval, environment)` so shared subterms — made explicit
 //!   by hash-consing — are evaluated once per (interval, binding) context
-//!   rather than once per syntactic occurrence;
-//! * `BlockEvaluator` (crate-private) is its word-parallel twin behind the
-//!   bounded sweep: one pass evaluates a formula over up to 64
-//!   computations of the same length and extension, with a `u64` truth
-//!   mask in place of each `bool`;
+//!   rather than once per syntactic occurrence.  Its two uses differ only
+//!   in where a pass reads its state predicates: [`MemoEvaluator`] checks
+//!   one concrete trace (the `Trace` and `Explore` backends, spec checks)
+//!   as a one-lane pass over that trace's states, and the bounded sweep
+//!   checks 64 enumerated computations per pass from per-position word
+//!   masks;
 //! * [`ArenaSnapshot`] is a frozen, `Send + Sync` *version* of an arena's
 //!   nodes.  The arena's storage is multiversion — an append-only store of
 //!   `Arc`-shared chunks — so taking a snapshot is O(1) (one `Arc` bump per
@@ -30,25 +33,26 @@
 //!   a writer that would mutate a shared chunk copies it first
 //!   ([`Arc::make_mut`]).  Snapshotting is how the sharded engines of
 //!   [`crate::session`] hand one interned formula to many worker threads:
-//!   each worker owns a cheap clone of the snapshot plus its private
-//!   [`MemoEvaluator`], so evaluation is shared-nothing — no locks anywhere
-//!   on the hot path — and the per-worker [`MemoStats`] are
-//!   [merged](MemoStats::merge) at join.  Because snapshots are this cheap,
-//!   new formulas can be interned and dispatched *while* earlier checks are
-//!   still running over older versions — there is no stop-the-world barrier
-//!   between interning and checking.
+//!   each worker owns a cheap clone of the snapshot plus its private memo
+//!   tables, so evaluation is shared-nothing — no locks anywhere on the hot
+//!   path — and the per-worker [`MemoStats`] are [merged](MemoStats::merge)
+//!   at join.  Because snapshots are this cheap, new formulas can be
+//!   interned and dispatched *while* earlier checks are still running over
+//!   older versions — there is no stop-the-world barrier between interning
+//!   and checking.
 //!
-//! The memoized evaluator implements exactly the satisfaction relation of
+//! The engine implements exactly the satisfaction relation of
 //! [`crate::semantics::Evaluator`]; the two are cross-checked by the property
-//! suite in `tests/arena.rs`.  The word-parallel evaluator is cross-checked
-//! against a per-computation scan by the bounded module's tests and by the
-//! differential fuzz oracle's `sweep` invariant.
+//! suite in `tests/arena.rs`, by the bounded module's tests (every lane of a
+//! sweep pass against a per-computation scan) and by the differential fuzz
+//! oracle's `sweep` and `explore-vs-reference` invariants.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use crate::interval::{Constructed, Endpoint, Interval};
+use crate::interval::{Endpoint, Interval};
 use crate::semantics::Dir;
 use crate::state::{Prop, State};
 use crate::syntax::{Arg, CmpOp, Expr, Formula, IntervalTerm, Pred};
@@ -517,25 +521,24 @@ type MemoMap<K, V> = HashMap<K, V, BuildHasherDefault<MemoHasher>>;
 /// Interned environments: a canonical, deduplicated rendering of data-variable
 /// bindings, so that memo keys stay `Copy`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct EnvId(u32);
+pub(crate) struct EnvId(u32);
 
 const EMPTY_ENV: EnvId = EnvId(0);
 
-#[derive(Debug, Default)]
-struct EnvInterner {
+#[derive(Debug)]
+pub(crate) struct EnvInterner {
     /// Canonical bindings per id; index 0 is the empty environment.
     envs: Vec<Vec<(String, Value)>>,
     ids: HashMap<Vec<(String, Value)>, EnvId>,
 }
 
-impl EnvInterner {
-    fn new() -> EnvInterner {
-        let mut interner = EnvInterner::default();
-        interner.envs.push(Vec::new());
-        interner.ids.insert(Vec::new(), EMPTY_ENV);
-        interner
+impl Default for EnvInterner {
+    fn default() -> EnvInterner {
+        EnvInterner { envs: vec![Vec::new()], ids: HashMap::from([(Vec::new(), EMPTY_ENV)]) }
     }
+}
 
+impl EnvInterner {
     fn bindings(&self, id: EnvId) -> &[(String, Value)] {
         &self.envs[id.0 as usize]
     }
@@ -562,7 +565,10 @@ impl EnvInterner {
     }
 }
 
-/// Memoization counters of a [`MemoEvaluator`].
+/// Memo-table counters of the interval engine: hits are verdicts or event
+/// scans reused rather than recomputed, misses the ones computed and
+/// stored.  A [`MemoEvaluator`] and the bounded sweep report them as a
+/// check's `memo`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Memo-table hits (verdicts reused rather than recomputed).
@@ -587,14 +593,19 @@ impl std::ops::AddAssign for MemoStats {
     }
 }
 
-/// Evaluates interned formulas over concrete computations, memoizing every
-/// subformula verdict on `(FormulaId, Interval, environment)` and every
-/// interval construction on `(TermId, Interval, direction, environment)`.
+/// Checks interned formulas over concrete computations.
 ///
-/// The evaluator is reusable across traces: [`MemoEvaluator::check`] clears
-/// the per-trace memo tables but keeps their allocations and the interned
-/// environments, which is what makes it cheap inside the bounded checker's
-/// enumeration loop.
+/// Each check is a one-lane pass of the interval engine behind the bounded
+/// sweep (see the [module docs](self)), reading its predicates from the
+/// checked trace's states.  The engine memoizes every subformula verdict on
+/// `(FormulaId, Interval, environment)` and every event scan on
+/// `(TermId, Interval, direction, environment)`.
+///
+/// The evaluator is reusable across traces: a check clears the memo tables
+/// but keeps their allocations and the interned environments, and borrows
+/// the explicit quantifier domain, if any, rather than copying it.  Without
+/// one, the domain is the checked trace's value domain, computed at the
+/// first quantifier the check reaches.
 ///
 /// The evaluator is generic over [`ArenaRead`]: single-threaded code borrows
 /// the [`FormulaArena`] itself (the default), worker threads borrow a
@@ -603,54 +614,31 @@ impl std::ops::AddAssign for MemoStats {
 #[derive(Debug)]
 pub struct MemoEvaluator<'a, A: ArenaRead = FormulaArena> {
     arena: &'a A,
-    memo: MemoMap<(FormulaId, Interval, EnvId), bool>,
-    construct_memo: MemoMap<(TermId, Interval, Dir, EnvId), Constructed>,
-    envs: EnvInterner,
-    stats: MemoStats,
-    explicit_domain: Option<Vec<Value>>,
-    /// Per-formula "contains a quantifier" cache; when a formula has none, the
-    /// per-trace value domain is never computed (hot loops stay allocation-free).
-    needs_domain: MemoMap<FormulaId, bool>,
+    domain: Option<Vec<Value>>,
+    tables: MemoTables,
 }
 
 impl<'a, A: ArenaRead> MemoEvaluator<'a, A> {
     /// Creates a memoized evaluator over an arena or snapshot. The quantifier
     /// domain defaults to each checked trace's value domain.
     pub fn new(arena: &'a A) -> MemoEvaluator<'a, A> {
-        MemoEvaluator {
-            arena,
-            memo: MemoMap::default(),
-            construct_memo: MemoMap::default(),
-            envs: EnvInterner::new(),
-            stats: MemoStats::default(),
-            explicit_domain: None,
-            needs_domain: MemoMap::default(),
-        }
+        MemoEvaluator { arena, domain: None, tables: MemoTables::default() }
     }
 
     /// Uses an explicit quantifier domain instead of each trace's value domain.
     pub fn with_domain(mut self, domain: Vec<Value>) -> MemoEvaluator<'a, A> {
-        self.explicit_domain = Some(domain);
+        self.domain = Some(domain);
         self
     }
 
     /// The memoization counters accumulated so far.
     pub fn stats(&self) -> MemoStats {
-        self.stats
+        self.tables.stats
     }
 
     /// Satisfaction of `formula` by the whole computation (`⟨0, ∞⟩ ⊨ formula`).
     pub fn check(&mut self, trace: &Trace, formula: FormulaId) -> bool {
-        self.memo.clear();
-        self.construct_memo.clear();
-        let quantified = self.formula_needs_domain(formula);
-        let domain = match &self.explicit_domain {
-            Some(d) => d.clone(),
-            None if quantified => trace.value_domain(),
-            None => Vec::new(),
-        };
-        let cx = TraceCx { trace, domain: &domain };
-        self.eval(&cx, formula, Interval::unbounded(0), EMPTY_ENV)
+        self.pass(trace).satisfying(formula) != 0
     }
 
     /// Checks several formulas against the *same* computation, sharing the
@@ -661,268 +649,21 @@ impl<'a, A: ArenaRead> MemoEvaluator<'a, A> {
         trace: &Trace,
         formulas: impl IntoIterator<Item = FormulaId>,
     ) -> Vec<bool> {
-        self.memo.clear();
-        self.construct_memo.clear();
-        let mut domain: Option<Vec<Value>> = None;
-        formulas
-            .into_iter()
-            .map(|id| {
-                let quantified = self.formula_needs_domain(id);
-                if domain.is_none() {
-                    domain = Some(match &self.explicit_domain {
-                        Some(d) => d.clone(),
-                        None if quantified => trace.value_domain(),
-                        None => Vec::new(),
-                    });
-                } else if self.explicit_domain.is_none()
-                    && quantified
-                    && domain.as_ref().is_some_and(Vec::is_empty)
-                {
-                    domain = Some(trace.value_domain());
-                }
-                let cx = TraceCx { trace, domain: domain.as_deref().unwrap_or(&[]) };
-                self.eval(&cx, id, Interval::unbounded(0), EMPTY_ENV)
-            })
-            .collect()
+        let mut pass = self.pass(trace);
+        formulas.into_iter().map(|id| pass.satisfying(id) != 0).collect()
     }
 
-    /// Whether the formula contains any quantifier (cached per id).
-    fn formula_needs_domain(&mut self, id: FormulaId) -> bool {
-        if let Some(&known) = self.needs_domain.get(&id) {
-            return known;
+    /// A one-lane pass over `trace`, on cleared memo tables.
+    fn pass<'p>(&'p mut self, trace: &'p Trace) -> BlockEvaluator<'p, A, &'p Trace> {
+        self.tables.clear();
+        BlockEvaluator {
+            arena: self.arena,
+            letters: trace,
+            domain: self.domain.as_deref().map(Cow::Borrowed),
+            tables: &mut self.tables,
+            shape: Shape { len: trace.len(), extension: trace.extension() },
+            live: 1,
         }
-        let answer = match self.arena.formula_node(id) {
-            FormulaNode::True | FormulaNode::False | FormulaNode::Pred(_) => false,
-            FormulaNode::Forall(_, _) | FormulaNode::Exists(_, _) => true,
-            FormulaNode::Not(a) | FormulaNode::Always(a) | FormulaNode::Eventually(a) => {
-                self.formula_needs_domain(*a)
-            }
-            FormulaNode::And(a, b) | FormulaNode::Or(a, b) => {
-                let (a, b) = (*a, *b);
-                self.formula_needs_domain(a) || self.formula_needs_domain(b)
-            }
-            FormulaNode::In(t, a) => {
-                let (t, a) = (*t, *a);
-                self.term_needs_domain(t) || self.formula_needs_domain(a)
-            }
-        };
-        self.needs_domain.insert(id, answer);
-        answer
-    }
-
-    fn term_needs_domain(&mut self, id: TermId) -> bool {
-        match *self.arena.term_node(id) {
-            TermNode::Event(f) => self.formula_needs_domain(f),
-            TermNode::Begin(t) | TermNode::End(t) | TermNode::Must(t) => self.term_needs_domain(t),
-            TermNode::Forward(a, b) | TermNode::Backward(a, b) => {
-                a.is_some_and(|t| self.term_needs_domain(t))
-                    || b.is_some_and(|t| self.term_needs_domain(t))
-            }
-        }
-    }
-
-    fn eval(&mut self, cx: &TraceCx<'_>, id: FormulaId, interval: Interval, env: EnvId) -> bool {
-        let interval = cx.canonicalize(interval);
-        let arena = self.arena;
-        // Structurally cheap nodes are evaluated directly: a memo probe costs
-        // as much as the node itself, and their expensive descendants are
-        // memoized in their own right.
-        match arena.formula_node(id) {
-            FormulaNode::True => return true,
-            FormulaNode::False => return false,
-            FormulaNode::Pred(pred) => return self.eval_pred(cx, pred, interval.lo, env),
-            FormulaNode::Not(a) => return !self.eval(cx, *a, interval, env),
-            FormulaNode::And(a, b) => {
-                return self.eval(cx, *a, interval, env) && self.eval(cx, *b, interval, env)
-            }
-            FormulaNode::Or(a, b) => {
-                return self.eval(cx, *a, interval, env) || self.eval(cx, *b, interval, env)
-            }
-            _ => {}
-        }
-        let key = (id, interval, env);
-        if let Some(&verdict) = self.memo.get(&key) {
-            self.stats.hits += 1;
-            return verdict;
-        }
-        self.stats.misses += 1;
-        let verdict = match arena.formula_node(id) {
-            FormulaNode::True
-            | FormulaNode::False
-            | FormulaNode::Pred(_)
-            | FormulaNode::Not(_)
-            | FormulaNode::And(_, _)
-            | FormulaNode::Or(_, _) => unreachable!("handled above"),
-            FormulaNode::Always(a) => cx
-                .shape()
-                .suffix_positions(interval)
-                .all(|k| self.eval(cx, *a, Interval { lo: k, hi: interval.hi }, env)),
-            FormulaNode::Eventually(a) => cx
-                .shape()
-                .suffix_positions(interval)
-                .any(|k| self.eval(cx, *a, Interval { lo: k, hi: interval.hi }, env)),
-            FormulaNode::In(term, a) => {
-                match self.construct(cx, *term, interval, Dir::Forward, env) {
-                    Constructed::Violated => false,
-                    Constructed::NotFound => true,
-                    Constructed::Found(sub) => self.eval(cx, *a, sub, env),
-                }
-            }
-            FormulaNode::Forall(var, a) => (0..cx.domain.len()).all(|i| {
-                let bound = self.envs.bind(env, var, &cx.domain[i]);
-                self.eval(cx, *a, interval, bound)
-            }),
-            FormulaNode::Exists(var, a) => (0..cx.domain.len()).any(|i| {
-                let bound = self.envs.bind(env, var, &cx.domain[i]);
-                self.eval(cx, *a, interval, bound)
-            }),
-        };
-        self.memo.insert(key, verdict);
-        verdict
-    }
-
-    /// The interval-construction function `F(term, context, direction)` over ids.
-    fn construct(
-        &mut self,
-        cx: &TraceCx<'_>,
-        id: TermId,
-        ctx: Interval,
-        dir: Dir,
-        env: EnvId,
-    ) -> Constructed {
-        let ctx = cx.canonicalize(ctx);
-        let arena = self.arena;
-        // Only event scans are worth memoizing: they loop over trace
-        // positions evaluating the event formula twice per step.  The other
-        // term constructors are constant glue around their children.
-        if let TermNode::Event(event) = *arena.term_node(id) {
-            let key = (id, ctx, dir, env);
-            if let Some(&built) = self.construct_memo.get(&key) {
-                self.stats.hits += 1;
-                return built;
-            }
-            self.stats.misses += 1;
-            let built = self.find_event(cx, event, ctx, dir, env);
-            self.construct_memo.insert(key, built);
-            return built;
-        }
-        let built = match *arena.term_node(id) {
-            TermNode::Event(_) => unreachable!("handled above"),
-            TermNode::Begin(inner) => self
-                .construct(cx, inner, ctx, dir, env)
-                .and_then(|iv| Constructed::Found(Interval::unit(iv.first()))),
-            TermNode::End(inner) => self
-                .construct(cx, inner, ctx, dir, env)
-                .and_then(|iv| Constructed::from_option(iv.last().map(Interval::unit))),
-            TermNode::Must(inner) => match self.construct(cx, inner, ctx, dir, env) {
-                Constructed::NotFound => Constructed::Violated,
-                other => other,
-            },
-            TermNode::Forward(lhs, rhs) => match (lhs, rhs) {
-                (None, None) => Constructed::Found(ctx),
-                (Some(i), None) => self.construct(cx, i, ctx, dir, env).and_then(|iv| {
-                    Constructed::from_option(iv.last().map(|lo| Interval { lo, hi: ctx.hi }))
-                }),
-                (None, Some(j)) => self.construct(cx, j, ctx, Dir::Forward, env).and_then(|iv| {
-                    Constructed::from_option(
-                        iv.last().map(|hi| Interval::bounded(ctx.lo, hi.max(ctx.lo))),
-                    )
-                }),
-                (Some(i), Some(j)) => {
-                    // F(I ⇒ J, ctx, d) = F(⇒ J, F(I ⇒, ctx, d), F). Thanks to
-                    // hash-consing the derived half-open terms are interned
-                    // once and their constructions memoized like any other.
-                    match self.construct(cx, i, ctx, dir, env).and_then(|iv| {
-                        Constructed::from_option(iv.last().map(|lo| Interval { lo, hi: ctx.hi }))
-                    }) {
-                        Constructed::Found(mid) => {
-                            let mid = cx.canonicalize(mid);
-                            self.construct(cx, j, mid, Dir::Forward, env).and_then(|iv| {
-                                Constructed::from_option(
-                                    iv.last().map(|hi| Interval::bounded(mid.lo, hi.max(mid.lo))),
-                                )
-                            })
-                        }
-                        other => other,
-                    }
-                }
-            },
-            TermNode::Backward(lhs, rhs) => match (lhs, rhs) {
-                (None, None) => Constructed::Found(ctx),
-                (Some(i), None) => self.construct(cx, i, ctx, Dir::Backward, env).and_then(|iv| {
-                    Constructed::from_option(iv.last().map(|lo| Interval { lo, hi: ctx.hi }))
-                }),
-                (None, Some(j)) => self.construct(cx, j, ctx, dir, env).and_then(|iv| {
-                    Constructed::from_option(
-                        iv.last().map(|hi| Interval::bounded(ctx.lo, hi.max(ctx.lo))),
-                    )
-                }),
-                (Some(i), Some(j)) => {
-                    // F(I ⇐ J, ctx, d) = F(I ⇐, F(⇐ J, ctx, d), F).
-                    match self.construct(cx, j, ctx, dir, env).and_then(|iv| {
-                        Constructed::from_option(
-                            iv.last().map(|hi| Interval::bounded(ctx.lo, hi.max(ctx.lo))),
-                        )
-                    }) {
-                        Constructed::Found(mid) => {
-                            let mid = cx.canonicalize(mid);
-                            self.construct(cx, i, mid, Dir::Backward, env).and_then(|iv| {
-                                Constructed::from_option(
-                                    iv.last().map(|lo| Interval { lo, hi: mid.hi }),
-                                )
-                            })
-                        }
-                        other => other,
-                    }
-                }
-            },
-        };
-        built
-    }
-
-    /// Locates the first (or last) change of `event` from false to true within `ctx`.
-    fn find_event(
-        &mut self,
-        cx: &TraceCx<'_>,
-        event: FormulaId,
-        ctx: Interval,
-        dir: Dir,
-        env: EnvId,
-    ) -> Constructed {
-        let (scan_hi, loop_region) = cx.shape().event_scan_bounds(ctx);
-        // The first rise for a forward scan, the last one for a backward scan.
-        let mut found: Option<usize> = None;
-        let mut recurring = false;
-        let mut k = ctx.lo + 1;
-        while k <= scan_hi {
-            let before = Interval { lo: k - 1, hi: ctx.hi };
-            let here = Interval { lo: k, hi: ctx.hi };
-            if !self.eval(cx, event, before, env) && self.eval(cx, event, here, env) {
-                if let Some(region_start) = loop_region {
-                    if k > region_start {
-                        recurring = true;
-                    }
-                }
-                found = Some(k);
-                if dir == Dir::Forward {
-                    break;
-                }
-            }
-            k += 1;
-        }
-        if dir == Dir::Backward && recurring {
-            // Infinitely many occurrences: max is undefined.
-            return Constructed::NotFound;
-        }
-        match found {
-            Some(k) => Constructed::Found(Interval::bounded(k - 1, k)),
-            None => Constructed::NotFound,
-        }
-    }
-
-    /// Evaluates a state predicate at a position of the trace.
-    fn eval_pred(&self, cx: &TraceCx<'_>, pred: &Pred, position: usize, env: EnvId) -> bool {
-        pred_holds(cx.trace.state(position), pred, &self.envs, env)
     }
 }
 
@@ -977,6 +718,133 @@ fn pred_holds(state: &State, pred: &Pred, envs: &EnvInterner, env: EnvId) -> boo
 /// of a `u64` lane mask.
 pub(crate) const LANES: usize = u64::BITS as usize;
 
+/// Where a [`BlockEvaluator`] pass reads its state predicates: the only
+/// thing in which a check of one trace differs from a sweep pass.
+pub(crate) trait Letters {
+    /// The lanes where the predicate node `id`, that is `pred`, holds at
+    /// the recorded position `position`, resolving data variables in `env`.
+    fn pred(
+        &mut self,
+        id: FormulaId,
+        pred: &Pred,
+        position: usize,
+        envs: &EnvInterner,
+        env: EnvId,
+    ) -> u64;
+
+    /// The computations' value domain: the quantifier domain when no
+    /// explicit one is given.
+    fn value_domain(&self) -> Vec<Value>;
+}
+
+/// A concrete trace is a pass of one lane, whose predicates hold or not.
+impl Letters for &Trace {
+    fn pred(
+        &mut self,
+        _: FormulaId,
+        pred: &Pred,
+        position: usize,
+        envs: &EnvInterner,
+        env: EnvId,
+    ) -> u64 {
+        if pred_holds(self.state(position), pred, envs, env) {
+            !0
+        } else {
+            0
+        }
+    }
+
+    fn value_domain(&self) -> Vec<Value> {
+        Trace::value_domain(self)
+    }
+}
+
+/// The words of the computations a sweep pass checks, over plain
+/// propositions only: lane `j` asserts `props[i]` at position `p` when bit
+/// `j` of the mask [`BlockEvaluator::load`] stored for `(p, i)` is set.
+///
+/// Such states hold no data values, so an unparameterized predicate reads
+/// those masks, a parameterized one never holds, a comparison is evaluated
+/// once for all lanes, and the value domain is empty.
+pub(crate) struct Words<'a> {
+    props: &'a [Prop],
+    /// `letters[p * props.len() + i]`: the lanes asserting `props[i]` at
+    /// position `p`.
+    letters: Vec<u64>,
+    /// Per predicate node, the propositions (bit `i` is `props[i]`) that
+    /// satisfy it.
+    pred_props: MemoMap<FormulaId, u64>,
+}
+
+impl Letters for Words<'_> {
+    fn pred(
+        &mut self,
+        id: FormulaId,
+        pred: &Pred,
+        position: usize,
+        envs: &EnvInterner,
+        env: EnvId,
+    ) -> u64 {
+        match pred {
+            Pred::Prop { name, args } => {
+                let props = self.props;
+                let held = *self.pred_props.entry(id).or_insert_with(|| {
+                    props
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, p)| args.is_empty() && p.name == *name)
+                        .fold(0, |bits, (i, _)| bits | 1 << i)
+                });
+                let row = position * props.len();
+                let mut lanes = 0;
+                let mut rest = held;
+                while rest != 0 {
+                    lanes |= self.letters[row + rest.trailing_zeros() as usize];
+                    rest &= rest - 1;
+                }
+                lanes
+            }
+            // A comparison reads no proposition: its value is the same in
+            // every lane, that of a state holding nothing.
+            Pred::Cmp { .. } => {
+                if pred_holds(&State::new(), pred, envs, env) {
+                    !0
+                } else {
+                    0
+                }
+            }
+        }
+    }
+
+    fn value_domain(&self) -> Vec<Value> {
+        Vec::new()
+    }
+}
+
+/// The reusable tables of a [`BlockEvaluator`]: cleared before each pass,
+/// with their allocations, the interned environments and the counters kept.
+#[derive(Debug, Default)]
+pub(crate) struct MemoTables {
+    memo: MemoMap<(FormulaId, Interval, EnvId), u64>,
+    construct_memo: MemoMap<(TermId, Interval, Dir, EnvId), Lanes>,
+    /// The found intervals of every construction of the pass, each with its
+    /// lanes; a [`Lanes`] owns a contiguous range of them.
+    groups: Vec<(Interval, u64)>,
+    /// Where a construction over several sub-constructions collects its
+    /// groups before it moves them into `groups` as one range.
+    scratch: Vec<(Interval, u64)>,
+    envs: EnvInterner,
+    stats: MemoStats,
+}
+
+impl MemoTables {
+    fn clear(&mut self) {
+        self.memo.clear();
+        self.construct_memo.clear();
+        self.groups.clear();
+    }
+}
+
 /// The outcome of constructing an interval for every lane of a
 /// [`BlockEvaluator`] pass: the lanes of each found interval (a range of
 /// the evaluator's group pool), and the lanes for which the construction
@@ -989,110 +857,98 @@ struct Lanes {
     violated: u64,
 }
 
-/// Evaluates an interned formula over up to [`LANES`] computations at once,
-/// each a bit of a `u64` truth mask.
+/// The interval engine: evaluates an interned formula over up to [`LANES`]
+/// computations at once, each a bit of a `u64` truth mask.
 ///
 /// The computations of one pass share their length and extension, so the
-/// intervals an evaluation visits are the same for all of them: the pass
-/// mirrors [`MemoEvaluator::eval`] and its interval construction with a
-/// mask in place of each `bool`.  An interval construction can end at a
-/// different interval in each lane, so it yields one lane mask per
-/// resulting interval, plus the lanes where it found nothing or violated a
-/// `*` obligation.  The memo tables keep `MemoEvaluator`'s keys with masks
-/// as values, and [`BlockEvaluator::stats`] counts their probes.
+/// intervals an evaluation visits are the same for all of them; only the
+/// truth values of their predicates, read from the [`Letters`] `L`,
+/// differ.  An interval construction can end at a different interval in
+/// each lane, so it yields one lane mask per resulting interval, plus the
+/// lanes where it found nothing or violated a `*` obligation.  Verdicts are
+/// memoized on `(FormulaId, Interval, EnvId)` with masks as values, and
+/// event scans on `(TermId, Interval, Dir, EnvId)`.
 ///
-/// The computations range over plain propositions only: lane `j` asserts
-/// proposition `i` at position `p` when bit `j` of the mask
-/// [`BlockEvaluator::load`] stored for `(p, i)` is set.  Such states hold
-/// no data values, so an unparameterized predicate reads those masks, a
-/// parameterized one never holds, and a comparison is evaluated once for
-/// all lanes.  The quantifier domain is the explicit one, if given, and
-/// otherwise the (empty) value domain of such computations.
+/// The quantifier domain is the explicit one, if given, and otherwise the
+/// letters' value domain, computed at the first quantifier a pass reaches.
 ///
 /// Lanes outside a pass's live mask are don't-cares: their bits in any
 /// intermediate mask are unspecified, and the evaluation stops early once
 /// every live lane is settled.
-pub(crate) struct BlockEvaluator<'a, A: ArenaRead> {
+pub(crate) struct BlockEvaluator<'a, A: ArenaRead, L: Letters = Words<'a>> {
     arena: &'a A,
-    props: &'a [Prop],
-    domain: &'a [Value],
-    memo: MemoMap<(FormulaId, Interval, EnvId), u64>,
-    construct_memo: MemoMap<(TermId, Interval, Dir, EnvId), Lanes>,
-    /// The found intervals of every construction of the pass, each with its
-    /// lanes; a [`Lanes`] owns a contiguous range of them.
-    groups: Vec<(Interval, u64)>,
-    /// Where a construction over several sub-constructions collects its
-    /// groups before it moves them into `groups` as one range.
-    scratch: Vec<(Interval, u64)>,
-    envs: EnvInterner,
-    stats: MemoStats,
-    /// Per predicate node, the propositions (bit `i` is `props[i]`) that
-    /// satisfy it.
-    pred_props: MemoMap<FormulaId, u64>,
-    /// `letters[p * props.len() + i]`: the lanes asserting `props[i]` at
-    /// position `p`.
-    letters: Vec<u64>,
+    letters: L,
+    domain: Option<Cow<'a, [Value]>>,
+    tables: &'a mut MemoTables,
     shape: Shape,
     live: u64,
 }
 
-impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
-    /// An evaluator over computations on the alphabet `props`, with the
-    /// quantifier domain `domain`.
-    pub(crate) fn new(arena: &'a A, props: &'a [Prop], domain: &'a [Value]) -> Self {
+impl<'a, A: ArenaRead> BlockEvaluator<'a, A, Words<'a>> {
+    /// A sweep evaluator over computations on the alphabet `props`, with
+    /// the quantifier domain `domain` and the reusable tables `tables`.
+    pub(crate) fn new(
+        arena: &'a A,
+        tables: &'a mut MemoTables,
+        props: &'a [Prop],
+        domain: Option<&'a [Value]>,
+    ) -> Self {
         BlockEvaluator {
             arena,
-            props,
-            domain,
-            memo: MemoMap::default(),
-            construct_memo: MemoMap::default(),
-            groups: Vec::new(),
-            scratch: Vec::new(),
-            envs: EnvInterner::new(),
-            stats: MemoStats::default(),
-            pred_props: MemoMap::default(),
-            letters: Vec::new(),
+            letters: Words { props, letters: Vec::new(), pred_props: MemoMap::default() },
+            domain: domain.map(Cow::Borrowed),
+            tables,
             shape: Shape { len: 1, extension: Extension::Stutter },
             live: 0,
         }
-    }
-
-    /// The memo-table probes of every pass so far.
-    pub(crate) fn stats(&self) -> MemoStats {
-        self.stats
     }
 
     /// Loads the words of the next passes: `len` positions, where lane `j`
     /// asserts `props[i]` at position `p` when bit `j` of
     /// `asserted(p, i)` is set.
     pub(crate) fn load(&mut self, len: usize, asserted: impl Fn(usize, usize) -> u64) {
-        let width = self.props.len();
-        self.letters.clear();
-        self.letters.extend((0..len * width).map(|at| asserted(at / width, at % width)));
+        let width = self.letters.props.len();
+        self.letters.letters.clear();
+        self.letters.letters.extend((0..len * width).map(|at| asserted(at / width, at % width)));
         self.shape.len = len;
     }
 
     /// The live lanes whose loaded word, with `extension`, falsifies
     /// `formula` over the whole computation.
     pub(crate) fn failing(&mut self, formula: FormulaId, extension: Extension, live: u64) -> u64 {
-        self.memo.clear();
-        self.construct_memo.clear();
-        self.groups.clear();
+        self.tables.clear();
         self.shape.extension = extension;
         self.live = live;
-        !self.eval(formula, Interval::unbounded(0), EMPTY_ENV) & live
+        live & !self.satisfying(formula)
+    }
+}
+
+impl<A: ArenaRead, L: Letters> BlockEvaluator<'_, A, L> {
+    /// The memo-table probes of every pass so far.
+    pub(crate) fn stats(&self) -> MemoStats {
+        self.tables.stats
+    }
+
+    /// The live lanes whose computation satisfies `formula` as a whole.
+    fn satisfying(&mut self, formula: FormulaId) -> u64 {
+        self.eval(formula, Interval::unbounded(0), EMPTY_ENV) & self.live
     }
 
     fn eval(&mut self, id: FormulaId, interval: Interval, env: EnvId) -> u64 {
         let interval = self.shape.canonicalize(interval);
         let arena = self.arena;
         let live = self.live;
-        // The same direct cases as `MemoEvaluator::eval`, with a connective
-        // short-circuiting once its left side settles every live lane.
+        // Structurally cheap nodes are evaluated directly, a connective
+        // short-circuiting once its left side settles every live lane: a
+        // memo probe costs as much as the node itself, and their expensive
+        // descendants are memoized in their own right.
         match arena.formula_node(id) {
             FormulaNode::True => return !0,
             FormulaNode::False => return 0,
-            FormulaNode::Pred(pred) => return self.pred(id, pred, interval.lo, env),
+            FormulaNode::Pred(pred) => {
+                let position = self.shape.canonical(interval.lo);
+                return self.letters.pred(id, pred, position, &self.tables.envs, env);
+            }
             FormulaNode::Not(a) => return !self.eval(*a, interval, env),
             FormulaNode::And(a, b) => {
                 let left = self.eval(*a, interval, env);
@@ -1109,11 +965,11 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
             _ => {}
         }
         let key = (id, interval, env);
-        if let Some(&verdict) = self.memo.get(&key) {
-            self.stats.hits += 1;
+        if let Some(&verdict) = self.tables.memo.get(&key) {
+            self.tables.stats.hits += 1;
             return verdict;
         }
-        self.stats.misses += 1;
+        self.tables.stats.misses += 1;
         let verdict = match arena.formula_node(id) {
             FormulaNode::True
             | FormulaNode::False
@@ -1145,15 +1001,15 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
                 let built = self.construct(*term, interval, Dir::Forward, env);
                 let mut holds = built.not_found;
                 for at in built.groups.0..built.groups.1 {
-                    let (sub, lanes) = self.groups[at];
+                    let (sub, lanes) = self.tables.groups[at];
                     holds |= lanes & self.eval(*a, sub, env);
                 }
                 holds
             }
             FormulaNode::Forall(var, a) => {
                 let mut all = !0;
-                for value in self.domain {
-                    let bound = self.envs.bind(env, var, value);
+                for value in 0..self.domain_len() {
+                    let bound = self.bind(env, var, value);
                     all &= self.eval(*a, interval, bound);
                     if all & live == 0 {
                         break;
@@ -1163,8 +1019,8 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
             }
             FormulaNode::Exists(var, a) => {
                 let mut any = 0;
-                for value in self.domain {
-                    let bound = self.envs.bind(env, var, value);
+                for value in 0..self.domain_len() {
+                    let bound = self.bind(env, var, value);
                     any |= self.eval(*a, interval, bound);
                     if any & live == live {
                         break;
@@ -1173,56 +1029,41 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
                 any
             }
         };
-        self.memo.insert(key, verdict);
+        self.tables.memo.insert(key, verdict);
         verdict
     }
 
-    /// The lanes where the predicate node `id` holds at `position`.
-    fn pred(&mut self, id: FormulaId, pred: &Pred, position: usize, env: EnvId) -> u64 {
-        match pred {
-            Pred::Prop { name, args } => {
-                let props = self.props;
-                let held = *self.pred_props.entry(id).or_insert_with(|| {
-                    props
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| args.is_empty() && p.name == *name)
-                        .fold(0, |bits, (i, _)| bits | 1 << i)
-                });
-                let row = self.shape.canonical(position) * props.len();
-                let mut lanes = 0;
-                let mut rest = held;
-                while rest != 0 {
-                    lanes |= self.letters[row + rest.trailing_zeros() as usize];
-                    rest &= rest - 1;
-                }
-                lanes
-            }
-            // A comparison reads no proposition: its value is the same in
-            // every lane, that of a state holding nothing.
-            Pred::Cmp { .. } => {
-                if pred_holds(&State::new(), pred, &self.envs, env) {
-                    !0
-                } else {
-                    0
-                }
-            }
-        }
+    /// The size of the quantifier domain, computing the letters' value
+    /// domain when no explicit one was given and no quantifier needed it yet.
+    fn domain_len(&mut self) -> usize {
+        let letters = &self.letters;
+        self.domain.get_or_insert_with(|| Cow::Owned(letters.value_domain())).len()
     }
 
-    /// `MemoEvaluator::construct` over lane masks.
+    /// The environment `env` with `var` bound to the quantifier domain's
+    /// value at `index` (after [`BlockEvaluator::domain_len`]).
+    fn bind(&mut self, env: EnvId, var: &str, index: usize) -> EnvId {
+        let domain = self.domain.as_deref().expect("the domain is computed before binding");
+        self.tables.envs.bind(env, var, &domain[index])
+    }
+
+    /// The interval-construction function `F(term, context, direction)` over
+    /// lane masks.
     fn construct(&mut self, id: TermId, ctx: Interval, dir: Dir, env: EnvId) -> Lanes {
         let ctx = self.shape.canonicalize(ctx);
         let arena = self.arena;
+        // Only event scans are worth memoizing: they loop over trace
+        // positions evaluating the event formula twice per step.  The other
+        // term constructors are constant glue around their children.
         if let TermNode::Event(event) = *arena.term_node(id) {
             let key = (id, ctx, dir, env);
-            if let Some(&built) = self.construct_memo.get(&key) {
-                self.stats.hits += 1;
+            if let Some(&built) = self.tables.construct_memo.get(&key) {
+                self.tables.stats.hits += 1;
                 return built;
             }
-            self.stats.misses += 1;
+            self.tables.stats.misses += 1;
             let built = self.find_event(event, ctx, dir, env);
-            self.construct_memo.insert(key, built);
+            self.tables.construct_memo.insert(key, built);
             return built;
         }
         // The interval a construction continues from, and the ones it ends at.
@@ -1243,8 +1084,8 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
                 Lanes { not_found: 0, violated: built.violated | built.not_found, ..built }
             }
             TermNode::Forward(None, None) | TermNode::Backward(None, None) => {
-                let at = self.groups.len();
-                self.groups.push((ctx, self.live));
+                let at = self.tables.groups.len();
+                self.tables.groups.push((ctx, self.live));
                 Lanes { groups: (at, at + 1), not_found: 0, violated: 0 }
             }
             TermNode::Forward(Some(i), None) => {
@@ -1256,7 +1097,9 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
                 self.map(built, up_to)
             }
             TermNode::Forward(Some(i), Some(j)) => {
-                // F(I ⇒ J, ctx, d) = F(⇒ J, F(I ⇒, ctx, d), F).
+                // F(I ⇒ J, ctx, d) = F(⇒ J, F(I ⇒, ctx, d), F). Thanks to
+                // hash-consing the derived half-open terms are interned
+                // once and their constructions memoized like any other.
                 let built = self.construct(i, ctx, dir, env);
                 let mids = self.map(built, onward);
                 self.then(mids, j, Dir::Forward, env, |mid, iv| {
@@ -1285,12 +1128,12 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
     /// `built` with each found interval `iv` replaced by `step(iv)`, or its
     /// lanes moved to `not_found` where that is `None`.
     fn map(&mut self, built: Lanes, step: impl Fn(Interval) -> Option<Interval>) -> Lanes {
-        let mark = self.scratch.len();
+        let mark = self.tables.scratch.len();
         let mut not_found = built.not_found;
         for at in built.groups.0..built.groups.1 {
-            let (iv, lanes) = self.groups[at];
+            let (iv, lanes) = self.tables.groups[at];
             match step(iv) {
-                Some(next) => gather(&mut self.scratch, mark, next, lanes),
+                Some(next) => gather(&mut self.tables.scratch, mark, next, lanes),
                 None => not_found |= lanes,
             }
         }
@@ -1308,22 +1151,22 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
         env: EnvId,
         step: impl Fn(Interval, Interval) -> Option<Interval>,
     ) -> Lanes {
-        let mark = self.scratch.len();
+        let mark = self.tables.scratch.len();
         let (mut not_found, mut violated) = (mids.not_found, mids.violated);
         for at in mids.groups.0..mids.groups.1 {
-            let (mid, lanes) = self.groups[at];
+            let (mid, lanes) = self.tables.groups[at];
             let mid = self.shape.canonicalize(mid);
             let built = self.construct(term, mid, dir, env);
             not_found |= built.not_found & lanes;
             violated |= built.violated & lanes;
             for inner in built.groups.0..built.groups.1 {
-                let (iv, within) = self.groups[inner];
+                let (iv, within) = self.tables.groups[inner];
                 let both = within & lanes;
                 if both == 0 {
                     continue;
                 }
                 match step(mid, iv) {
-                    Some(next) => gather(&mut self.scratch, mark, next, both),
+                    Some(next) => gather(&mut self.tables.scratch, mark, next, both),
                     None => not_found |= both,
                 }
             }
@@ -1334,16 +1177,16 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
     /// Moves the groups gathered in `scratch` from `mark` into the group
     /// pool as one range.
     fn settle(&mut self, mark: usize, not_found: u64, violated: u64) -> Lanes {
-        let at = self.groups.len();
-        self.groups.extend(self.scratch.drain(mark..));
-        Lanes { groups: (at, self.groups.len()), not_found, violated }
+        let at = self.tables.groups.len();
+        self.tables.groups.extend(self.tables.scratch.drain(mark..));
+        Lanes { groups: (at, self.tables.groups.len()), not_found, violated }
     }
 
-    /// `MemoEvaluator::find_event` over lane masks: each lane's first (or
-    /// last) change of `event` from false to true within `ctx`.
+    /// Locates each lane's first (or last) change of `event` from false to
+    /// true within `ctx`.
     fn find_event(&mut self, event: FormulaId, ctx: Interval, dir: Dir, env: EnvId) -> Lanes {
         let (scan_hi, loop_region) = self.shape.event_scan_bounds(ctx);
-        let mark = self.scratch.len();
+        let mark = self.tables.scratch.len();
         // Lanes whose rise is still to be found; a backward scan visits the
         // positions from the last, so each lane's first rise is its last.
         let mut pending = self.live;
@@ -1369,7 +1212,7 @@ impl<'a, A: ArenaRead> BlockEvaluator<'a, A> {
                 // A rise inside the loop recurs forever: max is undefined.
                 not_found |= rise;
             } else {
-                gather(&mut self.scratch, mark, Interval::bounded(k - 1, k), rise);
+                gather(&mut self.tables.scratch, mark, Interval::bounded(k - 1, k), rise);
             }
         }
         self.settle(mark, not_found | pending, 0)
@@ -1382,22 +1225,6 @@ fn gather(groups: &mut Vec<(Interval, u64)>, from: usize, interval: Interval, la
     match groups[from..].iter_mut().find(|(iv, _)| *iv == interval) {
         Some((_, held)) => *held |= lanes,
         None => groups.push((interval, lanes)),
-    }
-}
-
-/// Per-trace context shared by the evaluation recursion.
-struct TraceCx<'t> {
-    trace: &'t Trace,
-    domain: &'t [Value],
-}
-
-impl TraceCx<'_> {
-    fn shape(&self) -> Shape {
-        Shape { len: self.trace.len(), extension: self.trace.extension() }
-    }
-
-    fn canonicalize(&self, interval: Interval) -> Interval {
-        self.shape().canonicalize(interval)
     }
 }
 

@@ -40,7 +40,9 @@
 //! returns *bit-identical* verdicts to the sequential sweep: the same
 //! `Option<Trace>`, the very same counterexample.
 
-use crate::arena::{ArenaRead, BlockEvaluator, FormulaArena, FormulaId, MemoStats, LANES};
+use crate::arena::{
+    ArenaRead, BlockEvaluator, FormulaArena, FormulaId, MemoStats, MemoTables, LANES,
+};
 use crate::pool::{Earliest, Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 use crate::semantics::Evaluator;
 use crate::state::{Prop, State};
@@ -381,14 +383,14 @@ impl BoundedChecker {
         }
         let earliest = Earliest::new();
         let cap = budget.max_enumeration();
-        let domain = domain.unwrap_or(&[]);
         // One worker's part: its blocks in increasing order, until one
         // fails, a lower find makes the rest moot or a timing cut fires.  A
         // fan-out worker can pass the winning block by an amount that
         // depends on timing, so it logs its counters after each block and
         // the join counts only the blocks up to the winner's.
         let sweep_part = |blocks: &mut dyn Iterator<Item = Block>, fanned: bool| {
-            let mut evaluator = BlockEvaluator::new(arena, &self.props, domain);
+            let mut tables = MemoTables::default();
+            let mut evaluator = BlockEvaluator::new(arena, &mut tables, &self.props, domain);
             let mut part = ShardPart::default();
             for block in blocks {
                 if block.first_index >= cap.min(earliest.bound()) {
@@ -787,7 +789,8 @@ mod tests {
                     holds.push(Evaluator::new(trace).check(formula));
                     true
                 });
-                let mut evaluator = BlockEvaluator::new(&arena, &checker.props, &[]);
+                let mut tables = MemoTables::default();
+                let mut evaluator = BlockEvaluator::new(&arena, &mut tables, &checker.props, None);
                 for block in checker.blocks() {
                     let index =
                         |lane: usize, e: usize| block.first_index + lane * block.extensions + e;

@@ -9,7 +9,9 @@
 //! * [`syntax`] / [`dsl`] — interval formulas and interval terms (`begin`,
 //!   `end`, `⇒`, `⇐`, the `*` modifier), with ergonomic constructors;
 //! * [`arena`] — the hash-consed formula arena (`FormulaId`/`TermId` handles,
-//!   structural sharing) and the memoized arena evaluator;
+//!   structural sharing) and the one memoized interval engine over it, which
+//!   checks a concrete trace as one lane and the bounded sweep's
+//!   computations 64 lanes at a time;
 //! * [`analysis`] — pre-flight static analysis: well-formedness lints with
 //!   stable diagnostic codes, the structural cost estimator, and the inputs
 //!   `Backend::Auto` routes on;

@@ -281,9 +281,9 @@ impl CheckRequest {
     /// Fans the check's enumeration across a worker pool: the `Bounded`
     /// sweep, and the refutation sweep of `Decide`, past the first few
     /// hundred computations and only when some 65 000 or more remain (a
-    /// sweep that settles sooner, or is smaller, never spawns a worker).  Every other phase — and the `Trace` and `Explore` backends
-    /// — runs on the calling thread.
-    /// When not set, the session default and then the
+    /// sweep that settles sooner, or is smaller, never spawns a worker).
+    /// Every other phase, and the `Trace` and `Explore` backends, runs on
+    /// the calling thread.  When not set, the session default and then the
     /// `ILOGIC_TEST_PARALLEL` environment override apply; the fallback is
     /// [`Parallelism::Off`].
     ///

@@ -1,7 +1,8 @@
 //! Arena coverage: `extract(intern(f)) == f` round-trips over the parser's
 //! corpus and over randomly generated formulas, interning the V1–V16 catalogue
 //! shares subterms (hash-consing actually deduplicates), and the memoized
-//! arena evaluator agrees with the reference semantics.
+//! arena evaluator agrees with the reference semantics on finite traces and
+//! lassos, with the trace's own and with an explicit quantifier domain.
 
 use proptest::prelude::*;
 
@@ -85,6 +86,7 @@ fn arb_formula(depth: u32) -> BoxedStrategy<Formula> {
         Just(prop("B")),
         Just(prop("C")),
         Just(prop_args("atEnq", [var("a")])),
+        Just(cmp(Expr::StateVar("n".into()), CmpOp::Le, Expr::DataVar("a".into()))),
         Just(Formula::True),
         Just(Formula::False),
     ];
@@ -103,28 +105,43 @@ fn arb_formula(depth: u32) -> BoxedStrategy<Formula> {
     .boxed()
 }
 
+/// Finite traces and lassos (any loop start) over `A`, `B` and `C`, with a
+/// parameterized `atEnq` at even positions and an integer state variable `n`.
 fn arb_trace(max_len: usize) -> impl Strategy<Value = Trace> {
-    proptest::collection::vec(proptest::collection::vec(any::<bool>(), 3), 1..=max_len).prop_map(
-        |rows| {
-            Trace::finite(
-                rows.into_iter()
-                    .enumerate()
-                    .map(|(i, row)| {
-                        let mut s = State::new();
-                        for (p, held) in ["A", "B", "C"].iter().zip(row) {
-                            if held {
-                                s.insert(Prop::plain(*p));
-                            }
+    let row = (proptest::collection::vec(any::<bool>(), 3), any::<u8>());
+    (proptest::collection::vec(row, 1..=max_len), any::<bool>(), any::<usize>()).prop_map(
+        |(rows, lasso, loop_start)| {
+            let len = rows.len();
+            let states = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (row, n))| {
+                    let mut s = State::new();
+                    for (p, held) in ["A", "B", "C"].iter().zip(row) {
+                        if held {
+                            s.insert(Prop::plain(*p));
                         }
-                        if i % 2 == 0 {
-                            s = s.with_args("atEnq", [i as i64]);
-                        }
-                        s
-                    })
-                    .collect(),
-            )
+                    }
+                    if i % 2 == 0 {
+                        s = s.with_args("atEnq", [i as i64]);
+                    }
+                    s.with_var("n", i64::from(n % 3))
+                })
+                .collect();
+            if lasso {
+                Trace::lasso(states, loop_start % len)
+            } else {
+                Trace::finite(states)
+            }
         },
     )
+}
+
+/// An explicit quantifier domain: some of the values the traces hold, and
+/// some they never do.
+fn arb_domain() -> impl Strategy<Value = Vec<Value>> {
+    proptest::collection::vec(any::<u8>(), 0..=3)
+        .prop_map(|values| values.into_iter().map(|v| Value::Int(i64::from(v % 6))).collect())
 }
 
 proptest! {
@@ -158,6 +175,42 @@ proptest! {
             memo.check(&trace, id),
             reference.check(&formula),
             "disagreement on {} over {}", formula, trace
+        );
+    }
+
+    /// The same with an explicit quantifier domain.
+    #[test]
+    fn memo_evaluator_matches_reference_with_domain(
+        formula in arb_formula(3),
+        trace in arb_trace(5),
+        domain in arb_domain(),
+    ) {
+        let mut arena = FormulaArena::new();
+        let id = arena.intern(&formula);
+        let mut memo = MemoEvaluator::new(&arena).with_domain(domain.clone());
+        let reference = Evaluator::with_domain(&trace, domain.clone());
+        prop_assert_eq!(
+            memo.check(&trace, id),
+            reference.check(&formula),
+            "disagreement on {} over {} with domain {:?}", formula, trace, domain
+        );
+    }
+
+    /// Checking several formulas in one pass answers as separate checks do.
+    #[test]
+    fn check_all_matches_separate_checks(
+        formulas in proptest::collection::vec(arb_formula(3), 1..=4),
+        trace in arb_trace(5),
+    ) {
+        let mut arena = FormulaArena::new();
+        let ids: Vec<_> = formulas.iter().map(|f| arena.intern(f)).collect();
+        let separate: Vec<bool> =
+            ids.iter().map(|&id| MemoEvaluator::new(&arena).check(&trace, id)).collect();
+        let mut memo = MemoEvaluator::new(&arena);
+        prop_assert_eq!(
+            memo.check_all(&trace, ids.iter().copied()),
+            separate,
+            "disagreement on {:?} over {}", formulas, trace
         );
     }
 }

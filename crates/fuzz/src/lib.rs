@@ -15,7 +15,7 @@
 //!   word-parallel bounded sweep against a per-computation scan, then runs
 //!   it through every applicable backend pairing (`Decide` vs `Bounded`,
 //!   evaluated fixpoint vs explicit condition artifact, `Auto` vs
-//!   hand-routed, `Explore` vs a sequential per-run reference) and asserts
+//!   hand-routed, `Explore` vs the reference semantics per run) and asserts
 //!   verdict agreement, budget monotonicity (a tighter budget may only
 //!   withhold a verdict, never flip it) and parallelism invariance
 //!   (`Fixed(0/2/4)` bit-identity);

@@ -24,9 +24,9 @@
 //!   decide the same logic, so their verdicts must agree outcome-for-outcome;
 //! * `Backend::Auto` must produce the same report as hand-routing through
 //!   [`ilogic_core::session::auto_backend`];
-//! * the `Explore` backend must agree with a sequential per-run reference
-//!   loop over the same collected runs — verdict, failing index and
-//!   counterexample alike;
+//! * the `Explore` backend must agree with the reference semantics
+//!   ([`semantics::holds`]) run by run over the same collected runs —
+//!   verdict, failing index and counterexample alike;
 //! * a *tighter* budget may only withhold a verdict (`Unknown`), never flip
 //!   `Pass`↔`Fail`;
 //! * the session verdict cache must be semantically invisible: a warm
@@ -375,21 +375,17 @@ pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
         ));
     }
 
-    // --- Explore vs sequential per-run reference -------------------------
+    // --- Explore vs the reference semantics per run ----------------------
     let runs = collect_runs(&instance.system, RUN_LIMITS, MAX_RUNS);
     let explore = session.check(
         CheckRequest::new(instance.formula.clone())
             .over_runs(runs.clone())
             .with_budget(oracle_budget()),
     );
-    let mut reference: Option<(usize, &Trace)> = None;
-    for (index, run) in runs.iter().enumerate() {
-        let report = session.check(CheckRequest::new(instance.formula.clone()).on_trace(run));
-        if classify(&report.verdict) == Outcome::Fail {
-            reference = Some((index, run));
-            break;
-        }
-    }
+    // The boxed-AST evaluator, not the `Trace` backend: that one runs the
+    // same arena engine as `Explore`, so it would share any fault of it.
+    let reference =
+        runs.iter().enumerate().find(|(_, run)| !semantics::holds(run, &instance.formula));
     match (&explore.verdict, reference) {
         (Verdict::Counterexample(trace), Some((index, run)))
             if (trace != run || explore.failing_index != Some(index)) =>
@@ -405,13 +401,16 @@ pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
         (Verdict::Counterexample(trace), None) => {
             return Err(fail(
                 "explore-vs-reference",
-                format!("explore found cx {trace} but no run fails sequentially"),
+                format!("explore found cx {trace} but no run fails the reference semantics"),
             ));
         }
         (verdict, Some((index, run))) if classify(verdict) == Outcome::Pass => {
             return Err(fail(
                 "explore-vs-reference",
-                format!("explore passed ({verdict}) but run #{index} fails sequentially: {run}"),
+                format!(
+                    "explore passed ({verdict}) but run #{index} fails the reference semantics: \
+                     {run}"
+                ),
             ));
         }
         _ => {}
