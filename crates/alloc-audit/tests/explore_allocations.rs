@@ -1,19 +1,16 @@
 //! An `Explore` check's heap allocations do not grow with the number of
 //! runs it checks: every run is a pass of the arena engine over reused memo
 //! tables, and the explicit quantifier domain is borrowed by every run
-//! rather than copied for each.
-//!
-//! The formula is unquantified on purpose.  Binding a quantified variable
-//! goes through the engine's environment interner, which builds a fresh
-//! binding list on every bind, even when that environment is already
-//! interned, so a quantified formula allocates once per bound value and run.
+//! rather than copied for each.  That holds with a quantifier too: the
+//! engine's environment interner answers a bind it has seen before without
+//! building a binding list.
 //!
 //! The crate's counting global allocator tallies every allocation of the
 //! process, so this file holds a single test: no other test thread
 //! allocates while it counts.
 
 use ilogic_alloc_audit::allocations;
-use ilogic_core::dsl::{always, end, event, fwd_to, prop};
+use ilogic_core::dsl::{always, end, event, fwd_to, prop, prop_args, var};
 use ilogic_core::prelude::*;
 use ilogic_core::session::{CheckRequest, Session};
 
@@ -45,37 +42,42 @@ fn run(index: usize) -> Trace {
 
 #[test]
 fn an_explore_check_allocates_independently_of_its_runs() {
-    // `[ end => q ] [](q | p)`, valid, so it holds on every run.
-    let formula = always(prop("q").or(prop("p"))).within(end(fwd_to(event(prop("q")))));
+    // `[ end => q ] [](q | p)`, valid, so it holds on every run, alone and
+    // as `∀v. (… | x(v))`, which binds `v` to each of the 16 domain values.
+    let valid = always(prop("q").or(prop("p"))).within(end(fwd_to(event(prop("q")))));
+    let quantified = valid.clone().or(prop_args("x", [var("v")])).forall("v");
     let domain: Vec<Value> = (0..16).map(Value::Int).collect();
     let session = Session::new().with_verdict_cache(false);
-    let request = |runs: usize| {
-        CheckRequest::new(formula.clone())
-            .over_runs((0..runs).map(run).collect())
-            .with_domain(domain.clone())
-    };
-    // (runs checked, allocations made) of one check; the request is built
-    // before counting starts.
-    let explore = |runs: usize| {
-        let request = request(runs);
-        let before = allocations();
-        let report = session.check(request);
-        let made = allocations() - before;
-        assert_eq!(report.verdict, Verdict::Holds, "the formula holds on every run");
-        (report.stats.traces_checked, made)
-    };
-    // A first check interns the formula; the two measured ones do not.
-    explore(64);
-    let (small, small_allocations) = explore(64);
-    let (large, large_allocations) = explore(256);
-    println!(
-        "{small} runs: {small_allocations} allocations; \
-         {large} runs: {large_allocations} allocations"
-    );
-    assert_eq!((small, large), (64, 256));
-    assert!(
-        large_allocations <= small_allocations + SLACK,
-        "an Explore check of {large} runs made {large_allocations} allocations, one of {small} \
-         made {small_allocations}: allocations grow with the runs checked"
-    );
+    for formula in [valid, quantified] {
+        let request = |runs: usize| {
+            CheckRequest::new(formula.clone())
+                .over_runs((0..runs).map(run).collect())
+                .with_domain(domain.clone())
+        };
+        // (runs checked, allocations made) of one check; the request is
+        // built before counting starts.
+        let explore = |runs: usize| {
+            let request = request(runs);
+            let before = allocations();
+            let report = session.check(request);
+            let made = allocations() - before;
+            assert_eq!(report.verdict, Verdict::Holds, "{formula} holds on every run");
+            (report.stats.traces_checked, made)
+        };
+        // A first check interns the formula; the two measured ones do not.
+        explore(64);
+        let (small, small_allocations) = explore(64);
+        let (large, large_allocations) = explore(256);
+        println!(
+            "{formula}: {small} runs: {small_allocations} allocations; \
+             {large} runs: {large_allocations} allocations"
+        );
+        assert_eq!((small, large), (64, 256));
+        assert!(
+            large_allocations <= small_allocations + SLACK,
+            "an Explore check of {formula} over {large} runs made {large_allocations} \
+             allocations, one over {small} made {small_allocations}: allocations grow with \
+             the runs checked"
+        );
+    }
 }

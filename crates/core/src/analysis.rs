@@ -46,10 +46,11 @@ use std::collections::HashMap;
 use std::fmt;
 
 use ilogic_temporal::dnf;
+use ilogic_temporal::syntax::Ltl;
 use ilogic_temporal::tableau;
 
 use crate::arena::{ArenaRead, FormulaArena, FormulaId, FormulaNode, TermId, TermNode};
-use crate::ltl_translate::to_ltl;
+use crate::ltl_translate::translated;
 use crate::spec::{close_free_variables, Spec};
 use crate::syntax::{Arg, Expr, Formula, IntervalTerm, Pred};
 
@@ -319,7 +320,7 @@ pub struct Analysis {
 /// formula that a check will intern anyway costs one hash-consed walk.
 pub fn analyze(arena: &mut FormulaArena, formula: &Formula) -> Analysis {
     let root = arena.intern(formula);
-    analyze_interned(&*arena, root, formula)
+    analyze_interned(&*arena, root, formula).0
 }
 
 /// [`analyze`] against a throwaway arena — for callers that only want the
@@ -329,15 +330,20 @@ pub fn analyze_formula(formula: &Formula) -> Analysis {
 }
 
 /// [`analyze`] for a formula already interned as `root` — the session's
-/// prepare path, which interns exactly once.
+/// prepare path, which interns exactly once — together with the negated
+/// LTL translation `¬B` the estimate profiles, when the formula translates:
+/// the formula whose tableau a decision builds, so the session translates
+/// each request once.
 pub(crate) fn analyze_interned<A: ArenaRead>(
     arena: &A,
     root: FormulaId,
     formula: &Formula,
-) -> Analysis {
+) -> (Analysis, Option<Ltl>) {
     let mut pass = Pass {
         arena,
-        consts: Vec::new(),
+        // Every subformula is interned before the formula containing it, so
+        // no id of the walk exceeds the root's.
+        consts: vec![None; root.index() + 1],
         never: Vec::new(),
         diagnostics: Vec::new(),
         intractable: None,
@@ -380,11 +386,12 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
 
     let size = formula.size();
     let propositions = count_propositions(formula);
-    let estimate = match to_ltl(formula) {
-        Ok(ltl) => {
-            // The decision pipeline builds the tableau of the *negation*;
-            // profile exactly that.
-            let profile = tableau::closure_profile(&ltl.not());
+    // The decision pipeline builds the tableau of the *negation*; profile
+    // exactly that.
+    let negation = translated(formula).map(Ltl::not);
+    let estimate = match &negation {
+        Some(negation) => {
+            let profile = tableau::closure_profile(negation);
             let artifact_intractable = intractable.is_some();
             if let Some((path, message)) = intractable {
                 diagnostics.push(Diagnostic::new(
@@ -418,7 +425,7 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
                 deep_nesting,
             }
         }
-        Err(_) => CostEstimate {
+        None => CostEstimate {
             translatable: false,
             size,
             propositions,
@@ -426,7 +433,7 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
             ..CostEstimate::default()
         },
     };
-    Analysis { diagnostics, estimate }
+    (Analysis { diagnostics, estimate }, negation)
 }
 
 /// Lints every clause of a specification: per-clause formula lints (with the
@@ -489,100 +496,82 @@ pub fn lint_spec_in(arena: &mut FormulaArena, spec: &Spec) -> Vec<Diagnostic> {
     out
 }
 
-/// The distinct plain proposition names appearing in a formula, in first
-/// occurrence order — the alphabet the `Bounded` backend enumerates over.
-pub fn proposition_names(formula: &Formula) -> Vec<String> {
-    fn walk_formula(formula: &Formula, out: &mut Vec<String>) {
-        match formula {
-            Formula::True | Formula::False => {}
-            Formula::Pred(Pred::Prop { name, .. }) => {
-                if !out.contains(name) {
-                    out.push(name.clone());
-                }
-            }
-            Formula::Pred(Pred::Cmp { .. }) => {}
-            Formula::Not(a)
-            | Formula::Always(a)
-            | Formula::Eventually(a)
-            | Formula::Forall(_, a)
-            | Formula::Exists(_, a) => walk_formula(a, out),
-            Formula::And(a, b) | Formula::Or(a, b) => {
-                walk_formula(a, out);
-                walk_formula(b, out);
-            }
-            Formula::In(term, a) => {
-                walk_term(term, out);
-                walk_formula(a, out);
-            }
-        }
-    }
-    fn walk_term(term: &IntervalTerm, out: &mut Vec<String>) {
+/// Calls `visit` on the name of every plain proposition occurrence of a
+/// formula, in walk order.
+fn for_each_proposition<'f>(formula: &'f Formula, visit: &mut impl FnMut(&'f str)) {
+    fn walk_term<'f>(term: &'f IntervalTerm, visit: &mut impl FnMut(&'f str)) {
         match term {
-            IntervalTerm::Event(f) => walk_formula(f, out),
+            IntervalTerm::Event(f) => for_each_proposition(f, visit),
             IntervalTerm::Begin(t) | IntervalTerm::End(t) | IntervalTerm::Must(t) => {
-                walk_term(t, out);
+                walk_term(t, visit);
             }
             IntervalTerm::Forward(a, b) | IntervalTerm::Backward(a, b) => {
                 if let Some(t) = a {
-                    walk_term(t, out);
+                    walk_term(t, visit);
                 }
                 if let Some(t) = b {
-                    walk_term(t, out);
+                    walk_term(t, visit);
                 }
             }
         }
     }
-    let mut out = Vec::new();
-    walk_formula(formula, &mut out);
+    match formula {
+        Formula::True | Formula::False | Formula::Pred(Pred::Cmp { .. }) => {}
+        Formula::Pred(Pred::Prop { name, .. }) => visit(name),
+        Formula::Not(a)
+        | Formula::Always(a)
+        | Formula::Eventually(a)
+        | Formula::Forall(_, a)
+        | Formula::Exists(_, a) => for_each_proposition(a, visit),
+        Formula::And(a, b) | Formula::Or(a, b) => {
+            for_each_proposition(a, visit);
+            for_each_proposition(b, visit);
+        }
+        Formula::In(term, a) => {
+            walk_term(term, visit);
+            for_each_proposition(a, visit);
+        }
+    }
+}
+
+/// The distinct plain proposition names appearing in a formula, in first
+/// occurrence order — the alphabet the `Bounded` backend enumerates over.
+pub fn proposition_names(formula: &Formula) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for_each_proposition(formula, &mut |name| {
+        if !out.iter().any(|known| known == name) {
+            out.push(name.to_string());
+        }
+    });
     out
+}
+
+/// Whether `names` is exactly [`proposition_names`]`(formula)`, decided
+/// without building that list.
+pub(crate) fn proposition_names_are(formula: &Formula, names: &[String]) -> bool {
+    // While the lists agree, the names seen so far are `names[..matched]`.
+    let mut matched = 0;
+    let mut agree = true;
+    for_each_proposition(formula, &mut |name| {
+        if !agree || names[..matched].iter().any(|known| known == name) {
+            return;
+        }
+        agree = names.get(matched).is_some_and(|next| next == name);
+        matched += 1;
+    });
+    agree && matched == names.len()
 }
 
 /// [`proposition_names`]`.len()` without the `String` clones — the estimator
 /// only needs the count, and this pass runs on every `Session::prepare`.
 fn count_propositions(formula: &Formula) -> usize {
-    fn walk_formula<'f>(formula: &'f Formula, out: &mut Vec<&'f str>) {
-        match formula {
-            Formula::True | Formula::False => {}
-            Formula::Pred(Pred::Prop { name, .. }) => {
-                if !out.contains(&name.as_str()) {
-                    out.push(name);
-                }
-            }
-            Formula::Pred(Pred::Cmp { .. }) => {}
-            Formula::Not(a)
-            | Formula::Always(a)
-            | Formula::Eventually(a)
-            | Formula::Forall(_, a)
-            | Formula::Exists(_, a) => walk_formula(a, out),
-            Formula::And(a, b) | Formula::Or(a, b) => {
-                walk_formula(a, out);
-                walk_formula(b, out);
-            }
-            Formula::In(term, a) => {
-                walk_term(term, out);
-                walk_formula(a, out);
-            }
+    let mut seen: Vec<&str> = Vec::new();
+    for_each_proposition(formula, &mut |name| {
+        if !seen.contains(&name) {
+            seen.push(name);
         }
-    }
-    fn walk_term<'f>(term: &'f IntervalTerm, out: &mut Vec<&'f str>) {
-        match term {
-            IntervalTerm::Event(f) => walk_formula(f, out),
-            IntervalTerm::Begin(t) | IntervalTerm::End(t) | IntervalTerm::Must(t) => {
-                walk_term(t, out);
-            }
-            IntervalTerm::Forward(a, b) | IntervalTerm::Backward(a, b) => {
-                if let Some(t) = a {
-                    walk_term(t, out);
-                }
-                if let Some(t) = b {
-                    walk_term(t, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk_formula(formula, &mut out);
-    out.len()
+    });
+    seen.len()
 }
 
 // ---------------------------------------------------------------------------
@@ -1052,6 +1041,18 @@ mod tests {
                 .any(|d| d.code == DiagnosticCode::SubsumedClause && d.message.contains("A-weak")),
             "{findings:?}"
         );
+    }
+
+    #[test]
+    fn proposition_names_are_compares_with_the_names_in_order() {
+        let formula = prop("p").and(always(prop("q").or(prop("p"))));
+        let names = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+        assert_eq!(proposition_names(&formula), names(&["p", "q"]));
+        assert!(proposition_names_are(&formula, &names(&["p", "q"])));
+        for other in [&["q", "p"][..], &["p"], &["p", "q", "r"], &["p", "p"], &[]] {
+            assert!(!proposition_names_are(&formula, &names(other)), "{other:?}");
+        }
+        assert!(proposition_names_are(&Formula::True, &[]));
     }
 
     #[test]

@@ -47,9 +47,9 @@
 //! sweep pass against a per-computation scan) and by the differential fuzz
 //! oracle's `sweep` and `explore-vs-reference` invariants.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use crate::interval::{Endpoint, Interval};
@@ -92,7 +92,7 @@ impl TermId {
 
 /// An interned formula node: the [`Formula`] constructors with child links
 /// replaced by arena ids.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FormulaNode {
     /// The constant true.
     True,
@@ -116,6 +116,100 @@ pub enum FormulaNode {
     Forall(String, FormulaId),
     /// `∃ var . α`.
     Exists(String, FormulaId),
+}
+
+/// A [`FormulaNode`] with its owned parts borrowed: the key
+/// [`FormulaArena::intern`] probes with, so re-interning a formula the arena
+/// already holds clones no predicate or variable name.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum NodeKey<'a> {
+    True,
+    False,
+    Pred(&'a Pred),
+    Not(FormulaId),
+    And(FormulaId, FormulaId),
+    Or(FormulaId, FormulaId),
+    Always(FormulaId),
+    Eventually(FormulaId),
+    In(TermId, FormulaId),
+    Forall(&'a str, FormulaId),
+    Exists(&'a str, FormulaId),
+}
+
+impl NodeKey<'_> {
+    /// The owned node.
+    fn to_node(self) -> FormulaNode {
+        match self {
+            NodeKey::True => FormulaNode::True,
+            NodeKey::False => FormulaNode::False,
+            NodeKey::Pred(p) => FormulaNode::Pred(p.clone()),
+            NodeKey::Not(a) => FormulaNode::Not(a),
+            NodeKey::And(a, b) => FormulaNode::And(a, b),
+            NodeKey::Or(a, b) => FormulaNode::Or(a, b),
+            NodeKey::Always(a) => FormulaNode::Always(a),
+            NodeKey::Eventually(a) => FormulaNode::Eventually(a),
+            NodeKey::In(t, a) => FormulaNode::In(t, a),
+            NodeKey::Forall(v, a) => FormulaNode::Forall(v.to_string(), a),
+            NodeKey::Exists(v, a) => FormulaNode::Exists(v.to_string(), a),
+        }
+    }
+}
+
+/// What the arena's formula index hashes and compares: an owned node and a
+/// borrowed key look the same, so the index can be probed with either.
+trait AsNodeKey {
+    fn key(&self) -> NodeKey<'_>;
+}
+
+impl AsNodeKey for FormulaNode {
+    fn key(&self) -> NodeKey<'_> {
+        match self {
+            FormulaNode::True => NodeKey::True,
+            FormulaNode::False => NodeKey::False,
+            FormulaNode::Pred(p) => NodeKey::Pred(p),
+            FormulaNode::Not(a) => NodeKey::Not(*a),
+            FormulaNode::And(a, b) => NodeKey::And(*a, *b),
+            FormulaNode::Or(a, b) => NodeKey::Or(*a, *b),
+            FormulaNode::Always(a) => NodeKey::Always(*a),
+            FormulaNode::Eventually(a) => NodeKey::Eventually(*a),
+            FormulaNode::In(t, a) => NodeKey::In(*t, *a),
+            FormulaNode::Forall(v, a) => NodeKey::Forall(v, *a),
+            FormulaNode::Exists(v, a) => NodeKey::Exists(v, *a),
+        }
+    }
+}
+
+impl AsNodeKey for NodeKey<'_> {
+    fn key(&self) -> NodeKey<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn AsNodeKey + 'a> for FormulaNode {
+    fn borrow(&self) -> &(dyn AsNodeKey + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn AsNodeKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
+impl PartialEq for dyn AsNodeKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn AsNodeKey + '_ {}
+
+// Hashes as its borrowed key, so the formula index can be probed with one.
+impl Hash for FormulaNode {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
 }
 
 /// An interned interval-term node.
@@ -241,6 +335,11 @@ impl FormulaArena {
         if let Some(&id) = self.formula_ids.get(&node) {
             return id;
         }
+        self.insert_formula(node)
+    }
+
+    /// Stores a node the arena does not hold yet under the next id.
+    fn insert_formula(&mut self, node: FormulaNode) -> FormulaId {
         let id = FormulaId(u32::try_from(self.formulas.len()).expect("arena overflow"));
         self.formulas.push(node.clone());
         self.formula_ids.insert(node, id);
@@ -286,20 +385,23 @@ impl FormulaArena {
 
     /// Interns a boxed formula, sharing every repeated subformula and subterm.
     pub fn intern(&mut self, formula: &Formula) -> FormulaId {
-        let node = match formula {
-            Formula::True => FormulaNode::True,
-            Formula::False => FormulaNode::False,
-            Formula::Pred(p) => FormulaNode::Pred(p.clone()),
-            Formula::Not(a) => FormulaNode::Not(self.intern(a)),
-            Formula::And(a, b) => FormulaNode::And(self.intern(a), self.intern(b)),
-            Formula::Or(a, b) => FormulaNode::Or(self.intern(a), self.intern(b)),
-            Formula::Always(a) => FormulaNode::Always(self.intern(a)),
-            Formula::Eventually(a) => FormulaNode::Eventually(self.intern(a)),
-            Formula::In(term, a) => FormulaNode::In(self.intern_term(term), self.intern(a)),
-            Formula::Forall(v, a) => FormulaNode::Forall(v.clone(), self.intern(a)),
-            Formula::Exists(v, a) => FormulaNode::Exists(v.clone(), self.intern(a)),
+        let key = match formula {
+            Formula::True => NodeKey::True,
+            Formula::False => NodeKey::False,
+            Formula::Pred(p) => NodeKey::Pred(p),
+            Formula::Not(a) => NodeKey::Not(self.intern(a)),
+            Formula::And(a, b) => NodeKey::And(self.intern(a), self.intern(b)),
+            Formula::Or(a, b) => NodeKey::Or(self.intern(a), self.intern(b)),
+            Formula::Always(a) => NodeKey::Always(self.intern(a)),
+            Formula::Eventually(a) => NodeKey::Eventually(self.intern(a)),
+            Formula::In(term, a) => NodeKey::In(self.intern_term(term), self.intern(a)),
+            Formula::Forall(v, a) => NodeKey::Forall(v, self.intern(a)),
+            Formula::Exists(v, a) => NodeKey::Exists(v, self.intern(a)),
         };
-        self.formula(node)
+        match self.formula_ids.get(&key as &dyn AsNodeKey) {
+            Some(&id) => id,
+            None => self.insert_formula(key.to_node()),
+        }
     }
 
     /// Interns a boxed interval term.
@@ -525,22 +627,25 @@ pub(crate) struct EnvId(u32);
 
 const EMPTY_ENV: EnvId = EnvId(0);
 
-#[derive(Debug)]
+/// Starts empty: the empty environment [`EMPTY_ENV`] is implicit, so an
+/// unquantified check allocates nothing here.
+#[derive(Debug, Default)]
 pub(crate) struct EnvInterner {
-    /// Canonical bindings per id; index 0 is the empty environment.
+    /// Canonical bindings of environment `i + 1` at index `i`, each binding
+    /// at least one variable.
     envs: Vec<Vec<(String, Value)>>,
     ids: HashMap<Vec<(String, Value)>, EnvId>,
-}
-
-impl Default for EnvInterner {
-    fn default() -> EnvInterner {
-        EnvInterner { envs: vec![Vec::new()], ids: HashMap::from([(Vec::new(), EMPTY_ENV)]) }
-    }
+    /// The answers of earlier binds, under a hash of `(env, var, value)`,
+    /// so a repeated bind builds no binding list.
+    binds: MemoMap<u64, EnvId>,
 }
 
 impl EnvInterner {
     fn bindings(&self, id: EnvId) -> &[(String, Value)] {
-        &self.envs[id.0 as usize]
+        match id.0.checked_sub(1) {
+            Some(at) => &self.envs[at as usize],
+            None => &[],
+        }
     }
 
     fn get<'a>(&'a self, id: EnvId, name: &str) -> Option<&'a Value> {
@@ -549,19 +654,47 @@ impl EnvInterner {
     }
 
     /// The environment equal to `id` with `name` (re)bound to `value`.
+    ///
+    /// A bind answered before is found by its hash and verified against the
+    /// answer's bindings, allocating nothing; a first bind (or one whose
+    /// hash collides with another's) builds the binding list and interns it.
     fn bind(&mut self, id: EnvId, name: &str, value: &Value) -> EnvId {
+        let hash = BuildHasherDefault::<MemoHasher>::default().hash_one((id, name, value));
+        if let Some(&known) = self.binds.get(&hash) {
+            if self.is_bind(known, id, name, value) {
+                return known;
+            }
+        }
         let mut bindings = self.bindings(id).to_vec();
         match bindings.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
             Ok(i) => bindings[i].1 = value.clone(),
             Err(i) => bindings.insert(i, (name.to_string(), value.clone())),
         }
-        if let Some(&existing) = self.ids.get(&bindings) {
-            return existing;
-        }
-        let fresh = EnvId(u32::try_from(self.envs.len()).expect("environment interner overflow"));
-        self.envs.push(bindings.clone());
-        self.ids.insert(bindings, fresh);
-        fresh
+        let bound = match self.ids.get(&bindings) {
+            Some(&existing) => existing,
+            None => {
+                let fresh = EnvId(
+                    u32::try_from(self.envs.len() + 1).expect("environment interner overflow"),
+                );
+                self.envs.push(bindings.clone());
+                self.ids.insert(bindings, fresh);
+                fresh
+            }
+        };
+        self.binds.insert(hash, bound);
+        bound
+    }
+
+    /// Whether environment `bound` is `id` with `name` (re)bound to `value`.
+    fn is_bind(&self, bound: EnvId, id: EnvId, name: &str, value: &Value) -> bool {
+        let base = self.bindings(id);
+        let below = base.iter().take_while(|(n, _)| n.as_str() < name);
+        let above = base.iter().skip_while(|(n, _)| n.as_str() <= name);
+        let expected = below
+            .map(|(n, v)| (n.as_str(), v))
+            .chain(std::iter::once((name, value)))
+            .chain(above.map(|(n, v)| (n.as_str(), v)));
+        self.bindings(bound).iter().map(|(n, v)| (n.as_str(), v)).eq(expected)
     }
 }
 

@@ -424,30 +424,32 @@ impl BoundedChecker {
         } else {
             fan_out.head
         };
-        let mut parts =
-            vec![sweep_part(&mut self.blocks().take_while(|b| b.first_index < head), false)];
-        let settled = parts[0].found.is_some() || parts[0].interrupt.is_some() || head >= end;
-        if !settled {
-            parts.extend(pool.run(|w| {
+        let first = sweep_part(&mut self.blocks().take_while(|b| b.first_index < head), false);
+        let settled = first.found.is_some() || first.interrupt.is_some() || head >= end;
+        let fanned = if settled {
+            Vec::new()
+        } else {
+            pool.run(|w| {
                 let rest = self.blocks().skip_while(|b| b.first_index < head);
                 sweep_part(&mut rest.skip(w).step_by(workers), true)
-            }));
-        }
+            })
+        };
+        let parts = || std::iter::once(&first).chain(&fanned);
         // Lowest index any interrupted worker left unexamined: finds at or
         // above it cannot be proven minimal.
         let mut interrupted: Option<Exhaustion> = None;
         let mut unexamined_floor = usize::MAX;
-        for part in &parts {
+        for part in parts() {
             if let Some((cut, stopped_at)) = part.interrupt {
                 interrupted = interrupted.or(Some(cut));
                 unexamined_floor = unexamined_floor.min(stopped_at);
             }
         }
-        let winner = crate::pool::min_find(parts.iter().map(|part| part.found))
+        let winner = crate::pool::min_find(parts().map(|part| part.found))
             .filter(|(index, _)| *index < unexamined_floor);
         let last = winner.map_or(usize::MAX, |(index, _)| index);
         let mut memo = MemoStats::default();
-        for part in &parts {
+        for part in parts() {
             memo.merge(if part.log.is_empty() {
                 // The head, which lies below every fan-out block, or a
                 // worker that swept nothing: all of it counts.
@@ -470,10 +472,8 @@ impl BoundedChecker {
         };
         ParallelSweep {
             counterexample: winner.map(|(index, at)| (index, self.computation(at))),
-            traces_checked: winner.map_or_else(
-                || parts.iter().map(|part| part.evaluated).sum(),
-                |(index, _)| index + 1,
-            ),
+            traces_checked: winner
+                .map_or_else(|| parts().map(|part| part.evaluated).sum(), |(index, _)| index + 1),
             memo,
             workers: if settled { 1 } else { workers },
             exhausted,

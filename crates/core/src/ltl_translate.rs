@@ -59,20 +59,55 @@ impl std::error::Error for TranslateError {}
 
 /// Translates an interval formula (interpreted over the whole computation) into LTL.
 pub fn to_ltl(formula: &Formula) -> Result<Ltl, TranslateError> {
-    translate(formula)
+    translate(formula).map_err(TranslateError::from)
 }
 
-fn prop_name(pred: &Pred) -> Result<String, TranslateError> {
+/// [`to_ltl`] for callers that only need to know whether the formula
+/// translates: the reason it does not is never rendered.
+pub(crate) fn translated(formula: &Formula) -> Option<Ltl> {
+    translate(formula).ok()
+}
+
+/// The part of a formula that puts it outside the fragment, borrowed;
+/// rendered into a [`TranslateError`] only when [`to_ltl`] reports it.
+#[derive(Debug)]
+enum Unsupported<'f> {
+    Pred(&'f Pred),
+    NotState(&'f Formula),
+    Quantifier,
+    PrefixBody(&'f Formula),
+    Term(&'f IntervalTerm),
+    Event(&'f IntervalTerm),
+}
+
+impl From<Unsupported<'_>> for TranslateError {
+    fn from(why: Unsupported<'_>) -> TranslateError {
+        TranslateError::Unsupported(match why {
+            Unsupported::Pred(other) => {
+                format!("only plain propositions are translatable, got {other}")
+            }
+            Unsupported::NotState(other) => format!("not a state formula: {other}"),
+            Unsupported::Quantifier => {
+                "quantifiers must be instantiated before translation".to_string()
+            }
+            Unsupported::PrefixBody(other) => {
+                format!("body of a prefix interval must be □ or ◇ of a state formula, got {other}")
+            }
+            Unsupported::Term(other) => format!("interval term {other}"),
+            Unsupported::Event(other) => format!("event term {other}"),
+        })
+    }
+}
+
+fn prop_name(pred: &Pred) -> Result<String, Unsupported<'_>> {
     match pred {
         Pred::Prop { name, args } if args.is_empty() => Ok(name.clone()),
-        other => Err(TranslateError::Unsupported(format!(
-            "only plain propositions are translatable, got {other}"
-        ))),
+        other => Err(Unsupported::Pred(other)),
     }
 }
 
 /// A state formula over plain propositions, translated to a propositional LTL formula.
-fn state_formula(formula: &Formula) -> Result<Ltl, TranslateError> {
+fn state_formula(formula: &Formula) -> Result<Ltl, Unsupported<'_>> {
     match formula {
         Formula::True => Ok(Ltl::True),
         Formula::False => Ok(Ltl::False),
@@ -80,11 +115,11 @@ fn state_formula(formula: &Formula) -> Result<Ltl, TranslateError> {
         Formula::Not(a) => Ok(state_formula(a)?.not()),
         Formula::And(a, b) => Ok(state_formula(a)?.and(state_formula(b)?)),
         Formula::Or(a, b) => Ok(state_formula(a)?.or(state_formula(b)?)),
-        other => Err(TranslateError::Unsupported(format!("not a state formula: {other}"))),
+        other => Err(Unsupported::NotState(other)),
     }
 }
 
-fn translate(formula: &Formula) -> Result<Ltl, TranslateError> {
+fn translate(formula: &Formula) -> Result<Ltl, Unsupported<'_>> {
     match formula {
         Formula::True => Ok(Ltl::True),
         Formula::False => Ok(Ltl::False),
@@ -95,14 +130,15 @@ fn translate(formula: &Formula) -> Result<Ltl, TranslateError> {
         Formula::Always(a) => Ok(translate(a)?.always()),
         Formula::Eventually(a) => Ok(translate(a)?.eventually()),
         Formula::In(term, body) => translate_interval(term, body),
-        Formula::Forall(_, _) | Formula::Exists(_, _) => Err(TranslateError::Unsupported(
-            "quantifiers must be instantiated before translation".to_string(),
-        )),
+        Formula::Forall(_, _) | Formula::Exists(_, _) => Err(Unsupported::Quantifier),
     }
 }
 
 /// Translation of `[ term ] body` for the supported term shapes.
-fn translate_interval(term: &IntervalTerm, body: &Formula) -> Result<Ltl, TranslateError> {
+fn translate_interval<'f>(
+    term: &'f IntervalTerm,
+    body: &'f Formula,
+) -> Result<Ltl, Unsupported<'f>> {
     match term {
         // [ p ⇒ ] α : from the end of the next p event onward.
         IntervalTerm::Forward(Some(event), None) => {
@@ -122,22 +158,20 @@ fn translate_interval(term: &IntervalTerm, body: &Formula) -> Result<Ltl, Transl
                     let p = state_formula(inner)?;
                     Ok(up_to_event_eventually(&q, p))
                 }
-                other => Err(TranslateError::Unsupported(format!(
-                    "body of a prefix interval must be □ or ◇ of a state formula, got {other}"
-                ))),
+                other => Err(Unsupported::PrefixBody(other)),
             }
         }
         // [ ⇒ ] α : the whole context (valid formula V7).
         IntervalTerm::Forward(None, None) => translate(body),
-        other => Err(TranslateError::Unsupported(format!("interval term {other}"))),
+        other => Err(Unsupported::Term(other)),
     }
 }
 
 /// Extracts the state predicate of a simple event term.
-fn event_predicate(term: &IntervalTerm) -> Result<Ltl, TranslateError> {
+fn event_predicate(term: &IntervalTerm) -> Result<Ltl, Unsupported<'_>> {
     match term {
         IntervalTerm::Event(f) => state_formula(f),
-        other => Err(TranslateError::Unsupported(format!("event term {other}"))),
+        other => Err(Unsupported::Event(other)),
     }
 }
 

@@ -94,7 +94,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ilogic_temporal::algorithm_b::{condition_of_graph_budgeted_stats, AlgorithmB, Decision};
-use ilogic_temporal::syntax::VarSpec;
+use ilogic_temporal::syntax::{Ltl, VarSpec};
 use ilogic_temporal::tableau::TableauGraph;
 use ilogic_temporal::theory::PropositionalTheory;
 
@@ -104,7 +104,6 @@ use crate::analysis::{self, Analysis, CostEstimate, Diagnostic, DiagnosticCode};
 use crate::arena::{ArenaRead, ArenaVersion, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
 use crate::bounded::{self, BoundedChecker};
 use crate::json::{Json, JsonError, JsonWriter};
-use crate::ltl_translate::to_ltl;
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
 use crate::scheduler::{self, JobHandle, JobId};
 use crate::spec::{close_free_variables, Spec, SpecReport};
@@ -1314,7 +1313,14 @@ impl std::ops::Deref for ArenaRef<'_> {
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 enum CacheableBackend {
     Decide,
-    Bounded { props: Vec<String>, max_len: usize, lassos: bool },
+    /// `props` is `None` when the alphabet is the formula's own
+    /// [`analysis::proposition_names`], as every `Auto`-routed sweep's is:
+    /// the key's formula determines it, so the key need not copy it.
+    Bounded {
+        props: Option<Vec<String>>,
+        max_len: usize,
+        lassos: bool,
+    },
 }
 
 /// Key of the session verdict cache.  Hash-consing makes the formula
@@ -1603,7 +1609,7 @@ impl Session {
     ) -> PreparedJob {
         let CheckRequest { formula, backend, domain, parallelism, budget, preflight } = request;
         let id = state.arena.intern(&formula);
-        let Analysis { mut diagnostics, estimate } =
+        let (Analysis { mut diagnostics, estimate }, negation) =
             analysis::analyze_interned(&state.arena, id, &formula);
         let mut budget = self.resolve_budget(budget);
         let backend = match backend {
@@ -1612,7 +1618,7 @@ impl Session {
                 diagnostics.push(Diagnostic::new(
                     DiagnosticCode::Routed,
                     vec![id],
-                    format!("auto: routed to `{}` ({})", routed.name(), route_reason(&estimate)),
+                    route_message(&routed, &estimate),
                 ));
                 budget = routed_budget;
                 routed
@@ -1637,6 +1643,7 @@ impl Session {
         let mut job = PreparedJob {
             id,
             formula,
+            negation,
             backend,
             domain,
             parallelism: self.resolve_parallelism(parallelism),
@@ -1687,7 +1694,8 @@ impl Session {
         let backend = match &job.backend {
             Backend::Decide => CacheableBackend::Decide,
             Backend::Bounded { props, max_len, lassos } => CacheableBackend::Bounded {
-                props: props.clone(),
+                props: (!analysis::proposition_names_are(&job.formula, props))
+                    .then(|| props.clone()),
                 max_len: *max_len,
                 lassos: *lassos,
             },
@@ -1714,10 +1722,10 @@ impl Session {
     fn finalize(
         &self,
         state: &mut SessionState,
-        job: &PreparedJob,
+        job: PreparedJob,
         outcome: JobOutcome,
     ) -> CheckReport {
-        let request_cache = match &job.cache {
+        let request_cache = match job.cache {
             CachePlan::Bypass => CacheStats::default(),
             CachePlan::Hit(_) | CachePlan::Defer(_) => CacheStats { hits: 1, misses: 0 },
             CachePlan::Miss(key) => {
@@ -1731,7 +1739,7 @@ impl Session {
                     }
                 );
                 if !timing_cut && state.verdicts.len() < VERDICT_CACHE_CAP {
-                    state.verdicts.insert(key.clone(), CachedOutcome::of(&outcome));
+                    state.verdicts.insert(key, CachedOutcome::of(&outcome));
                 }
                 CacheStats { hits: 0, misses: 1 }
             }
@@ -1761,7 +1769,7 @@ impl Session {
             },
             backend: job.backend_name,
             failing_index: outcome.failing_index,
-            diagnostics: job.diagnostics.clone(),
+            diagnostics: job.diagnostics,
         }
     }
 
@@ -1780,7 +1788,7 @@ impl Session {
             CachePlan::Hit(stored) => stored.replay(start.elapsed()),
             _ => execute(&snapshot, &job),
         };
-        self.finalize(&mut lock(&self.state), &job, outcome)
+        self.finalize(&mut lock(&self.state), job, outcome)
     }
 
     /// Enqueues a check and returns a handle to its eventual report.
@@ -1897,7 +1905,7 @@ impl Session {
                     },
                     (_, None) => unreachable!("runnable jobs have an outcome"),
                 };
-                let report = self.finalize(&mut state, &job, outcome);
+                let report = self.finalize(&mut state, job, outcome);
                 (id, report)
             })
             .collect()
@@ -2129,6 +2137,9 @@ impl CheckHandle<'_> {
 pub(crate) struct PreparedJob {
     id: FormulaId,
     formula: Formula,
+    /// `¬B` for the LTL translation `B` of the formula, translated once by
+    /// the analysis pass; `None` outside the translatable fragment.
+    negation: Option<Ltl>,
     backend: Backend,
     domain: Option<Vec<Value>>,
     parallelism: Parallelism,
@@ -2201,7 +2212,7 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
             (verdict, checked, memo, 1, index)
         }
         Backend::Bounded { props, max_len, lassos } => {
-            let mut checker = BoundedChecker::new(props.clone(), *max_len);
+            let mut checker = BoundedChecker::new(props.iter().map(String::as_str), *max_len);
             if !lassos {
                 checker = checker.without_lassos();
             }
@@ -2272,55 +2283,54 @@ fn decide<A: ArenaRead + Sync>(
 ) -> (Verdict, usize, MemoStats, usize, Option<usize>, ConditionStats) {
     let none = MemoStats::default();
     let mut condition_stats = ConditionStats::default();
-    let Ok(ltl) = to_ltl(&job.formula) else {
+    let Some(negation) = &job.negation else {
         return (Verdict::unknown(), 0, none, 1, None, condition_stats);
     };
+    // Algorithm B reads the formula it decides only for the classes of its
+    // constraint variables, which `B` and `¬B` share, so the negation the
+    // tableau is built from stands in for `B` below.
     let theory = PropositionalTheory::new();
     let algorithm =
         AlgorithmB::new(&theory, VarSpec::all_state()).with_parallelism(job.parallelism);
     // One tableau build serves both phases below.
-    let decided =
-        match TableauGraph::try_build_budgeted(&ltl.clone().not(), &job.budget, Parallelism::Off) {
-            Err(cut) => Err(cut),
-            Ok(graph) => {
-                // Phase 1 — the explicit condition artifact, attempted only
-                // under a finite implicant cap: on the interned store it is
-                // cheap for typical formulas and its counters — reported even
-                // when the artifact trips — are the report's condition
-                // statistics.  An *unbounded* request must never be parked on a
-                // condition whose minimal DNF is intractably wide (the nested
-                // weak-until family) when the decision itself doesn't need it.
-                let mut decided: Option<Result<Decision, Exhaustion>> = None;
-                if job.budget.max_implicants() != usize::MAX {
-                    let (artifact, stats) = condition_of_graph_budgeted_stats(
-                        graph.clone(),
+    let decided = match TableauGraph::try_build_budgeted(negation, &job.budget, Parallelism::Off) {
+        Err(cut) => Err(cut),
+        Ok(graph) => {
+            // Phase 1 — the explicit condition artifact, attempted only
+            // under a finite implicant cap: on the interned store it is
+            // cheap for typical formulas and its counters — reported even
+            // when the artifact trips — are the report's condition
+            // statistics.  An *unbounded* request must never be parked on a
+            // condition whose minimal DNF is intractably wide (the nested
+            // weak-until family) when the decision itself doesn't need it.
+            let mut decided: Option<Result<Decision, Exhaustion>> = None;
+            if job.budget.max_implicants() != usize::MAX {
+                let (artifact, stats) =
+                    condition_of_graph_budgeted_stats(graph.clone(), &job.budget, job.parallelism);
+                condition_stats = stats;
+                if let Ok(condition) = artifact {
+                    decided = Some(algorithm.decide_from_condition_budgeted(
+                        negation,
+                        &condition,
                         &job.budget,
-                        job.parallelism,
-                    );
-                    condition_stats = stats;
-                    if let Ok(condition) = artifact {
-                        decided = Some(algorithm.decide_from_condition_budgeted(
-                            &ltl,
-                            &condition,
-                            &job.budget,
-                        ));
-                    }
+                    ));
                 }
-                // Phase 2 — the evaluated fixpoint
-                // (`AlgorithmB::decide_from_graph_budgeted_stats`): decides
-                // validity by running the §5.3 worklist fixpoint over plain
-                // Booleans, so it is exact and fast on exactly the formulas
-                // whose explicit condition blows the budget.  Its rounds and
-                // evaluated/skipped tallies merge into the report's condition
-                // statistics (its interning counters are zero by nature).
-                decided.unwrap_or_else(|| {
-                    let (decision, stats) =
-                        algorithm.decide_from_graph_budgeted_stats(&ltl, &graph, &job.budget);
-                    condition_stats.merge(stats);
-                    decision
-                })
             }
-        };
+            // Phase 2 — the evaluated fixpoint
+            // (`AlgorithmB::decide_from_graph_budgeted_stats`): decides
+            // validity by running the §5.3 worklist fixpoint over plain
+            // Booleans, so it is exact and fast on exactly the formulas
+            // whose explicit condition blows the budget.  Its rounds and
+            // evaluated/skipped tallies merge into the report's condition
+            // statistics (its interning counters are zero by nature).
+            decided.unwrap_or_else(|| {
+                let (decision, stats) =
+                    algorithm.decide_from_graph_budgeted_stats(negation, &graph, &job.budget);
+                condition_stats.merge(stats);
+                decision
+            })
+        }
+    };
     let refuted = match decided {
         Ok(Decision::Valid) => return (Verdict::Holds, 0, none, 1, None, condition_stats),
         // Not valid (or a mixed-mode Unknown, out of reach for the all-state
@@ -2487,21 +2497,27 @@ pub fn auto_backend(
     }
 }
 
-/// The human half of the `R001` routing record: why `Auto` picked what it
-/// picked.
-fn route_reason(estimate: &CostEstimate) -> String {
+/// The message of the `R001` routing record: where `Auto` sent the job and
+/// why, written into one buffer.
+fn route_message(routed: &Backend, estimate: &CostEstimate) -> String {
+    use std::fmt::Write;
+    let mut message = String::with_capacity(128);
+    let _ = write!(message, "auto: routed to `{}` (", routed.name());
     if estimate.artifact_intractable {
-        "artifact-intractable prefix-invariance shape: evaluated fixpoint forced".to_string()
+        message.push_str("artifact-intractable prefix-invariance shape: evaluated fixpoint forced");
     } else if estimate.deep_nesting {
-        "deeply nested prefixes: evaluated fixpoint forced".to_string()
+        message.push_str("deeply nested prefixes: evaluated fixpoint forced");
     } else if estimate.translatable {
-        format!(
+        let _ = write!(
+            message,
             "translatable, predicted ≤{} tableau nodes / ≤{} edges",
             estimate.nodes, estimate.edges
-        )
+        );
     } else {
-        "outside the translatable fragment: bounded refutation sweep".to_string()
+        message.push_str("outside the translatable fragment: bounded refutation sweep");
     }
+    message.push(')');
+    message
 }
 
 /// Pre-flight admission: compares the predicted cost of the *resolved*

@@ -64,12 +64,13 @@
 //! selections (1.9x at two workers on the 153 600 selections of the §5.1
 //! example; batching fixpoint rounds across workers lost, at 0.2–0.6x).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::dnf::store::{ConditionStore, DnfId, StoreStats};
 use crate::dnf::{Dnf, DnfBudget};
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
-use crate::syntax::{Ltl, VarSpec};
+use crate::syntax::{Atom, Ltl, Term, VarSpec};
 use crate::tableau::{EdgeId, EventualityIndex, NodeId, SweepPlan, TableauGraph};
 use crate::theory::Theory;
 
@@ -109,12 +110,39 @@ pub enum Decision {
 #[derive(Debug)]
 pub struct Condition {
     graph: TableauGraph,
-    delete_init: Dnf,
+    /// The implicants of `delete(init)` as sorted edge lists, concatenated:
+    /// implicant `i` is `atoms[starts[i]..starts[i + 1]]`.
+    atoms: Vec<u32>,
+    starts: Vec<u32>,
+    /// The same condition as a [`Dnf`], built on the first call of
+    /// [`Condition::dnf`] (the decision reads the flat implicants).
+    delete_init: OnceLock<Dnf>,
     outer_rounds: usize,
     store_stats: StoreStats,
 }
 
 impl Condition {
+    /// The condition `delete(init)` given by its implicants over `graph`.
+    fn new(
+        graph: TableauGraph,
+        implicants: impl Iterator<Item = impl Iterator<Item = u32>>,
+        outer_rounds: usize,
+        store_stats: StoreStats,
+    ) -> Condition {
+        let mut atoms = Vec::new();
+        let mut starts = vec![0];
+        for implicant in implicants {
+            atoms.extend(implicant);
+            starts.push(atoms.len() as u32);
+        }
+        Condition { graph, atoms, starts, delete_init: OnceLock::new(), outer_rounds, store_stats }
+    }
+
+    /// The implicants of the condition, each a sorted list of edge ids.
+    fn implicants(&self) -> impl Iterator<Item = &[u32]> {
+        self.starts.windows(2).map(|span| &self.atoms[span[0] as usize..span[1] as usize])
+    }
+
     /// The tableau graph of `¬A` the condition refers to.
     pub fn graph(&self) -> &TableauGraph {
         &self.graph
@@ -122,7 +150,13 @@ impl Condition {
 
     /// The condition `delete(init)` as a monotone DNF over edge identifiers.
     pub fn dnf(&self) -> &Dnf {
-        &self.delete_init
+        self.delete_init.get_or_init(|| {
+            let implicants = self
+                .implicants()
+                .map(|imp| imp.iter().map(|&atom| atom as usize).collect())
+                .collect();
+            Dnf::from_implicants_unchecked(implicants)
+        })
     }
 
     /// Number of outer rounds of the double fixpoint iteration.
@@ -142,13 +176,13 @@ impl Condition {
     /// `true` if the condition establishes validity in pure temporal logic
     /// (the condition contains the empty implicant, i.e. it is identically true).
     pub fn valid_in_pure_tl(&self) -> bool {
-        self.delete_init.is_top()
+        self.implicants().any(<[u32]>::is_empty)
     }
 
     /// The disjuncts `Cᵢ` of the condition, each given as the list of edge
     /// labels `prop(e)` whose henceforth-negation is conjoined in `Cᵢ`.
     pub fn disjuncts(&self) -> Vec<Vec<&[crate::syntax::Literal]>> {
-        self.delete_init
+        self.dnf()
             .implicants()
             .map(|imp| imp.iter().map(|&e| self.graph.literals(e)).collect())
             .collect()
@@ -181,12 +215,41 @@ impl<'t> AlgorithmB<'t> {
         self
     }
 
-    /// The variable classes `formula` mentions.
+    /// The variable classes `formula` mentions, read off its constraint
+    /// atoms in place.
     fn mode(&self, formula: &Ltl) -> Mode {
-        let vars = formula.variables();
-        let has_state = vars.iter().any(|v| !self.vars.is_extralogical(v));
-        let has_extra = vars.iter().any(|v| self.vars.is_extralogical(v));
-        match (has_state, has_extra) {
+        /// Marks the classes of the variables of `term` in `(state, extra)`.
+        fn term_vars(term: &Term, vars: &VarSpec, seen: &mut (bool, bool)) {
+            match term {
+                Term::Var(v) if vars.is_extralogical(v) => seen.1 = true,
+                Term::Var(_) => seen.0 = true,
+                Term::Const(_) => {}
+                Term::Add(a, b) | Term::Sub(a, b) => {
+                    term_vars(a, vars, seen);
+                    term_vars(b, vars, seen);
+                }
+                Term::Mul(_, a) | Term::Neg(a) => term_vars(a, vars, seen),
+            }
+        }
+        fn formula_vars(formula: &Ltl, vars: &VarSpec, seen: &mut (bool, bool)) {
+            match formula {
+                Ltl::True | Ltl::False | Ltl::Atom(Atom::Prop(_)) => {}
+                Ltl::Atom(Atom::Cmp { lhs, rhs, .. }) => {
+                    term_vars(lhs, vars, seen);
+                    term_vars(rhs, vars, seen);
+                }
+                Ltl::Not(a) | Ltl::Next(a) | Ltl::Always(a) | Ltl::Eventually(a) => {
+                    formula_vars(a, vars, seen);
+                }
+                Ltl::And(a, b) | Ltl::Or(a, b) | Ltl::Until(a, b) => {
+                    formula_vars(a, vars, seen);
+                    formula_vars(b, vars, seen);
+                }
+            }
+        }
+        let mut seen = (false, false);
+        formula_vars(formula, &self.vars, &mut seen);
+        match seen {
             (_, false) => Mode::State,
             (false, true) => Mode::Extralogical,
             (true, true) => Mode::Mixed,
@@ -298,7 +361,7 @@ impl<'t> AlgorithmB<'t> {
         // One theory check per distinct literal conjunction, shared by the
         // edges it labels.
         let mut unsat_sets = Vec::with_capacity(graph.literal_sets().len());
-        for (count, literals) in graph.literal_sets().iter().enumerate() {
+        for (count, literals) in graph.literal_sets().enumerate() {
             // Theory checks can be the slow part on big graphs: honour the
             // deadline/cancellation cutoffs mid-scan like every other engine.
             if count % crate::pool::INTERRUPT_POLL_PERIOD == 0 {
@@ -354,16 +417,18 @@ impl<'t> AlgorithmB<'t> {
         if condition.valid_in_pure_tl() {
             return Ok(Decision::Valid);
         }
-        if condition.dnf().is_bottom() {
+        if condition.implicants().next().is_none() {
             return Ok(Decision::NotValid);
         }
         // Sufficient check, exact when all variables are state variables:
         // some implicant has every edge label T-unsatisfiable.
         let graph = condition.graph();
-        let implicant_valid = |implicant: &BTreeSet<EdgeId>| {
-            implicant.iter().all(|&e| !self.theory.satisfiable(graph.literals(e)).is_sat())
+        let implicant_valid = |implicant: &[u32]| {
+            implicant
+                .iter()
+                .all(|&e| !self.theory.satisfiable(graph.literals(e as EdgeId)).is_sat())
         };
-        if condition.dnf().implicants().any(implicant_valid) {
+        if condition.implicants().any(implicant_valid) {
             return Ok(Decision::Valid);
         }
 
@@ -475,6 +540,7 @@ pub fn condition_of_graph_budgeted_stats(
 ) -> (Result<Condition, Exhaustion>, StoreStats) {
     let budget = DnfBudget::from_budget(resource_budget);
     let mut store = ConditionStore::new();
+    store.reserve_for_atoms(graph.edge_count());
     // The equations' leaves: one □¬prop(e) atom per edge, interned once and
     // shared by every equation that mentions the edge.
     let atoms: Option<Vec<DnfId>> =
@@ -490,8 +556,9 @@ pub fn condition_of_graph_budgeted_stats(
     let stats = lattice.store.stats();
     match solved {
         Ok((delete_init, outer_rounds)) => {
-            let delete_init = lattice.store.extract(delete_init);
-            (Ok(Condition { graph, delete_init, outer_rounds, store_stats: stats }), stats)
+            let delete_init = lattice.store.dnf(delete_init);
+            let implicants = delete_init.implicants().map(|imp| imp.iter().copied());
+            (Ok(Condition::new(graph, implicants, outer_rounds, stats)), stats)
         }
         Err(cut) => (Err(cut), stats),
     }
@@ -705,12 +772,13 @@ fn solve<L: Lattice>(
     lattice: &mut L,
 ) -> Result<(L::Value, usize), Exhaustion> {
     let n = graph.node_count();
-    let ne = graph.eventualities().len();
+    let ne = graph.eventuality_index().len();
     let plan = graph.sweep_plan();
     // Worklist buffers are sized once for the largest component: per-trip
     // allocations dominate on tableaux with thousands of trivial components.
-    let tasks = plan.sccs.iter().map(Vec::len).max().unwrap_or(0) * ne.max(1);
-    let mut values = vec![L::BOTTOM; n];
+    let tasks = plan.sccs.iter().map(<[NodeId]>::len).max().unwrap_or(0) * ne.max(1);
+    let mut values = Vec::with_capacity(n * (ne + 1));
+    values.resize(n, L::BOTTOM);
     values.resize(n * (ne + 1), L::TOP);
     let mut worklist = Worklist {
         graph,
@@ -726,7 +794,7 @@ fn solve<L: Lattice>(
         results: Vec::with_capacity(tasks),
     };
     let mut outer_rounds = 0;
-    for component in &plan.sccs {
+    for component in plan.sccs.iter() {
         for (i, &node) in component.iter().enumerate() {
             worklist.pos[node] = i;
         }
@@ -896,7 +964,7 @@ pub fn condition_of_graph_baseline(
     let mut outer_rounds = 0;
     let mut stats = StoreStats::default();
 
-    for component in &sccs {
+    for component in sccs.iter() {
         let fail_tasks: Vec<(NodeId, usize)> = component
             .iter()
             .flat_map(|&node| (0..eventualities.len()).map(move |ei| (node, ei)))
@@ -963,7 +1031,10 @@ pub fn condition_of_graph_baseline(
     }
 
     let delete_init = delete[graph.initial()].clone();
-    Ok(Condition { graph, delete_init, outer_rounds, store_stats: stats })
+    let implicants = delete_init.implicants().map(|imp| imp.iter().map(|&atom| atom as u32));
+    let mut condition = Condition::new(graph, implicants, outer_rounds, stats);
+    condition.delete_init = OnceLock::from(delete_init);
+    Ok(condition)
 }
 
 /// delete(N) = ∧ₑ ( □¬prop(e) ∨ delete(fin(e)) ∨ ∨_{A ∈ ev(e)} fail(A, fin(e)) )
@@ -1020,63 +1091,87 @@ fn fail_equation(
 /// Tarjan's strongly connected components, returned in reverse topological
 /// order of the condensation (components with no edges into later components
 /// come first), which is the order the fixpoint iteration wants.
-pub(crate) fn strongly_connected_components(graph: &TableauGraph) -> Vec<Vec<NodeId>> {
+pub(crate) fn strongly_connected_components(graph: &TableauGraph) -> Sccs {
+    /// A node's `(index, lowlink)` before it is visited.
+    const UNVISITED: (u32, u32) = (u32::MAX, u32::MAX);
+    /// The lowlink of a node already placed in a component (so off the
+    /// stack): above every index, it never lowers another node's lowlink.
+    const PLACED: u32 = u32::MAX;
     struct Tarjan<'g> {
         graph: &'g TableauGraph,
-        index: Vec<Option<usize>>,
-        lowlink: Vec<usize>,
-        on_stack: Vec<bool>,
+        /// Each node's visit index and lowlink.
+        marks: Vec<(u32, u32)>,
         stack: Vec<NodeId>,
-        next_index: usize,
-        components: Vec<Vec<NodeId>>,
+        next_index: u32,
+        components: Sccs,
     }
     impl Tarjan<'_> {
         fn visit(&mut self, v: NodeId) {
-            self.index[v] = Some(self.next_index);
-            self.lowlink[v] = self.next_index;
+            self.marks[v] = (self.next_index, self.next_index);
             self.next_index += 1;
             self.stack.push(v);
-            self.on_stack[v] = true;
             for &eid in self.graph.outgoing(v) {
                 let w = self.graph.target(eid);
-                if self.index[w].is_none() {
+                let (index, lowlink) = self.marks[w];
+                if (index, lowlink) == UNVISITED {
                     self.visit(w);
-                    self.lowlink[v] = self.lowlink[v].min(self.lowlink[w]);
-                } else if self.on_stack[w] {
-                    self.lowlink[v] = self.lowlink[v].min(self.index[w].unwrap());
+                    self.marks[v].1 = self.marks[v].1.min(self.marks[w].1);
+                } else if lowlink != PLACED {
+                    // On the stack.
+                    self.marks[v].1 = self.marks[v].1.min(index);
                 }
             }
-            if self.lowlink[v] == self.index[v].unwrap() {
-                let mut component = Vec::new();
+            if self.marks[v].1 == self.marks[v].0 {
                 loop {
                     let w = self.stack.pop().expect("stack cannot be empty here");
-                    self.on_stack[w] = false;
-                    component.push(w);
+                    self.marks[w].1 = PLACED;
+                    self.components.nodes.push(w);
                     if w == v {
                         break;
                     }
                 }
-                self.components.push(component);
+                self.components.starts.push(self.components.nodes.len() as u32);
             }
         }
     }
     let n = graph.node_count();
+    let mut starts = Vec::with_capacity(n + 1);
+    starts.push(0);
     let mut tarjan = Tarjan {
         graph,
-        index: vec![None; n],
-        lowlink: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
+        marks: vec![UNVISITED; n],
+        stack: Vec::with_capacity(n),
         next_index: 0,
-        components: Vec::new(),
+        components: Sccs { nodes: Vec::with_capacity(n), starts },
     };
     for v in 0..n {
-        if tarjan.index[v].is_none() {
+        if tarjan.marks[v] == UNVISITED {
             tarjan.visit(v);
         }
     }
     // Tarjan emits components in reverse topological order already.
     tarjan.components
+}
+
+/// Strongly connected components in one flat buffer: component `c` is
+/// `nodes[starts[c]..starts[c + 1]]`.
+#[derive(Clone, Debug)]
+pub(crate) struct Sccs {
+    nodes: Vec<NodeId>,
+    starts: Vec<u32>,
+}
+
+impl Default for Sccs {
+    fn default() -> Sccs {
+        Sccs { nodes: Vec::new(), starts: vec![0] }
+    }
+}
+
+impl Sccs {
+    /// The components, in the order they were found.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
+        self.starts.windows(2).map(|span| &self.nodes[span[0] as usize..span[1] as usize])
+    }
 }
 
 #[cfg(test)]

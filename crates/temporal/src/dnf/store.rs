@@ -20,6 +20,12 @@
 //! * **DNFs are interned**: each distinct antichain of implicant ids is a
 //!   [`DnfId`], so the fixpoint's convergence test ("did this equation
 //!   change?") is an integer comparison instead of a structural one.
+//! * **Flat storage**: implicants and antichains are spans of two flat
+//!   `u32` pools, found through open-addressing tables that compare a probe
+//!   against the pool in place, so no key is boxed or stored twice.  The
+//!   product and disjunction builders work in buffers the store owns and
+//!   reuses from one `∧`/`∨` to the next, so a product allocates only when
+//!   it outgrows every earlier one.
 //! * **Products are memoized**: `∧`/`∨` results are cached per `(DnfId,
 //!   DnfId)` pair, so re-evaluating an equation whose inputs did not change
 //!   since the last round costs a handful of hash lookups — and the PR 7
@@ -52,7 +58,6 @@
 //! distinct-implicant budget charge — are identical whether or not the
 //! unchanged equations were skipped.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -189,15 +194,109 @@ impl Hasher for StoreHasher {
 
 pub(crate) type StoreMap<K, V> = HashMap<K, V, BuildHasherDefault<StoreHasher>>;
 
+/// Variable-length `u32` lists interned to dense ids in first-seen order:
+/// the lists concatenated in one pool (list `id` is
+/// `pool[starts[id]..starts[id + 1]]`), found through an open-addressing
+/// table of `id + 1` (0 marks a free slot) kept at most half full.  A
+/// lookup compares the probe key against the pool in place, so no list is
+/// stored twice or boxed.
+#[derive(Debug)]
+struct Spans {
+    pool: Vec<u32>,
+    starts: Vec<u32>,
+    table: Vec<u32>,
+}
+
+impl Spans {
+    /// Spans holding the distinct `seeds`, in order.
+    fn seeded(seeds: &[&[u32]]) -> Spans {
+        let mut spans = Spans { pool: Vec::new(), starts: vec![0], table: vec![0; 16] };
+        for seed in seeds {
+            let slot = spans.find(seed).expect_err("the seeds are distinct");
+            spans.insert(slot, seed);
+        }
+        spans
+    }
+
+    /// Makes room for `lists` more lists of about `width` entries each.
+    fn reserve(&mut self, lists: usize, width: usize) {
+        self.pool.reserve(lists * width);
+        self.starts.reserve(lists);
+        let wanted = (2 * (self.len() + lists)).next_power_of_two();
+        if wanted > self.table.len() {
+            self.rehash(wanted);
+        }
+    }
+
+    /// Rebuilds the table at `size` slots, a power of two.
+    fn rehash(&mut self, size: usize) {
+        let mut table = vec![0; size];
+        let mask = size - 1;
+        for id in 0..self.len() as u32 {
+            let mut slot = Self::hash(self.get(id)) & mask;
+            while table[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            table[slot] = id + 1;
+        }
+        self.table = table;
+    }
+
+    /// The number of lists.
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// List `id`.
+    fn get(&self, id: u32) -> &[u32] {
+        &self.pool[self.starts[id as usize] as usize..self.starts[id as usize + 1] as usize]
+    }
+
+    /// A multiply-xor hash of a list, its high half folded into the low one.
+    fn hash(key: &[u32]) -> usize {
+        let mut hasher = StoreHasher::default();
+        hasher.add(key.len() as u64);
+        for &word in key {
+            hasher.add(u64::from(word));
+        }
+        (hasher.hash ^ (hasher.hash >> 32)) as usize
+    }
+
+    /// The id of `key`, or the free table slot where it would go.
+    fn find(&self, key: &[u32]) -> Result<u32, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = Self::hash(key) & mask;
+        loop {
+            match self.table[slot] {
+                0 => return Err(slot),
+                entry if self.get(entry - 1) == key => return Ok(entry - 1),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Appends `key` under the next id at `slot`, a free slot [`Spans::find`]
+    /// named for it, and returns the id; `None` past `u32::MAX` lists.
+    fn insert(&mut self, slot: usize, key: &[u32]) -> Option<u32> {
+        let id = u32::try_from(self.len()).ok()?;
+        self.pool.extend_from_slice(key);
+        self.starts.push(u32::try_from(self.pool.len()).ok()?);
+        self.table[slot] = id + 1;
+        if 2 * self.len() > self.table.len() {
+            self.rehash(2 * self.table.len());
+        }
+        Some(id)
+    }
+}
+
 /// The interned implicant/DNF arena; see the [module documentation](self).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ConditionStore {
     /// Id → sorted atom list.  Slot 0 is the empty implicant.
-    implicants: Vec<Box<[u32]>>,
-    implicant_lookup: StoreMap<Box<[u32]>, ImplicantId>,
-    /// Id → antichain, as an id-sorted implicant list.  Slots 0/1 are ⊥/⊤.
-    dnfs: Vec<Box<[ImplicantId]>>,
-    dnf_lookup: StoreMap<Box<[ImplicantId]>, DnfId>,
+    implicants: Spans,
+    /// Id → antichain, as an id-sorted list of implicant ids.  Slots 0/1
+    /// are ⊥/⊤.
+    dnfs: Spans,
     /// Memoized products, keyed on the (commutatively normalized) operand
     /// pair.
     and_memo: StoreMap<(DnfId, DnfId), DnfId>,
@@ -206,20 +305,57 @@ pub struct ConditionStore {
     /// universe the product builders work over.
     atom_bound: u32,
     stats: StoreStats,
+    /// Working buffers of `∧`/`∨`, reused from product to product.
+    scratch: Scratch,
+}
+
+/// The buffers one `∧` or `∨` works in: operand member lists, bitset rows,
+/// the antichain builders and the survivors.
+#[derive(Debug, Default)]
+struct Scratch {
+    rows: Vec<ImplicantId>,
+    cols: Vec<ImplicantId>,
+    col_bits: Vec<u64>,
+    row_bits: Vec<u64>,
+    bits: Vec<u64>,
+    builder: BitAntichain<()>,
+    residuals: BitAntichain<()>,
+    tagged: BitAntichain<ImplicantId>,
+    /// Member ids on their way to [`ConditionStore::intern_antichain`].
+    members: Vec<u32>,
+    atoms: Vec<u32>,
+}
+
+impl Default for ConditionStore {
+    fn default() -> ConditionStore {
+        ConditionStore::new()
+    }
 }
 
 impl ConditionStore {
     /// An empty store, pre-seeded with ⊥, ⊤ and the empty implicant (the
     /// seeds are not charged to any budget).
     pub fn new() -> ConditionStore {
-        let mut store = ConditionStore::default();
-        store.implicants.push(Box::from([] as [u32; 0]));
-        store.implicant_lookup.insert(Box::from([] as [u32; 0]), EMPTY_IMPLICANT);
-        store.dnfs.push(Box::from([] as [ImplicantId; 0])); // ⊥
-        store.dnf_lookup.insert(Box::from([] as [ImplicantId; 0]), Self::BOTTOM);
-        store.dnfs.push(Box::from([EMPTY_IMPLICANT])); // ⊤
-        store.dnf_lookup.insert(Box::from([EMPTY_IMPLICANT]), Self::TOP);
-        store
+        ConditionStore {
+            // The empty implicant; ⊥ and ⊤.
+            implicants: Spans::seeded(&[&[]]),
+            dnfs: Spans::seeded(&[&[], &[EMPTY_IMPLICANT.0]]),
+            and_memo: StoreMap::default(),
+            or_memo: StoreMap::default(),
+            atom_bound: 0,
+            stats: StoreStats::default(),
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// Makes room for a fixpoint over `atoms` edge atoms: their singleton
+    /// implicants and conditions, as many more of each, and as many
+    /// memoized products, so a small fixpoint interns without regrowing.
+    pub(crate) fn reserve_for_atoms(&mut self, atoms: usize) {
+        self.implicants.reserve(2 * atoms, 2);
+        self.dnfs.reserve(2 * atoms, 2);
+        self.and_memo.reserve(atoms);
+        self.or_memo.reserve(atoms);
     }
 
     /// The interning/memoization counters accumulated so far.
@@ -250,7 +386,7 @@ impl ConditionStore {
 
     /// Number of implicants of the DNF `id`.
     pub fn width(&self, id: DnfId) -> usize {
-        self.dnfs[id.0 as usize].len()
+        self.dnfs.get(id.0).len()
     }
 
     /// `true` iff `id` is the condition `false`.
@@ -268,43 +404,48 @@ impl ConditionStore {
         DnfRef { store: self, id }
     }
 
-    /// Interns the sorted atom list `atoms`, charging the budget if it is
-    /// new; `None` when the charge trips the budget.
-    fn intern_implicant(&mut self, atoms: Box<[u32]>, budget: &DnfBudget) -> Option<ImplicantId> {
-        debug_assert!(atoms.windows(2).all(|w| w[0] < w[1]), "implicant atoms must be sorted");
-        match self.implicant_lookup.entry(atoms) {
-            Entry::Occupied(hit) => Some(*hit.get()),
-            Entry::Vacant(slot) => {
-                if !budget.charge(1) {
-                    return None;
-                }
-                let id = ImplicantId(u32::try_from(self.implicants.len()).ok()?);
-                if let Some(&last) = slot.key().last() {
-                    self.atom_bound = self.atom_bound.max(last + 1);
-                }
-                self.implicants.push(slot.key().clone());
-                self.stats.interned_implicants += 1;
-                Some(*slot.insert(id))
-            }
-        }
+    /// The members of DNF `id`.
+    fn members(&self, id: DnfId) -> impl Iterator<Item = ImplicantId> + '_ {
+        self.dnfs.get(id.0).iter().map(|&imp| ImplicantId(imp))
     }
 
-    /// Interns an antichain given as an unsorted, possibly duplicated
-    /// implicant list (the caller guarantees minimality).
-    fn intern_antichain(&mut self, mut members: Vec<ImplicantId>) -> DnfId {
+    /// The sorted atom list of implicant `imp`.
+    fn atoms(&self, imp: ImplicantId) -> &[u32] {
+        self.implicants.get(imp.0)
+    }
+
+    /// Interns the sorted atom list `atoms`, charging the budget if it is
+    /// new; `None` when the charge trips the budget.
+    fn intern_implicant(&mut self, atoms: &[u32], budget: &DnfBudget) -> Option<ImplicantId> {
+        debug_assert!(atoms.windows(2).all(|w| w[0] < w[1]), "implicant atoms must be sorted");
+        let slot = match self.implicants.find(atoms) {
+            Ok(id) => return Some(ImplicantId(id)),
+            Err(slot) => slot,
+        };
+        if !budget.charge(1) {
+            return None;
+        }
+        let id = ImplicantId(self.implicants.insert(slot, atoms)?);
+        if let Some(&last) = atoms.last() {
+            self.atom_bound = self.atom_bound.max(last + 1);
+        }
+        self.stats.interned_implicants += 1;
+        Some(id)
+    }
+
+    /// Interns an antichain given as an unsorted, possibly duplicated list
+    /// of implicant ids (the caller guarantees minimality); sorts `members`
+    /// in place.
+    fn intern_antichain(&mut self, members: &mut Vec<u32>) -> DnfId {
         members.sort_unstable();
         members.dedup();
-        let members: Box<[ImplicantId]> = members.into();
-        match self.dnf_lookup.entry(members) {
-            Entry::Occupied(hit) => *hit.get(),
-            Entry::Vacant(slot) => {
-                let id = DnfId(
-                    u32::try_from(self.dnfs.len()).expect("more than u32::MAX distinct DNFs"),
-                );
-                self.stats.peak_dnf_width = self.stats.peak_dnf_width.max(slot.key().len());
-                self.dnfs.push(slot.key().clone());
+        match self.dnfs.find(members) {
+            Ok(id) => DnfId(id),
+            Err(slot) => {
+                let id = self.dnfs.insert(slot, members).expect("more than u32::MAX distinct DNFs");
+                self.stats.peak_dnf_width = self.stats.peak_dnf_width.max(members.len());
                 self.stats.interned_dnfs += 1;
-                *slot.insert(id)
+                DnfId(id)
             }
         }
     }
@@ -313,8 +454,13 @@ impl ConditionStore {
     /// interning a new implicant trips the budget.
     pub fn atom(&mut self, atom: usize, budget: &DnfBudget) -> Option<DnfId> {
         let atom = u32::try_from(atom).ok()?;
-        let implicant = self.intern_implicant(Box::from([atom]), budget)?;
-        Some(self.intern_antichain(vec![implicant]))
+        let implicant = self.intern_implicant(&[atom], budget)?;
+        let mut members = std::mem::take(&mut self.scratch.members);
+        members.clear();
+        members.push(implicant.0);
+        let id = self.intern_antichain(&mut members);
+        self.scratch.members = members;
+        Some(id)
     }
 
     /// Interns a legacy [`Dnf`] value, charging every new implicant; `None`
@@ -322,20 +468,20 @@ impl ConditionStore {
     pub fn intern_dnf(&mut self, dnf: &Dnf, budget: &DnfBudget) -> Option<DnfId> {
         let mut members = Vec::with_capacity(dnf.implicant_count());
         for implicant in dnf.implicants() {
-            let atoms: Box<[u32]> =
+            let atoms: Vec<u32> =
                 implicant.iter().map(|&atom| u32::try_from(atom).ok()).collect::<Option<_>>()?;
-            members.push(self.intern_implicant(atoms, budget)?);
+            members.push(self.intern_implicant(&atoms, budget)?.0);
         }
         // A `Dnf` is canonical (minimal) by construction, so the members
         // already form an antichain.
-        Some(self.intern_antichain(members))
+        Some(self.intern_antichain(&mut members))
     }
 
     /// Reconstructs the explicit [`Dnf`] behind `id`.
     pub fn extract(&self, id: DnfId) -> Dnf {
-        let implicants = self.dnfs[id.0 as usize]
-            .iter()
-            .map(|&imp| self.implicants[imp.0 as usize].iter().map(|&atom| atom as usize).collect())
+        let implicants = self
+            .members(id)
+            .map(|imp| self.atoms(imp).iter().map(|&atom| atom as usize).collect())
             .collect();
         Dnf::from_implicants_unchecked(implicants)
     }
@@ -350,14 +496,14 @@ impl ConditionStore {
     /// `words`).
     fn implicant_bits(&self, imp: ImplicantId, out: &mut [u64]) {
         out.fill(0);
-        for &atom in &self.implicants[imp.0 as usize] {
+        for &atom in self.atoms(imp) {
             out[(atom / 64) as usize] |= 1u64 << (atom % 64);
         }
     }
 
-    /// The sorted atom list behind a bitset row.
-    fn atoms_of_bits(bits: &[u64]) -> Box<[u32]> {
-        let mut atoms = Vec::new();
+    /// Writes the sorted atom list behind a bitset row into `atoms`.
+    fn atoms_of_bits(bits: &[u64], atoms: &mut Vec<u32>) {
+        atoms.clear();
         for (w, &word) in bits.iter().enumerate() {
             let mut rest = word;
             while rest != 0 {
@@ -366,17 +512,14 @@ impl ConditionStore {
                 rest &= rest - 1;
             }
         }
-        atoms.into()
     }
 
-    /// The members of `id` sorted by ascending atom-set size (then id):
-    /// feeding products and disjunctions shortest-first makes absorption
-    /// maximally eager.  The minimal DNF is unique, so processing order can
-    /// never change a result — only how much transient work a builder holds.
-    fn by_len(&self, id: DnfId) -> Vec<ImplicantId> {
-        let mut members = self.dnfs[id.0 as usize].to_vec();
-        members.sort_by_key(|&imp| (self.implicants[imp.0 as usize].len(), imp));
-        members
+    /// Sorts `members` by ascending atom-set size (then id): feeding
+    /// products and disjunctions shortest-first makes absorption maximally
+    /// eager.  The minimal DNF is unique, so processing order can never
+    /// change a result — only how much transient work a builder holds.
+    fn sort_by_len(&self, members: &mut [ImplicantId]) {
+        members.sort_by_key(|&imp| (self.atoms(imp).len(), imp));
     }
 
     /// Disjunction of two interned conditions.  Infallible in the budget
@@ -398,18 +541,25 @@ impl ConditionStore {
             return hit;
         }
         self.stats.memo_misses += 1;
-        let mut candidates = self.by_len(a);
-        candidates.extend(self.by_len(b));
-        candidates.sort_by_key(|&imp| (self.implicants[imp.0 as usize].len(), imp));
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch { rows: candidates, bits, tagged: builder, members, .. } = &mut scratch;
+        candidates.clear();
+        candidates.extend(self.members(a));
+        candidates.extend(self.members(b));
+        self.sort_by_len(candidates);
         candidates.dedup();
         let words = self.bit_words();
-        let mut builder = BitAntichain::new(words);
-        let mut bits = vec![0u64; words];
-        for &imp in &candidates {
-            self.implicant_bits(imp, &mut bits);
-            builder.offer(&bits, imp);
+        builder.reset(words);
+        bits.clear();
+        bits.resize(words, 0);
+        for &imp in candidates.iter() {
+            self.implicant_bits(imp, bits);
+            builder.offer(bits, imp);
         }
-        let result = self.intern_antichain(builder.tags);
+        members.clear();
+        members.extend(builder.tags.iter().map(|imp| imp.0));
+        let result = self.intern_antichain(members);
+        self.scratch = scratch;
         self.or_memo.insert(key, result);
         result
     }
@@ -454,20 +604,53 @@ impl ConditionStore {
             return Some(hit);
         }
         self.stats.memo_misses += 1;
-        let (rows, cols) = if self.width(a) >= self.width(b) {
-            (self.by_len(a), self.by_len(b))
-        } else {
-            (self.by_len(b), self.by_len(a))
-        };
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.product(a, b, budget, &mut scratch);
+        self.scratch = scratch;
+        let result = result?;
+        self.and_memo.insert(key, result);
+        Some(result)
+    }
+
+    /// The body of [`ConditionStore::and`], in the store's reused buffers.
+    fn product(
+        &mut self,
+        a: DnfId,
+        b: DnfId,
+        budget: &DnfBudget,
+        scratch: &mut Scratch,
+    ) -> Option<DnfId> {
+        let Scratch {
+            rows,
+            cols,
+            col_bits,
+            row_bits,
+            bits,
+            builder,
+            residuals,
+            members,
+            atoms,
+            ..
+        } = scratch;
+        let (wide, narrow) = if self.width(a) >= self.width(b) { (a, b) } else { (b, a) };
+        rows.clear();
+        rows.extend(self.members(wide));
+        self.sort_by_len(rows);
+        cols.clear();
+        cols.extend(self.members(narrow));
+        self.sort_by_len(cols);
         let words = self.bit_words();
-        let mut col_bits = vec![0u64; words * cols.len()];
+        col_bits.clear();
+        col_bits.resize(words * cols.len(), 0);
         for (c, &ib) in cols.iter().enumerate() {
             self.implicant_bits(ib, &mut col_bits[c * words..(c + 1) * words]);
         }
-        let mut builder = BitAntichain::new(words);
-        let mut residuals = BitAntichain::new(words);
-        let mut row_bits = vec![0u64; words];
-        let mut scratch = vec![0u64; words];
+        builder.reset(words);
+        residuals.reset(words);
+        row_bits.clear();
+        row_bits.resize(words, 0);
+        bits.clear();
+        bits.resize(words, 0);
         'rows: for (row, &ia) in rows.iter().enumerate() {
             // Nothing is interned until the survivors are known, so the
             // budget cannot trip mid-product — but a deadline/cancellation
@@ -476,9 +659,9 @@ impl ConditionStore {
             if row % 64 == 0 && budget.poll_interrupts() {
                 return None;
             }
-            self.implicant_bits(ia, &mut row_bits);
+            self.implicant_bits(ia, row_bits);
             // A member already ⊆ ia subsumes every union of this row.
-            if builder.contains_subset_of(&row_bits) {
+            if builder.contains_subset_of(row_bits) {
                 continue;
             }
             // Per-row residual filter: the row's candidates are
@@ -492,30 +675,28 @@ impl ConditionStore {
             for c in 0..cols.len() {
                 let mut empty = true;
                 for (w, &col_word) in col_bits[c * words..(c + 1) * words].iter().enumerate() {
-                    scratch[w] = col_word & !row_bits[w];
-                    empty &= scratch[w] == 0;
+                    bits[w] = col_word & !row_bits[w];
+                    empty &= bits[w] == 0;
                 }
                 if empty {
-                    builder.offer(&row_bits, ());
+                    builder.offer(row_bits, ());
                     continue 'rows;
                 }
-                residuals.offer(&scratch, ());
+                residuals.offer(bits, ());
             }
             for r in 0..residuals.len() {
                 for (w, &res_word) in residuals.row(r).iter().enumerate() {
-                    scratch[w] = row_bits[w] | res_word;
+                    bits[w] = row_bits[w] | res_word;
                 }
-                builder.offer(&scratch, ());
+                builder.offer(bits, ());
             }
         }
-        let mut survivors = Vec::with_capacity(builder.len());
+        members.clear();
         for m in 0..builder.len() {
-            let atoms = Self::atoms_of_bits(builder.row(m));
-            survivors.push(self.intern_implicant(atoms, budget)?);
+            Self::atoms_of_bits(builder.row(m), atoms);
+            members.push(self.intern_implicant(atoms, budget)?.0);
         }
-        let result = self.intern_antichain(survivors);
-        self.and_memo.insert(key, result);
-        Some(result)
+        Some(self.intern_antichain(members))
     }
 
     /// Conjunction of a slice of interned conditions, folded in order (the
@@ -551,6 +732,7 @@ impl ConditionStore {
 /// implicants of the condition fixpoint this probe is an order of magnitude
 /// faster than an inverted-index hit count, whose per-atom posting lists grow
 /// with exactly the density that makes the probe hot.
+#[derive(Debug)]
 struct BitAntichain<T> {
     words: usize,
     /// Flattened live member rows: member `m` occupies
@@ -560,9 +742,18 @@ struct BitAntichain<T> {
     tags: Vec<T>,
 }
 
+impl<T> Default for BitAntichain<T> {
+    fn default() -> BitAntichain<T> {
+        BitAntichain { words: 1, rows: Vec::new(), tags: Vec::new() }
+    }
+}
+
 impl<T> BitAntichain<T> {
-    fn new(words: usize) -> BitAntichain<T> {
-        BitAntichain { words: words.max(1), rows: Vec::new(), tags: Vec::new() }
+    /// Empties the builder for rows of `words` words, keeping its
+    /// allocations.
+    fn reset(&mut self, words: usize) {
+        self.words = words.max(1);
+        self.clear();
     }
 
     /// Number of live members.
@@ -660,9 +851,8 @@ impl<'s> DnfRef<'s> {
 
     /// The implicants, each as a sorted slice of edge atoms.
     pub fn implicants(&self) -> impl Iterator<Item = &'s [u32]> + '_ {
-        self.store.dnfs[self.id.0 as usize]
-            .iter()
-            .map(move |&imp| &*self.store.implicants[imp.0 as usize])
+        let store = self.store;
+        store.members(self.id).map(move |imp| store.atoms(imp))
     }
 
     /// Evaluates the condition under an assignment of atoms to Booleans.

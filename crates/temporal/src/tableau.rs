@@ -27,9 +27,22 @@
 //! is `BTreeSet<Ltl>` order, the traversal, the node ids and the edge ids are
 //! exactly those of an expansion over the formulas themselves (a
 //! `#[cfg(test)]` reference builder pins this).  `Ltl` values are
-//! materialised only where the API hands them out: the eventualities at
-//! construction, and the labels and [`Edge`]s once, on first use of the
-//! accessors that return them, which the decision procedures never call.
+//! materialised only where the API hands them out: the eventualities, the
+//! labels and the [`Edge`]s, each once, on first use of the accessors that
+//! return them, which the decision procedures never call.
+//!
+//! # Storage
+//!
+//! A graph's tables are a few flat buffers, built without per-item
+//! allocations: node labels and edge annotations are fixed-width bitsets
+//! concatenated in one buffer each, found through open-addressing tables of
+//! ids; the distinct literal conjunctions are spans of one `Literal` pool;
+//! the eventuality index, the predecessor lists and the strongly connected
+//! components are compressed rows.  The buffers are sized up front from the
+//! closure and from the largest tableaux the benchmark workload builds, so a
+//! typical build does not regrow them.  The tables sit behind one `Arc`, so
+//! cloning a graph (the explicit condition artifact takes its graph by
+//! value) copies none of them.
 //!
 //! # One sequential pass
 //!
@@ -64,10 +77,12 @@
 //! traced run of each encoding on a 2-vCPU VM read `tableau.build_us` 48.9 →
 //! 21.0 µs and `tableau.busy_ms` 15.5 → 2.8 ms.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
+use crate::algorithm_b::Sccs;
 use crate::dnf::store::StoreMap;
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget};
 use crate::syntax::{Atom, Literal, Ltl};
@@ -104,8 +119,16 @@ pub struct Edge {
 /// ids, the literals and the derived indices and never pay for it.
 #[derive(Clone, Debug)]
 pub struct TableauGraph {
-    /// The closure the ids index, shared by clones.
-    closure: Arc<Closure>,
+    /// The graph's tables, shared by clones: cloning a graph (the explicit
+    /// condition artifact takes its graph by value) copies none of them.
+    data: Arc<GraphData>,
+}
+
+/// The tables of a [`TableauGraph`].
+#[derive(Debug)]
+struct GraphData {
+    /// The closure the ids index.
+    closure: Closure,
     /// Node labels as closure bitsets, `closure.words` each.
     labels: Vec<u64>,
     /// Source and target of each edge.  A node's edges are contiguous and
@@ -114,9 +137,11 @@ pub struct TableauGraph {
     /// The distinct edge annotations, `ANNOTATION × closure.words` each;
     /// [`EventualityIndex::annotation`] names each edge's.
     annotations: Vec<u64>,
-    /// The distinct literal conjunctions, and each annotation's index
-    /// into them.
-    literal_sets: Vec<Vec<Literal>>,
+    /// The distinct literal conjunctions, concatenated: conjunction `c` is
+    /// `literals[literal_starts[c]..literal_starts[c + 1]]`.  Each
+    /// annotation names its conjunction in `annotation_literals`.
+    literals: Vec<Literal>,
+    literal_starts: Vec<u32>,
     annotation_literals: Vec<u32>,
     /// The edges leaving node `n` are `edge_ids[starts[n]..starts[n + 1]]`,
     /// where `edge_ids[e] == e`.
@@ -127,11 +152,13 @@ pub struct TableauGraph {
     plan: SweepPlan,
     /// The `Ltl` labels and edges, once materialised.
     materialised: OnceLock<(Vec<BTreeSet<Ltl>>, Vec<Edge>)>,
+    /// The eventualities as formulas, once materialised.
+    eventualities: OnceLock<Vec<Ltl>>,
 }
 
 /// Per-graph eventuality index, derived once at the end of construction:
-/// the distinct eventualities of the graph in ascending order, plus
-/// CSR-packed lists of the indices each edge mentions (`eventualities`) and
+/// the closure ids of the graph's distinct eventualities in ascending order,
+/// plus CSR-packed lists of the indices each edge mentions (`mentions`) and
 /// fulfills (`fulfilled`).  Edges with the same annotation share one row.
 /// Algorithm B's fixpoint engines and the Boolean projection consult it
 /// instead of re-deriving the union and re-probing the per-edge
@@ -139,8 +166,9 @@ pub struct TableauGraph {
 /// whole evaluator calls — on every run over the same graph.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EventualityIndex {
-    /// The distinct eventualities, ascending in `Ltl`'s order.
-    pub(crate) all: Vec<Ltl>,
+    /// The closure ids of the distinct eventualities, ascending (so in
+    /// `Ltl`'s order); [`TableauGraph::eventualities`] materialises them.
+    ids: Vec<u32>,
     /// Each edge's annotation: its row below, and its index into the
     /// graph's annotations.
     annotation: Vec<u32>,
@@ -168,17 +196,17 @@ impl EventualityIndex {
         // Closure ids ascend in `Ltl`'s order, so `all` comes out ascending
         // and so does every CSR row.
         let mut position = vec![u32::MAX; closure.len()];
-        let all = ids(&union)
-            .enumerate()
-            .map(|(ei, id)| {
-                position[id as usize] = ei as u32;
-                closure.formula(id)
-            })
-            .collect();
-        let mut mentions = Vec::new();
-        let mut mentions_starts = vec![0];
-        let mut fulfilled = Vec::new();
-        let mut fulfilled_starts = vec![0];
+        let all: Vec<u32> = ids(&union).collect();
+        for (ei, &id) in all.iter().enumerate() {
+            position[id as usize] = ei as u32;
+        }
+        let rows = annotations.len();
+        let mut mentions = Vec::with_capacity(rows * all.len());
+        let mut mentions_starts = Vec::with_capacity(rows + 1);
+        mentions_starts.push(0);
+        let mut fulfilled = Vec::with_capacity(rows * all.len());
+        let mut fulfilled_starts = Vec::with_capacity(rows + 1);
+        fulfilled_starts.push(0);
         for a in 0..annotations.len() {
             let key = annotations.key(a);
             mentions.extend(ids(closure.slot(key, PROMISED)).map(|id| position[id as usize]));
@@ -190,10 +218,22 @@ impl EventualityIndex {
             );
             fulfilled_starts.push(fulfilled.len() as u32);
         }
-        EventualityIndex { all, annotation, mentions, mentions_starts, fulfilled, fulfilled_starts }
+        EventualityIndex {
+            ids: all,
+            annotation,
+            mentions,
+            mentions_starts,
+            fulfilled,
+            fulfilled_starts,
+        }
     }
 
-    /// Ascending indices (into [`EventualityIndex::all`]) of the
+    /// The number of distinct eventualities.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Ascending indices (into [`TableauGraph::eventualities`]) of the
     /// eventualities edge `eid` mentions.
     pub(crate) fn mentions(&self, eid: EdgeId) -> &[u32] {
         let a = self.annotation[eid] as usize;
@@ -222,15 +262,15 @@ impl EventualityIndex {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SweepPlan {
     /// Strongly connected components, reverse-topological (every edge leaves
-    /// a component listed no earlier than its target's).
-    pub(crate) sccs: Vec<Vec<NodeId>>,
+    /// a component listed no earlier than its target's), in one flat buffer.
+    pub(crate) sccs: Sccs,
     /// Row `m`: the nodes whose equations read the values at `m`,
     /// ascending.
     preds: Csr,
     /// Target node of each edge.
     pub(crate) targets: Vec<u32>,
     /// `unfulfilled[eid * ne + ei]`: edge `eid` does not fulfill eventuality
-    /// `ei` (an index into [`EventualityIndex::all`]).
+    /// `ei` (an index into [`TableauGraph::eventualities`]).
     pub(crate) unfulfilled: Vec<bool>,
 }
 
@@ -240,12 +280,12 @@ impl SweepPlan {
         let sccs = crate::algorithm_b::strongly_connected_components(graph);
         // Edges come grouped by ascending source, so every row comes out
         // ascending.
-        let preds = Csr::group(n, graph.ends.iter().map(|&(from, to)| (to, from as u32)));
-        let ne = graph.ev_index.all.len();
-        let targets = graph.ends.iter().map(|&(_, to)| to as u32).collect();
+        let preds = Csr::group(n, graph.data.ends.iter().map(|&(from, to)| (to, from as u32)));
+        let ne = graph.data.ev_index.len();
+        let targets = graph.data.ends.iter().map(|&(_, to)| to as u32).collect();
         let mut unfulfilled = vec![true; graph.edge_count() * ne];
         for eid in 0..graph.edge_count() {
-            for &ei in graph.ev_index.fulfilled(eid) {
+            for &ei in graph.data.ev_index.fulfilled(eid) {
                 unfulfilled[eid * ne + ei as usize] = false;
             }
         }
@@ -277,17 +317,30 @@ enum Kind {
 }
 
 /// The formulas of one build, hash-consed bottom-up into a DAG of
-/// [`Kind`]s: structurally equal formulas share one term id.
-#[derive(Debug, Default)]
-struct Terms {
+/// [`Kind`]s: structurally equal formulas share one term id.  The atoms are
+/// owned by a build (`A = Atom`) and borrowed by [`closure_profile`].
+#[derive(Debug)]
+struct Terms<A = Atom> {
     /// The distinct atoms of the root formula, ascending.
-    atoms: Vec<Atom>,
+    atoms: Vec<A>,
     /// Each term's connective, by term id.
     kinds: Vec<Kind>,
     index: StoreMap<Kind, u32>,
 }
 
-impl Terms {
+impl<A: Borrow<Atom>> Terms<A> {
+    /// Terms over the sorted distinct `atoms` of `root`, with room for
+    /// about twice its subformulas: the rules add at most a negation or a
+    /// dual per connective.
+    fn with_atoms(atoms: Vec<A>, root: &Ltl) -> Terms<A> {
+        let capacity = 2 * root.size();
+        Terms {
+            atoms,
+            kinds: Vec::with_capacity(capacity),
+            index: StoreMap::with_capacity_and_hasher(capacity, Default::default()),
+        }
+    }
+
     /// The id of the term `kind`, interned on first sight.
     fn make(&mut self, kind: Kind) -> u32 {
         *self.index.entry(kind).or_insert_with(|| {
@@ -302,7 +355,9 @@ impl Terms {
             Ltl::True => Kind::True,
             Ltl::False => Kind::False,
             Ltl::Atom(atom) => Kind::Atom(
-                self.atoms.binary_search(atom).expect("atoms are collected from the root") as u32,
+                self.atoms
+                    .binary_search_by(|known| known.borrow().cmp(atom))
+                    .expect("atoms are collected from the root") as u32,
             ),
             Ltl::Not(a) => Kind::Not(self.intern(a)),
             Ltl::And(a, b) => Kind::And(self.intern(a), self.intern(b)),
@@ -387,7 +442,9 @@ impl Terms {
             (x, y) => x.cmp(&y),
         }
     }
+}
 
+impl Terms {
     /// The formula term `id` stands for.
     fn ltl(&self, id: u32) -> Ltl {
         let operand = |a: u32| Box::new(self.ltl(a));
@@ -523,13 +580,15 @@ impl Closure {
     fn of(root: &Ltl) -> Closure {
         let mut atoms = root.atoms();
         atoms.sort_unstable();
-        let mut terms = Terms { atoms, ..Terms::default() };
+        let mut terms = Terms::with_atoms(atoms, root);
         let root = terms.intern(root);
         // Every term the rules reach from the root, with its rule over term
         // ids.
-        let mut rules: Vec<Option<Rule>> = Vec::new();
-        let mut members = Vec::new();
-        let mut stack = vec![root];
+        let capacity = terms.kinds.capacity();
+        let mut rules: Vec<Option<Rule>> = Vec::with_capacity(capacity);
+        let mut members = Vec::with_capacity(capacity);
+        let mut stack = Vec::with_capacity(capacity);
+        stack.push(root);
         while let Some(id) = stack.pop() {
             if rules.get(id as usize).is_some_and(Option::is_some) {
                 continue;
@@ -577,22 +636,26 @@ impl Closure {
         &state[slot * self.words..(slot + 1) * self.words]
     }
 
-    /// The literals of an annotation, in `Atom` order.
-    fn literals(&self, annotation: &[u64]) -> Vec<Literal> {
-        let positive = self.slot(annotation, POSITIVE);
-        let negative = self.slot(annotation, NEGATIVE);
-        let either: Vec<u64> = positive.iter().zip(negative).map(|(p, n)| p | n).collect();
-        ids(&either)
-            .map(|id| {
+    /// Appends the literals of a conjunction (the positive and negative
+    /// slots that lead an annotation) to `out`, in `Atom` order.
+    fn literals(&self, conjunction: &[u64], out: &mut Vec<Literal>) {
+        let positive = self.slot(conjunction, POSITIVE);
+        let negative = self.slot(conjunction, NEGATIVE);
+        for (w, (&p, &n)) in positive.iter().zip(negative).enumerate() {
+            let mut rest = p | n;
+            while rest != 0 {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                let id = w as u32 * 64 + bit;
                 let Kind::Atom(atom) = self.terms.kinds[self.members[id as usize] as usize] else {
                     unreachable!("literal ids name plain atoms")
                 };
-                Literal {
+                out.push(Literal {
                     atom: self.terms.atoms[atom as usize].clone(),
-                    positive: contains(annotation, self.words, POSITIVE, id),
-                }
-            })
-            .collect()
+                    positive: p & (1 << bit) != 0,
+                });
+            }
+        }
     }
 
     /// Applies the expansion rules to the working branch until nothing is
@@ -676,11 +739,20 @@ struct Expansion {
 }
 
 impl Expansion {
-    fn new(words: usize) -> Expansion {
+    /// Buffers for a closure of `len` formulas, `words` words per bitset.
+    /// A branch expands each formula at most once, so at most `len` branch
+    /// points are deferred at a time; room is made for up to
+    /// [`DEFERRED_RESERVED`] of them, and a deeper expansion regrows.
+    fn new(words: usize, len: usize) -> Expansion {
+        let deferred = len.min(DEFERRED_RESERVED);
         Expansion {
-            pending: Vec::new(),
+            pending: Vec::with_capacity(len),
             state: vec![0; SLOTS * words],
-            deferred: Deferred::default(),
+            deferred: Deferred {
+                pending: Vec::with_capacity(len),
+                lens: Vec::with_capacity(deferred),
+                states: Vec::with_capacity(deferred * SLOTS * words),
+            },
             fresh: false,
         }
     }
@@ -763,6 +835,15 @@ impl Deferred {
     }
 }
 
+/// Nodes and edges a build makes room for up front: the tableaux of the
+/// hard `[ => α ] []β` family reach 33 nodes and 410 edges, and a build that
+/// outgrows the room regrows as usual.
+const NODES_RESERVED: usize = 64;
+const EDGES_RESERVED: usize = 512;
+/// Deferred branches an expansion makes room for up front, so a large
+/// closure does not reserve room for a branch per formula.
+const DEFERRED_RESERVED: usize = 32;
+
 /// Fixed-width bitsets interned to dense ids, in first-seen order: the
 /// keys in one flat buffer, found through an open-addressing table of
 /// `id + 1` (0 marks a free slot) kept at most half full.  The keys are
@@ -777,8 +858,10 @@ struct Interner {
 }
 
 impl Interner {
-    fn new(width: usize) -> Interner {
-        Interner { width, keys: Vec::new(), len: 0, table: vec![0; 64] }
+    /// An interner of keys `width` words wide with room for `keys` keys.
+    fn new(width: usize, keys: usize) -> Interner {
+        let table = vec![0; (2 * keys).next_power_of_two()];
+        Interner { width, keys: Vec::with_capacity(keys * width), len: 0, table }
     }
 
     /// The id of `key`, interned on first sight.
@@ -858,16 +941,17 @@ impl TableauGraph {
     ) -> Result<TableauGraph, Exhaustion> {
         let closure = Closure::of(formula);
         let words = closure.words;
-        let mut labels = Interner::new(words);
-        let mut annotations = Interner::new(ANNOTATION * words);
-        let mut ends: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut annotation: Vec<u32> = Vec::new();
-        let mut starts = vec![0];
+        let mut labels = Interner::new(words, NODES_RESERVED);
+        let mut annotations = Interner::new(ANNOTATION * words, EDGES_RESERVED / 2);
+        let mut ends: Vec<(NodeId, NodeId)> = Vec::with_capacity(EDGES_RESERVED);
+        let mut annotation: Vec<u32> = Vec::with_capacity(EDGES_RESERVED);
+        let mut starts = Vec::with_capacity(NODES_RESERVED + 1);
+        starts.push(0);
         let mut root = vec![0u64; words];
         insert(&mut root, words, 0, closure.root);
         let initial = labels.intern(&root) as NodeId;
 
-        let mut expansion = Expansion::new(words);
+        let mut expansion = Expansion::new(words, closure.len());
         // A BFS level is the run of nodes interned while the previous level
         // was expanded; `level_edges` is the edge count at its start.
         let (mut level_end, mut level_edges) = (0, 0);
@@ -910,54 +994,59 @@ impl TableauGraph {
         }
         // Each distinct literal conjunction is materialised once; the
         // positive and negative slots lead an annotation and together key it.
-        let mut conjunctions = Interner::new((NEGATIVE + 1) * words);
-        let mut literal_sets = Vec::new();
+        let mut conjunctions = Interner::new((NEGATIVE + 1) * words, annotations.len());
         let annotation_literals = (0..annotations.len())
-            .map(|a| {
-                let key = annotations.key(a);
-                let id = conjunctions.intern(&key[..(NEGATIVE + 1) * words]);
-                if id as usize == literal_sets.len() {
-                    literal_sets.push(closure.literals(key));
-                }
-                id
-            })
+            .map(|a| conjunctions.intern(&annotations.key(a)[..(NEGATIVE + 1) * words]))
             .collect();
+        let mut literals = Vec::with_capacity(conjunctions.len() * closure.terms.atoms.len());
+        let mut literal_starts = Vec::with_capacity(conjunctions.len() + 1);
+        literal_starts.push(0);
+        for c in 0..conjunctions.len() {
+            closure.literals(conjunctions.key(c), &mut literals);
+            literal_starts.push(literals.len() as u32);
+        }
         let mut graph = TableauGraph {
-            ev_index: EventualityIndex::build(&closure, &annotations, annotation),
-            closure: Arc::new(closure),
-            labels: labels.keys,
-            edge_ids: (0..ends.len()).collect(),
-            ends,
-            annotations: annotations.keys,
-            literal_sets,
-            annotation_literals,
-            starts,
-            initial,
-            plan: SweepPlan::default(),
-            materialised: OnceLock::new(),
+            data: Arc::new(GraphData {
+                ev_index: EventualityIndex::build(&closure, &annotations, annotation),
+                closure,
+                labels: labels.keys,
+                edge_ids: (0..ends.len()).collect(),
+                ends,
+                annotations: annotations.keys,
+                literals,
+                literal_starts,
+                annotation_literals,
+                starts,
+                initial,
+                plan: SweepPlan::default(),
+                materialised: OnceLock::new(),
+                eventualities: OnceLock::new(),
+            }),
         };
-        graph.plan = SweepPlan::build(&graph);
+        let plan = SweepPlan::build(&graph);
+        Arc::get_mut(&mut graph.data).expect("a graph under construction is unshared").plan = plan;
         Ok(graph)
     }
 
     /// The `Ltl` labels and edges, materialised from the ids on first use.
     fn materialised(&self) -> &(Vec<BTreeSet<Ltl>>, Vec<Edge>) {
-        self.materialised.get_or_init(|| {
-            let closure = &*self.closure;
+        self.data.materialised.get_or_init(|| {
+            let closure = &self.data.closure;
             let formulas: Vec<Ltl> =
                 (0..closure.len() as u32).map(|id| closure.formula(id)).collect();
             let set = |bits: &[u64]| -> BTreeSet<Ltl> {
                 ids(bits).map(|id| formulas[id as usize].clone()).collect()
             };
-            let labels = self.labels.chunks_exact(closure.words).map(set).collect();
+            let labels = self.data.labels.chunks_exact(closure.words).map(set).collect();
             let edges = self
+                .data
                 .ends
                 .iter()
                 .enumerate()
                 .map(|(eid, &(from, to))| {
-                    let a = self.ev_index.annotation[eid] as usize;
+                    let a = self.data.ev_index.annotation[eid] as usize;
                     let stride = ANNOTATION * closure.words;
-                    let annotation = &self.annotations[a * stride..(a + 1) * stride];
+                    let annotation = &self.data.annotations[a * stride..(a + 1) * stride];
                     Edge {
                         from,
                         to,
@@ -974,38 +1063,43 @@ impl TableauGraph {
     /// The conjunction of literals labelling edge `eid` (its
     /// [`Edge::literals`], without materialising the edge).
     pub(crate) fn literals(&self, eid: EdgeId) -> &[Literal] {
-        &self.literal_sets[self.literal_set(eid)]
+        let c = self.literal_set(eid);
+        &self.data.literals
+            [self.data.literal_starts[c] as usize..self.data.literal_starts[c + 1] as usize]
     }
 
     /// The distinct literal conjunctions labelling the edges.
-    pub(crate) fn literal_sets(&self) -> &[Vec<Literal>] {
-        &self.literal_sets
+    pub(crate) fn literal_sets(&self) -> impl ExactSizeIterator<Item = &[Literal]> {
+        self.data
+            .literal_starts
+            .windows(2)
+            .map(|span| &self.data.literals[span[0] as usize..span[1] as usize])
     }
 
     /// The index into [`TableauGraph::literal_sets`] of edge `eid`'s
     /// conjunction.
     pub(crate) fn literal_set(&self, eid: EdgeId) -> usize {
-        self.annotation_literals[self.ev_index.annotation[eid] as usize] as usize
+        self.data.annotation_literals[self.data.ev_index.annotation[eid] as usize] as usize
     }
 
     /// The target node of edge `eid` (its [`Edge::to`]).
     pub(crate) fn target(&self, eid: EdgeId) -> NodeId {
-        self.ends[eid].1
+        self.data.ends[eid].1
     }
 
     /// The initial node.
     pub fn initial(&self) -> NodeId {
-        self.initial
+        self.data.initial
     }
 
     /// The number of nodes.
     pub fn node_count(&self) -> usize {
-        self.starts.len() - 1
+        self.data.starts.len() - 1
     }
 
     /// The number of edges.
     pub fn edge_count(&self) -> usize {
-        self.ends.len()
+        self.data.ends.len()
     }
 
     /// The label set of a node.
@@ -1025,23 +1119,25 @@ impl TableauGraph {
 
     /// Ids of the edges leaving `node`, ascending.
     pub fn outgoing(&self, node: NodeId) -> &[EdgeId] {
-        &self.edge_ids[self.starts[node]..self.starts[node + 1]]
+        &self.data.edge_ids[self.data.starts[node]..self.data.starts[node + 1]]
     }
 
     /// The distinct eventualities occurring on any edge, ascending in
-    /// `Ltl`'s order (cached at construction).
+    /// `Ltl`'s order (materialised on first use, like the labels).
     pub fn eventualities(&self) -> &[Ltl] {
-        &self.ev_index.all
+        self.data.eventualities.get_or_init(|| {
+            self.data.ev_index.ids.iter().map(|&id| self.data.closure.formula(id)).collect()
+        })
     }
 
     /// The per-graph eventuality index (see [`EventualityIndex`]).
     pub(crate) fn eventuality_index(&self) -> &EventualityIndex {
-        &self.ev_index
+        &self.data.ev_index
     }
 
     /// The per-graph fixpoint plan of the semi-naive worklist engines.
     pub(crate) fn sweep_plan(&self) -> &SweepPlan {
-        &self.plan
+        &self.data.plan
     }
 }
 
@@ -1072,56 +1168,87 @@ pub struct ClosureProfile {
 /// The component set follows the expansion rules: `◦a` inserts `a` (or `¬a`
 /// under negation), `□a` re-inserts itself, `◇a`/`U(p, q)`/`¬U(p, q)` insert
 /// their deferred forms, and negations of `□`/`◇` insert the pushed-in dual.
+/// The components are counted as hash-consed term ids over the formula's
+/// borrowed atoms, so structurally equal components are one id and no
+/// formula is cloned; each subformula is walked once per polarity.
 pub fn closure_profile(formula: &Ltl) -> ClosureProfile {
-    fn components(f: &Ltl, positive: bool, out: &mut BTreeSet<Ltl>) {
-        match f {
-            Ltl::True | Ltl::False | Ltl::Atom(_) => {}
-            Ltl::Not(a) => components(a, !positive, out),
-            Ltl::And(a, b) | Ltl::Or(a, b) => {
-                components(a, positive, out);
-                components(b, positive, out);
+    fn components(
+        terms: &mut Terms<&Atom>,
+        id: u32,
+        positive: bool,
+        walked: &mut Vec<u8>,
+        out: &mut Vec<u32>,
+    ) {
+        let polarity = if positive { 1 } else { 2 };
+        if walked[id as usize] & polarity != 0 {
+            return;
+        }
+        walked[id as usize] |= polarity;
+        match terms.kinds[id as usize] {
+            Kind::True | Kind::False | Kind::Atom(_) => {}
+            Kind::Not(a) => components(terms, a, !positive, walked, out),
+            Kind::And(a, b) | Kind::Or(a, b) => {
+                components(terms, a, positive, walked, out);
+                components(terms, b, positive, walked, out);
             }
-            Ltl::Next(a) => {
-                out.insert(if positive { (**a).clone() } else { (**a).clone().not() });
-                components(a, positive, out);
+            Kind::Next(a) => {
+                out.push(if positive { a } else { terms.not(a) });
+                components(terms, a, positive, walked, out);
             }
-            Ltl::Always(a) => {
-                if positive {
-                    out.insert(f.clone());
+            Kind::Always(a) | Kind::Eventually(a) => {
+                out.push(if positive {
+                    id
                 } else {
-                    // ¬□a expands as ◇¬a, which defers itself.
-                    out.insert((**a).clone().not().eventually());
-                }
-                components(a, positive, out);
-                components(a, !positive, out);
+                    // ¬□a expands as ◇¬a and ¬◇a as □¬a, each deferring
+                    // itself.
+                    let not_a = terms.not(a);
+                    let dual = match terms.kinds[id as usize] {
+                        Kind::Always(_) => Kind::Eventually(not_a),
+                        _ => Kind::Always(not_a),
+                    };
+                    terms.make(dual)
+                });
+                components(terms, a, positive, walked, out);
+                components(terms, a, !positive, walked, out);
             }
-            Ltl::Eventually(a) => {
-                if positive {
-                    out.insert(f.clone());
-                } else {
-                    out.insert((**a).clone().not().always());
-                }
-                components(a, positive, out);
-                components(a, !positive, out);
-            }
-            Ltl::Until(p, q) => {
-                if positive {
-                    out.insert(f.clone());
-                } else {
-                    out.insert(f.clone().not());
-                }
+            Kind::Until(p, q) => {
+                out.push(if positive { id } else { terms.not(id) });
                 // Both polarities of both operands can surface during
                 // expansion (q now / defer, ¬q ∧ ¬p now / defer).
-                components(p, true, out);
-                components(p, false, out);
-                components(q, true, out);
-                components(q, false, out);
+                for operand in [p, q] {
+                    components(terms, operand, true, walked, out);
+                    components(terms, operand, false, walked, out);
+                }
             }
         }
     }
-    let mut out = BTreeSet::new();
-    components(formula, true, &mut out);
-    ClosureProfile { components: out.len(), atoms: formula.atoms().len(), size: formula.size() }
+    fn collect_atoms<'f>(formula: &'f Ltl, out: &mut Vec<&'f Atom>) {
+        match formula {
+            Ltl::True | Ltl::False => {}
+            Ltl::Atom(atom) => out.push(atom),
+            Ltl::Not(a) | Ltl::Next(a) | Ltl::Always(a) | Ltl::Eventually(a) => {
+                collect_atoms(a, out);
+            }
+            Ltl::And(a, b) | Ltl::Or(a, b) | Ltl::Until(a, b) => {
+                collect_atoms(a, out);
+                collect_atoms(b, out);
+            }
+        }
+    }
+    let mut atoms = Vec::new();
+    collect_atoms(formula, &mut atoms);
+    atoms.sort_unstable();
+    atoms.dedup();
+    let mut terms = Terms::with_atoms(atoms, formula);
+    let root = terms.intern(formula);
+    // Only the formula's own subterms are walked, and they are interned
+    // before the walk starts.
+    let mut walked = vec![0u8; terms.kinds.len()];
+    let mut out = Vec::with_capacity(terms.kinds.len());
+    components(&mut terms, root, true, &mut walked, &mut out);
+    out.sort_unstable();
+    out.dedup();
+    ClosureProfile { components: out.len(), atoms: terms.atoms.len(), size: formula.size() }
 }
 
 /// The result of the `Iter` deletion loop.
@@ -1177,17 +1304,18 @@ pub fn prune_budgeted(
 ) -> Result<Pruned, Exhaustion> {
     let index = graph.eventuality_index();
     let mut node_alive = vec![true; graph.node_count()];
-    let sets = graph.literal_sets();
-    let satisfiable: Vec<bool> =
-        sets.iter().map(|set| theory.satisfiable(set) == TheoryResult::Satisfiable).collect();
+    let satisfiable: Vec<bool> = graph
+        .literal_sets()
+        .map(|set| theory.satisfiable(set) == TheoryResult::Satisfiable)
+        .collect();
     let mut edge_alive: Vec<bool> =
         (0..graph.edge_count()).map(|eid| satisfiable[graph.literal_set(eid)]).collect();
     // Each node's incoming edges and each eventuality's fulfilling edges,
     // live or not; the reachability passes skip the dead ones.
-    let edges = graph.ends.iter().enumerate();
+    let edges = graph.data.ends.iter().enumerate();
     let incoming = Csr::group(graph.node_count(), edges.map(|(eid, &(_, to))| (to, eid as u32)));
     let fulfilling = Csr::group(
-        index.all.len(),
+        index.len(),
         (0..graph.edge_count())
             .flat_map(|eid| index.fulfilled(eid).iter().map(move |&ei| (ei as usize, eid as u32))),
     );
@@ -1200,13 +1328,13 @@ pub fn prune_budgeted(
         let mut changed = false;
 
         // Delete edges whose eventualities can no longer be satisfied.
-        let reach: Vec<Vec<bool>> = (0..index.all.len())
+        let reach: Vec<Vec<bool>> = (0..index.len())
             .map(|ei| {
                 let seeds = fulfilling.row(ei);
                 reachable_to_fulfilling(graph, &node_alive, &edge_alive, &incoming, seeds)
             })
             .collect();
-        for (id, &(_, to)) in graph.ends.iter().enumerate() {
+        for (id, &(_, to)) in graph.data.ends.iter().enumerate() {
             if edge_alive[id] && index.mentions(id).iter().any(|&ei| !reach[ei as usize][to]) {
                 edge_alive[id] = false;
                 changed = true;
@@ -1214,7 +1342,7 @@ pub fn prune_budgeted(
         }
 
         // Delete edges leading to or from dead nodes, and nodes with no live outgoing edge.
-        for (id, &(from, to)) in graph.ends.iter().enumerate() {
+        for (id, &(from, to)) in graph.data.ends.iter().enumerate() {
             if edge_alive[id] && (!node_alive[from] || !node_alive[to]) {
                 edge_alive[id] = false;
                 changed = true;
@@ -1253,11 +1381,14 @@ impl Csr {
             starts[row + 1] += starts[row];
         }
         let mut items = vec![0; starts[rows] as usize];
-        let mut cursor = starts.clone();
+        // Each row's start serves as its cursor, ending at the next row's
+        // start; shifting the starts up one row restores them.
         for (row, item) in pairs {
-            items[cursor[row] as usize] = item;
-            cursor[row] += 1;
+            items[starts[row] as usize] = item;
+            starts[row] += 1;
         }
+        starts.copy_within(..rows, 1);
+        starts[0] = 0;
         Csr { starts, items }
     }
 
@@ -1279,7 +1410,7 @@ fn reachable_to_fulfilling(
     let mut reach = vec![false; graph.node_count()];
     let mut queue: VecDeque<NodeId> = VecDeque::new();
     let mut visit = |eid: u32, queue: &mut VecDeque<NodeId>| {
-        let from = graph.ends[eid as usize].0;
+        let from = graph.data.ends[eid as usize].0;
         if edge_alive[eid as usize] && node_alive[from] && !reach[from] {
             reach[from] = true;
             queue.push_back(from);
@@ -1340,6 +1471,61 @@ mod reference {
     use super::{Edge, NodeId, Rule};
     use crate::pool::{Exhaustion, ResourceBudget};
     use crate::syntax::{Atom, Literal, Ltl};
+
+    /// The closure profile the hash-consed one replaced: the components
+    /// as cloned formulas in a `BTreeSet`, every occurrence walked.
+    pub(super) fn closure_profile(formula: &Ltl) -> super::ClosureProfile {
+        fn components(f: &Ltl, positive: bool, out: &mut BTreeSet<Ltl>) {
+            match f {
+                Ltl::True | Ltl::False | Ltl::Atom(_) => {}
+                Ltl::Not(a) => components(a, !positive, out),
+                Ltl::And(a, b) | Ltl::Or(a, b) => {
+                    components(a, positive, out);
+                    components(b, positive, out);
+                }
+                Ltl::Next(a) => {
+                    out.insert(if positive { (**a).clone() } else { (**a).clone().not() });
+                    components(a, positive, out);
+                }
+                Ltl::Always(a) => {
+                    if positive {
+                        out.insert(f.clone());
+                    } else {
+                        out.insert((**a).clone().not().eventually());
+                    }
+                    components(a, positive, out);
+                    components(a, !positive, out);
+                }
+                Ltl::Eventually(a) => {
+                    if positive {
+                        out.insert(f.clone());
+                    } else {
+                        out.insert((**a).clone().not().always());
+                    }
+                    components(a, positive, out);
+                    components(a, !positive, out);
+                }
+                Ltl::Until(p, q) => {
+                    if positive {
+                        out.insert(f.clone());
+                    } else {
+                        out.insert(f.clone().not());
+                    }
+                    components(p, true, out);
+                    components(p, false, out);
+                    components(q, true, out);
+                    components(q, false, out);
+                }
+            }
+        }
+        let mut out = BTreeSet::new();
+        components(formula, true, &mut out);
+        super::ClosureProfile {
+            components: out.len(),
+            atoms: formula.atoms().len(),
+            size: formula.size(),
+        }
+    }
 
     /// The expansion closure of a formula as the formulas themselves,
     /// ascending, with each formula's rule over closure ids.
@@ -1727,8 +1913,16 @@ mod tests {
                 }
                 assert_eq!(graph.eventualities(), all, "{formula}");
                 for eid in 0..edges.len() {
-                    assert_eq!(graph.ev_index.mentions(eid), mentions[eid], "{formula} e{eid}");
-                    assert_eq!(graph.ev_index.fulfilled(eid), fulfilled[eid], "{formula} e{eid}");
+                    assert_eq!(
+                        graph.data.ev_index.mentions(eid),
+                        mentions[eid],
+                        "{formula} e{eid}"
+                    );
+                    assert_eq!(
+                        graph.data.ev_index.fulfilled(eid),
+                        fulfilled[eid],
+                        "{formula} e{eid}"
+                    );
                 }
             }
             (expected, actual) => panic!(
@@ -1822,6 +2016,13 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The hash-consed closure profile counts what the cloning one
+        /// counted.
+        #[test]
+        fn closure_profile_matches_the_reference(formula in arb_formula()) {
+            prop_assert_eq!(closure_profile(&formula), reference::closure_profile(&formula));
         }
 
         /// Node and edge caps together name the cap the reference builder
