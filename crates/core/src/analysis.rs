@@ -445,24 +445,19 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
 /// [`Spec::check`] closes them, so the free-variable convention of
 /// specifications never trips the unbound-variable lint.
 pub fn lint_spec(spec: &Spec) -> Vec<Diagnostic> {
-    lint_spec_in(&mut FormulaArena::new(), spec)
-}
-
-/// [`lint_spec`] against a caller-supplied arena, so diagnostic paths stay
-/// resolvable (e.g. against a session's arena).
-pub fn lint_spec_in(arena: &mut FormulaArena, spec: &Spec) -> Vec<Diagnostic> {
+    let mut arena = FormulaArena::new();
     let mut out = Vec::new();
     let mut prepared = Vec::new();
     for clause in spec.clauses() {
         let closed = close_free_variables(&clause.formula);
-        let analysis = analyze(arena, &closed);
+        let analysis = analyze(&mut arena, &closed);
         for mut diagnostic in analysis.diagnostics {
             diagnostic.message = format!("clause `{}`: {}", clause.label, diagnostic.message);
             out.push(diagnostic);
         }
         prepared.push((clause.label.as_str(), clause.kind, arena.intern(&closed)));
     }
-    let mut subsumption = Subsumption { arena: &*arena, memo: HashMap::new() };
+    let mut subsumption = Subsumption { arena: &arena, memo: HashMap::new() };
     for (j, &(label_j, kind_j, id_j)) in prepared.iter().enumerate() {
         // Exact duplicates first: hash-consing makes this an id comparison.
         if let Some(&(label_i, ..)) =

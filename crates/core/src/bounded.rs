@@ -36,8 +36,8 @@
 //! A large sweep can fan out: past a head checked on the calling thread,
 //! worker `w` of `n` takes every `n`-th of the remaining blocks.  Combined
 //! with the lowest-global-index-wins cancellation of
-//! [`crate::pool::Earliest`], [`BoundedChecker::counterexample_parallel`]
-//! returns *bit-identical* verdicts to the sequential sweep: the same
+//! [`crate::pool::Earliest`], [`BoundedChecker::sweep_budgeted`] returns
+//! *bit-identical* verdicts at every worker count: the same
 //! `Option<Trace>`, the very same counterexample.
 
 use crate::arena::{
@@ -235,26 +235,19 @@ impl BoundedChecker {
         (find, evaluated)
     }
 
-    /// Searches for a computation (within the bound) that falsifies `formula`.
+    /// Searches for a computation (within the bound) that falsifies `formula`
+    /// (a satisfying computation of `φ` is a counterexample to `¬φ`).
     ///
-    /// The formula is interned into a fresh [`FormulaArena`] and swept with
-    /// the word-parallel evaluator; to amortize interning over many
-    /// queries, intern once and use
-    /// [`BoundedChecker::counterexample_interned`].
+    /// The formula is interned into a fresh [`FormulaArena`] and swept on the
+    /// calling thread with the word-parallel evaluator; to amortize interning
+    /// over many queries, or to fan out or budget the sweep, intern once and
+    /// call [`BoundedChecker::sweep_budgeted`].
     pub fn counterexample(&self, formula: &Formula) -> Option<Trace> {
         let mut arena = FormulaArena::new();
         let id = arena.intern(formula);
-        self.counterexample_interned(&arena, id)
-    }
-
-    /// Searches for a counterexample to an already interned formula: the
-    /// sequential [`BoundedChecker::sweep_parallel`].
-    pub fn counterexample_interned(
-        &self,
-        arena: &FormulaArena,
-        formula: FormulaId,
-    ) -> Option<Trace> {
-        self.sweep_parallel(arena, formula, None, Parallelism::Off).counterexample.map(|(_, cx)| cx)
+        self.sweep_budgeted(&arena, id, None, Parallelism::Off, &ResourceBudget::unbounded())
+            .counterexample
+            .map(|(_, trace)| trace)
     }
 
     /// [`BoundedChecker::counterexample`] one computation at a time over the
@@ -280,16 +273,6 @@ impl BoundedChecker {
         self.counterexample(formula).is_none()
     }
 
-    /// `true` if no computation within the bound falsifies the interned formula.
-    pub fn valid_up_to_bound_interned(&self, arena: &FormulaArena, formula: FormulaId) -> bool {
-        self.counterexample_interned(arena, formula).is_none()
-    }
-
-    /// Searches for a computation (within the bound) that satisfies `formula`.
-    pub fn witness(&self, formula: &Formula) -> Option<Trace> {
-        self.counterexample(&formula.clone().not())
-    }
-
     /// The bounded sweep: checks the enumeration block by block (see the
     /// module docs) and returns the counterexample with the lowest global
     /// index.  The first few hundred computations (the head) are checked on
@@ -303,30 +286,17 @@ impl BoundedChecker {
     ///
     /// The verdict is **bit-identical** to the sequential sweep: among all
     /// counterexamples found, the one with the lowest global enumeration
-    /// index — exactly the computation [`BoundedChecker::counterexample_interned`]
-    /// would return — wins.  The statistics are the sequential sweep's too:
+    /// index — exactly the computation the sweep at [`Parallelism::Off`]
+    /// returns — wins.  The statistics are the sequential sweep's too:
     /// `traces_checked` is arithmetic (see [`ParallelSweep::traces_checked`]),
     /// and the memo counters count the blocks up to the winner's, whose
     /// passes do not depend on any other block.
-    pub fn sweep_parallel<A>(
-        &self,
-        arena: &A,
-        formula: FormulaId,
-        domain: Option<&[Value]>,
-        parallelism: Parallelism,
-    ) -> ParallelSweep
-    where
-        A: ArenaRead + Sync,
-    {
-        self.sweep_budgeted(arena, formula, domain, parallelism, &ResourceBudget::unbounded())
-    }
-
-    /// [`BoundedChecker::sweep_parallel`] under a [`ResourceBudget`]: only
-    /// computations with global enumeration index below
-    /// `budget.max_enumeration()` are examined, and the deadline/cancellation
-    /// cutoffs are polled before each block.
     ///
-    /// The enumeration cap is deterministic — the swept prefix is the same at
+    /// Only computations with global enumeration index below
+    /// `budget.max_enumeration()` are examined, and the deadline/cancellation
+    /// cutoffs are polled before each block
+    /// ([`ResourceBudget::unbounded`] sweeps the whole enumeration).  The
+    /// enumeration cap is deterministic — the swept prefix is the same at
     /// every worker count, so verdicts under it stay bit-identical to the
     /// capped sequential sweep.  When the cap truncates the enumeration (and
     /// no counterexample was found below it), [`ParallelSweep::exhausted`]
@@ -479,20 +449,6 @@ impl BoundedChecker {
             exhausted,
         }
     }
-
-    /// [`BoundedChecker::counterexample`] fanned across a worker pool; the
-    /// returned counterexample is identical to the sequential one.
-    pub fn counterexample_parallel(
-        &self,
-        arena: &FormulaArena,
-        formula: FormulaId,
-        parallelism: Parallelism,
-    ) -> Option<Trace> {
-        let snapshot = arena.snapshot();
-        self.sweep_parallel(&snapshot, formula, None, parallelism)
-            .counterexample
-            .map(|(_, trace)| trace)
-    }
 }
 
 /// The number of computations a [`BoundedChecker`] over `props` propositions
@@ -556,8 +512,7 @@ struct Coordinates {
     extension: usize,
 }
 
-/// The merged outcome of a [`BoundedChecker::sweep_parallel`] /
-/// [`BoundedChecker::sweep_budgeted`] search.
+/// The merged outcome of a [`BoundedChecker::sweep_budgeted`] search.
 #[derive(Clone, Debug)]
 pub struct ParallelSweep {
     /// The counterexample with the lowest global enumeration index, if any —
@@ -646,7 +601,7 @@ mod tests {
     fn witnesses_are_found_for_satisfiable_formulas() {
         let checker = BoundedChecker::new(["P", "Q"], 3);
         let w = checker
-            .witness(&occurs(event(prop("P"))).and(always(prop("Q").not())))
+            .counterexample(&occurs(event(prop("P"))).and(always(prop("Q").not())).not())
             .expect("satisfiable");
         let ev = Evaluator::new(&w);
         assert!(ev.check(&occurs(event(prop("P")))));
@@ -660,8 +615,9 @@ mod tests {
         let without = BoundedChecker::new(["P"], 3).without_lassos();
         let recurring_not_stable =
             always(eventually(prop("P"))).and(eventually(always(prop("P"))).not());
-        assert!(with_lassos.witness(&recurring_not_stable).is_some());
-        assert!(without.witness(&recurring_not_stable).is_none());
+        let refuted = recurring_not_stable.not();
+        assert!(with_lassos.counterexample(&refuted).is_some());
+        assert!(without.counterexample(&refuted).is_none());
     }
 
     #[test]
@@ -854,20 +810,26 @@ mod tests {
         for (checker, formula) in &cases {
             let mut arena = FormulaArena::new();
             let id = arena.intern(formula);
-            let sequential = checker.counterexample_interned(&arena, id);
+            let sequential = checker.counterexample(formula);
             let snapshot = arena.snapshot();
-            let swept = checker.sweep_parallel(&snapshot, id, None, Parallelism::Off);
+            let unbounded = ResourceBudget::unbounded();
+            let swept = checker.sweep_budgeted(&snapshot, id, None, Parallelism::Off, &unbounded);
+            assert_eq!(swept.counterexample.as_ref().map(|(_, trace)| trace), sequential.as_ref());
             for workers in 1..=4 {
-                let parallel =
-                    checker.counterexample_parallel(&arena, id, Parallelism::Fixed(workers));
+                let sharded = checker.sweep_budgeted(
+                    &snapshot,
+                    id,
+                    None,
+                    Parallelism::Fixed(workers),
+                    &unbounded,
+                );
                 assert_eq!(
-                    parallel, sequential,
+                    sharded.counterexample.as_ref().map(|(_, trace)| trace),
+                    sequential.as_ref(),
                     "parallel({workers}) and sequential verdicts differ on {formula}"
                 );
                 // The counters count the same checks as the sequential sweep,
                 // however far the workers ran past the winner.
-                let sharded =
-                    checker.sweep_parallel(&snapshot, id, None, Parallelism::Fixed(workers));
                 assert_eq!(
                     (sharded.traces_checked, sharded.memo),
                     (swept.traces_checked, swept.memo),
@@ -882,7 +844,7 @@ mod tests {
                         None,
                         WorkerPool::new(Parallelism::Fixed(workers)),
                         fan_out,
-                        &ResourceBudget::unbounded(),
+                        &unbounded,
                     );
                     assert_eq!(
                         forced.counterexample.map(|(_, trace)| trace),
@@ -942,7 +904,13 @@ mod tests {
         let id = arena.intern(&not_p);
         // The first counterexample of ¬P sits at global index 2 (the first
         // word with P asserted).
-        let full = checker.sweep_parallel(&arena, id, None, Parallelism::Off);
+        let full = checker.sweep_budgeted(
+            &arena,
+            id,
+            None,
+            Parallelism::Off,
+            &ResourceBudget::unbounded(),
+        );
         assert_eq!(full.counterexample.as_ref().map(|(i, _)| *i), Some(2));
         assert_eq!(full.exhausted, None);
         // At the measured grain this sweep stays on the calling thread; the

@@ -16,10 +16,10 @@
 //!   stable diagnostic codes, the structural cost estimator, and the inputs
 //!   `Backend::Auto` routes on;
 //! * [`session`] — the unified checking façade: `Session`, builder-style
-//!   `CheckRequest`, backend selection, the uniform `Verdict`, and the
-//!   batched job API (`submit` / `check_many`);
-//! * [`scheduler`] — cross-request job multiplexing over the worker pool
-//!   (`JobHandle`, deterministic batch execution);
+//!   `CheckRequest`, backend selection, the uniform `Verdict`, and batch
+//!   checking (`check_many`);
+//! * [`scheduler`] — the deterministic multiplexing of one `check_many`
+//!   batch over the worker pool;
 //! * [`json`] — a dependency-free JSON layer behind
 //!   `CheckReport::to_json`/`from_json`, so reports can cross a process
 //!   boundary;
@@ -109,11 +109,10 @@ pub mod prelude {
     pub use crate::ops::Operation;
     pub use crate::pool::{CancelToken, Exhaustion, Parallelism, ResourceBudget, WorkerPool};
     pub use crate::process::{ProcessId, ProcessSpec, System};
-    pub use crate::scheduler::{JobHandle, JobId};
     pub use crate::semantics::{holds, Dir, Env, Evaluator};
     pub use crate::session::{
-        Backend, CacheStats, CheckHandle, CheckReport, CheckRequest, CheckStats, ErrorReport,
-        InternHandle, RunSource, Session, Verdict,
+        Backend, CacheStats, CheckReport, CheckRequest, CheckStats, ErrorReport, InternHandle,
+        RunSource, Session, Verdict,
     };
     pub use crate::spec::{CheckOutcome, Spec, SpecReport};
     pub use crate::state::{Prop, State};

@@ -1,23 +1,11 @@
-//! Cross-request job scheduling for the batched [`crate::session`] API.
+//! Cross-request job multiplexing for [`Session::check_many`].
 //!
-//! The PR 1 `Session` was strictly one-shot: `check` ran a single request to
-//! completion, and the worker pool only ever accelerated the *inside* of that
-//! request.  A service workload is shaped differently — many independent
-//! checks of very different sizes, where a two-millisecond `Decide` job must
-//! not queue behind a two-minute `Bounded` sweep.  This module supplies the
-//! missing layer: [`Session::submit`](crate::session::Session::submit) hands
-//! out a [`JobHandle`] per queued request, and the crate-private `run_jobs`
-//! multiplexer spreads the whole queue onto the
-//! [`crate::pool::WorkerPool`], one *job* per worker at a time, pulled from a
-//! shared atomic queue head so workers that finish small jobs immediately
-//! pick up the next one.
-//!
-//! Since the multiversion arena landed, `submit`/`wait`/`check_many` take
-//! `&self`: the queue lives behind a short-lived session lock, so any thread
-//! holding a `&Session` may enqueue work — including while earlier jobs are
-//! executing, because each job reads the arena *version* current at its own
-//! prepare and later interns only append ids that older versions never
-//! resolve.
+//! A service workload is many independent checks of very different sizes,
+//! where a two-millisecond `Decide` job must not queue behind a two-minute
+//! `Bounded` sweep.  The crate-private `run_jobs` spreads one batch onto
+//! the [`crate::pool::WorkerPool`], one *job* per worker at a time, pulled
+//! from a shared atomic queue head so workers that finish small jobs
+//! immediately pick up the next one.
 //!
 //! # Determinism
 //!
@@ -33,66 +21,21 @@
 //!   verdict, counterexample, trace counts, memo counters — is bit-identical
 //!   to what a sequential loop of single-threaded
 //!   [`Session::check`](crate::session::Session::check) calls would produce;
-//! * results are **finalized in submission order** on the session thread
+//! * results are **finalized in request order** on the calling thread
 //!   (cumulative counters, arena sizes, verdict-cache stores), replaying the
 //!   sequential loop's bookkeeping exactly — which is also what lets a
-//!   duplicate of an in-flight job *defer* to its twin and replay the stored
-//!   outcome rather than racing it.
+//!   duplicate of an earlier job in the batch *defer* to its twin and replay
+//!   the stored outcome rather than racing it.
 //!
 //! Only wall-clock durations — and cutoffs from a shared deadline or
 //! cancellation token, which are timing-dependent by nature — vary between
 //! runs.
+//!
+//! [`Session::check_many`]: crate::session::Session::check_many
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::pool::WorkerPool;
-
-/// Identifier of a job submitted to a [`crate::session::Session`]; issued in
-/// submission order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JobId(u64);
-
-impl JobId {
-    pub(crate) fn new(id: u64) -> JobId {
-        JobId(id)
-    }
-}
-
-impl std::fmt::Display for JobId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job#{}", self.0)
-    }
-}
-
-/// A claim on the eventual [`crate::session::CheckReport`] of a submitted
-/// job; redeem it with [`Session::wait`](crate::session::Session::wait) (or
-/// `try_wait`) on the session that issued it.
-///
-/// A handle remembers which session minted it (a process-unique nonce), so
-/// presenting it to a *different* session is detected — `try_wait` returns
-/// `None` and `wait` panics — instead of silently redeeming whichever of
-/// that session's jobs happens to share the numeric id.
-#[derive(Clone, Debug)]
-pub struct JobHandle {
-    session: u64,
-    id: JobId,
-}
-
-impl JobHandle {
-    pub(crate) fn new(session: u64, id: JobId) -> JobHandle {
-        JobHandle { session, id }
-    }
-
-    /// The nonce of the session that issued this handle.
-    pub(crate) fn session(&self) -> u64 {
-        self.session
-    }
-
-    /// The job's identifier (stable across the issuing session's lifetime).
-    pub fn id(&self) -> JobId {
-        self.id
-    }
-}
 
 /// Runs `count` jobs across the pool and returns their outcomes in job
 /// order.
@@ -137,15 +80,6 @@ where
 mod tests {
     use super::*;
     use crate::pool::Parallelism;
-
-    #[test]
-    fn job_ids_order_and_display() {
-        assert!(JobId::new(1) < JobId::new(2));
-        assert_eq!(JobId::new(7).to_string(), "job#7");
-        let handle = JobHandle::new(9, JobId::new(3));
-        assert_eq!(handle.id(), JobId::new(3));
-        assert_eq!(handle.session(), 9);
-    }
 
     #[test]
     fn run_jobs_returns_outcomes_in_job_order() {

@@ -1,6 +1,6 @@
 //! The unified checking API: [`Session`], [`CheckRequest`], [`Backend`],
-//! [`Verdict`] — one-shot ([`Session::check`]) and job-oriented
-//! ([`Session::submit`] / [`Session::check_many`]).
+//! [`Verdict`] — one request at a time ([`Session::check`]) or a whole
+//! batch ([`Session::check_many`]).
 //!
 //! The repository grew four disconnected ways of asking whether a formula
 //! holds — [`crate::semantics::Evaluator::check`] over a single trace,
@@ -23,16 +23,15 @@
 //! assert_eq!(session.check(request).verdict, Verdict::ValidUpTo(3));
 //! ```
 //!
-//! # The job API
+//! # Batches
 //!
-//! A service workload is many checks, not one: [`Session::submit`] enqueues a
-//! request and returns a [`JobHandle`] immediately, [`Session::check_many`]
-//! submits a whole batch and waits for all of it, and the
-//! [`crate::scheduler`] multiplexes the queued jobs across the worker pool so
-//! small jobs no longer serialize behind a big sweep.  Batch results are
-//! *bit-identical* (verdicts, counterexamples, deterministic statistics) to a
-//! sequential loop of single-threaded [`Session::check`] calls, at every
-//! worker count — see the scheduler module for the discipline.
+//! A service workload is many checks, not one: [`Session::check_many`] takes
+//! a whole batch and spreads its jobs across the worker pool
+//! ([`crate::scheduler`]), so small jobs do not serialize behind a big
+//! sweep.  Batch results are *bit-identical* (verdicts, counterexamples,
+//! deterministic statistics) to a sequential loop of single-threaded
+//! [`Session::check`] calls, at every worker count — see the scheduler
+//! module for the discipline.
 //!
 //! ```
 //! use ilogic_core::dsl::*;
@@ -49,16 +48,15 @@
 //! # Concurrency
 //!
 //! Every dispatch method takes `&self`: a `Session` is `Sync`, and threads
-//! sharing one (directly, or through the split [`Session::interner`] /
-//! [`Session::checker`] handles) may intern, check, submit, and wait
-//! concurrently.  Backends never run under the session's locks — each check
-//! executes over an O(1) [`crate::arena::ArenaSnapshot`] of the arena
-//! version it was prepared against, so submitting new work (which interns)
-//! proceeds while earlier jobs are still running on older versions.  Only
-//! the configuration setters ([`Session::set_parallelism`],
-//! [`Session::set_budget`], [`Session::set_preflight`],
-//! [`Session::set_verdict_cache`]) still take `&mut self`: configuration is
-//! fixed while a session is shared.
+//! sharing one (directly, or interning through the [`Session::interner`]
+//! handle) may intern and check concurrently.  Backends never run under the
+//! session's lock — each check executes over an O(1)
+//! [`crate::arena::ArenaSnapshot`] of the arena version it was prepared
+//! against, so new work (which interns) proceeds while earlier checks are
+//! still running on older versions.  Only the configuration setters
+//! ([`Session::set_parallelism`], [`Session::set_budget`],
+//! [`Session::set_preflight`], [`Session::set_verdict_cache`]) take
+//! `&mut self`: configuration is fixed while a session is shared.
 //!
 //! # The verdict cache
 //!
@@ -87,10 +85,9 @@
 //! The pre-existing entry points remain available as the low-level layer; the
 //! facade is how new code (and all the `examples/`) should check formulas.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ilogic_temporal::algorithm_b::{condition_of_graph_budgeted_stats, AlgorithmB, Decision};
@@ -105,7 +102,7 @@ use crate::arena::{ArenaRead, ArenaVersion, FormulaArena, FormulaId, MemoEvaluat
 use crate::bounded::{self, BoundedChecker};
 use crate::json::{Json, JsonError, JsonWriter};
 use crate::pool::{Exhaustion, Parallelism, ResourceBudget, WorkerPool};
-use crate::scheduler::{self, JobHandle, JobId};
+use crate::scheduler;
 use crate::spec::{close_free_variables, Spec, SpecReport};
 use crate::star::eliminate_star;
 use crate::syntax::Formula;
@@ -746,7 +743,7 @@ impl ErrorReport {
     }
 
     /// The pre-flight admission refusal carried by `report`, if it was
-    /// rejected at submit time: a report whose diagnostics contain the
+    /// rejected before running: a report whose diagnostics contain the
     /// `C002` over-budget record (see [`CheckRequest::with_preflight`])
     /// becomes an `ErrorReport` with code `"C002"`, quoting the rejection
     /// message and every diagnostic of the original report.  Returns `None`
@@ -1280,15 +1277,6 @@ struct SessionState {
     verdicts: HashMap<CacheKey, CachedOutcome>,
 }
 
-/// The job queue: pending submissions, ids currently being driven by some
-/// thread's [`Session::run_pending`], and finished-but-unclaimed reports.
-#[derive(Debug, Default)]
-struct SchedState {
-    pending: Vec<(JobId, CheckRequest)>,
-    running: HashSet<JobId>,
-    completed: BTreeMap<JobId, CheckReport>,
-}
-
 /// A read view of the session arena, returned by [`Session::arena`]: derefs
 /// to [`FormulaArena`] while holding the session's state lock.
 ///
@@ -1414,43 +1402,28 @@ const VERDICT_CACHE_CAP: usize = 1 << 16;
 /// ([`CheckRequest::with_parallelism`]), per session
 /// ([`Session::set_parallelism`]), or for a whole process via the
 /// `ILOGIC_TEST_PARALLEL` environment variable — and so do batches
-/// ([`Session::run_pending`]).  Worker evaluation is shared-nothing over an
+/// ([`Session::check_many`]).  Worker evaluation is shared-nothing over an
 /// [`crate::arena::ArenaSnapshot`]; verdicts are bit-identical to the
 /// single-threaded path.
 ///
-/// Dispatch takes `&self` (module-level *concurrency* section): internal
-/// state lives behind two short-held locks — `state` for the arena,
-/// counters, and cache; `sched` for the job queue — and backends always run
-/// over an O(1) arena snapshot with neither lock held.
+/// Dispatch takes `&self` (module-level *concurrency* section): the arena,
+/// counters, and cache live behind one short-held lock, and backends always
+/// run over an O(1) arena snapshot with the lock released.
 #[derive(Debug)]
 pub struct Session {
     state: Mutex<SessionState>,
-    sched: Mutex<SchedState>,
-    /// Signalled when a batch finishes; [`Session::wait`] parks here while
-    /// another thread's `run_pending` is driving the job it wants.
-    finished: Condvar,
     default_parallelism: Option<Parallelism>,
     default_budget: Option<ResourceBudget>,
-    /// Process-unique nonce stamped into every issued [`JobHandle`], so a
-    /// handle presented to the wrong session is rejected instead of
-    /// redeeming an unrelated job that shares the numeric id.
-    session_nonce: u64,
-    next_job: AtomicU64,
     preflight: bool,
     cache_enabled: bool,
 }
 
 impl Default for Session {
     fn default() -> Session {
-        static NEXT_SESSION: AtomicU64 = AtomicU64::new(0);
         Session {
             state: Mutex::new(SessionState::default()),
-            sched: Mutex::new(SchedState::default()),
-            finished: Condvar::new(),
             default_parallelism: None,
             default_budget: None,
-            session_nonce: NEXT_SESSION.fetch_add(1, Ordering::Relaxed),
-            next_job: AtomicU64::new(0),
             preflight: false,
             cache_enabled: true,
         }
@@ -1470,18 +1443,11 @@ impl Session {
         ArenaRef(lock(&self.state))
     }
 
-    /// The interning half of this session: a `Copy` handle exposing only
+    /// The interning surface of this session: a `Copy` handle exposing only
     /// [`Session::intern`] / [`Session::extract`] / the arena version, for
     /// threads that grow the formula store while others run checks.
     pub fn interner(&self) -> InternHandle<'_> {
         InternHandle { session: self }
-    }
-
-    /// The checking half of this session: a `Copy` handle exposing only the
-    /// dispatch surface (`check`, `submit`, `wait`, …), for worker threads
-    /// that must not reconfigure the session.
-    pub fn checker(&self) -> CheckHandle<'_> {
-        CheckHandle { session: self }
     }
 
     /// Sets the parallelism used by requests that don't choose their own (and
@@ -1791,67 +1757,27 @@ impl Session {
         self.finalize(&mut lock(&self.state), job, outcome)
     }
 
-    /// Enqueues a check and returns a handle to its eventual report.
-    ///
-    /// Queued jobs run when the queue is next driven — by
-    /// [`Session::run_pending`], by [`Session::wait`] on any handle, or by
-    /// [`Session::check_many`] — and the whole queue is multiplexed across
-    /// the worker pool by the [`crate::scheduler`], so a queue of mixed jobs
-    /// finishes in the wall-clock time of its slowest jobs rather than their
-    /// sum.
-    ///
-    /// In batch mode every job executes single-threaded: cross-request
-    /// fan-out replaces intra-request fan-out, and a per-request
-    /// [`CheckRequest::with_parallelism`] is deliberately ignored (this is
-    /// what keeps batch results bit-identical to a sequential loop at any
-    /// worker count).  For one heavy request that should itself fan out,
-    /// call [`Session::check`] instead of submitting it.
-    pub fn submit(&self, request: CheckRequest) -> JobHandle {
-        let id = JobId::new(self.next_job.fetch_add(1, Ordering::Relaxed));
-        lock(&self.sched).pending.push((id, request));
-        JobHandle::new(self.session_nonce, id)
-    }
-
-    /// Number of submitted jobs not yet run.
-    pub fn pending_jobs(&self) -> usize {
-        lock(&self.sched).pending.len()
-    }
-
-    /// Runs every queued job, multiplexing the batch across the worker pool
+    /// Checks a whole batch of requests, multiplexed across the worker pool
     /// (the session parallelism, or the `ILOGIC_TEST_PARALLEL` override,
-    /// decides the worker count).  Results become available to
-    /// [`Session::wait`] / [`Session::try_wait`].
+    /// decides the worker count), and returns the reports in request order.
     ///
     /// Each job of a batch executes single-threaded — the batch trades
-    /// intra-request fan-out for cross-request fan-out — so every job's
-    /// verdict, counterexample, and deterministic statistics are bit-identical
-    /// to a sequential loop of single-threaded [`Session::check`] calls in
-    /// submission order, whatever the worker count.  (Only wall-clock
-    /// durations, and cutoffs from a deadline or cancellation, vary.)
-    pub fn run_pending(&self) {
-        let queue = {
-            let mut sched = lock(&self.sched);
-            if sched.pending.is_empty() {
-                return;
-            }
-            let queue = std::mem::take(&mut sched.pending);
-            sched.running.extend(queue.iter().map(|(id, _)| *id));
-            queue
-        };
-        let results = self.run_batch(queue);
-        let mut sched = lock(&self.sched);
-        for (id, report) in results {
-            sched.running.remove(&id);
-            sched.completed.insert(id, report);
-        }
-        drop(sched);
-        self.finished.notify_all();
+    /// intra-request fan-out for cross-request fan-out, and a per-request
+    /// [`CheckRequest::with_parallelism`] is deliberately ignored — so the
+    /// result is bit-identical, in everything but wall-clock durations and
+    /// cutoffs from a deadline or cancellation, to
+    /// `requests.into_iter().map(|r|
+    /// session.check(r.with_parallelism(Parallelism::Off))).collect()`,
+    /// whatever the worker count.  For one heavy request that should itself
+    /// fan out, call [`Session::check`] instead.
+    pub fn check_many(&self, requests: Vec<CheckRequest>) -> Vec<CheckReport> {
+        self.run_batch(requests)
     }
 
-    /// Prepares, executes, and finalizes one drained batch — the single
-    /// engine behind [`Session::run_pending`] / [`Session::check_many`].
-    fn run_batch(&self, queue: Vec<(JobId, CheckRequest)>) -> Vec<(JobId, CheckReport)> {
-        // Phase 1 — prepare sequentially in submission order under the state
+    /// Prepares, executes, and finalizes one batch — the engine behind
+    /// [`Session::check_many`].
+    fn run_batch(&self, requests: Vec<CheckRequest>) -> Vec<CheckReport> {
+        // Phase 1 — prepare sequentially in request order under the state
         // lock: interning replays the arena states of the sequential loop,
         // and each job's intra-request parallelism is pinned off (the
         // scheduler owns the workers).  One O(1) snapshot of the resulting
@@ -1859,11 +1785,11 @@ impl Session {
         let (jobs, snapshot) = {
             let mut state = lock(&self.state);
             let mut batch_keys = HashSet::new();
-            let jobs: Vec<(JobId, PreparedJob)> = queue
+            let jobs: Vec<PreparedJob> = requests
                 .into_iter()
-                .map(|(id, request)| {
+                .map(|request| {
                     let request = request.with_parallelism(Parallelism::Off);
-                    (id, self.prepare(&mut state, request, Some(&mut batch_keys)))
+                    self.prepare(&mut state, request, Some(&mut batch_keys))
                 })
                 .collect();
             (jobs, state.arena.snapshot())
@@ -1876,22 +1802,21 @@ impl Session {
         let runnable: Vec<usize> = jobs
             .iter()
             .enumerate()
-            .filter(|(_, (_, job))| matches!(job.cache, CachePlan::Bypass | CachePlan::Miss(_)))
+            .filter(|(_, job)| matches!(job.cache, CachePlan::Bypass | CachePlan::Miss(_)))
             .map(|(index, _)| index)
             .collect();
-        let outcomes: Vec<JobOutcome> = scheduler::run_jobs(&pool, runnable.len(), |i| {
-            execute(&snapshot, &jobs[runnable[i]].1)
-        });
+        let outcomes: Vec<JobOutcome> =
+            scheduler::run_jobs(&pool, runnable.len(), |i| execute(&snapshot, &jobs[runnable[i]]));
         let mut slots: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
         for (index, outcome) in runnable.into_iter().zip(outcomes) {
             slots[index] = Some(outcome);
         }
-        // Phase 3 — finalize in submission order, replaying the sequential
+        // Phase 3 — finalize in request order, replaying the sequential
         // loop's cumulative-counter merges and cache stores/replays.
         let mut state = lock(&self.state);
         jobs.into_iter()
             .zip(slots)
-            .map(|((id, job), slot)| {
+            .map(|(job, slot)| {
                 let outcome = match (&job.cache, slot) {
                     (_, Some(outcome)) => outcome,
                     (CachePlan::Hit(stored), None) => stored.replay(Duration::ZERO),
@@ -1905,89 +1830,9 @@ impl Session {
                     },
                     (_, None) => unreachable!("runnable jobs have an outcome"),
                 };
-                let report = self.finalize(&mut state, job, outcome);
-                (id, report)
+                self.finalize(&mut state, job, outcome)
             })
             .collect()
-    }
-
-    /// Waits for a submitted job and takes its report (driving the queue if
-    /// the job has not run yet).  Each handle redeems exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle was not issued by this session or its report was
-    /// already taken; use [`Session::try_wait`] to probe instead.
-    pub fn wait(&self, handle: &JobHandle) -> CheckReport {
-        self.try_wait(handle).expect("unknown or already-redeemed job handle")
-    }
-
-    /// Drains every finished-but-unclaimed report, in job order.
-    ///
-    /// The counterpart to per-handle [`Session::wait`] for service loops:
-    /// reports of jobs whose handle was dropped (a disconnected client, a
-    /// fire-and-forget submission) stay in the session until claimed, so a
-    /// long-lived session should either redeem every handle or drain here
-    /// periodically — otherwise finished reports (counterexample traces
-    /// included) accumulate for its lifetime.  Queued jobs are *not* run by
-    /// this call; invoke [`Session::run_pending`] first to flush them.
-    pub fn take_completed(&self) -> Vec<(JobId, CheckReport)> {
-        std::mem::take(&mut lock(&self.sched).completed).into_iter().collect()
-    }
-
-    /// [`Session::wait`] returning `None` for a foreign or already-redeemed
-    /// handle instead of panicking.
-    ///
-    /// Like `wait`, this *blocks* while the job is being driven by another
-    /// thread's [`Session::run_pending`], and drives the queue itself while
-    /// the job is still pending — `None` means the handle is foreign or its
-    /// report was already taken, never "not finished yet".
-    pub fn try_wait(&self, handle: &JobHandle) -> Option<CheckReport> {
-        if handle.session() != self.session_nonce {
-            // A handle minted by a different session: its numeric id may
-            // collide with one of ours, so reject it outright rather than
-            // redeem an unrelated job.
-            return None;
-        }
-        loop {
-            {
-                let mut sched = lock(&self.sched);
-                if let Some(report) = sched.completed.remove(&handle.id()) {
-                    return Some(report);
-                }
-                if sched.running.contains(&handle.id()) {
-                    // Another thread's batch is driving this job: park until
-                    // a batch finishes, then re-check.  (The timeout is pure
-                    // insurance against a missed wakeup; correctness doesn't
-                    // depend on it.)
-                    let (guard, _) = self
-                        .finished
-                        .wait_timeout(sched, Duration::from_millis(20))
-                        .unwrap_or_else(PoisonError::into_inner);
-                    drop(guard);
-                    continue;
-                }
-                if !sched.pending.iter().any(|(id, _)| *id == handle.id()) {
-                    return None;
-                }
-            }
-            // Still queued: drive the queue ourselves (concurrent drivers
-            // drain disjoint batches, so this cannot run the job twice).
-            self.run_pending();
-        }
-    }
-
-    /// Checks a whole batch of requests, multiplexed across the worker pool,
-    /// and returns the reports in request order.
-    ///
-    /// Equivalent to (and bit-identical with, in everything but wall-clock
-    /// durations) `requests.into_iter().map(|r|
-    /// session.check(r.with_parallelism(Parallelism::Off))).collect()` — see
-    /// [`Session::run_pending`] for the determinism discipline.
-    pub fn check_many(&self, requests: Vec<CheckRequest>) -> Vec<CheckReport> {
-        let handles: Vec<JobHandle> = requests.into_iter().map(|r| self.submit(r)).collect();
-        self.run_pending();
-        handles.iter().map(|handle| self.wait(handle)).collect()
     }
 
     /// Checks every clause of a specification against a trace through the
@@ -2039,7 +1884,7 @@ impl Session {
     }
 }
 
-/// The interning half of a [`Session`], from [`Session::interner`]: a
+/// The interning surface of a [`Session`], from [`Session::interner`]: a
 /// `Copy` handle that can only grow (and read back) the formula store —
 /// hand it to producer threads that mint ids while consumer threads check.
 ///
@@ -2073,62 +1918,6 @@ impl InternHandle<'_> {
     /// on (see [`FormulaArena::version`]).
     pub fn version(&self) -> ArenaVersion {
         self.session.arena().version()
-    }
-}
-
-/// The checking half of a [`Session`], from [`Session::checker`]: a `Copy`
-/// handle exposing the dispatch surface and the cumulative counters, but
-/// not the `&mut self` configuration setters — hand it to worker threads
-/// that must not reconfigure the session they share.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckHandle<'s> {
-    session: &'s Session,
-}
-
-impl CheckHandle<'_> {
-    /// See [`Session::check`].
-    pub fn check(&self, request: CheckRequest) -> CheckReport {
-        self.session.check(request)
-    }
-
-    /// See [`Session::submit`].
-    pub fn submit(&self, request: CheckRequest) -> JobHandle {
-        self.session.submit(request)
-    }
-
-    /// See [`Session::check_many`].
-    pub fn check_many(&self, requests: Vec<CheckRequest>) -> Vec<CheckReport> {
-        self.session.check_many(requests)
-    }
-
-    /// See [`Session::run_pending`].
-    pub fn run_pending(&self) {
-        self.session.run_pending();
-    }
-
-    /// See [`Session::wait`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the handle is foreign or already redeemed, exactly as
-    /// [`Session::wait`] does.
-    pub fn wait(&self, handle: &JobHandle) -> CheckReport {
-        self.session.wait(handle)
-    }
-
-    /// See [`Session::try_wait`].
-    pub fn try_wait(&self, handle: &JobHandle) -> Option<CheckReport> {
-        self.session.try_wait(handle)
-    }
-
-    /// See [`Session::pending_jobs`].
-    pub fn pending_jobs(&self) -> usize {
-        self.session.pending_jobs()
-    }
-
-    /// See [`Session::cumulative_cache`].
-    pub fn cumulative_cache(&self) -> CacheStats {
-        self.session.cumulative_cache()
     }
 }
 
@@ -2288,10 +2077,11 @@ fn decide<A: ArenaRead + Sync>(
     };
     // Algorithm B reads the formula it decides only for the classes of its
     // constraint variables, which `B` and `¬B` share, so the negation the
-    // tableau is built from stands in for `B` below.
+    // tableau is built from stands in for `B` below.  Every variable is a
+    // state variable, so the extralogical selection search — the only phase
+    // `AlgorithmB::with_parallelism` reaches — never runs here.
     let theory = PropositionalTheory::new();
-    let algorithm =
-        AlgorithmB::new(&theory, VarSpec::all_state()).with_parallelism(job.parallelism);
+    let algorithm = AlgorithmB::new(&theory, VarSpec::all_state());
     // One tableau build serves both phases below.
     let decided = match TableauGraph::try_build_budgeted(negation, &job.budget, Parallelism::Off) {
         Err(cut) => Err(cut),
@@ -3070,18 +2860,15 @@ mod tests {
     }
 
     #[test]
-    fn split_handles_cover_interning_and_checking() {
+    fn interned_formulas_are_checked_without_reinterning() {
         let session = Session::new();
         let interner = session.interner();
-        let checker = session.checker();
         let id = interner.intern(&prop("P").or(prop("P").not()));
         let before = interner.version();
-        let handle = checker.submit(CheckRequest::new(interner.extract(id)).bounded(["P"], 3));
-        assert_eq!(checker.pending_jobs(), 1);
-        let report = checker.wait(&handle);
+        let report = session.check(CheckRequest::new(interner.extract(id)).bounded(["P"], 3));
         assert_eq!(report.verdict, Verdict::ValidUpTo(3));
         // Checking interned nothing new: the formula was already present.
         assert_eq!(interner.version(), before);
-        assert_eq!(checker.cumulative_cache(), CacheStats { hits: 0, misses: 1 });
+        assert_eq!(session.cumulative_cache(), CacheStats { hits: 0, misses: 1 });
     }
 }

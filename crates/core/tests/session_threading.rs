@@ -1,24 +1,24 @@
 //! Cross-thread `Session` coverage: the shared-session concurrency model.
 //!
 //! Since the multiversion arena landed, a [`Session`] is **shared**:
-//! `check`/`submit`/`check_many` take `&self` (the interning and scheduler
-//! state live behind interior locks), so many threads may dispatch into one
+//! `check`/`check_many` take `&self` (the arena, counters and verdict cache
+//! live behind one interior lock), so many threads may dispatch into one
 //! session concurrently — the model `ilogic-server` runs its warm `/check`
-//! session in.  Interning never blocks running checks: a job snapshots the
+//! session in.  Interning never blocks running checks: a check snapshots the
 //! arena version current at its prepare, and later interns append ids that
 //! the older snapshot simply does not see.  These tests pin the contract:
 //!
-//! 1. `Session` (and its split [`InternHandle`]/[`CheckHandle`] surfaces)
-//!    are `Send + Sync` — the compile-time audit.
+//! 1. `Session` (and its [`InternHandle`]) are `Send + Sync` — the
+//!    compile-time audit.
 //! 2. Concurrent sessions on many threads produce reports bit-identical to
 //!    each other and to a fresh main-thread session — the stress test.
-//! 3. `submit()` accepts and interns new work while a prior job is
-//!    mid-flight, and both reports are bit-identical to sequential
-//!    execution — the multiversion-arena acceptance test.
-//! 4. Interleaving interning with in-flight checks at `Fixed(0/2/4)` never
-//!    changes an answer: each job resolves exactly its version's ids, and
-//!    duplicate requests replay their first occurrence's report from the
-//!    verdict cache bit-for-bit.
+//! 3. A second thread's `check()` interns and answers new work while a
+//!    prior check is mid-flight, and both reports are bit-identical to
+//!    sequential execution — the multiversion-arena acceptance test.
+//! 4. Interleaving interning with `check`/`check_many` dispatches at
+//!    `Fixed(0/2/4)` never changes an answer: each check resolves exactly
+//!    its version's ids, and duplicate requests replay their first
+//!    occurrence's report from the verdict cache bit-for-bit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -42,7 +42,6 @@ fn sessions_requests_and_reports_are_send_and_sync() {
     assert_send::<Session>();
     assert_sync::<Session>();
     assert_send::<InternHandle<'_>>();
-    assert_send::<CheckHandle<'_>>();
     assert_send::<CheckRequest>();
     assert_send::<CheckReport>();
     assert_send::<ResourceBudget>();
@@ -104,26 +103,32 @@ fn concurrent_sessions_are_bit_identical_across_threads() {
 }
 
 /// A session may migrate between threads mid-life (ownership transfer):
-/// results accumulated before the move remain fetchable after it, and
-/// checking continues deterministically.
+/// what it accumulated before the move — interned formulas, cumulative
+/// counters, cached verdicts — survives it, and checking continues
+/// deterministically.
 #[test]
 fn a_session_moved_across_threads_keeps_its_state() {
     let session = Session::new();
-    let first = session.check(CheckRequest::new(prop("P").or(prop("P").not())).decide());
+    let tautology = || CheckRequest::new(prop("P").or(prop("P").not())).decide();
+    let first = session.check(tautology());
     assert!(first.verdict.passed());
-    let handle = session.submit(CheckRequest::new(prop("Q").implies(prop("Q"))).decide());
 
-    // Move the session (and the pending handle) into another thread.
+    // Move the session into another thread and keep checking there.
     let joined = thread::spawn(move || {
-        let report = session.wait(&handle);
+        let report = session.check(CheckRequest::new(prop("Q").implies(prop("Q"))).decide());
         (session, report)
     })
     .join()
     .expect("the migrated session thread completes");
     let (session, report) = joined;
-    assert!(report.verdict.passed(), "pending work resolves after the move");
+    assert!(report.verdict.passed(), "the migrated session checks");
+    assert_eq!(session.cumulative_cache(), CacheStats { hits: 0, misses: 2 });
 
-    // And back on this thread, the same session keeps checking.
+    // And back on this thread, the same session keeps checking — and still
+    // holds the verdict it cached before the first move.
+    let again = session.check(tautology());
+    assert_eq!(again.stats.cache.hits, 1, "the pre-move verdict survives both moves");
+    assert_eq!(again.verdict, first.verdict);
     let last = session.check(CheckRequest::new(prop("R").and(prop("R").not()).not()).decide());
     assert!(last.verdict.passed());
 }
@@ -140,14 +145,15 @@ fn witness() -> Trace {
     builder.finish()
 }
 
-/// The PR-10 acceptance test: `submit()` accepts and interns a new formula
-/// while a prior job is **provably mid-flight** (its run producer blocks on
-/// a flag until the new job has been submitted, run, and waited on), and
-/// both reports come back bit-identical to sequential execution of the same
-/// requests.  Under the old stop-the-world snapshot this deadlocked by
-/// design; the multiversion arena makes it the daemon's steady state.
+/// The PR-10 acceptance test: one thread's `check()` accepts, interns and
+/// answers a new formula while another thread's check is **provably
+/// mid-flight** (its run producer blocks on a flag until the new check has
+/// returned), and both reports come back bit-identical to sequential
+/// execution of the same requests.  Under the old stop-the-world snapshot
+/// this deadlocked by design; the multiversion arena makes it the daemon's
+/// steady state.
 #[test]
-fn submit_interns_new_work_while_a_prior_job_is_mid_flight() {
+fn check_interns_new_work_while_a_prior_check_is_mid_flight() {
     let started = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
 
@@ -171,36 +177,29 @@ fn submit_interns_new_work_while_a_prior_job_is_mid_flight() {
         })
     };
 
-    let explore = CheckRequest::new(prop("P").or(prop("Q")))
-        .over_run_source(blocking_source)
-        .with_parallelism(Parallelism::Off);
-    // Explicitly sequential (overriding `ILOGIC_TEST_PARALLEL`): a job
-    // drained as part of a batch always runs single-threaded, so the
-    // sequential reference must report the same worker count.
-    let decide =
-        CheckRequest::new(prop("R").implies(prop("R"))).decide().with_parallelism(Parallelism::Off);
+    let explore = CheckRequest::new(prop("P").or(prop("Q"))).over_run_source(blocking_source);
+    let decide = CheckRequest::new(prop("R").implies(prop("R"))).decide();
 
     let session = Session::new();
     let (mut mid_flight, mut interned_during) = thread::scope(|scope| {
-        let first = session.submit(explore.clone());
         let session = &session;
-        let runner = scope.spawn(move || session.wait(&first));
+        let first = explore.clone();
+        let runner = scope.spawn(move || session.check(first));
 
-        // Only proceed once the explore job is genuinely inside its run
-        // producer — mid-flight, not merely queued.
+        // Only proceed once the explore check is genuinely inside its run
+        // producer — mid-flight, not merely dispatched.
         while !started.load(Ordering::SeqCst) {
             thread::yield_now();
         }
 
-        // The whole point: a new formula is accepted, interned, dispatched,
-        // and *completed* while the first job is still blocked mid-run.
+        // The whole point: a new formula is accepted, interned, checked,
+        // and *answered* while the first check is still blocked mid-run.
         let nodes_before = session.arena().formula_count();
-        let second = session.submit(decide.clone());
-        let second_report = session.wait(&second);
+        let second_report = session.check(decide.clone());
         assert!(second_report.verdict.passed(), "{second_report:?}");
         assert!(
             session.arena().formula_count() > nodes_before,
-            "the second submit interned new ids while the first job ran"
+            "the second check interned new ids while the first one ran"
         );
 
         release.store(true, Ordering::SeqCst);
@@ -219,16 +218,18 @@ fn submit_interns_new_work_while_a_prior_job_is_mid_flight() {
         normalize(report);
     }
     assert_eq!(mid_flight, explore_sequential, "the interrupted job's report is unchanged");
-    assert_eq!(interned_during, decide_sequential, "the mid-flight submit's report is unchanged");
+    assert_eq!(interned_during, decide_sequential, "the mid-flight check's report is unchanged");
 }
 
-/// Seeded interleaving sweep (the satellite "proptest"): a duplicate-heavy
-/// request stream is submitted one job at a time with fresh formulas
-/// interned between submits, at `Fixed(0/2/4)` workers.  Each job must
-/// resolve exactly its version's ids — interning noise around it must not
-/// perturb a single answer — so every report is compared against a cold
-/// single-request session, duplicates must replay their first occurrence
-/// bit-for-bit, and the three worker counts must agree on everything.
+/// Seeded interleaving sweep: a duplicate-heavy request stream is
+/// dispatched in small batches with fresh formulas interned between
+/// requests, at `Fixed(0/2/4)` workers — a batch of one through `check`
+/// (pinned off, as `check_many` pins its jobs), longer ones through
+/// `check_many`.  Each check must resolve exactly its version's ids —
+/// interning noise around it must not perturb a single answer — so every
+/// report is compared against a cold single-request session, duplicates
+/// must replay their first occurrence bit-for-bit, and the three worker
+/// counts must agree on everything.
 #[test]
 fn interleaved_interning_never_perturbs_in_flight_checks() {
     let mut generator = FormulaGenerator::from_seed(
@@ -264,22 +265,30 @@ fn interleaved_interning_never_perturbs_in_flight_checks() {
     for workers in [0usize, 2, 4] {
         let session = Session::new().with_parallelism(Parallelism::Fixed(workers));
         let interner = session.interner();
-        let checker = session.checker();
-        let mut handles = Vec::new();
+        let dispatch = |mut batch: Vec<CheckRequest>| {
+            if batch.len() == 1 {
+                let request = batch.pop().expect("a batch of one");
+                vec![session.check(request.with_parallelism(Parallelism::Off))]
+            } else {
+                session.check_many(batch)
+            }
+        };
+        let mut reports: Vec<CheckReport> = Vec::new();
+        let mut batch = Vec::new();
         for (job, request) in requests.iter().enumerate() {
-            handles.push(checker.submit(request.clone()));
-            // Interleave: intern noise the queued jobs must *not* see, and
-            // verify the version handle ratchets forward as ids append.
+            batch.push(request.clone());
+            // Interleave: intern noise the pending requests must *not* see,
+            // and verify the version handle ratchets forward as ids append.
             let before = interner.version();
             let id = interner.intern(&noise[job]);
             assert!(interner.version() >= before, "versions are monotone");
             assert_eq!(&interner.extract(id), &noise[job], "interned ids round-trip");
-            // Drain a prefix mid-stream so checks and interning overlap.
+            // Dispatch a prefix mid-stream so checks and interning overlap.
             if job % 3 == 0 {
-                checker.run_pending();
+                reports.extend(dispatch(std::mem::take(&mut batch)));
             }
         }
-        let reports: Vec<CheckReport> = handles.iter().map(|handle| checker.wait(handle)).collect();
+        reports.extend(dispatch(batch));
 
         for (job, (report, reference)) in reports.iter().zip(&references).enumerate() {
             assert_eq!(

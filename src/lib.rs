@@ -16,8 +16,7 @@
 //! a [`Session`], describe the check with a builder-style [`CheckRequest`]
 //! selecting a [`Backend`], and read the uniform [`Verdict`] (plus timing and
 //! memoization statistics) off the returned [`CheckReport`].  One-shot checks
-//! use [`Session::check`]; batches use the job API ([`Session::submit`] /
-//! [`Session::check_many`]) below:
+//! use [`Session::check`]; batches use [`Session::check_many`] (below):
 //!
 //! ```
 //! use ilogic::core::dsl::*;
@@ -59,17 +58,15 @@
 //! assert!(Session::new().check_spec(&spec, &trace).passed());
 //! ```
 //!
-//! # Batched job submission
+//! # Batches
 //!
-//! A service workload is many checks with deadlines, not one: enqueue
-//! requests with [`Session::submit`] (returning a [`JobHandle`] per job) or
-//! hand a whole batch to [`Session::check_many`], and the
-//! [`core::scheduler`] multiplexes the queue across the worker pool — a
-//! two-millisecond `Decide` job no longer waits behind a two-minute
-//! `Bounded` sweep.  Batch results are **bit-identical** (verdicts,
-//! counterexamples, deterministic statistics) to a sequential loop of
-//! single-threaded [`Session::check`] calls in submission order, at every
-//! worker count.
+//! A service workload is many checks with deadlines, not one: hand a whole
+//! batch to [`Session::check_many`], and the [`core::scheduler`] multiplexes
+//! it across the worker pool — a two-millisecond `Decide` job no longer
+//! waits behind a two-minute `Bounded` sweep.  Batch results are
+//! **bit-identical** (verdicts, counterexamples, deterministic statistics)
+//! to a sequential loop of single-threaded [`Session::check`] calls in
+//! request order, at every worker count.
 //!
 //! ```
 //! use ilogic::core::dsl::*;
@@ -94,14 +91,16 @@
 //! [`CheckReport::to_json`] / [`CheckReport::from_json`] round-trip every
 //! field, counterexample traces included, with no external dependencies.
 //!
-//! ## Migration note (`check` → `submit` / `check_many`)
+//! ## Migration note (`check` loops → `check_many`)
 //!
 //! Pre-PR 4 code used one-shot [`Session::check`] in a loop and per-layer
-//! limit types.  The mapping onto the job API:
+//! limit types.  The mapping onto the current API:
 //!
 //! * `for r in requests { session.check(r) }` → [`Session::check_many`]
-//!   (same reports, in order, cross-request parallel) or [`Session::submit`]
-//!   + [`Session::wait`] for incremental consumption;
+//!   (same reports, in order, cross-request parallel).  The asynchronous
+//!   job queue with per-job handles that once stood beside it had no
+//!   callers and was removed: threads that want reports one at a time call
+//!   [`Session::check`] on a shared `&Session`;
 //! * per-layer limit types (`BuildLimits` / `ConditionLimits`) and ad-hoc
 //!   refutation caps → one [`ResourceBudget`]
 //!   ([`CheckRequest::with_budget`] or [`Session::set_budget`]); the old
@@ -112,20 +111,18 @@
 //!
 //! ## Migration note (`&mut Session` → `&Session`)
 //!
-//! Since PR 10 every checking entry point — [`Session::check`],
-//! [`Session::submit`], [`Session::check_many`], [`Session::wait`] — takes
-//! `&self`: interning, the job queue, and the verdict cache live behind
-//! short-lived internal locks, so a session can be shared by reference
-//! across threads (the warm-cache model `ilogic::server` runs).  Migrating:
+//! Since PR 10 every checking entry point — [`Session::check`] and
+//! [`Session::check_many`] — takes `&self`: interning and the verdict cache
+//! live behind one short-lived internal lock, so a session can be shared by
+//! reference across threads (the warm-cache model `ilogic::server` runs).
+//! Migrating:
 //!
 //! * drop the `mut` from `let mut session = Session::new()` — an immutable
-//!   binding now checks, submits, and waits;
-//! * code that wants to hand "interning" and "checking" to different
-//!   components can split the surface into the `Copy` handles
-//!   `Session::interner()` ([`ilogic_core::session::InternHandle`]) and
-//!   `Session::checker()` ([`ilogic_core::session::CheckHandle`]);
-//! * the deprecated `submit_mut`/`check_many_mut` shims are gone: call
-//!   [`Session::submit`] and [`Session::check_many`] directly;
+//!   binding now checks;
+//! * code that hands interning to a separate component can give it the
+//!   `Copy` handle `Session::interner()`
+//!   ([`ilogic_core::session::InternHandle`]); checking threads share the
+//!   `&Session` itself;
 //! * duplicate requests now replay cached outcomes —
 //!   [`CheckStats`]`.cache` labels hits per request,
 //!   `Session::cumulative_cache` totals them, and
@@ -148,7 +145,7 @@
 //! throughout.  Every check also runs the pre-flight analysis pass
 //! ([`ilogic_core::analysis`]): lints and a cost estimate ride in each
 //! report, and [`CheckRequest::with_preflight`] rejects predicted-over-budget
-//! jobs at submit time with a `C002` diagnostic instead of occupying a
+//! jobs before they run with a `C002` diagnostic instead of occupying a
 //! worker.
 //! Whatever the backend, running out of any [`ResourceBudget`] resource
 //! yields `Verdict::Unknown { exhausted: Some(…) }` — a budget can withhold
@@ -212,8 +209,7 @@ pub use ilogic_systems as systems;
 pub use ilogic_temporal as temporal;
 
 pub use ilogic_core::pool::{CancelToken, Exhaustion, Parallelism, ResourceBudget, WorkerPool};
-pub use ilogic_core::scheduler::{JobHandle, JobId};
 pub use ilogic_core::session::{
-    Backend, CacheStats, CheckHandle, CheckReport, CheckRequest, CheckStats, ErrorReport,
-    InternHandle, RunSource, Session, Verdict,
+    Backend, CacheStats, CheckReport, CheckRequest, CheckStats, ErrorReport, InternHandle,
+    RunSource, Session, Verdict,
 };

@@ -1,7 +1,7 @@
-//! The batched job API contract: `Session::check_many` (and `submit`/`wait`)
-//! must be *bit-identical* — verdicts, counterexample traces and indices, and
-//! every deterministic statistic — to a sequential loop of single-threaded
-//! `Session::check` calls in submission order, at every scheduler worker
+//! The batch API contract: `Session::check_many` must be *bit-identical* —
+//! verdicts, counterexample traces and indices, and every deterministic
+//! statistic — to a sequential loop of single-threaded
+//! `Session::check` calls in request order, at every scheduler worker
 //! count; and the unified `ResourceBudget` must be monotone: tightening a
 //! budget can only turn answers into `Unknown { exhausted }`, never flip a
 //! settled Pass/Fail.  Exercised over the shared parser corpus, the V1–V16
@@ -131,48 +131,6 @@ fn mixed_backend_batches_match_the_loop() {
             );
         }
     }
-}
-
-/// The incremental face of the same machinery: submit hands out redeemable
-/// handles, waiting drives the queue once, and every handle redeems exactly
-/// once.
-#[test]
-fn submit_and_wait_drive_the_queue_once() {
-    let session = Session::new().with_parallelism(Parallelism::Fixed(2));
-    let h1 = session.submit(CheckRequest::new(prop("P").or(prop("P").not())).bounded(["P"], 2));
-    let h2 = session.submit(CheckRequest::new(prop("P")).bounded(["P"], 2));
-    let h3 = session
-        .submit(CheckRequest::new(always(prop("P")).implies(eventually(prop("P")))).decide());
-    assert_eq!(session.pending_jobs(), 3);
-    // Waiting on the *middle* handle runs the whole queue.
-    let second = session.wait(&h2);
-    assert_eq!(session.pending_jobs(), 0);
-    assert!(matches!(second.verdict, Verdict::Counterexample(_)));
-    let first = session.wait(&h1);
-    assert_eq!(first.verdict, Verdict::ValidUpTo(2));
-    let third = session.wait(&h3);
-    assert_eq!(third.verdict, Verdict::Holds);
-    // Handles redeem once.
-    assert!(session.try_wait(&h1).is_none());
-    // New submissions keep working after a drained batch.
-    let h4 = session.submit(CheckRequest::new(prop("Q")).bounded(["Q"], 1));
-    assert!(session.try_wait(&h4).is_some());
-    // A handle minted by a *different* session is rejected, not silently
-    // redeemed against a colliding numeric id.
-    let other = Session::new();
-    let foreign = other.submit(CheckRequest::new(prop("R")).bounded(["R"], 1));
-    assert!(session.try_wait(&foreign).is_none(), "foreign handles must not redeem");
-    assert!(other.try_wait(&foreign).is_some(), "…but still redeem at their own session");
-    // Reports whose handles were dropped don't pile up forever: a service
-    // loop drains them wholesale.
-    let kept = session.submit(CheckRequest::new(prop("S")).bounded(["S"], 1));
-    let _dropped = session.submit(CheckRequest::new(prop("T")).bounded(["T"], 1));
-    session.run_pending();
-    let drained = session.take_completed();
-    assert_eq!(drained.len(), 2);
-    assert!(drained.iter().any(|(id, _)| *id == kept.id()));
-    assert!(session.try_wait(&kept).is_none(), "drained reports are gone");
-    assert!(session.take_completed().is_empty());
 }
 
 // Budgets are jointly monotone: a request under a *tighter* budget either
