@@ -13,28 +13,51 @@
 //! condition artifact runs, the 33-node `[ => p ] []r` tableau and a
 //! bounded-routed request.
 //!
+//! It then pins a verdict-cache hit: the same three requests again through
+//! `Session::check`, and a repeated `POST /check` body through the daemon's
+//! `router::handle` on its warm session — parse, lint, check and encode.
+//!
 //! The crate's counting global allocator tallies every allocation of the
 //! process, so this file holds a single test: no other test thread
 //! allocates while it counts.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use ilogic_alloc_audit::allocations;
 use ilogic_core::generate::{FormulaGenerator, GeneratorConfig};
 use ilogic_core::pool::Parallelism;
 use ilogic_core::prelude::*;
-use ilogic_core::session::{CheckRequest, Session};
+use ilogic_core::session::{CheckReport, CheckRequest, Session};
+use ilogic_server::config::ServerConfig;
+use ilogic_server::http::Request;
+use ilogic_server::metrics::Metrics;
+use ilogic_server::router::{self, ServerContext};
+use ilogic_server::shed::AdmissionGate;
+use ilogic_server::store::JobStore;
 
 /// Ceilings: each reading of the allocation-lean request path plus at most
 /// 10% slack.  It read a set-up of 26 allocations, a pass of 9 429, and 195,
 /// 121 and 20 for the three requests; the request path before it read 544,
-/// 26 604, 1 055, 352 and 40.  The set-up is the cost of `Session::new` and
-/// `intern`, which must not grow.
+/// 26 604, 1 055, 352 and 40.  With the analysis memo (one shared entry per
+/// formula, and the alphabet kept from the analysis pass) the pass reads
+/// 9 663 and the three requests 197, 127 and 21.  The set-up is the cost of
+/// `Session::new` and `intern`, which must not grow.
 const SETUP: usize = 28;
 const PASS: usize = 10_000;
 const EVENTUALLY_ARTIFACT: usize = 214;
 const ALWAYS_33_NODES: usize = 133;
 const BOUNDED: usize = 22;
+
+/// Ceilings of a verdict-cache hit, each reading plus at most 10% slack.
+/// Through `Session::check` the three requests above read 6, 9 and 4
+/// allocations on a hit (the memoized analysis's diagnostics, the routing
+/// record, one clone of the stored verdict); when every hit re-ran the
+/// analysis pass they read 59, 50 and 13.  Through `router::handle`, a
+/// repeated body of the `[ => q ] <>r` request reads 29; when the wire
+/// layer linted it on a throwaway arena first, 147.
+const HIT: usize = 10;
+const ROUTED_HIT: usize = 32;
 
 /// The first `count` distinct hard-family draws of the seed-9001 stream.
 fn population(count: usize) -> Vec<Formula> {
@@ -103,4 +126,44 @@ fn a_decide_heavy_pass_allocates_within_its_ceilings() {
     );
     assert!(always <= ALWAYS_33_NODES, "[ => p ] []r made {always}, more than {ALWAYS_33_NODES}");
     assert!(bounded <= BOUNDED, "~[ end => q ] [](r | r) made {bounded}, more than {BOUNDED}");
+
+    for text in ["[ => q ] <>r", "[ => p ] []r", "~[ end => q ] [](r | r)"] {
+        let at = texts.iter().position(|t| t == text).expect("drawn");
+        let request = CheckRequest::new(formulas[at].clone()).auto();
+        let before = allocations();
+        let report = session.check(request);
+        let hit = allocations() - before;
+        println!("hit {text}: {hit}");
+        assert_eq!(report.stats.cache.hits, 1, "{text}");
+        assert!(hit <= HIT, "a hit on {text} made {hit} allocations, more than {HIT}");
+    }
+
+    let routed_hit = served_hit("[ => q ] <>r");
+    println!("routed hit [ => q ] <>r: {routed_hit}");
+    assert!(routed_hit <= ROUTED_HIT, "a served hit made {routed_hit}, more than {ROUTED_HIT}");
+}
+
+/// The allocations of `router::handle` answering a repeated `POST /check`
+/// body, in the benchmark's request shape, from its warm session.
+fn served_hit(formula: &str) -> usize {
+    let config = ServerConfig::default();
+    let metrics = Metrics::new(config.capacity);
+    let ctx = ServerContext {
+        gate: AdmissionGate::new(Arc::clone(&metrics), config.retry_after_ms),
+        store: JobStore::new(config.job_sets_retained),
+        session: Session::new().with_parallelism(Parallelism::Off),
+        metrics,
+        config,
+    };
+    let body = format!(
+        r#"{{"formula":"{formula}","backend":{{"kind":"auto"}},"budget":{{"timeout_ms":2000}}}}"#
+    );
+    let request = Request { method: "POST".into(), path: "/check".into(), body, keep_alive: true };
+    assert_eq!(router::handle(&request, &ctx).status, 200);
+    let before = allocations();
+    let response = router::handle(&request, &ctx);
+    let made = allocations() - before;
+    let report = CheckReport::from_json(&response.body).expect("a report");
+    assert_eq!(report.stats.cache.hits, 1, "{}", response.body);
+    made
 }

@@ -320,7 +320,7 @@ pub struct Analysis {
 /// formula that a check will intern anyway costs one hash-consed walk.
 pub fn analyze(arena: &mut FormulaArena, formula: &Formula) -> Analysis {
     let root = arena.intern(formula);
-    analyze_interned(&*arena, root, formula).0
+    analyze_interned(&*arena, root, formula).analysis
 }
 
 /// [`analyze`] against a throwaway arena — for callers that only want the
@@ -329,16 +329,30 @@ pub fn analyze_formula(formula: &Formula) -> Analysis {
     analyze(&mut FormulaArena::new(), formula)
 }
 
+/// Everything the session's analysis pass learns about one interned
+/// formula: what it keeps in its analysis memo and hands to the backends.
+#[derive(Debug)]
+pub(crate) struct Analyzed {
+    /// The findings and the estimate.
+    pub(crate) analysis: Analysis,
+    /// `¬B` for the LTL translation `B` of the formula — the formula whose
+    /// tableau a decision builds — or `None` outside the translatable
+    /// fragment.
+    pub(crate) negation: Option<Ltl>,
+    /// The formula's [`proposition_names`]: the alphabet of an `Auto`-routed
+    /// sweep and of the decide path's refutation sweep.
+    pub(crate) alphabet: Vec<String>,
+}
+
 /// [`analyze`] for a formula already interned as `root` — the session's
 /// prepare path, which interns exactly once — together with the negated
-/// LTL translation `¬B` the estimate profiles, when the formula translates:
-/// the formula whose tableau a decision builds, so the session translates
-/// each request once.
+/// translation and the alphabet, so a request translates and walks its
+/// formula for names once.
 pub(crate) fn analyze_interned<A: ArenaRead>(
     arena: &A,
     root: FormulaId,
     formula: &Formula,
-) -> (Analysis, Option<Ltl>) {
+) -> Analyzed {
     let mut pass = Pass {
         arena,
         // Every subformula is interned before the formula containing it, so
@@ -385,7 +399,8 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
     let intractable = pass.intractable;
 
     let size = formula.size();
-    let propositions = count_propositions(formula);
+    let alphabet = proposition_names(formula);
+    let propositions = alphabet.len();
     // The decision pipeline builds the tableau of the *negation*; profile
     // exactly that.
     let negation = translated(formula).map(Ltl::not);
@@ -433,7 +448,7 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
             ..CostEstimate::default()
         },
     };
-    (Analysis { diagnostics, estimate }, negation)
+    Analyzed { analysis: Analysis { diagnostics, estimate }, negation, alphabet }
 }
 
 /// Lints every clause of a specification: per-clause formula lints (with the
@@ -539,34 +554,6 @@ pub fn proposition_names(formula: &Formula) -> Vec<String> {
         }
     });
     out
-}
-
-/// Whether `names` is exactly [`proposition_names`]`(formula)`, decided
-/// without building that list.
-pub(crate) fn proposition_names_are(formula: &Formula, names: &[String]) -> bool {
-    // While the lists agree, the names seen so far are `names[..matched]`.
-    let mut matched = 0;
-    let mut agree = true;
-    for_each_proposition(formula, &mut |name| {
-        if !agree || names[..matched].iter().any(|known| known == name) {
-            return;
-        }
-        agree = names.get(matched).is_some_and(|next| next == name);
-        matched += 1;
-    });
-    agree && matched == names.len()
-}
-
-/// [`proposition_names`]`.len()` without the `String` clones — the estimator
-/// only needs the count, and this pass runs on every `Session::prepare`.
-fn count_propositions(formula: &Formula) -> usize {
-    let mut seen: Vec<&str> = Vec::new();
-    for_each_proposition(formula, &mut |name| {
-        if !seen.contains(&name) {
-            seen.push(name);
-        }
-    });
-    seen.len()
 }
 
 // ---------------------------------------------------------------------------
@@ -1039,15 +1026,14 @@ mod tests {
     }
 
     #[test]
-    fn proposition_names_are_compares_with_the_names_in_order() {
+    fn the_analysis_alphabet_is_the_proposition_names_in_order() {
         let formula = prop("p").and(always(prop("q").or(prop("p"))));
-        let names = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
-        assert_eq!(proposition_names(&formula), names(&["p", "q"]));
-        assert!(proposition_names_are(&formula, &names(&["p", "q"])));
-        for other in [&["q", "p"][..], &["p"], &["p", "q", "r"], &["p", "p"], &[]] {
-            assert!(!proposition_names_are(&formula, &names(other)), "{other:?}");
-        }
-        assert!(proposition_names_are(&Formula::True, &[]));
+        let mut arena = FormulaArena::new();
+        let root = arena.intern(&formula);
+        let analyzed = analyze_interned(&arena, root, &formula);
+        assert_eq!(analyzed.alphabet, ["p", "q"]);
+        assert_eq!(analyzed.alphabet, proposition_names(&formula));
+        assert_eq!(analyzed.analysis.estimate.propositions, 2);
     }
 
     #[test]

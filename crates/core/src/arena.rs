@@ -404,6 +404,45 @@ impl FormulaArena {
         }
     }
 
+    /// The id of `formula` when the arena already holds it, `None` otherwise.
+    /// It probes the index with the same borrowed keys as
+    /// [`FormulaArena::intern`] but inserts nothing, so asking about an
+    /// unknown formula leaves the arena as it was.
+    pub(crate) fn lookup(&self, formula: &Formula) -> Option<FormulaId> {
+        let key = match formula {
+            Formula::True => NodeKey::True,
+            Formula::False => NodeKey::False,
+            Formula::Pred(p) => NodeKey::Pred(p),
+            Formula::Not(a) => NodeKey::Not(self.lookup(a)?),
+            Formula::And(a, b) => NodeKey::And(self.lookup(a)?, self.lookup(b)?),
+            Formula::Or(a, b) => NodeKey::Or(self.lookup(a)?, self.lookup(b)?),
+            Formula::Always(a) => NodeKey::Always(self.lookup(a)?),
+            Formula::Eventually(a) => NodeKey::Eventually(self.lookup(a)?),
+            Formula::In(term, a) => NodeKey::In(self.lookup_term(term)?, self.lookup(a)?),
+            Formula::Forall(v, a) => NodeKey::Forall(v, self.lookup(a)?),
+            Formula::Exists(v, a) => NodeKey::Exists(v, self.lookup(a)?),
+        };
+        self.formula_ids.get(&key as &dyn AsNodeKey).copied()
+    }
+
+    /// [`FormulaArena::lookup`] for an interval term.
+    fn lookup_term(&self, term: &IntervalTerm) -> Option<TermId> {
+        // `Some(None)` for an absent side, `None` for an unknown one.
+        let side = |side: &Option<Box<IntervalTerm>>| match side.as_deref() {
+            None => Some(None),
+            Some(t) => self.lookup_term(t).map(Some),
+        };
+        let node = match term {
+            IntervalTerm::Event(f) => TermNode::Event(self.lookup(f)?),
+            IntervalTerm::Begin(t) => TermNode::Begin(self.lookup_term(t)?),
+            IntervalTerm::End(t) => TermNode::End(self.lookup_term(t)?),
+            IntervalTerm::Forward(a, b) => TermNode::Forward(side(a)?, side(b)?),
+            IntervalTerm::Backward(a, b) => TermNode::Backward(side(a)?, side(b)?),
+            IntervalTerm::Must(t) => TermNode::Must(self.lookup_term(t)?),
+        };
+        self.term_ids.get(&node).copied()
+    }
+
     /// Interns a boxed interval term.
     pub fn intern_term(&mut self, term: &IntervalTerm) -> TermId {
         let node = match term {
@@ -1458,6 +1497,32 @@ mod tests {
         let g = prop("D").always().within(event(prop("A")).then(event(prop("B"))));
         arena.intern(&g);
         assert!(arena.formula_count() <= nodes_before + 2, "subterms must be shared");
+    }
+
+    #[test]
+    fn lookups_find_interned_formulas_and_insert_nothing() {
+        let mut arena = FormulaArena::new();
+        let known = [
+            prop("P").not().and(prop("Q")).or(Formula::True),
+            eventually(prop("D")).within(fwd(event(prop("A")), must(event(prop("B"))))),
+            prop("S").within(begin(bwd_from(event(prop("X"))))),
+            always(prop_args("got", [var("x")])).forall("x"),
+        ];
+        let ids: Vec<FormulaId> = known.iter().map(|f| arena.intern(f)).collect();
+        let version = arena.version();
+        for (formula, id) in known.iter().zip(&ids) {
+            assert_eq!(arena.lookup(formula), Some(*id), "{formula}");
+        }
+        // Unknown at the root, deep inside a term, or in a bound variable.
+        for unknown in [
+            prop("P").not().and(prop("Q")),
+            eventually(prop("D")).within(fwd(event(prop("A")), must(event(prop("C"))))),
+            prop("S").within(begin(bwd(event(prop("X")), event(prop("X"))))),
+            always(prop_args("got", [var("y")])).forall("y"),
+        ] {
+            assert_eq!(arena.lookup(&unknown), None, "{unknown}");
+        }
+        assert_eq!(arena.version(), version, "a lookup interns nothing");
     }
 
     #[test]

@@ -73,6 +73,18 @@
 //! exposes the running hit/miss tally; [`Session::set_verdict_cache`] turns
 //! the cache off for A/B comparisons.
 //!
+//! Beside it sits the **analysis memo**, keyed by [`FormulaId`]: the first
+//! request of a formula runs the analysis pass (lints, the
+//! [`CostEstimate`], the one LTL translation and the formula's alphabet),
+//! and every later request of the same formula — whatever its backend —
+//! takes the result from the memo.  The analysis is a function of the
+//! interned formula, so a memoized one is what a fresh pass would produce.
+//! With the analysis in hand, `prepare` routes the request, builds its cache
+//! key and probes the cache once, under the same lock: a hit clones the
+//! stored outcome once and is answered there, without a snapshot or a
+//! backend.  Both stores keep at most 2^16 entries; past that they stop
+//! storing and count each refusal ([`Session::store_gauges`]).
+//!
 //! # Resource control
 //!
 //! Every cutoff — tableau size, condition-DNF implicants, enumeration depth,
@@ -91,13 +103,13 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ilogic_temporal::algorithm_b::{condition_of_graph_budgeted_stats, AlgorithmB, Decision};
-use ilogic_temporal::syntax::{Ltl, VarSpec};
+use ilogic_temporal::syntax::VarSpec;
 use ilogic_temporal::tableau::TableauGraph;
 use ilogic_temporal::theory::PropositionalTheory;
 
 pub use ilogic_temporal::dnf::store::StoreStats as ConditionStats;
 
-use crate::analysis::{self, Analysis, CostEstimate, Diagnostic, DiagnosticCode};
+use crate::analysis::{self, Analyzed, CostEstimate, Diagnostic, DiagnosticCode, Severity};
 use crate::arena::{ArenaRead, ArenaVersion, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
 use crate::bounded::{self, BoundedChecker};
 use crate::json::{Json, JsonError, JsonWriter};
@@ -147,19 +159,6 @@ pub enum Backend {
     /// report quotes the *resolved* backend's name, and an `R001` diagnostic
     /// records the routing decision.
     Auto,
-}
-
-impl Backend {
-    fn name(&self) -> &'static str {
-        match self {
-            Backend::Trace(_) => "trace",
-            Backend::Explore { .. } => "explore",
-            Backend::Bounded { .. } => "bounded",
-            Backend::Decide => "decide",
-            // Resolved away in `Session::prepare`; never reaches a report.
-            Backend::Auto => "auto",
-        }
-    }
 }
 
 /// The runs checked by [`Backend::Explore`].
@@ -1265,9 +1264,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Arena, cumulative counters, and the verdict cache — everything a check
-/// touches at prepare and finalize time, under one lock that is *never*
-/// held while a backend runs.
+/// Arena, cumulative counters, the verdict cache and the analysis memo —
+/// everything a check touches at prepare and finalize time, under one lock
+/// that is *never* held while a backend runs.
 #[derive(Debug, Default)]
 struct SessionState {
     arena: FormulaArena,
@@ -1275,6 +1274,41 @@ struct SessionState {
     cumulative_condition: ConditionStats,
     cumulative_cache: CacheStats,
     verdicts: HashMap<CacheKey, CachedOutcome>,
+    /// The analysis memo: what the analysis pass found for every formula
+    /// the session has prepared, so a repeated formula is analysed once.
+    analyses: HashMap<FormulaId, Arc<Analyzed>>,
+    /// Outcomes and analyses not stored because their store was full.
+    refused_stores: u64,
+}
+
+impl SessionState {
+    /// The analysis of the formula interned as `id`: the memo's entry, or a
+    /// fresh pass the memo keeps while it is under [`VERDICT_CACHE_CAP`].
+    fn analyzed(&mut self, id: FormulaId, formula: &Formula) -> Arc<Analyzed> {
+        if let Some(known) = self.analyses.get(&id) {
+            return Arc::clone(known);
+        }
+        let analyzed = Arc::new(analysis::analyze_interned(&self.arena, id, formula));
+        if self.analyses.len() < VERDICT_CACHE_CAP {
+            self.analyses.insert(id, Arc::clone(&analyzed));
+        } else {
+            self.refused_stores += 1;
+        }
+        analyzed
+    }
+}
+
+/// The sizes of a session's two cross-request stores, and how many stores
+/// their cap refused: what the service's `/metrics` reports of them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StoreGauges {
+    /// Entries of the verdict cache.
+    pub verdict_entries: usize,
+    /// Entries of the analysis memo.
+    pub analysis_entries: usize,
+    /// Verdicts and analyses that were not stored because their store was
+    /// full.
+    pub refused_stores: u64,
 }
 
 /// A read view of the session arena, returned by [`Session::arena`]: derefs
@@ -1294,6 +1328,32 @@ impl std::ops::Deref for ArenaRef<'_> {
     }
 }
 
+/// A [`Backend`] after `Auto` routing: what [`execute`] runs.
+#[derive(Debug)]
+enum Engine {
+    Trace(Trace),
+    Explore(RunSource),
+    /// `props` is `None` when the alphabet is the formula's own, as every
+    /// `Auto`-routed sweep's is: the job's analysis holds it.
+    Bounded {
+        props: Option<Vec<String>>,
+        max_len: usize,
+        lassos: bool,
+    },
+    Decide,
+}
+
+impl Engine {
+    fn name(&self) -> &'static str {
+        match self {
+            Engine::Trace(_) => "trace",
+            Engine::Explore(_) => "explore",
+            Engine::Bounded { .. } => "bounded",
+            Engine::Decide => "decide",
+        }
+    }
+}
+
 /// The cacheable subset of [`Backend`] — the decision procedures whose
 /// outcome is a pure function of the interned formula and the structural
 /// budget caps.  `Trace`/`Explore` verdicts depend on caller-supplied
@@ -1303,7 +1363,8 @@ enum CacheableBackend {
     Decide,
     /// `props` is `None` when the alphabet is the formula's own
     /// [`analysis::proposition_names`], as every `Auto`-routed sweep's is:
-    /// the key's formula determines it, so the key need not copy it.
+    /// the key's formula determines it, so the key need not copy it
+    /// (the job's [`Engine::Bounded`] already says which it is).
     Bounded {
         props: Option<Vec<String>>,
         max_len: usize,
@@ -1354,6 +1415,7 @@ impl CachedOutcome {
 
     /// Rebuilds the outcome a fresh run would have produced, so `finalize`
     /// replays the cumulative-counter merges exactly as recomputation would.
+    /// The verdict is cloned here, once per replay.
     fn replay(&self, duration: Duration) -> JobOutcome {
         JobOutcome {
             verdict: self.verdict.clone(),
@@ -1372,8 +1434,9 @@ impl CachedOutcome {
 enum CachePlan {
     /// The request is uncacheable: run it, store nothing, count nothing.
     Bypass,
-    /// Found in the session cache: replay the stored outcome, no backend.
-    Hit(CachedOutcome),
+    /// Found in the session cache: [`Session::prepare`] returned the
+    /// replayed outcome beside the job, and no backend runs.
+    Hit,
     /// Cacheable but absent: execute, then store under this key at finalize
     /// time (unless the run was cut by a deadline or a cancellation — those
     /// outcomes are timing-dependent and must never be replayed).
@@ -1384,10 +1447,13 @@ enum CachePlan {
     Defer(CacheKey),
 }
 
-/// Entry cap of the verdict cache: a long-lived server session must not
-/// grow without bound, so once the cap is reached new outcomes simply stop
-/// being stored (lookups, and the determinism rules, are unaffected).
-const VERDICT_CACHE_CAP: usize = 1 << 16;
+/// Entry cap of the verdict cache and of the analysis memo: a long-lived
+/// server session must not grow without bound, so once a store holds this
+/// many entries it stops storing new ones (lookups, and the determinism
+/// rules, are unaffected).  Each refused store is counted
+/// ([`StoreGauges::refused_stores`]), so a full store shows on `/metrics`.
+/// Unit tests fill a small cap.
+const VERDICT_CACHE_CAP: usize = if cfg!(test) { 64 } else { 1 << 16 };
 
 /// The unified checking façade.
 ///
@@ -1526,6 +1592,30 @@ impl Session {
         lock(&self.state).cumulative_cache
     }
 
+    /// The entries of the verdict cache and of the analysis memo, and the
+    /// stores their cap refused so far.
+    pub fn store_gauges(&self) -> StoreGauges {
+        let state = lock(&self.state);
+        StoreGauges {
+            verdict_entries: state.verdicts.len(),
+            analysis_entries: state.analyses.len(),
+            refused_stores: state.refused_stores,
+        }
+    }
+
+    /// Whether this session has analysed `formula` before and found no
+    /// error-severity diagnostic.  It looks the formula up in the arena
+    /// without interning it and reads the analysis memo, so asking about a
+    /// formula the session has not seen leaves the arena as it was; `false`
+    /// means "not known clean", not "refused".
+    pub fn is_known_clean(&self, formula: &Formula) -> bool {
+        let state = lock(&self.state);
+        let known = state.arena.lookup(formula).and_then(|id| state.analyses.get(&id));
+        known.is_some_and(|analyzed| {
+            !analyzed.analysis.diagnostics.iter().any(|d| d.severity == Severity::Error)
+        })
+    }
+
     /// Effective parallelism: the request's explicit choice, else the session
     /// default, else the environment override, else off.
     fn resolve_parallelism(&self, requested: Option<Parallelism>) -> Parallelism {
@@ -1553,15 +1643,19 @@ impl Session {
         lock(&self.state).arena.extract(id)
     }
 
-    /// Interns the request's formula, runs the pre-flight analysis pass, and
-    /// resolves its knobs — including `Backend::Auto` routing and (when
-    /// enabled) pre-flight admission — recording the arena size the report
-    /// will quote and the job's verdict-cache plan.  Interning is the only
-    /// arena mutation a check performs, so preparing a whole batch in
-    /// submission order leaves the arena in exactly the state a sequential
-    /// loop of `check` calls would produce.  Routing and admission read only
-    /// the request and the deterministic [`CostEstimate`], so they too
-    /// replay identically.
+    /// Interns the request's formula, takes its analysis from the memo (or
+    /// runs the pass once and memoizes it), and resolves its knobs —
+    /// including `Backend::Auto` routing and (when enabled) pre-flight
+    /// admission — recording the arena size the report will quote and the
+    /// job's verdict-cache plan.  Interning is the only arena mutation a
+    /// check performs, so preparing a whole batch in submission order leaves
+    /// the arena in exactly the state a sequential loop of `check` calls
+    /// would produce.  Routing and admission read only the request and the
+    /// deterministic [`CostEstimate`], so they too replay identically, and
+    /// so does the memo: the analysis is a function of the interned formula.
+    ///
+    /// The verdict cache is probed here, once: a hit returns the stored
+    /// outcome beside the job, and the job runs no backend.
     ///
     /// `batch_keys` is the set of cache keys earlier jobs of the same batch
     /// plan to store: a duplicate becomes a [`CachePlan::Defer`], scoring
@@ -1572,28 +1666,35 @@ impl Session {
         state: &mut SessionState,
         request: CheckRequest,
         batch_keys: Option<&mut HashSet<CacheKey>>,
-    ) -> PreparedJob {
+    ) -> (PreparedJob, Option<JobOutcome>) {
         let CheckRequest { formula, backend, domain, parallelism, budget, preflight } = request;
         let id = state.arena.intern(&formula);
-        let (Analysis { mut diagnostics, estimate }, negation) =
-            analysis::analyze_interned(&state.arena, id, &formula);
+        let analyzed = state.analyzed(id, &formula);
+        let estimate = analyzed.analysis.estimate;
+        let mut diagnostics = analyzed.analysis.diagnostics.clone();
         let mut budget = self.resolve_budget(budget);
-        let backend = match backend {
+        let engine = match backend {
             Backend::Auto => {
-                let (routed, routed_budget) = auto_backend(&formula, &estimate, &budget);
+                let (routed, routed_budget) = route(&estimate, &budget);
                 diagnostics.push(Diagnostic::new(
                     DiagnosticCode::Routed,
                     vec![id],
-                    route_message(&routed, &estimate),
+                    route_message(routed.name(), &estimate),
                 ));
                 budget = routed_budget;
                 routed
             }
-            chosen => chosen,
+            Backend::Trace(trace) => Engine::Trace(trace),
+            Backend::Explore { runs } => Engine::Explore(runs),
+            Backend::Bounded { props, max_len, lassos } => Engine::Bounded {
+                props: (props != analyzed.alphabet).then_some(props),
+                max_len,
+                lassos,
+            },
+            Backend::Decide => Engine::Decide,
         };
-        let backend_name = backend.name();
         let rejection = (preflight || self.preflight)
-            .then(|| admission(&backend, &estimate, &budget))
+            .then(|| admission(&engine, analyzed.alphabet.len(), &estimate, &budget))
             .flatten();
         if let Some(cut) = rejection {
             diagnostics.push(Diagnostic::new(
@@ -1608,30 +1709,30 @@ impl Session {
         }
         let mut job = PreparedJob {
             id,
-            formula,
-            negation,
-            backend,
+            analyzed,
+            engine,
             domain,
             parallelism: self.resolve_parallelism(parallelism),
             budget,
             arena_nodes: state.arena.formula_count() + state.arena.term_count(),
-            backend_name,
             diagnostics,
-            estimate,
             rejection,
             cache: CachePlan::Bypass,
         };
-        job.cache = self.cache_plan(state, &job);
-        if let (Some(seen), CachePlan::Miss(key)) = (batch_keys, &job.cache) {
-            if !seen.insert(key.clone()) {
-                job.cache = CachePlan::Defer(key.clone());
-            }
+        let Some(key) = self.cache_key(&job) else {
+            return (job, None);
+        };
+        if let Some(stored) = state.verdicts.get(&key) {
+            job.cache = CachePlan::Hit;
+            return (job, Some(stored.replay(Duration::ZERO)));
         }
-        job
+        let deferred = batch_keys.is_some_and(|seen| !seen.insert(key.clone()));
+        job.cache = if deferred { CachePlan::Defer(key) } else { CachePlan::Miss(key) };
+        (job, None)
     }
 
-    /// Decides how the verdict cache treats one prepared job: replay a
-    /// stored outcome, execute-and-store, or bypass.
+    /// The verdict-cache key of one prepared job, or `None` when the job
+    /// bypasses the cache.
     ///
     /// The timing rules keep cached reports bit-identical to recomputation:
     ///
@@ -1648,26 +1749,25 @@ impl Session {
     /// Structural exhaustions (`Nodes`/`Edges`/`Implicants`/`Enumeration`)
     /// are deterministic in the key's caps and cache like any settled
     /// verdict.
-    fn cache_plan(&self, state: &SessionState, job: &PreparedJob) -> CachePlan {
+    fn cache_key(&self, job: &PreparedJob) -> Option<CacheKey> {
         if !self.cache_enabled
             || job.rejection.is_some()
             || job.domain.is_some()
             || job.budget.cancel_token().is_some()
             || job.budget.interrupted().is_some()
         {
-            return CachePlan::Bypass;
+            return None;
         }
-        let backend = match &job.backend {
-            Backend::Decide => CacheableBackend::Decide,
-            Backend::Bounded { props, max_len, lassos } => CacheableBackend::Bounded {
-                props: (!analysis::proposition_names_are(&job.formula, props))
-                    .then(|| props.clone()),
+        let backend = match &job.engine {
+            Engine::Decide => CacheableBackend::Decide,
+            Engine::Bounded { props, max_len, lassos } => CacheableBackend::Bounded {
+                props: props.clone(),
                 max_len: *max_len,
                 lassos: *lassos,
             },
-            _ => return CachePlan::Bypass,
+            Engine::Trace(_) | Engine::Explore(_) => return None,
         };
-        let key = CacheKey {
+        Some(CacheKey {
             formula: job.id,
             backend,
             max_nodes: job.budget.max_nodes(),
@@ -1675,11 +1775,7 @@ impl Session {
             max_implicants: job.budget.max_implicants(),
             max_enumeration: job.budget.max_enumeration(),
             workers: job.parallelism.workers(),
-        };
-        match state.verdicts.get(&key) {
-            Some(stored) => CachePlan::Hit(stored.clone()),
-            None => CachePlan::Miss(key),
-        }
+        })
     }
 
     /// Folds a finished job into the session counters (in submission order
@@ -1693,7 +1789,7 @@ impl Session {
     ) -> CheckReport {
         let request_cache = match job.cache {
             CachePlan::Bypass => CacheStats::default(),
-            CachePlan::Hit(_) | CachePlan::Defer(_) => CacheStats { hits: 1, misses: 0 },
+            CachePlan::Hit | CachePlan::Defer(_) => CacheStats { hits: 1, misses: 0 },
             CachePlan::Miss(key) => {
                 // Deadline/cancellation cuts are where the run *stopped*,
                 // not what the formula *is* — replaying one later would be
@@ -1704,8 +1800,12 @@ impl Session {
                         exhausted: Some(Exhaustion::Deadline | Exhaustion::Cancelled)
                     }
                 );
-                if !timing_cut && state.verdicts.len() < VERDICT_CACHE_CAP {
-                    state.verdicts.insert(key, CachedOutcome::of(&outcome));
+                if !timing_cut {
+                    if state.verdicts.len() < VERDICT_CACHE_CAP {
+                        state.verdicts.insert(key, CachedOutcome::of(&outcome));
+                    } else {
+                        state.refused_stores += 1;
+                    }
                 }
                 CacheStats { hits: 0, misses: 1 }
             }
@@ -1729,11 +1829,11 @@ impl Session {
                 exhausted,
                 arena_nodes: job.arena_nodes,
                 workers: outcome.workers,
-                estimate: Some(job.estimate),
+                estimate: Some(job.analyzed.analysis.estimate),
                 cache: request_cache,
                 session_cache: state.cumulative_cache,
             },
-            backend: job.backend_name,
+            backend: job.engine.name(),
             failing_index: outcome.failing_index,
             diagnostics: job.diagnostics,
         }
@@ -1742,18 +1842,19 @@ impl Session {
     /// Runs a check and reports the verdict with uniform statistics.
     pub fn check(&self, request: CheckRequest) -> CheckReport {
         let start = Instant::now();
-        let (job, snapshot) = {
-            let mut state = lock(&self.state);
-            let job = self.prepare(&mut state, request, None);
-            (job, state.arena.snapshot())
-        };
-        // Execute with no lock held, over the O(1) snapshot taken at prepare
-        // time: other threads intern and dispatch freely while this backend
-        // runs.  A cache hit replays the stored outcome instead.
-        let outcome = match &job.cache {
-            CachePlan::Hit(stored) => stored.replay(start.elapsed()),
-            _ => execute(&snapshot, &job),
-        };
+        let mut state = lock(&self.state);
+        let (job, replayed) = self.prepare(&mut state, request, None);
+        if let Some(mut outcome) = replayed {
+            // A cache hit: the stored outcome, under the same lock.
+            outcome.duration = start.elapsed();
+            return self.finalize(&mut state, job, outcome);
+        }
+        // Execute with no lock held, over an O(1) snapshot of the arena
+        // version the job was prepared against: other threads intern and
+        // dispatch freely while this backend runs.
+        let snapshot = state.arena.snapshot();
+        drop(state);
+        let outcome = execute(&snapshot, &job);
         self.finalize(&mut lock(&self.state), job, outcome)
     }
 
@@ -1782,22 +1883,23 @@ impl Session {
         // and each job's intra-request parallelism is pinned off (the
         // scheduler owns the workers).  One O(1) snapshot of the resulting
         // arena version serves the whole batch.
-        let (jobs, snapshot) = {
+        let (jobs, mut slots, snapshot) = {
             let mut state = lock(&self.state);
             let mut batch_keys = HashSet::new();
-            let jobs: Vec<PreparedJob> = requests
+            let (jobs, slots): (Vec<PreparedJob>, Vec<Option<JobOutcome>>) = requests
                 .into_iter()
                 .map(|request| {
                     let request = request.with_parallelism(Parallelism::Off);
                     self.prepare(&mut state, request, Some(&mut batch_keys))
                 })
-                .collect();
-            (jobs, state.arena.snapshot())
+                .unzip();
+            (jobs, slots, state.arena.snapshot())
         };
         // Phase 2 — execute the jobs that actually need a backend across the
-        // pool, with no lock held.  Cache hits and within-batch duplicates
-        // skip execution entirely; per-job results don't depend on which
-        // worker runs them.
+        // pool, with no lock held.  Cache hits (whose slots hold their
+        // replayed outcomes already) and within-batch duplicates skip
+        // execution entirely; per-job results don't depend on which worker
+        // runs them.
         let pool = WorkerPool::new(self.resolve_parallelism(None));
         let runnable: Vec<usize> = jobs
             .iter()
@@ -1807,7 +1909,6 @@ impl Session {
             .collect();
         let outcomes: Vec<JobOutcome> =
             scheduler::run_jobs(&pool, runnable.len(), |i| execute(&snapshot, &jobs[runnable[i]]));
-        let mut slots: Vec<Option<JobOutcome>> = jobs.iter().map(|_| None).collect();
         for (index, outcome) in runnable.into_iter().zip(outcomes) {
             slots[index] = Some(outcome);
         }
@@ -1819,7 +1920,6 @@ impl Session {
             .map(|(job, slot)| {
                 let outcome = match (&job.cache, slot) {
                     (_, Some(outcome)) => outcome,
-                    (CachePlan::Hit(stored), None) => stored.replay(Duration::ZERO),
                     (CachePlan::Defer(key), None) => match state.verdicts.get(key) {
                         Some(stored) => stored.replay(Duration::ZERO),
                         // The earlier duplicate was cut by its deadline and
@@ -1828,7 +1928,7 @@ impl Session {
                         // anyway).
                         None => execute(&snapshot, &job),
                     },
-                    (_, None) => unreachable!("runnable jobs have an outcome"),
+                    (_, None) => unreachable!("runnable jobs and cache hits have an outcome"),
                 };
                 self.finalize(&mut state, job, outcome)
             })
@@ -1921,24 +2021,23 @@ impl InternHandle<'_> {
     }
 }
 
-/// A [`CheckRequest`] after [`Session::prepare`]: formula interned, knobs
-/// resolved, arena size recorded.  The unit of work the scheduler multiplexes.
+/// A [`CheckRequest`] after [`Session::prepare`]: formula interned and
+/// analysed, knobs resolved, arena size recorded.  The unit of work the
+/// scheduler multiplexes.
 pub(crate) struct PreparedJob {
     id: FormulaId,
-    formula: Formula,
-    /// `¬B` for the LTL translation `B` of the formula, translated once by
-    /// the analysis pass; `None` outside the translatable fragment.
-    negation: Option<Ltl>,
-    backend: Backend,
+    /// The analysis pass's findings for the formula, shared with the
+    /// session's memo: the estimate, `¬B` (translated once, `None` outside
+    /// the translatable fragment) and the alphabet.
+    analyzed: Arc<Analyzed>,
+    engine: Engine,
     domain: Option<Vec<Value>>,
     parallelism: Parallelism,
     budget: ResourceBudget,
     arena_nodes: usize,
-    backend_name: &'static str,
     /// Findings of the analysis pass (plus routing/rejection records),
     /// carried verbatim into the report.
     diagnostics: Vec<Diagnostic>,
-    estimate: CostEstimate,
     /// `Some` when pre-flight admission refused the job: [`execute`]
     /// short-circuits to `Unknown { exhausted }` without running a backend.
     rejection: Option<Exhaustion>,
@@ -1981,8 +2080,8 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
         };
     }
     let mut condition = ConditionStats::default();
-    let (verdict, traces_checked, memo, workers, failing_index) = match &job.backend {
-        Backend::Trace(trace) => {
+    let (verdict, traces_checked, memo, workers, failing_index) = match &job.engine {
+        Engine::Trace(trace) => {
             let mut memo = MemoEvaluator::new(arena);
             if let Some(domain) = &job.domain {
                 memo = memo.with_domain(domain.clone());
@@ -1995,12 +2094,13 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
                 (Verdict::Counterexample(trace.clone()), 1, memo.stats(), 1, Some(0))
             }
         }
-        Backend::Explore { runs } => {
+        Engine::Explore(runs) => {
             let (verdict, checked, memo, index) =
                 drive_runs(arena, runs, job.id, job.domain.as_deref(), &job.budget);
             (verdict, checked, memo, 1, index)
         }
-        Backend::Bounded { props, max_len, lassos } => {
+        Engine::Bounded { props, max_len, lassos } => {
+            let props = props.as_deref().unwrap_or(&job.analyzed.alphabet);
             let mut checker = BoundedChecker::new(props.iter().map(String::as_str), *max_len);
             if !lassos {
                 checker = checker.without_lassos();
@@ -2021,12 +2121,11 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
             };
             (verdict, sweep.traces_checked, sweep.memo, sweep.workers, index)
         }
-        Backend::Decide => {
+        Engine::Decide => {
             let (verdict, traces_checked, memo, workers, failing_index, stats) = decide(arena, job);
             condition = stats;
             (verdict, traces_checked, memo, workers, failing_index)
         }
-        Backend::Auto => unreachable!("Backend::Auto is resolved to a concrete backend at prepare"),
     };
     JobOutcome {
         verdict,
@@ -2072,7 +2171,7 @@ fn decide<A: ArenaRead + Sync>(
 ) -> (Verdict, usize, MemoStats, usize, Option<usize>, ConditionStats) {
     let none = MemoStats::default();
     let mut condition_stats = ConditionStats::default();
-    let Some(negation) = &job.negation else {
+    let Some(negation) = &job.analyzed.negation else {
         return (Verdict::unknown(), 0, none, 1, None, condition_stats);
     };
     // Algorithm B reads the formula it decides only for the classes of its
@@ -2137,7 +2236,7 @@ fn decide<A: ArenaRead + Sync>(
     // constant) rejected a deeper bound is tracked so the verdict only
     // reports `exhausted: Some(Enumeration)` when raising `max_enumeration`
     // could actually have helped.
-    let props = analysis::proposition_names(&job.formula);
+    let props = &job.analyzed.alphabet;
     let (depth, cap_blocked_depth) = refutation_depth(props.len(), job.budget.max_enumeration());
     let budget_cut_depth = cap_blocked_depth.then_some(Exhaustion::Enumeration);
     let Some(depth) = depth else {
@@ -2149,7 +2248,7 @@ fn decide<A: ArenaRead + Sync>(
             None => (Verdict::unknown(), 0, none, 1, None, condition_stats),
         };
     };
-    let checker = BoundedChecker::new(props, depth);
+    let checker = BoundedChecker::new(props.iter().map(String::as_str), depth);
     let sweep = checker.sweep_budgeted(arena, job.id, None, job.parallelism, &job.budget);
     let (verdict, index) = match sweep.counterexample {
         Some((index, trace)) => (Verdict::Counterexample(trace), Some(index)),
@@ -2273,26 +2372,39 @@ pub fn auto_backend(
     estimate: &CostEstimate,
     budget: &ResourceBudget,
 ) -> (Backend, ResourceBudget) {
+    match route(estimate, budget) {
+        (Engine::Bounded { max_len, lassos, .. }, budget) => {
+            let props = analysis::proposition_names(formula);
+            (Backend::Bounded { props, max_len, lassos }, budget)
+        }
+        (_, budget) => (Backend::Decide, budget),
+    }
+}
+
+/// [`auto_backend`] as the session runs it: the sweep's alphabet is the
+/// formula's own, which the estimate counts
+/// ([`CostEstimate::propositions`]) and the job's analysis holds.
+fn route(estimate: &CostEstimate, budget: &ResourceBudget) -> (Engine, ResourceBudget) {
     if estimate.translatable {
         let budget = if estimate.blowup() {
             budget.clone().with_max_implicants(usize::MAX)
         } else {
             budget.clone()
         };
-        (Backend::Decide, budget)
+        (Engine::Decide, budget)
     } else {
-        let props = analysis::proposition_names(formula);
-        let max_len = refutation_depth(props.len(), budget.max_enumeration()).0.unwrap_or(1);
-        (Backend::Bounded { props, max_len, lassos: true }, budget.clone())
+        let max_len =
+            refutation_depth(estimate.propositions, budget.max_enumeration()).0.unwrap_or(1);
+        (Engine::Bounded { props: None, max_len, lassos: true }, budget.clone())
     }
 }
 
 /// The message of the `R001` routing record: where `Auto` sent the job and
 /// why, written into one buffer.
-fn route_message(routed: &Backend, estimate: &CostEstimate) -> String {
+fn route_message(routed: &str, estimate: &CostEstimate) -> String {
     use std::fmt::Write;
     let mut message = String::with_capacity(128);
-    let _ = write!(message, "auto: routed to `{}` (", routed.name());
+    let _ = write!(message, "auto: routed to `{routed}` (");
     if estimate.artifact_intractable {
         message.push_str("artifact-intractable prefix-invariance shape: evaluated fixpoint forced");
     } else if estimate.deep_nesting {
@@ -2317,16 +2429,18 @@ fn route_message(routed: &Backend, estimate: &CostEstimate) -> String {
 /// run sources) and untranslatable `Decide` jobs are always admitted, so
 /// admission never rejects work the estimator can't see.
 fn admission(
-    backend: &Backend,
+    engine: &Engine,
+    own_alphabet: usize,
     estimate: &CostEstimate,
     budget: &ResourceBudget,
 ) -> Option<Exhaustion> {
-    match backend {
-        Backend::Bounded { props, max_len, lassos } => {
-            (bounded::model_count(props.len(), *max_len, *lassos) > budget.max_enumeration())
+    match engine {
+        Engine::Bounded { props, max_len, lassos } => {
+            let alphabet = props.as_ref().map_or(own_alphabet, Vec::len);
+            (bounded::model_count(alphabet, *max_len, *lassos) > budget.max_enumeration())
                 .then_some(Exhaustion::Enumeration)
         }
-        Backend::Decide if estimate.translatable => {
+        Engine::Decide if estimate.translatable => {
             if estimate.nodes > budget.max_nodes() as u64 {
                 Some(Exhaustion::Nodes)
             } else if estimate.edges > budget.max_edges() as u64 {
@@ -2857,6 +2971,124 @@ mod tests {
         let parsed = CheckReport::from_json(&json).expect("round trip");
         assert_eq!(parsed, hit);
         assert_eq!(parsed.to_json(), json, "stable rendering");
+    }
+
+    #[test]
+    fn a_memo_hit_reports_what_a_fresh_analysis_reports() {
+        let formulas = [
+            eventually(prop("P")),
+            always(prop("P")).implies(eventually(prop("P"))),
+            // A lint error, a routing record and an untranslatable shape.
+            prop("P").and(prop("P").not()),
+            prop("D").eventually().within(event(prop("A")).then(event(prop("B")))),
+            prop_args("p", [var("x")]).forall("x"),
+        ];
+        // Both sessions intern the formulas in the same order, so their
+        // arenas agree id for id; only `memoized` has analysed them (an
+        // `Explore` check over no runs analyses its formula, runs nothing,
+        // bypasses the verdict cache and leaves every counter at zero).
+        let memoized = || {
+            let session = Session::new();
+            for formula in &formulas {
+                session.check(CheckRequest::new(formula.clone()).over_runs(Vec::new()));
+            }
+            assert_eq!(session.store_gauges().analysis_entries, formulas.len());
+            session
+        };
+        let interned = || {
+            let session = Session::new();
+            for formula in &formulas {
+                session.intern(formula);
+            }
+            session
+        };
+        for formula in &formulas {
+            let own = analysis::proposition_names(formula);
+            let requests = [
+                CheckRequest::new(formula.clone()).auto(),
+                CheckRequest::new(formula.clone()).decide(),
+                CheckRequest::new(formula.clone()).bounded(own, 2),
+                CheckRequest::new(formula.clone()).bounded(["P", "Q"], 2),
+                CheckRequest::new(formula.clone())
+                    .decide()
+                    .with_preflight()
+                    .with_budget(ResourceBudget::default().with_max_nodes(1)),
+            ];
+            for request in requests {
+                let mut hit = memoized().check(request.clone());
+                let mut fresh = interned().check(request);
+                hit.stats.duration = Duration::ZERO;
+                fresh.stats.duration = Duration::ZERO;
+                assert_eq!(hit, fresh, "{formula}");
+                assert_eq!(hit.to_json(), fresh.to_json(), "{formula}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_analysed_clean_formulas_are_known_clean() {
+        let session = Session::new();
+        let clean = eventually(prop("P"));
+        let linted = prop("P").and(prop("P").not());
+        assert!(!session.is_known_clean(&clean));
+        assert_eq!(session.arena().formula_count(), 0, "asking interns nothing");
+        session.intern(&clean);
+        assert!(!session.is_known_clean(&clean), "interned is not analysed");
+        session.check(CheckRequest::new(clean.clone()).decide());
+        assert!(session.is_known_clean(&clean));
+        session.check(CheckRequest::new(linted.clone()).decide());
+        assert!(!session.is_known_clean(&linted), "an error-severity finding is not clean");
+    }
+
+    #[test]
+    fn full_stores_count_the_stores_they_refuse() {
+        let session = Session::new();
+        let request =
+            |i: usize| CheckRequest::new(prop(format!("P{i}"))).bounded([format!("P{i}")], 1);
+        for i in 0..VERDICT_CACHE_CAP {
+            session.check(request(i));
+        }
+        let full = StoreGauges {
+            verdict_entries: VERDICT_CACHE_CAP,
+            analysis_entries: VERDICT_CACHE_CAP,
+            refused_stores: 0,
+        };
+        assert_eq!(session.store_gauges(), full);
+        // One formula more: neither its analysis nor its outcome is stored,
+        // and both refusals are counted, each time it is checked.
+        for refused in [2, 4] {
+            let report = session.check(request(VERDICT_CACHE_CAP));
+            assert_eq!(report.stats.cache, CacheStats { hits: 0, misses: 1 });
+            assert_eq!(session.store_gauges(), StoreGauges { refused_stores: refused, ..full });
+        }
+        // A stored formula still hits, and refuses nothing.
+        let report = session.check(request(0));
+        assert_eq!(report.stats.cache, CacheStats { hits: 1, misses: 0 });
+        assert_eq!(session.store_gauges(), StoreGauges { refused_stores: 4, ..full });
+    }
+
+    #[test]
+    fn batch_cache_hits_replay_what_a_loop_replays() {
+        use crate::pool::Parallelism;
+        let requests = || {
+            vec![
+                CheckRequest::new(eventually(prop("P"))).decide(),
+                CheckRequest::new(eventually(prop("Q"))).auto(),
+                CheckRequest::new(eventually(prop("P"))).decide(),
+            ]
+        };
+        let batched = Session::new();
+        batched.check(requests().remove(0));
+        let looped = Session::new();
+        looped.check(requests().remove(0));
+        let reports = batched.check_many(requests());
+        assert_eq!(reports[0].stats.cache, CacheStats { hits: 1, misses: 0 });
+        for (mut batch, request) in reports.into_iter().zip(requests()) {
+            let mut one = looped.check(request.with_parallelism(Parallelism::Off));
+            batch.stats.duration = Duration::ZERO;
+            one.stats.duration = Duration::ZERO;
+            assert_eq!(batch, one);
+        }
     }
 
     #[test]

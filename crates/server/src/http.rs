@@ -67,9 +67,11 @@ pub fn read_request(
     reader: &mut impl BufRead,
     max_body_bytes: usize,
 ) -> Result<Request, HttpError> {
+    // One buffer holds each line of the head in turn.
+    let mut buffer = Vec::with_capacity(LINE_CAPACITY);
     // EOF before the first byte of a request: the peer hung up between
     // requests, which is how every keep-alive connection eventually ends.
-    let Some(request_line) = read_line(reader, MAX_HEAD_BYTES)? else {
+    let Some(request_line) = read_line(reader, MAX_HEAD_BYTES, &mut buffer)? else {
         return Err(HttpError::Closed);
     };
     let mut parts = request_line.split(' ');
@@ -88,8 +90,8 @@ pub fn read_request(
     let mut keep_alive = version == "HTTP/1.1";
     let mut head_budget = MAX_HEAD_BYTES.saturating_sub(request_line.len());
     for _ in 0..=MAX_HEADERS {
-        let line = match read_line(reader, head_budget)? {
-            Some(line) if line.is_empty() => {
+        let line = match read_line(reader, head_budget, &mut buffer)? {
+            Some("") => {
                 let body = read_body(reader, content_length, max_body_bytes)?;
                 return Ok(Request { method, path, body, keep_alive });
             }
@@ -120,31 +122,45 @@ pub fn read_request(
     Err(HttpError::Malformed(format!("more than {MAX_HEADERS} headers")))
 }
 
-/// Reads one CRLF- (or bare-LF-) terminated line, `None` on immediate EOF.
-/// `limit` caps the line length: a peer streaming an endless header line is
-/// cut off as malformed rather than buffered without bound.
-fn read_line(reader: &mut impl BufRead, limit: usize) -> Result<Option<String>, HttpError> {
-    let mut line = Vec::new();
+/// Initial capacity of the buffer the head's lines are read into: room for
+/// the request line and any header a client typically sends.
+const LINE_CAPACITY: usize = 256;
+
+/// Reads one CRLF- (or bare-LF-) terminated line into `line`, which it
+/// clears first, and returns it without its terminator; `None` on
+/// immediate EOF.  The line end is found by scanning the reader's buffer
+/// ([`BufRead::fill_buf`]), so a line costs a copy out of that buffer, not
+/// a call per byte.  `limit` caps the line length: a peer streaming an
+/// endless header line is cut off as malformed rather than buffered without
+/// bound.
+fn read_line<'b>(
+    reader: &mut impl BufRead,
+    limit: usize,
+    line: &'b mut Vec<u8>,
+) -> Result<Option<&'b str>, HttpError> {
+    line.clear();
     loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) if line.is_empty() => return Ok(None),
-            Ok(0) => return Err(HttpError::Malformed("connection closed mid-line".into())),
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return String::from_utf8(line)
-                        .map(Some)
-                        .map_err(|_| HttpError::Malformed("non-UTF-8 request head".into()));
-                }
-                if line.len() >= limit {
-                    return Err(HttpError::Malformed(format!("line longer than {limit} bytes")));
-                }
-                line.push(byte[0]);
+        let available = reader.fill_buf()?;
+        if available.is_empty() {
+            if line.is_empty() {
+                return Ok(None);
             }
-            Err(error) => return Err(error.into()),
+            return Err(HttpError::Malformed("connection closed mid-line".into()));
+        }
+        let end = available.iter().position(|&byte| byte == b'\n');
+        let taken = end.unwrap_or(available.len());
+        if line.len() + taken > limit {
+            return Err(HttpError::Malformed(format!("line longer than {limit} bytes")));
+        }
+        line.extend_from_slice(&available[..taken]);
+        reader.consume(taken + usize::from(end.is_some()));
+        if end.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return std::str::from_utf8(line)
+                .map(Some)
+                .map_err(|_| HttpError::Malformed("non-UTF-8 request head".into()));
         }
     }
 }
@@ -271,6 +287,32 @@ mod tests {
         assert!(matches!(parse(&endless), Err(HttpError::Malformed(_))));
         let many = format!("GET / HTTP/1.1\r\n{}\r\n", "a: b\r\n".repeat(MAX_HEADERS + 1));
         assert!(matches!(parse(&many), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn lines_read_alike_whatever_the_reads_deliver() {
+        let bytes = "POST /check HTTP/1.1\r\nContent-Length: 2\nHost: x\r\n\r\n{}";
+        // A 3-byte buffer splits every line across several fills.
+        for capacity in [3, 1024] {
+            let mut reader = BufReader::with_capacity(capacity, bytes.as_bytes());
+            let request = read_request(&mut reader, 1024).expect("parses");
+            assert_eq!((request.method.as_str(), request.path.as_str()), ("POST", "/check"));
+            assert_eq!(request.body, "{}", "a bare LF ends a line too");
+        }
+        // The limit admits a line of exactly `limit` bytes, CR included.
+        let mut line = Vec::new();
+        let mut reader = BufReader::with_capacity(3, "abcd\r\nabcde\n".as_bytes());
+        assert_eq!(read_line(&mut reader, 5, &mut line).unwrap(), Some("abcd"));
+        assert!(matches!(read_line(&mut reader, 4, &mut line), Err(HttpError::Malformed(_))));
+        // EOF: before a line is the end of the connection, inside one an
+        // error, and a head cut short is malformed.
+        let mut reader = BufReader::with_capacity(3, "ab".as_bytes());
+        assert!(matches!(read_line(&mut reader, 8, &mut line), Err(HttpError::Malformed(_))));
+        assert!(matches!(read_line(&mut reader, 8, &mut line), Ok(None)));
+        assert!(matches!(parse("GET / HTTP/1.1\r\nHost: x\r\n"), Err(HttpError::Malformed(_))));
+        let invalid = &b"GET / HTTP/1.1\r\n\xff: x\r\n\r\n"[..];
+        let error = read_request(&mut BufReader::with_capacity(3, invalid), 1024);
+        assert!(matches!(error, Err(HttpError::Malformed(m)) if m == "non-UTF-8 request head"));
     }
 
     #[test]

@@ -8,11 +8,18 @@
 //! would be marginally cheaper per update but could be scraped mid-update,
 //! and the whole point of the gauge is that an operator (or the CI smoke
 //! job) can assert the balance.
+//!
+//! The scrape also reports the warm session's two cross-request stores —
+//! the verdict cache and the analysis memo — by their entries, and how many
+//! stores their cap refused (`refused_stores`): a full store stops storing,
+//! and this counter is where that shows.  The session owns those figures
+//! ([`StoreGauges`]); the route hands them in.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ilogic_core::json::{Json, JsonWriter};
+use ilogic_core::session::StoreGauges;
 
 /// Upper bounds (µs) of the latency-histogram buckets; the implicit last
 /// bucket is unbounded.
@@ -114,10 +121,11 @@ impl Metrics {
     }
 
     /// A consistent snapshot as the `/metrics` JSON document, streamed
-    /// under the lock.
-    pub fn to_json(&self) -> String {
+    /// under the lock, with the session's `stores` figures beside the cache
+    /// counters.
+    pub fn to_json(&self, stores: StoreGauges) -> String {
         let inner = self.lock();
-        let mut out = JsonWriter::with_capacity(640);
+        let mut out = JsonWriter::with_capacity(768);
         out.raw(r#"{"accepted":"#).int(inner.accepted as i64);
         out.raw(r#","completed":"#).int(inner.completed as i64);
         out.raw(r#","shed":"#).int(inner.shed as i64);
@@ -127,6 +135,9 @@ impl Metrics {
         out.raw(r#","capacity":"#).int(self.capacity as i64);
         out.raw(r#","cache_hits":"#).int(inner.cache_hits as i64);
         out.raw(r#","cache_misses":"#).int(inner.cache_misses as i64);
+        out.raw(r#","verdict_cache_entries":"#).int(stores.verdict_entries as i64);
+        out.raw(r#","analysis_memo_entries":"#).int(stores.analysis_entries as i64);
+        out.raw(r#","refused_stores":"#).int(stores.refused_stores.min(i64::MAX as u64) as i64);
         out.raw(r#","latency":{"count":"#).int(inner.latency_samples as i64);
         out.raw(r#","sum_us":"#).int(inner.latency_sum_us.min(i64::MAX as u64) as i64);
         out.raw(r#","buckets":"#).array(
@@ -146,8 +157,8 @@ impl Metrics {
 
     /// The [`Metrics::to_json`] document as a tree, for callers that read
     /// individual counters.
-    pub fn snapshot(&self) -> Json {
-        Json::parse(&self.to_json()).expect("the metrics writer emits valid JSON")
+    pub fn snapshot(&self, stores: StoreGauges) -> Json {
+        Json::parse(&self.to_json(stores)).expect("the metrics writer emits valid JSON")
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MetricsInner> {
@@ -176,7 +187,7 @@ mod tests {
         metrics.shed_in_flight(1);
         metrics.reject();
 
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(StoreGauges::default());
         let accepted = field(&snapshot, "accepted");
         let balance = field(&snapshot, "completed")
             + field(&snapshot, "shed")
@@ -193,7 +204,7 @@ mod tests {
         let metrics = Metrics::new(8);
         metrics.record_cache(0, 1);
         metrics.record_cache(2, 0);
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(StoreGauges::default());
         assert_eq!(field(&snapshot, "cache_hits"), 2, "{snapshot}");
         assert_eq!(field(&snapshot, "cache_misses"), 1, "{snapshot}");
     }
@@ -203,7 +214,7 @@ mod tests {
         let metrics = Metrics::new(8);
         metrics.admit(1);
         metrics.complete(1, Duration::from_micros(300));
-        let snapshot = metrics.snapshot();
+        let snapshot = metrics.snapshot(StoreGauges::default());
         let buckets = snapshot
             .get("latency")
             .and_then(|l| l.get("buckets"))
@@ -225,16 +236,19 @@ mod tests {
         metrics.complete(1, Duration::from_secs(9));
         metrics.reject();
         metrics.record_cache(5, 7);
-        // Captured from the tree-building encoder the writer replaced.
+        let stores = StoreGauges { verdict_entries: 4, analysis_entries: 6, refused_stores: 1 };
+        // Captured from the tree-building encoder the writer replaced; the
+        // three store figures were added after it.
         let golden = concat!(
             r#"{"accepted":2,"completed":2,"shed":0,"rejected":1,"errors_5xx":0,"in_flight":0,"#,
-            r#""capacity":3,"cache_hits":5,"cache_misses":7,"latency":{"count":2,"sum_us":9000300,"#,
+            r#""capacity":3,"cache_hits":5,"cache_misses":7,"verdict_cache_entries":4,"#,
+            r#""analysis_memo_entries":6,"refused_stores":1,"latency":{"count":2,"sum_us":9000300,"#,
             r#""buckets":[{"le_us":100,"count":0},{"le_us":250,"count":0},{"le_us":500,"count":1},"#,
             r#"{"le_us":1000,"count":0},{"le_us":2500,"count":0},{"le_us":5000,"count":0},"#,
             r#"{"le_us":10000,"count":0},{"le_us":25000,"count":0},{"le_us":50000,"count":0},"#,
             r#"{"le_us":100000,"count":0},{"le_us":500000,"count":0},{"le_us":2000000,"count":0},"#,
             r#"{"le_us":"inf","count":1}]}}"#,
         );
-        assert_eq!(metrics.to_json(), golden);
+        assert_eq!(metrics.to_json(stores), golden);
     }
 }

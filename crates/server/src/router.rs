@@ -27,7 +27,12 @@
 //! short-circuits to the session's verdict cache: the report is
 //! bit-identical to recomputation, answered without running a decision, and
 //! the hit lands in `report.stats.cache` and the `/metrics`
-//! `cache_hits`/`cache_misses` counters.  `POST /batch` keeps its
+//! `cache_hits`/`cache_misses` counters.  The route asks the session
+//! before it lints: a formula the session has analysed and found clean
+//! skips the wire layer's lint, which would analyse it again on a
+//! throwaway arena, and any other formula is linted as
+//! [`wire::check_request_from_json`] lints it, so refusals are unchanged
+//! and a refused formula never enters the session.  `POST /batch` keeps its
 //! fresh-session-per-set model (that is what its bit-identity contract is
 //! stated against), and its per-set [`CancelToken`] budgets bypass the
 //! verdict cache by design.
@@ -39,6 +44,7 @@ use std::time::Instant;
 
 use ilogic_core::json::{Json, JsonWriter};
 use ilogic_core::session::{CheckReport, ErrorReport, Session};
+use ilogic_core::syntax::Formula;
 
 use crate::config::ServerConfig;
 use crate::http::{Request, Response};
@@ -68,7 +74,7 @@ pub struct ServerContext {
 pub fn handle(request: &Request, ctx: &ServerContext) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Response::new(200, r#"{"status":"ok"}"#),
-        ("GET", "/metrics") => Response::new(200, ctx.metrics.to_json()),
+        ("GET", "/metrics") => Response::new(200, ctx.metrics.to_json(ctx.session.store_gauges())),
         ("POST", "/check") => check(request, ctx),
         ("POST", "/batch") => batch(request, ctx),
         ("GET", path) if path.starts_with("/jobs/") => jobs(path, ctx),
@@ -110,7 +116,14 @@ fn check(request: &Request, ctx: &ServerContext) -> Response {
         Ok(body) => body,
         Err(error) => return rejected(ctx, 400, wire::body_error(&error)),
     };
-    let job = match wire::check_request_from_json(&body, &ctx.config) {
+    let lint = |formula: &Formula, text: &str| {
+        if ctx.session.is_known_clean(formula) {
+            Ok(())
+        } else {
+            wire::lint(formula, text)
+        }
+    };
+    let job = match wire::check_request_linted(&body, &ctx.config, lint) {
         Ok(job) => job,
         Err(error) => return rejected(ctx, 400, error),
     };
@@ -126,8 +139,8 @@ fn check(request: &Request, ctx: &ServerContext) -> Response {
     }
     let started = Instant::now();
     // The shared warm session: a repeated body is answered from the verdict
-    // cache (bit-identical to recomputation), and the arena's hash-consing
-    // makes re-interning a known formula cheap.
+    // cache (bit-identical to recomputation) with the memoized analysis,
+    // and the arena's hash-consing makes re-interning a known formula cheap.
     let report = ctx.session.check(job);
     let elapsed = started.elapsed();
     // The pre-flight C002 path: the job was predicted too expensive for its
@@ -311,7 +324,7 @@ mod tests {
         assert_eq!(error.code, "deadline");
         assert!(error.retry_after_ms.is_some());
         // The job is accounted as shed, keeping the identity balanced.
-        let snapshot = ctx.metrics.snapshot();
+        let snapshot = ctx.metrics.snapshot(ctx.session.store_gauges());
         assert_eq!(snapshot.get("shed").and_then(Json::as_int), Some(1), "{snapshot}");
         assert_eq!(snapshot.get("in_flight").and_then(Json::as_int), Some(0), "{snapshot}");
     }
@@ -374,9 +387,57 @@ mod tests {
         assert_eq!(warm.failing_index, cold.failing_index);
         assert_eq!(warm.stats.memo, cold.stats.memo);
 
-        let snapshot = ctx.metrics.snapshot();
+        let snapshot = ctx.metrics.snapshot(ctx.session.store_gauges());
         assert_eq!(snapshot.get("cache_hits").and_then(Json::as_int), Some(1), "{snapshot}");
         assert_eq!(snapshot.get("cache_misses").and_then(Json::as_int), Some(1), "{snapshot}");
+    }
+
+    #[test]
+    fn lint_refusals_repeat_byte_for_byte_and_never_enter_the_session() {
+        let ctx = context();
+        let clean = r#"{"formula": "<>P", "budget": {"timeout_ms": 2000}}"#;
+        assert_eq!(handle(&post("/check", clean), &ctx).status, 200);
+        let nodes = ctx.session.arena().formula_count();
+        // `P & ~P` fails lint; the body also carries a bad field, which the
+        // lint refusal outranks.
+        for body in [r#"{"formula": "P & ~P"}"#, r#"{"formula": "P & ~P", "backend": 7}"#] {
+            let value = Json::parse(body).expect("test body parses");
+            let expected = wire::check_request_from_json(&value, &ctx.config)
+                .expect_err("lint refusal")
+                .to_json();
+            let first = handle(&post("/check", body), &ctx);
+            let again = handle(&post("/check", body), &ctx);
+            assert_eq!((first.status, again.status), (400, 400), "{body}");
+            assert_eq!(first.body, expected, "{body}");
+            assert_eq!(again.body, expected, "{body}");
+            assert_eq!(ErrorReport::from_json(&first.body).unwrap().code, "lint");
+        }
+        assert_eq!(ctx.session.arena().formula_count(), nodes, "refused formulas are not interned");
+        assert!(!ctx
+            .session
+            .is_known_clean(&ilogic_core::parser::parse_formula("P & ~P").unwrap()));
+    }
+
+    #[test]
+    fn metrics_report_the_sessions_stores() {
+        let ctx = context();
+        let body = r#"{"formula": "[](P -> <>Q)", "backend": {"kind": "decide"}}"#;
+        handle(&post("/check", body), &ctx);
+        handle(&post("/check", body), &ctx);
+        handle(
+            &post(
+                "/check",
+                r#"{"formula": "<>P", "backend": {"kind": "trace",
+            "trace": {"extension": "stutter", "states": [{"props": [], "vars": []}]}}}"#,
+            ),
+            &ctx,
+        );
+        let metrics = handle(&get("/metrics"), &ctx);
+        let snapshot = Json::parse(&metrics.body).expect("metrics are JSON");
+        let field = |name: &str| snapshot.get(name).and_then(Json::as_int);
+        assert_eq!(field("verdict_cache_entries"), Some(1), "{snapshot}");
+        assert_eq!(field("analysis_memo_entries"), Some(2), "{snapshot}");
+        assert_eq!(field("refused_stores"), Some(0), "{snapshot}");
     }
 
     #[test]
@@ -447,7 +508,7 @@ mod tests {
         let error = ErrorReport::from_json(&response.body).expect("structured 503");
         assert_eq!(error.code, "shed");
         assert_eq!(error.retry_after_ms, Some(99));
-        let snapshot = ctx.metrics.snapshot();
+        let snapshot = ctx.metrics.snapshot(ctx.session.store_gauges());
         assert_eq!(snapshot.get("shed").and_then(Json::as_int), Some(3), "all three jobs shed");
         assert_eq!(snapshot.get("in_flight").and_then(Json::as_int), Some(0));
     }

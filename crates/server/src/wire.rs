@@ -32,6 +32,21 @@
 //! translation is exported so in-process
 //! tests can build the *exact* requests the server would, keeping the
 //! end-to-end bit-identity check honest.
+//!
+//! # Where lint runs
+//!
+//! Lint is one step of the translation, run on the parsed formula right
+//! after it parses and before any other field is read, so a lint refusal
+//! outranks every later field's error.  [`check_request_from_json`] lints
+//! with [`lint`], the analysis pass on a throwaway arena.
+//! [`check_request_linted`] takes the step as an argument: the `/check`
+//! route first asks its warm session whether it has analysed the formula
+//! already and found it clean ([`Session::is_known_clean`]), and runs
+//! [`lint`] only when it has not.  A formula that fails lint never reaches
+//! the session, so the session only knows clean formulas, and every
+//! refusal body is the one [`lint`] writes.
+//!
+//! [`Session::is_known_clean`]: ilogic_core::session::Session::is_known_clean
 
 use std::time::Duration;
 
@@ -80,6 +95,18 @@ pub fn check_request_from_json(
     value: &Json,
     config: &ServerConfig,
 ) -> Result<CheckRequest, ErrorReport> {
+    check_request_linted(value, config, lint)
+}
+
+/// [`check_request_from_json`] with the lint step supplied by the caller:
+/// `lint` gets the parsed formula and its text as soon as the formula
+/// parses, and its refusal is the translation's answer (see the module
+/// docs, "Where lint runs").
+pub fn check_request_linted(
+    value: &Json,
+    config: &ServerConfig,
+    lint: impl FnOnce(&Formula, &str) -> Result<(), ErrorReport>,
+) -> Result<CheckRequest, ErrorReport> {
     let Json::Object(fields) = value else {
         return Err(bad_request("a job must be a JSON object"));
     };
@@ -93,7 +120,7 @@ pub fn check_request_from_json(
     }
     api_version_field(value)?;
 
-    let formula = formula_field(value)?;
+    let formula = formula_field(value, lint)?;
     let mut request = CheckRequest::new(formula);
 
     request = match value.get("backend") {
@@ -129,7 +156,10 @@ pub fn check_request_from_json(
     Ok(request)
 }
 
-fn formula_field(value: &Json) -> Result<Formula, ErrorReport> {
+fn formula_field(
+    value: &Json,
+    lint: impl FnOnce(&Formula, &str) -> Result<(), ErrorReport>,
+) -> Result<Formula, ErrorReport> {
     let text = value
         .require("formula")
         .map_err(|error| bad_request(error.to_string()))?
@@ -141,15 +171,22 @@ fn formula_field(value: &Json) -> Result<Formula, ErrorReport> {
             format!("formula does not parse at position {}: {}", error.position, error.message),
         )
     })?;
-    // Error-severity findings (a contradictory pattern the author almost
-    // certainly did not mean) are refused up front, carrying the same
-    // diagnostics a completed report would.
-    let analysis = analyze_formula(&formula);
+    lint(&formula, text)?;
+    Ok(formula)
+}
+
+/// The lint step of [`check_request_from_json`]: refuses a formula with an
+/// error-severity finding (a contradictory pattern the author almost
+/// certainly did not mean) up front, carrying the same diagnostics a
+/// completed report would.  `text` is the formula as the request sent it.
+/// The analysis runs on a throwaway arena.
+pub fn lint(formula: &Formula, text: &str) -> Result<(), ErrorReport> {
+    let analysis = analyze_formula(formula);
     if analysis.diagnostics.iter().any(|d| d.severity == Severity::Error) {
         return Err(ErrorReport::new("lint", format!("formula `{text}` fails analysis"))
             .with_diagnostics(analysis.diagnostics));
     }
-    Ok(formula)
+    Ok(())
 }
 
 fn backend_field(backend: &Json, request: CheckRequest) -> Result<CheckRequest, ErrorReport> {

@@ -12,6 +12,8 @@
 //! metrics identity `accepted = completed + shed + in_flight` holds at
 //! every scrape.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use ilogic_core::json::Json;
@@ -230,6 +232,55 @@ fn duplicate_checks_hit_the_warm_verdict_cache_over_the_wire() {
     assert_eq!(ErrorReport::from_json(&refused.body).unwrap().code, "api-version");
 
     drop(conn);
+    handle.shutdown();
+}
+
+/// Reads one response off a raw socket: the status and the body.
+fn read_raw_response(reader: &mut impl BufRead) -> (u16, String) {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("status line");
+    let status = line.split(' ').nth(1).and_then(|code| code.parse().ok()).expect("status");
+    let mut length = 0;
+    loop {
+        line.clear();
+        reader.read_line(&mut line).expect("header line");
+        if line.trim_end().is_empty() {
+            break;
+        }
+        if let Some(value) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            length = value.trim().parse().expect("content-length");
+        }
+    }
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body).expect("body");
+    (status, String::from_utf8(body).expect("UTF-8 body"))
+}
+
+#[test]
+fn requests_split_across_segments_are_answered() {
+    let handle = server::start(test_config()).expect("daemon starts");
+    let stream = TcpStream::connect(handle.addr()).expect("daemon accepts connections");
+    stream.set_nodelay(true).expect("nodelay");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let body = r#"{"formula": "[](P -> <>Q)", "backend": {"kind": "decide"}}"#;
+    let head = format!("POST /check HTTP/1.1\r\nhost: x\r\ncontent-length: {}\r\n\r\n", body.len());
+    // The head and the body in two writes, as a client that does not frame
+    // its request into one buffer sends them; then a request cut inside a
+    // header line, on the same connection.
+    let (cut_head, rest) = head.split_at(30);
+    for parts in [vec![head.as_str(), body], vec![cut_head, rest, body]] {
+        for part in parts {
+            writer.write_all(part.as_bytes()).expect("writes");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let (status, answer) = read_raw_response(&mut reader);
+        assert_eq!(status, 200, "{answer}");
+        let report = CheckReport::from_json(&answer).expect("a report");
+        assert!(report.verdict.counterexample().is_some(), "{answer}");
+    }
+    drop((reader, writer));
     handle.shutdown();
 }
 
