@@ -39,10 +39,12 @@ use ilogic_server::store::JobStore;
 /// Ceilings: each reading of the allocation-lean request path plus at most
 /// 10% slack.  It read a set-up of 26 allocations, a pass of 9 429, and 195,
 /// 121 and 20 for the three requests; the request path before it read 544,
-/// 26 604, 1 055, 352 and 40.  With the analysis memo (one shared entry per
-/// formula, and the alphabet kept from the analysis pass) the pass reads
-/// 9 663 and the three requests 197, 127 and 21.  The set-up is the cost of
-/// `Session::new` and `intern`, which must not grow.
+/// 26 604, 1 055, 352 and 40.  With the analysis memo (each formula's
+/// findings and estimate, and the alphabet kept from the analysis pass) the
+/// pass reads 9 428 and the three requests 196, 125 and 20; a memo that also
+/// kept `¬B` and the alphabet behind an `Arc` read 9 663, 197, 127 and 21.
+/// The set-up is the cost of `Session::new` and `intern`, which must not
+/// grow.
 const SETUP: usize = 28;
 const PASS: usize = 10_000;
 const EVENTUALLY_ARTIFACT: usize = 214;

@@ -320,7 +320,7 @@ pub struct Analysis {
 /// formula that a check will intern anyway costs one hash-consed walk.
 pub fn analyze(arena: &mut FormulaArena, formula: &Formula) -> Analysis {
     let root = arena.intern(formula);
-    analyze_interned(&*arena, root, formula).analysis
+    analyze_interned(&*arena, root, formula).0
 }
 
 /// [`analyze`] against a throwaway arena — for callers that only want the
@@ -329,12 +329,11 @@ pub fn analyze_formula(formula: &Formula) -> Analysis {
     analyze(&mut FormulaArena::new(), formula)
 }
 
-/// Everything the session's analysis pass learns about one interned
-/// formula: what it keeps in its analysis memo and hands to the backends.
-#[derive(Debug)]
-pub(crate) struct Analyzed {
-    /// The findings and the estimate.
-    pub(crate) analysis: Analysis,
+/// What a backend run reads of a formula beside the arena: `¬B` and the
+/// alphabet.  The analysis pass derives both on its way to the estimate;
+/// [`run_inputs`] derives them alone.
+#[derive(Debug, Default)]
+pub(crate) struct RunInputs {
     /// `¬B` for the LTL translation `B` of the formula — the formula whose
     /// tableau a decision builds — or `None` outside the translatable
     /// fragment.
@@ -344,15 +343,20 @@ pub(crate) struct Analyzed {
     pub(crate) alphabet: Vec<String>,
 }
 
+/// The [`RunInputs`] of `formula`, without the rest of the analysis pass.
+pub(crate) fn run_inputs(formula: &Formula) -> RunInputs {
+    RunInputs { negation: translated(formula).map(Ltl::not), alphabet: proposition_names(formula) }
+}
+
 /// [`analyze`] for a formula already interned as `root` — the session's
-/// prepare path, which interns exactly once — together with the negated
-/// translation and the alphabet, so a request translates and walks its
-/// formula for names once.
+/// prepare path, which interns exactly once — together with the formula's
+/// [`RunInputs`], so a request translates and walks its formula for names
+/// once.
 pub(crate) fn analyze_interned<A: ArenaRead>(
     arena: &A,
     root: FormulaId,
     formula: &Formula,
-) -> Analyzed {
+) -> (Analysis, RunInputs) {
     let mut pass = Pass {
         arena,
         // Every subformula is interned before the formula containing it, so
@@ -399,12 +403,11 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
     let intractable = pass.intractable;
 
     let size = formula.size();
-    let alphabet = proposition_names(formula);
-    let propositions = alphabet.len();
     // The decision pipeline builds the tableau of the *negation*; profile
     // exactly that.
-    let negation = translated(formula).map(Ltl::not);
-    let estimate = match &negation {
+    let inputs = run_inputs(formula);
+    let propositions = inputs.alphabet.len();
+    let estimate = match &inputs.negation {
         Some(negation) => {
             let profile = tableau::closure_profile(negation);
             let artifact_intractable = intractable.is_some();
@@ -448,7 +451,7 @@ pub(crate) fn analyze_interned<A: ArenaRead>(
             ..CostEstimate::default()
         },
     };
-    Analyzed { analysis: Analysis { diagnostics, estimate }, negation, alphabet }
+    (Analysis { diagnostics, estimate }, inputs)
 }
 
 /// Lints every clause of a specification: per-clause formula lints (with the
@@ -1030,10 +1033,11 @@ mod tests {
         let formula = prop("p").and(always(prop("q").or(prop("p"))));
         let mut arena = FormulaArena::new();
         let root = arena.intern(&formula);
-        let analyzed = analyze_interned(&arena, root, &formula);
-        assert_eq!(analyzed.alphabet, ["p", "q"]);
-        assert_eq!(analyzed.alphabet, proposition_names(&formula));
-        assert_eq!(analyzed.analysis.estimate.propositions, 2);
+        let (analysis, inputs) = analyze_interned(&arena, root, &formula);
+        assert_eq!(inputs.alphabet, ["p", "q"]);
+        assert_eq!(inputs.alphabet, proposition_names(&formula));
+        assert_eq!(analysis.estimate.propositions, 2);
+        assert_eq!(run_inputs(&formula).alphabet, inputs.alphabet);
     }
 
     #[test]

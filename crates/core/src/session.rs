@@ -77,8 +77,11 @@
 //! request of a formula runs the analysis pass (lints, the
 //! [`CostEstimate`], the one LTL translation and the formula's alphabet),
 //! and every later request of the same formula — whatever its backend —
-//! takes the result from the memo.  The analysis is a function of the
-//! interned formula, so a memoized one is what a fresh pass would produce.
+//! takes the findings and the estimate from the memo.  The translation and
+//! the alphabet go to the first request's backend and are not kept; a
+//! repeat that runs a backend derives them again.  The analysis is a
+//! function of the interned formula, so a memoized one is what a fresh pass
+//! would produce.
 //! With the analysis in hand, `prepare` routes the request, builds its cache
 //! key and probes the cache once, under the same lock: a hit clones the
 //! stored outcome once and is answered there, without a snapshot or a
@@ -109,7 +112,9 @@ use ilogic_temporal::theory::PropositionalTheory;
 
 pub use ilogic_temporal::dnf::store::StoreStats as ConditionStats;
 
-use crate::analysis::{self, Analyzed, CostEstimate, Diagnostic, DiagnosticCode, Severity};
+use crate::analysis::{
+    self, Analysis, CostEstimate, Diagnostic, DiagnosticCode, RunInputs, Severity,
+};
 use crate::arena::{ArenaRead, ArenaVersion, FormulaArena, FormulaId, MemoEvaluator, MemoStats};
 use crate::bounded::{self, BoundedChecker};
 use crate::json::{Json, JsonError, JsonWriter};
@@ -1274,9 +1279,11 @@ struct SessionState {
     cumulative_condition: ConditionStats,
     cumulative_cache: CacheStats,
     verdicts: HashMap<CacheKey, CachedOutcome>,
-    /// The analysis memo: what the analysis pass found for every formula
-    /// the session has prepared, so a repeated formula is analysed once.
-    analyses: HashMap<FormulaId, Arc<Analyzed>>,
+    /// The analysis memo: the findings and estimate of every formula the
+    /// session has prepared, so a repeated formula is analysed once.  It
+    /// keeps no [`RunInputs`]: only a backend run reads them, and they
+    /// would hold a translation per formula that a cache hit never reads.
+    analyses: HashMap<FormulaId, Analysis>,
     /// Outcomes and analyses not stored because their store was full.
     refused_stores: u64,
 }
@@ -1284,17 +1291,18 @@ struct SessionState {
 impl SessionState {
     /// The analysis of the formula interned as `id`: the memo's entry, or a
     /// fresh pass the memo keeps while it is under [`VERDICT_CACHE_CAP`].
-    fn analyzed(&mut self, id: FormulaId, formula: &Formula) -> Arc<Analyzed> {
+    /// A fresh pass also returns the [`RunInputs`] it derived on the way.
+    fn analysis(&mut self, id: FormulaId, formula: &Formula) -> (Analysis, Option<RunInputs>) {
         if let Some(known) = self.analyses.get(&id) {
-            return Arc::clone(known);
+            return (known.clone(), None);
         }
-        let analyzed = Arc::new(analysis::analyze_interned(&self.arena, id, formula));
+        let (analysis, inputs) = analysis::analyze_interned(&self.arena, id, formula);
         if self.analyses.len() < VERDICT_CACHE_CAP {
-            self.analyses.insert(id, Arc::clone(&analyzed));
+            self.analyses.insert(id, analysis.clone());
         } else {
             self.refused_stores += 1;
         }
-        analyzed
+        (analysis, Some(inputs))
     }
 }
 
@@ -1344,6 +1352,13 @@ enum Engine {
 }
 
 impl Engine {
+    /// Whether a run reads the job's [`RunInputs`]: a decision reads `¬B`
+    /// and its refutation sweep the alphabet, and a sweep over the
+    /// formula's own alphabet reads that.
+    fn reads_inputs(&self) -> bool {
+        matches!(self, Engine::Decide | Engine::Bounded { props: None, .. })
+    }
+
     fn name(&self) -> &'static str {
         match self {
             Engine::Trace(_) => "trace",
@@ -1611,8 +1626,8 @@ impl Session {
     pub fn is_known_clean(&self, formula: &Formula) -> bool {
         let state = lock(&self.state);
         let known = state.arena.lookup(formula).and_then(|id| state.analyses.get(&id));
-        known.is_some_and(|analyzed| {
-            !analyzed.analysis.diagnostics.iter().any(|d| d.severity == Severity::Error)
+        known.is_some_and(|analysis| {
+            !analysis.diagnostics.iter().any(|d| d.severity == Severity::Error)
         })
     }
 
@@ -1669,9 +1684,7 @@ impl Session {
     ) -> (PreparedJob, Option<JobOutcome>) {
         let CheckRequest { formula, backend, domain, parallelism, budget, preflight } = request;
         let id = state.arena.intern(&formula);
-        let analyzed = state.analyzed(id, &formula);
-        let estimate = analyzed.analysis.estimate;
-        let mut diagnostics = analyzed.analysis.diagnostics.clone();
+        let (Analysis { mut diagnostics, estimate }, mut inputs) = state.analysis(id, &formula);
         let mut budget = self.resolve_budget(budget);
         let engine = match backend {
             Backend::Auto => {
@@ -1686,16 +1699,14 @@ impl Session {
             }
             Backend::Trace(trace) => Engine::Trace(trace),
             Backend::Explore { runs } => Engine::Explore(runs),
-            Backend::Bounded { props, max_len, lassos } => Engine::Bounded {
-                props: (props != analyzed.alphabet).then_some(props),
-                max_len,
-                lassos,
-            },
+            Backend::Bounded { props, max_len, lassos } => {
+                let own = &inputs.get_or_insert_with(|| analysis::run_inputs(&formula)).alphabet;
+                Engine::Bounded { props: (props != *own).then_some(props), max_len, lassos }
+            }
             Backend::Decide => Engine::Decide,
         };
-        let rejection = (preflight || self.preflight)
-            .then(|| admission(&engine, analyzed.alphabet.len(), &estimate, &budget))
-            .flatten();
+        let rejection =
+            (preflight || self.preflight).then(|| admission(&engine, &estimate, &budget)).flatten();
         if let Some(cut) = rejection {
             diagnostics.push(Diagnostic::new(
                 DiagnosticCode::OverBudget,
@@ -1709,7 +1720,8 @@ impl Session {
         }
         let mut job = PreparedJob {
             id,
-            analyzed,
+            estimate,
+            inputs: RunInputs::default(),
             engine,
             domain,
             parallelism: self.resolve_parallelism(parallelism),
@@ -1719,15 +1731,22 @@ impl Session {
             rejection,
             cache: CachePlan::Bypass,
         };
-        let Some(key) = self.cache_key(&job) else {
-            return (job, None);
-        };
-        if let Some(stored) = state.verdicts.get(&key) {
-            job.cache = CachePlan::Hit;
-            return (job, Some(stored.replay(Duration::ZERO)));
+        if let Some(key) = self.cache_key(&job) {
+            if let Some(stored) = state.verdicts.get(&key) {
+                job.cache = CachePlan::Hit;
+                return (job, Some(stored.replay(Duration::ZERO)));
+            }
+            let deferred = batch_keys.is_some_and(|seen| !seen.insert(key.clone()));
+            job.cache = if deferred { CachePlan::Defer(key) } else { CachePlan::Miss(key) };
         }
-        let deferred = batch_keys.is_some_and(|seen| !seen.insert(key.clone()));
-        job.cache = if deferred { CachePlan::Defer(key) } else { CachePlan::Miss(key) };
+        // A backend will run: hand it `¬B` and the alphabet if it reads them,
+        // from the fresh pass or, after a memo hit, derived again.  A
+        // deferred duplicate replays its twin's outcome instead (`run_batch`
+        // derives them in the rare case it runs after all).
+        let runs = job.rejection.is_none() && !matches!(job.cache, CachePlan::Defer(_));
+        if runs && job.engine.reads_inputs() {
+            job.inputs = inputs.unwrap_or_else(|| analysis::run_inputs(&formula));
+        }
         (job, None)
     }
 
@@ -1829,7 +1848,7 @@ impl Session {
                 exhausted,
                 arena_nodes: job.arena_nodes,
                 workers: outcome.workers,
-                estimate: Some(job.analyzed.analysis.estimate),
+                estimate: Some(job.estimate),
                 cache: request_cache,
                 session_cache: state.cumulative_cache,
             },
@@ -1917,7 +1936,7 @@ impl Session {
         let mut state = lock(&self.state);
         jobs.into_iter()
             .zip(slots)
-            .map(|(job, slot)| {
+            .map(|(mut job, slot)| {
                 let outcome = match (&job.cache, slot) {
                     (_, Some(outcome)) => outcome,
                     (CachePlan::Defer(key), None) => match state.verdicts.get(key) {
@@ -1925,8 +1944,13 @@ impl Session {
                         // The earlier duplicate was cut by its deadline and
                         // stored nothing: run the job after all (rare, and
                         // timing cuts are outside the bit-identity contract
-                        // anyway).
-                        None => execute(&snapshot, &job),
+                        // anyway), with the inputs `prepare` left out.
+                        None => {
+                            if job.engine.reads_inputs() {
+                                job.inputs = analysis::run_inputs(&state.arena.extract(job.id));
+                            }
+                            execute(&snapshot, &job)
+                        }
                     },
                     (_, None) => unreachable!("runnable jobs and cache hits have an outcome"),
                 };
@@ -2026,10 +2050,11 @@ impl InternHandle<'_> {
 /// scheduler multiplexes.
 pub(crate) struct PreparedJob {
     id: FormulaId,
-    /// The analysis pass's findings for the formula, shared with the
-    /// session's memo: the estimate, `¬B` (translated once, `None` outside
-    /// the translatable fragment) and the alphabet.
-    analyzed: Arc<Analyzed>,
+    /// The analysis pass's cost prediction for the formula.
+    estimate: CostEstimate,
+    /// `¬B` and the alphabet when the job's engine reads them
+    /// ([`Engine::reads_inputs`]) and a backend will run; empty otherwise.
+    inputs: RunInputs,
     engine: Engine,
     domain: Option<Vec<Value>>,
     parallelism: Parallelism,
@@ -2100,7 +2125,7 @@ pub(crate) fn execute<A: ArenaRead + Sync>(arena: &A, job: &PreparedJob) -> JobO
             (verdict, checked, memo, 1, index)
         }
         Engine::Bounded { props, max_len, lassos } => {
-            let props = props.as_deref().unwrap_or(&job.analyzed.alphabet);
+            let props = props.as_deref().unwrap_or(&job.inputs.alphabet);
             let mut checker = BoundedChecker::new(props.iter().map(String::as_str), *max_len);
             if !lassos {
                 checker = checker.without_lassos();
@@ -2171,7 +2196,7 @@ fn decide<A: ArenaRead + Sync>(
 ) -> (Verdict, usize, MemoStats, usize, Option<usize>, ConditionStats) {
     let none = MemoStats::default();
     let mut condition_stats = ConditionStats::default();
-    let Some(negation) = &job.analyzed.negation else {
+    let Some(negation) = &job.inputs.negation else {
         return (Verdict::unknown(), 0, none, 1, None, condition_stats);
     };
     // Algorithm B reads the formula it decides only for the classes of its
@@ -2236,7 +2261,7 @@ fn decide<A: ArenaRead + Sync>(
     // constant) rejected a deeper bound is tracked so the verdict only
     // reports `exhausted: Some(Enumeration)` when raising `max_enumeration`
     // could actually have helped.
-    let props = &job.analyzed.alphabet;
+    let props = &job.inputs.alphabet;
     let (depth, cap_blocked_depth) = refutation_depth(props.len(), job.budget.max_enumeration());
     let budget_cut_depth = cap_blocked_depth.then_some(Exhaustion::Enumeration);
     let Some(depth) = depth else {
@@ -2430,13 +2455,12 @@ fn route_message(routed: &str, estimate: &CostEstimate) -> String {
 /// admission never rejects work the estimator can't see.
 fn admission(
     engine: &Engine,
-    own_alphabet: usize,
     estimate: &CostEstimate,
     budget: &ResourceBudget,
 ) -> Option<Exhaustion> {
     match engine {
         Engine::Bounded { props, max_len, lassos } => {
-            let alphabet = props.as_ref().map_or(own_alphabet, Vec::len);
+            let alphabet = props.as_ref().map_or(estimate.propositions, Vec::len);
             (bounded::model_count(alphabet, *max_len, *lassos) > budget.max_enumeration())
                 .then_some(Exhaustion::Enumeration)
         }
@@ -3065,6 +3089,24 @@ mod tests {
         let report = session.check(request(0));
         assert_eq!(report.stats.cache, CacheStats { hits: 1, misses: 0 });
         assert_eq!(session.store_gauges(), StoreGauges { refused_stores: 4, ..full });
+    }
+
+    #[test]
+    fn a_deferred_duplicate_runs_when_its_twin_stored_nothing() {
+        let session = Session::new();
+        for i in 0..VERDICT_CACHE_CAP {
+            session.check(CheckRequest::new(prop(format!("P{i}"))).bounded([format!("P{i}")], 1));
+        }
+        // The cache is full, so the first `◇Q` stores nothing and its twin
+        // runs the decision itself, on inputs derived after the memo hit.
+        let request = || CheckRequest::new(eventually(prop("Q"))).auto();
+        let reports = session.check_many(vec![request(), request()]);
+        let fresh = Session::new().check(request());
+        assert!(matches!(fresh.verdict, Verdict::Counterexample(_)), "{:?}", fresh.verdict);
+        for report in reports {
+            assert_eq!(report.verdict, fresh.verdict);
+            assert_eq!(report.stats.traces_checked, fresh.stats.traces_checked);
+        }
     }
 
     #[test]
