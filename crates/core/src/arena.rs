@@ -13,7 +13,11 @@
 //! * [`FormulaArena`] interns every formula and interval-term node exactly
 //!   once, handing out `Copy`-able [`FormulaId`] / [`TermId`] handles with
 //!   O(1) equality and hashing.  `intern` / `extract` are lossless bridges to
-//!   the boxed AST;
+//!   the boxed AST.  A node is stored once, in its store; the index beside
+//!   each store is an open-addressing table of ids into it, probed with a
+//!   borrowed key that is compared against the node an id names.  Names are
+//!   hashed with a keyed SipHash and ids with a multiply-xor, both seeded
+//!   afresh per arena; ids depend only on the order nodes were interned;
 //! * one interval engine evaluates interned formulas.  A pass evaluates a
 //!   formula over up to 64 computations of the same length and extension,
 //!   with a `u64` truth mask in place of each `bool`, memoizing verdicts on
@@ -47,9 +51,9 @@
 //! sweep pass against a per-computation scan) and by the differential fuzz
 //! oracle's `sweep` and `explore-vs-reference` invariants.
 
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::sync::Arc;
 
 use crate::interval::{Endpoint, Interval};
@@ -92,7 +96,7 @@ impl TermId {
 
 /// An interned formula node: the [`Formula`] constructors with child links
 /// replaced by arena ids.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FormulaNode {
     /// The constant true.
     True,
@@ -121,7 +125,7 @@ pub enum FormulaNode {
 /// A [`FormulaNode`] with its owned parts borrowed: the key
 /// [`FormulaArena::intern`] probes with, so re-interning a formula the arena
 /// already holds clones no predicate or variable name.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum NodeKey<'a> {
     True,
     False,
@@ -155,13 +159,8 @@ impl NodeKey<'_> {
     }
 }
 
-/// What the arena's formula index hashes and compares: an owned node and a
-/// borrowed key look the same, so the index can be probed with either.
-trait AsNodeKey {
-    fn key(&self) -> NodeKey<'_>;
-}
-
-impl AsNodeKey for FormulaNode {
+impl FormulaNode {
+    /// The node with its owned parts borrowed.
     fn key(&self) -> NodeKey<'_> {
         match self {
             FormulaNode::True => NodeKey::True,
@@ -176,39 +175,6 @@ impl AsNodeKey for FormulaNode {
             FormulaNode::Forall(v, a) => NodeKey::Forall(v, *a),
             FormulaNode::Exists(v, a) => NodeKey::Exists(v, *a),
         }
-    }
-}
-
-impl AsNodeKey for NodeKey<'_> {
-    fn key(&self) -> NodeKey<'_> {
-        *self
-    }
-}
-
-impl<'a> Borrow<dyn AsNodeKey + 'a> for FormulaNode {
-    fn borrow(&self) -> &(dyn AsNodeKey + 'a) {
-        self
-    }
-}
-
-impl Hash for dyn AsNodeKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
-    }
-}
-
-impl PartialEq for dyn AsNodeKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn AsNodeKey + '_ {}
-
-// Hashes as its borrowed key, so the formula index can be probed with one.
-impl Hash for FormulaNode {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
     }
 }
 
@@ -307,21 +273,172 @@ impl<T> FrozenStore<T> {
     }
 }
 
+/// Slots an id table allocates on its first insert.
+const FIRST_SLOTS: usize = 64;
+
+/// One slot of an [`IdTable`]: `id + 1` (0 marks a free slot) beside the
+/// low 32 bits of its node's hash, so a probe skips most mismatches
+/// without reading the store and a growing table re-hashes no node.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    id: u32,
+    hash: u32,
+}
+
+/// The index of a [`ChunkedStore`]: an open-addressing, linear-probing
+/// table of ids into it, kept at most half full.  It holds no node, so a
+/// node is stored once, in the store; a probe hashes a borrowed key and
+/// compares it against the node its candidate id names.  The table is
+/// allocated on the first insert, so an empty arena allocates nothing.
+#[derive(Clone, Debug, Default)]
+struct IdTable {
+    slots: Vec<Slot>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The longest probe, in slots, any id table on this thread has made.
+    static LONGEST_PROBE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl IdTable {
+    /// The id filed under `hash` whose node `matches`, if any.
+    #[inline]
+    fn find(&self, hash: u32, mut matches: impl FnMut(usize) -> bool) -> Option<u32> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let home = hash as usize & mask;
+        let mut at = home;
+        let found = loop {
+            let slot = self.slots[at];
+            if slot.id == 0 {
+                break None;
+            }
+            if slot.hash == hash && matches(slot.id as usize - 1) {
+                break Some(slot.id - 1);
+            }
+            at = (at + 1) & mask;
+        };
+        #[cfg(test)]
+        LONGEST_PROBE.with(|longest| {
+            let probed = (at.wrapping_sub(home) & mask) + 1;
+            longest.set(longest.get().max(probed));
+        });
+        found
+    }
+
+    /// Files `id` under `hash`.  Ids arrive densely, so the table holds
+    /// exactly the ids below `id`.
+    fn insert(&mut self, hash: u32, id: u32) {
+        let filed = id as usize + 1;
+        if 2 * filed > self.slots.len() {
+            let size = (2 * self.slots.len()).max(FIRST_SLOTS);
+            let old = std::mem::replace(&mut self.slots, vec![Slot::default(); size]);
+            for slot in old.into_iter().filter(|slot| slot.id != 0) {
+                self.place(slot);
+            }
+        }
+        self.place(Slot { id: id + 1, hash });
+    }
+
+    /// Puts `slot` in the first free slot from its hash's home.
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut at = slot.hash as usize & mask;
+        while self.slots[at].id != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
+    }
+}
+
+/// The hash of the arena's id tables, drawn afresh for each arena.
+///
+/// Predicate and variable names arrive from outside the program (a
+/// `POST /check` body), so they go through a keyed SipHash
+/// ([`RandomState`]); tags and child ids, which the arena hands out
+/// itself, go through a multiply-xor seeded from the same keys and end in
+/// an avalanche, so every bit of the hash reaches a table index.
+#[derive(Clone, Debug)]
+struct NodeHasher {
+    names: RandomState,
+    seed: u64,
+}
+
+impl Default for NodeHasher {
+    fn default() -> NodeHasher {
+        let names = RandomState::new();
+        let seed = names.hash_one(0x9e37_79b9_7f4a_7c15u64);
+        NodeHasher { names, seed }
+    }
+}
+
+impl NodeHasher {
+    fn formula(&self, key: NodeKey<'_>) -> u32 {
+        let (tag, a, b) = match key {
+            NodeKey::True => (0, 0, 0),
+            NodeKey::False => (1, 0, 0),
+            NodeKey::Pred(p) => (2, self.names.hash_one(p), 0),
+            NodeKey::Not(a) => (3, a.0.into(), 0),
+            NodeKey::And(a, b) => (4, a.0.into(), b.0.into()),
+            NodeKey::Or(a, b) => (5, a.0.into(), b.0.into()),
+            NodeKey::Always(a) => (6, a.0.into(), 0),
+            NodeKey::Eventually(a) => (7, a.0.into(), 0),
+            NodeKey::In(t, a) => (8, t.0.into(), a.0.into()),
+            NodeKey::Forall(v, a) => (9, self.names.hash_one(v), a.0.into()),
+            NodeKey::Exists(v, a) => (10, self.names.hash_one(v), a.0.into()),
+        };
+        self.mix(tag, a, b)
+    }
+
+    fn term(&self, node: TermNode) -> u32 {
+        // An absent side is 0, a present one its id plus one.
+        let side = |t: Option<TermId>| t.map_or(0, |t| u64::from(t.0) + 1);
+        let (tag, a, b) = match node {
+            TermNode::Event(f) => (0, f.0.into(), 0),
+            TermNode::Begin(t) => (1, t.0.into(), 0),
+            TermNode::End(t) => (2, t.0.into(), 0),
+            TermNode::Forward(a, b) => (3, side(a), side(b)),
+            TermNode::Backward(a, b) => (4, side(a), side(b)),
+            TermNode::Must(t) => (5, t.0.into(), 0),
+        };
+        self.mix(tag, a, b)
+    }
+
+    #[inline]
+    fn mix(&self, tag: u64, a: u64, b: u64) -> u32 {
+        let mut h = self.seed;
+        for word in [tag, a, b] {
+            h = (h.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+        // MurmurHash3's 64-bit finalizer.
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        h as u32
+    }
+}
+
 /// A hash-consing arena for formulas and interval terms.
 ///
 /// Every distinct node is stored exactly once; interning the same structure
 /// twice returns the same id.  Ids are only meaningful within the arena that
-/// produced them.
+/// produced them, and depend only on the order nodes were first interned.
 ///
 /// Storage is multiversion (see [`FormulaArena::snapshot`]): nodes live in
 /// append-only `Arc`-shared chunks, so snapshots are O(1) and interning never
-/// invalidates one — ids stay stable for the lifetime of the arena.
+/// invalidates one — ids stay stable for the lifetime of the arena.  Each
+/// store is indexed by a table of ids into it ([`IdTable`]), not by a map
+/// keyed on a second copy of every node, hashed by a [`NodeHasher`] keyed
+/// afresh for each arena (in [`FormulaArena::new`] and `Default` alike).
 #[derive(Clone, Debug, Default)]
 pub struct FormulaArena {
     formulas: ChunkedStore<FormulaNode>,
     terms: ChunkedStore<TermNode>,
-    formula_ids: HashMap<FormulaNode, FormulaId>,
-    term_ids: HashMap<TermNode, TermId>,
+    formula_ids: IdTable,
+    term_ids: IdTable,
+    hasher: NodeHasher,
 }
 
 impl FormulaArena {
@@ -332,18 +449,25 @@ impl FormulaArena {
 
     /// Interns a node, returning the existing id when the node is already present.
     pub fn formula(&mut self, node: FormulaNode) -> FormulaId {
-        if let Some(&id) = self.formula_ids.get(&node) {
-            return id;
+        let hash = self.hasher.formula(node.key());
+        match self.find_formula(hash, node.key()) {
+            Some(id) => id,
+            None => self.insert_formula(hash, node),
         }
-        self.insert_formula(node)
+    }
+
+    /// The id of the node `key` names, filed under `hash`, if interned.
+    #[inline]
+    fn find_formula(&self, hash: u32, key: NodeKey<'_>) -> Option<FormulaId> {
+        self.formula_ids.find(hash, |id| self.formulas.get(id).key() == key).map(FormulaId)
     }
 
     /// Stores a node the arena does not hold yet under the next id.
-    fn insert_formula(&mut self, node: FormulaNode) -> FormulaId {
-        let id = FormulaId(u32::try_from(self.formulas.len()).expect("arena overflow"));
-        self.formulas.push(node.clone());
-        self.formula_ids.insert(node, id);
-        id
+    fn insert_formula(&mut self, hash: u32, node: FormulaNode) -> FormulaId {
+        let id = u32::try_from(self.formulas.len()).expect("arena overflow");
+        self.formulas.push(node);
+        self.formula_ids.insert(hash, id);
+        FormulaId(id)
     }
 
     /// The arena's current version: the number of formula and term nodes
@@ -354,13 +478,20 @@ impl FormulaArena {
 
     /// Interns a term node, deduplicating structurally equal terms.
     pub fn term(&mut self, node: TermNode) -> TermId {
-        if let Some(&id) = self.term_ids.get(&node) {
+        let hash = self.hasher.term(node);
+        if let Some(id) = self.find_term(hash, node) {
             return id;
         }
-        let id = TermId(u32::try_from(self.terms.len()).expect("arena overflow"));
+        let id = u32::try_from(self.terms.len()).expect("arena overflow");
         self.terms.push(node);
-        self.term_ids.insert(node, id);
-        id
+        self.term_ids.insert(hash, id);
+        TermId(id)
+    }
+
+    /// The id of `node`, filed under `hash`, if interned.
+    #[inline]
+    fn find_term(&self, hash: u32, node: TermNode) -> Option<TermId> {
+        self.term_ids.find(hash, |id| *self.terms.get(id) == node).map(TermId)
     }
 
     /// The node behind a formula id.
@@ -398,9 +529,10 @@ impl FormulaArena {
             Formula::Forall(v, a) => NodeKey::Forall(v, self.intern(a)),
             Formula::Exists(v, a) => NodeKey::Exists(v, self.intern(a)),
         };
-        match self.formula_ids.get(&key as &dyn AsNodeKey) {
-            Some(&id) => id,
-            None => self.insert_formula(key.to_node()),
+        let hash = self.hasher.formula(key);
+        match self.find_formula(hash, key) {
+            Some(id) => id,
+            None => self.insert_formula(hash, key.to_node()),
         }
     }
 
@@ -422,7 +554,7 @@ impl FormulaArena {
             Formula::Forall(v, a) => NodeKey::Forall(v, self.lookup(a)?),
             Formula::Exists(v, a) => NodeKey::Exists(v, self.lookup(a)?),
         };
-        self.formula_ids.get(&key as &dyn AsNodeKey).copied()
+        self.find_formula(self.hasher.formula(key), key)
     }
 
     /// [`FormulaArena::lookup`] for an interval term.
@@ -440,7 +572,7 @@ impl FormulaArena {
             IntervalTerm::Backward(a, b) => TermNode::Backward(side(a)?, side(b)?),
             IntervalTerm::Must(t) => TermNode::Must(self.lookup_term(t)?),
         };
-        self.term_ids.get(&node).copied()
+        self.find_term(self.hasher.term(node), node)
     }
 
     /// Interns a boxed interval term.
@@ -570,7 +702,7 @@ impl ArenaRead for FormulaArena {
 /// Created by [`FormulaArena::snapshot`] in O(1); cloning is two `Arc`
 /// bumps.  The snapshot shares the arena's chunks rather than copying them —
 /// the arena's copy-on-write appends guarantee the shared prefix never
-/// changes underneath it.  It drops the interning hash maps — it can only
+/// changes underneath it.  It leaves the arena's id tables behind — it can only
 /// *resolve* ids, not mint new ones — which is exactly the contract of
 /// shared-nothing parallel evaluation: intern on the session side, evaluate
 /// everywhere, at whatever version each job was dispatched with.
@@ -1470,6 +1602,7 @@ mod tests {
     use crate::dsl::*;
     use crate::semantics::Evaluator;
     use crate::state::{Prop, State};
+    use proptest::prelude::*;
 
     fn trace_of(rows: &[&[&str]]) -> Trace {
         Trace::finite(
@@ -1523,6 +1656,138 @@ mod tests {
             assert_eq!(arena.lookup(&unknown), None, "{unknown}");
         }
         assert_eq!(arena.version(), version, "a lookup interns nothing");
+    }
+
+    fn arb_formula() -> BoxedStrategy<Formula> {
+        let leaf = prop_oneof![
+            Just(prop("A")),
+            Just(prop("B")),
+            Just(prop_args("atEnq", [var("a")])),
+            Just(cmp(Expr::StateVar("n".into()), CmpOp::Le, Expr::DataVar("a".into()))),
+            Just(Formula::True),
+            Just(Formula::False),
+        ];
+        leaf.prop_recursive(3, 24, 2, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(Formula::not),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+                inner.clone().prop_map(Formula::always),
+                inner.clone().prop_map(Formula::eventually),
+                inner.clone().prop_map(|f| f.forall("a")),
+                inner.clone().prop_map(|f| f.exists("b")),
+                (inner.clone(), inner.clone()).prop_map(|(a, f)| f.within(fwd_from(event(a)))),
+                (inner.clone(), inner.clone())
+                    .prop_map(|(a, f)| f.within(must(bwd(event(a), event(prop("B")))))),
+                (inner.clone(), inner.clone()).prop_map(|(a, f)| f.within(begin(fwd_to(event(a))))),
+                inner.clone().prop_map(|f| f.within(end(event(prop("A"))))),
+            ]
+        })
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Into one arena: every formula extracts as itself, a second
+        /// intern adds no node, and ids are equal exactly when the formulas
+        /// are.
+        #[test]
+        fn interning_round_trips_and_ids_follow_structure(
+            formulas in proptest::collection::vec(arb_formula(), 1..12),
+        ) {
+            let mut arena = FormulaArena::new();
+            let ids: Vec<FormulaId> = formulas.iter().map(|f| arena.intern(f)).collect();
+            let version = arena.version();
+            for (formula, &id) in formulas.iter().zip(&ids) {
+                prop_assert_eq!(&arena.extract(id), formula);
+                prop_assert_eq!(arena.intern(&formula.clone()), id);
+            }
+            prop_assert_eq!(arena.version(), version);
+            for (f, &i) in formulas.iter().zip(&ids) {
+                for (g, &j) in formulas.iter().zip(&ids) {
+                    prop_assert_eq!(i == j, f == g, "{} and {}", f, g);
+                }
+            }
+        }
+    }
+
+    /// `count` formulas `◇p_i ∧ ¬q_i`, each adding five formula nodes.
+    fn numbered(count: usize) -> Vec<Formula> {
+        (0..count)
+            .map(|i| prop(format!("p{i}")).eventually().and(prop(format!("q{i}")).not()))
+            .collect()
+    }
+
+    #[test]
+    fn lookups_hold_past_ten_thousand_nodes_and_after_a_clone() {
+        let mut arena = FormulaArena::new();
+        let known = numbered(2_100);
+        let ids: Vec<FormulaId> = known.iter().map(|f| arena.intern(f)).collect();
+        assert!(arena.formula_count() > 10_000, "{} nodes", arena.formula_count());
+        let unknown = |i: usize| prop(format!("p{i}")).always().and(prop(format!("q{i}")).not());
+        let copy = arena.clone();
+        let version = arena.version();
+        for view in [&arena, &copy] {
+            for (i, (formula, &id)) in known.iter().zip(&ids).enumerate() {
+                assert_eq!(view.lookup(formula), Some(id), "{formula}");
+                assert_eq!(view.lookup(&unknown(i)), None);
+            }
+            assert_eq!(view.lookup(&prop("p2100")), None);
+            assert_eq!(view.version(), version, "a lookup interns nothing");
+        }
+        // The copy's index is its own: what it interns the original never finds.
+        let mut copy = copy;
+        let fresh = copy.intern(&unknown(7));
+        assert_eq!(copy.lookup(&unknown(7)), Some(fresh));
+        assert_eq!(arena.lookup(&unknown(7)), None);
+        assert_eq!(arena.version(), version);
+    }
+
+    #[test]
+    fn arenas_with_different_seeds_hand_out_identical_ids() {
+        let mut first = FormulaArena::new();
+        let mut second = FormulaArena::default();
+        assert_ne!(first.hasher.seed, second.hasher.seed, "each arena draws its own seed");
+        let formulas: Vec<Formula> = numbered(300)
+            .into_iter()
+            .chain([
+                eventually(prop("D")).within(fwd(event(prop("A")), must(event(prop("B"))))),
+                prop("S").within(begin(bwd_from(event(prop("X"))))),
+                always(prop_args("got", [var("x")])).forall("x"),
+            ])
+            .collect();
+        for formula in formulas.iter().chain(&formulas) {
+            assert_eq!(first.intern(formula), second.intern(formula), "{formula}");
+        }
+        assert_eq!(first.version(), second.version());
+    }
+
+    /// The longest probe a flood of 4 096 names may cost: at the table's
+    /// highest load (one half) a uniform hash keeps it near 20 slots here,
+    /// while names that all hashed alike would probe thousands.
+    const FLOOD_PROBE_BOUND: usize = 128;
+
+    #[test]
+    fn a_flood_of_nearly_equal_names_probes_briefly() {
+        let base = format!("{}{}", "p".repeat(200), "~".repeat(64));
+        let names: Vec<String> = (0..4_096)
+            .map(|k| {
+                let mut bytes = base.clone().into_bytes();
+                bytes[200 + k % 64] = b'0' + (k / 64) as u8;
+                String::from_utf8(bytes).expect("ASCII")
+            })
+            .collect();
+        super::LONGEST_PROBE.with(|longest| longest.set(0));
+        let mut arena = FormulaArena::new();
+        let ids: Vec<FormulaId> = names.iter().map(|name| arena.intern(&prop(name))).collect();
+        assert_eq!(arena.formula_count(), names.len(), "the names are distinct");
+        for (name, id) in names.iter().zip(ids) {
+            assert_eq!(arena.lookup(&prop(name)), Some(id));
+        }
+        let longest = super::LONGEST_PROBE.with(std::cell::Cell::get);
+        println!("longest probe over {} names: {longest}", names.len());
+        assert!(longest < FLOOD_PROBE_BOUND, "a probe took {longest} slots");
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! three-valued agreement the harness checks sharper, structural identities
 //! where the implementation guarantees them:
 //!
+//! * the AST ↔ arena bridge is lossless: `extract(intern(f)) == f` on the
+//!   session's arena and on a fresh [`FormulaArena`], both hand `f` the
+//!   same id (ids follow insertion order alone, whatever each arena's hash
+//!   seed), and interning `f` again adds no node;
 //! * the Chapter 9 reduction is sound where it applies: for a formula that
 //!   `to_ltl` accepts, its LTL image and the interval semantics agree on
 //!   every computation up to [`CROSS_CHECK_DEPTH`] states (stutter and lasso
@@ -40,6 +44,7 @@
 //! every check is deterministic in the instance alone.
 
 use ilogic_core::analysis::{self, proposition_names};
+use ilogic_core::arena::FormulaArena;
 use ilogic_core::generate::{FormulaGenerator, GeneratorConfig};
 use ilogic_core::ltl_translate::{to_ltl, TranslateError};
 use ilogic_core::prelude::*;
@@ -271,6 +276,34 @@ fn ltl_trace(trace: &Trace, props: &[String]) -> TlTrace {
     }
 }
 
+/// Interns `formula` into `session`'s arena (which must hold nothing yet)
+/// and into a fresh one: both must extract it as itself, hand it the same
+/// id, and add no node when it is interned again.
+fn arena_round_trip_disagreement(session: &Session, formula: &Formula) -> Option<String> {
+    let id = session.intern(formula);
+    let version = session.arena().version();
+    let again = session.intern(formula);
+    let version_again = session.arena().version();
+    let mut fresh = FormulaArena::new();
+    let fresh_id = fresh.intern(formula);
+    let fresh_version = fresh.version();
+    let fresh_again = fresh.intern(formula);
+    let problems = [
+        (session.extract(id) != *formula, "the session's arena extracts another formula"),
+        (fresh.extract(fresh_id) != *formula, "a fresh arena extracts another formula"),
+        (id != fresh_id || version != fresh_version, "the two arenas intern it differently"),
+        (again != id || version_again != version, "a second intern changed the session's arena"),
+        (
+            fresh_again != fresh_id || fresh.version() != fresh_version,
+            "a second intern changed a fresh arena",
+        ),
+    ];
+    let (_, problem) = problems.into_iter().find(|(broken, _)| *broken)?;
+    Some(format!(
+        "{problem}: session {id:?} at {version:?}, fresh {fresh_id:?} at {fresh_version:?}"
+    ))
+}
+
 /// The full oracle: runs every invariant against the instance and returns
 /// the first disagreement found.
 pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
@@ -280,6 +313,13 @@ pub fn check_instance(instance: &Instance) -> Result<(), Disagreement> {
         invariant,
         detail,
     };
+
+    // --- Arena round trip: AST -> arena -> AST, on two arenas ------------
+    // First, while the session's arena holds nothing else, so its ids and a
+    // fresh arena's must agree.
+    if let Some(detail) = arena_round_trip_disagreement(&session, &instance.formula) {
+        return Err(fail("arena-round-trip", detail));
+    }
 
     // --- Translation: the LTL image vs the interval semantics ------------
     if let Some(detail) = translation_disagreement(&instance.formula, to_ltl) {
